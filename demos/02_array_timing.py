@@ -8,7 +8,8 @@ A block of (block_rows x depth) x (depth x block_cols) costs
   + pipeline stages                 multiply-accumulate flush
 
 cycles. The cycle-by-cycle walk of the array (explicit PE registers and
-FIFO hops) lands on the same count and the same bits as the fast path.
+FIFO hops) lands on the same count and the same bits as simulate_block,
+whose tile comes from the k-ordered kernel.
 """
 
 import numpy as np
@@ -41,18 +42,13 @@ print(f"register reuse per step: {pes[0].reuse_this_iter} "
       f"(= block_cols, each buffered value multiplies a whole B row)")
 
 # joining arrays through the multiplexers supports longer blocks; the
-# values never change, only the timing does
-m = n = 48
-kk = 20
-a = rng.random((m, kk), dtype=np.float32)
-b = rng.random((kk, n), dtype=np.float32)
-grid = masim.partition(m, n, kk, 16, 16)
-wl = masim.make_workload(a, b, grid)
+# values never change, only the timing does, so the run needs no data
+grid = masim.partition(48, 48, 20, 16, 16)
 print("\nindependent vs cooperating arrays on the same 9-tile workload")
 for n_arrays in (4, 1):
     layout, active = masim.layout_for_point(n_arrays, 16, 64, 4)
     queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(layout, wl, queues, masim.ParametricBandwidth(),
+    rep = masim.run_mpe(layout, grid, queues, masim.ParametricBandwidth(),
                         active_arrays=active)
     label = f"{n_arrays} array(s)"
     print(f"  {label:<12} {rep.total_cycles:>8} cycles, "

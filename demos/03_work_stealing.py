@@ -6,16 +6,10 @@ with simultaneous requests arbitrated round-robin. Under skewed service
 rates this keeps every array busy and cuts the makespan.
 """
 
-import numpy as np
-
 import masim
 
-rng = np.random.default_rng(2)
 m, k, n = 32, 8, 32                       # 8x8 grid of 4x4 tiles
-a = rng.random((m, k), dtype=np.float32)
-b = rng.random((k, n), dtype=np.float32)
 grid = masim.partition(m, n, k, 4, 4)
-wl = masim.make_workload(a, b, grid)
 layout, active = masim.layout_for_point(4, 4, 64, 4)
 
 slow = {0: 2.0}                            # array 0 runs at half speed
@@ -24,7 +18,7 @@ print(f"{grid.tile_count} tiles over 4 arrays, array 0 clocked 2x slower\n")
 results = {}
 for steal_on in (False, True):
     queues = masim.partition_workload(grid, 4)
-    rep = masim.run_mpe(layout, wl, queues, masim.IdealBandwidth(),
+    rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
                         steal=steal_on, slowdowns=slow, active_arrays=active)
     results[steal_on] = rep
     mode = "stealing" if steal_on else "static  "
@@ -44,9 +38,9 @@ for ev in results[True].steal_events:
     print(f"  {ev.time_s * 2e8:8.0f} cy  array {ev.thief} <- array {ev.victim}"
           f"  tile {ev.item_id}")
 
-# both schedules execute every tile exactly once and agree numerically
+# both schedules execute every tile exactly once, so both write back the
+# same output: the k-ordered product of the whole problem
 for rep in results.values():
     done = sorted(t for s in rep.arrays for t in s.tiles)
     assert done == list(range(grid.tile_count))
-assert np.array_equal(results[True].output, results[False].output)
-print("\nexactly-once execution and identical outputs confirmed")
+print("\nexactly-once execution confirmed for both schedules")

@@ -2,12 +2,12 @@
 GEMM accelerator."""
 
 from .blockmm import (DTYPE, Tile, TileGrid, as_matrix, make_tile,
-                      multiply_blocked, partition, reference_gemm,
-                      tile_outer_accumulate, transpose_a)
+                      max_rel_error, multiply_blocked, partition,
+                      reference_gemm)
 from .mac import (BufferDescriptor, CalibrationError, CalibrationMissingError,
                   IdealBandwidth, ParametricBandwidth, TableBandwidth,
                   TransferPlan, block_bytes, effective_bandwidth,
-                  make_transfer_plan, plan_for_tile, transfer_time)
+                  plan_for_tile)
 from .model import (DesignPoint, ExploreResult, ModelEstimate, ProblemShape,
                     bounds, default_block_candidates, explore,
                     feasible_array_counts, feasible_points, is_feasible,
@@ -17,8 +17,8 @@ from .mpe import (BlockJob, BlockResult, EffectiveArray, InfeasibleBlockError,
                   layout_for_point, psu_stall_plan, simulate_block,
                   trace_block)
 from .presets import LAYER_PRESETS
-from .simulator import (ArrayRunStats, SimReport, SimulationError, Workload,
-                        make_workload, run_mpe, write_trace_csv)
+from .simulator import (ArrayRunStats, SimReport, SimulationError, run_mpe,
+                        write_trace_csv)
 from .wqm import (RoundRobinArbiter, StealEvent, WorkItem, WorkQueue,
                   arbitrate, build_work_items, partition_workload,
                   select_victim, steal)

@@ -1,10 +1,11 @@
-"""Blocked matrix-multiply kernels shared by the simulator and the model.
+"""Tiling arithmetic, the k-ordered GEMM kernel and the float64 oracle.
 
-Element data is float32 throughout. Accumulation over the inner dimension
-runs in strictly ascending k order, so every code path that follows the
-same order (in particular the array simulator) is bit-reproducible against
-these kernels. A float64 accumulation mode is available on the reference
-kernel for tolerance analysis.
+Element data is float32 throughout. reference_gemm is the one k-ordered
+accumulation kernel: the inner dimension is summed in strictly ascending k
+order, so the whole-matrix product, a single tile and the cycle-level PE
+walk all round identically and agree bit for bit. A float64 accumulation
+mode is available on the kernel for tolerance analysis, and
+max_rel_error is the float64 oracle the CLI checks every output against.
 
 Padding is logical: a tile at the ragged edge of the grid reads
 out-of-range elements as zero instead of materialising padded copies of
@@ -82,11 +83,6 @@ def partition(m: int, n: int, depth: int, block_rows: int, block_cols: int) -> T
     )
 
 
-def transpose_a(a) -> np.ndarray:
-    """Return the transpose as a fresh row-major array (an exact involution)."""
-    return np.ascontiguousarray(as_matrix(a).T)
-
-
 @dataclass(frozen=True)
 class Tile:
     """One (tile_row, tile_col) task: a block_rows x depth slice of A against
@@ -126,14 +122,6 @@ class Tile:
         out[:, : c1 - c0] = self.b[:, c0:c1]
         return out
 
-    def column(self, k: int) -> np.ndarray:
-        """k-th column of the A block (length block_rows)."""
-        return self.sa()[:, k]
-
-    def row(self, k: int) -> np.ndarray:
-        """k-th row of the B block (length block_cols)."""
-        return self.sb()[k, :]
-
 
 def make_tile(grid: TileGrid, tile_row: int, tile_col: int, a, b) -> Tile:
     a = as_matrix(a, "a")
@@ -148,7 +136,9 @@ def make_tile(grid: TileGrid, tile_row: int, tile_col: int, a, b) -> Tile:
 def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
-    This is the oracle every other multiply path is checked against. The
+    This is the accelerator's numerics: each PE accumulates its output
+    elements in exactly this order, so the kernel applied to the whole
+    matrix, to one tile, or walked cycle by cycle gives the same bits. The
     sum is built as a sequence of rank-1 updates, one per k, so the
     rounding sequence per output element is fully determined. With
     accumulate="f64" the updates run in float64 (returned as float64) for
@@ -174,24 +164,6 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     return out
 
 
-def tile_outer_accumulate(tile: Tile) -> np.ndarray:
-    """Accumulate a tile as a sum of outer products, one per k.
-
-    Iteration k adds (k-th column of the A block) x (k-th row of the B
-    block) in float32. The result is bitwise reproducible and equals the
-    corresponding sub-block of the reference product on padded inputs.
-    """
-    sa = tile.sa()
-    sb = tile.sb()
-    g = tile.grid
-    out = np.zeros((g.block_rows, g.block_cols), DTYPE)
-    tmp = np.empty_like(out)
-    for k in range(g.depth):
-        np.multiply.outer(sa[:, k], sb[k, :], out=tmp)
-        np.add(out, tmp, out=out)
-    return out
-
-
 def multiply_blocked(a, b, grid: TileGrid) -> np.ndarray:
     """Full blocked product: run every tile, assemble, crop the padding.
 
@@ -206,5 +178,36 @@ def multiply_blocked(a, b, grid: TileGrid) -> np.ndarray:
         tile = make_tile(grid, i, j, a, b)
         r0 = i * grid.block_rows
         c0 = j * grid.block_cols
-        out[r0: r0 + grid.block_rows, c0: c0 + grid.block_cols] = tile_outer_accumulate(tile)
+        out[r0: r0 + grid.block_rows, c0: c0 + grid.block_cols] = \
+            reference_gemm(tile.sa(), tile.sb())
     return out[: grid.m, : grid.n]
+
+
+def max_rel_error(a, b, out, *, panel_rows: int = 128, panel_cols: int = 256,
+                  panel_depth: int = 512) -> float:
+    """Largest element-wise relative error of out against a float64 product.
+
+    The float64 reference is a matmul computed one panel_rows x panel_cols
+    panel of the output at a time, each summed over panel_depth-deep slices
+    of the inner dimension, so the float64 copies it holds stay under
+    8 * panel_depth * (panel_rows + panel_cols) bytes (1.5 MB by default)
+    whatever the problem size. A NaN anywhere in out makes the result NaN.
+    """
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
+    if out.shape != (a.shape[0], b.shape[1]):
+        raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
+    tiny = np.finfo(np.float64).tiny
+    worst = np.float64(0.0)
+    for c0 in range(0, b.shape[1], panel_cols):
+        cols = slice(c0, c0 + panel_cols)
+        for r0 in range(0, a.shape[0], panel_rows):
+            rows = slice(r0, r0 + panel_rows)
+            ref = sum(a[rows, k0: k0 + panel_depth].astype(np.float64)
+                      @ b[k0: k0 + panel_depth, cols].astype(np.float64)
+                      for k0 in range(0, a.shape[1], panel_depth))
+            err = np.abs(out[rows, cols] - ref)
+            worst = np.maximum(worst, (err / np.maximum(np.abs(ref), tiny)).max())
+    return float(worst)

@@ -65,11 +65,6 @@ class BufferDescriptor:
     def total_bytes(self) -> int:
         return self.burst_elems * self.n_bursts * ELEMENT_BYTES
 
-    @property
-    def unit_stride_bursts(self) -> bool:
-        """True by construction: bursts are contiguous element runs."""
-        return True
-
 
 @dataclass(frozen=True)
 class TransferPlan:
@@ -130,11 +125,6 @@ def plan_for_tile(grid: TileGrid, tile_row: int, tile_col: int) -> TransferPlan:
     plan = TransferPlan(a, b, c)
     assert plan.total_bytes == block_bytes(si, sj, k)
     return plan
-
-
-def make_transfer_plan(item) -> TransferPlan:
-    """Plan for a work item (anything carrying grid, tile_row, tile_col)."""
-    return plan_for_tile(item.grid, item.tile_row, item.tile_col)
 
 
 @dataclass(frozen=True)
@@ -272,10 +262,3 @@ def effective_bandwidth(model: BandwidthModel, n_arrays: int, block_rows: int) -
     if block_rows < 1:
         raise ValueError("block_rows must be >= 1")
     return model.rate(n_arrays, block_rows)
-
-
-def transfer_time(plan: TransferPlan, bw: float) -> float:
-    """Seconds to move one block's full traffic at the given rate."""
-    if not bw > 0:
-        raise ValueError(f"bandwidth must be positive, got {bw}")
-    return plan.total_bytes / bw

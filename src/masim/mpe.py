@@ -19,12 +19,15 @@ Per-block charged cycles are therefore
 
     block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
-exactly. Two implementations are provided: simulate_block evaluates the
-dataflow one k-iteration at a time (the fast path used by the run loop),
-and trace_block walks it cycle by cycle with explicit PE state and FIFO
-hops (used to audit the fast path and the register-reuse invariants).
-Both produce bit-identical numerics because they apply the same float32
-multiply-add sequence per output element.
+exactly. The run loop in the simulator charges this closed form and
+never touches matrix data. Two per-block implementations tie the timing
+to the numerics: simulate_block returns the charged cycle breakdown and
+the block's tile from the k-ordered kernel blockmm.reference_gemm, and
+trace_block walks the dataflow cycle by cycle with explicit PE state and
+FIFO hops (the audit of the closed form and of the register-reuse
+invariants). Both produce bit-identical numerics because they apply the
+same float32 multiply-add sequence per output element, which is also why
+the whole-matrix kernel equals the tiles a run assembles.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmm import DTYPE
+from .blockmm import DTYPE, reference_gemm
 
 
 class InfeasibleBlockError(ValueError):
@@ -183,7 +186,8 @@ def simulate_block(array: EffectiveArray, job: BlockJob, *,
 
     PE p holds element p of the current A column; each iteration k
     multiplies that buffered value against the streamed k-th B row and
-    accumulates into the local result memory. The returned drain cycles
+    accumulates into the local result memory, which is the k-ordered
+    kernel applied to the block. The returned drain cycles
     cover streaming the finished tile out of the chain at drain_width
     elements per cycle; they overlap the next block's compute and are not
     part of the charged cycle count.
@@ -195,19 +199,10 @@ def simulate_block(array: EffectiveArray, job: BlockJob, *,
     if job.sa.shape != (si, k_depth) or job.sb.shape != (k_depth, sj):
         raise ValueError("job data does not match its geometry")
 
-    acc = np.zeros((si, sj), DTYPE)
-    tmp = np.empty_like(acc)
-    sa = np.ascontiguousarray(job.sa, DTYPE)
-    sb = np.ascontiguousarray(job.sb, DTYPE)
-    for k in range(k_depth):
-        ra = sa[:, k]                      # value latched in each PE
-        np.multiply.outer(ra, sb[k, :], out=tmp)
-        np.add(acc, tmp, out=acc)
-
     stalls = psu_stall_plan(si, sj) * k_depth
     cycles = block_cycles(si, sj, k_depth, fmac_stages)
     return BlockResult(
-        tile=acc,
+        tile=reference_gemm(job.sa, job.sb),
         cycles=cycles,
         prefetch_cycles=si,
         compute_cycles=sj * k_depth + fmac_stages,
@@ -256,7 +251,7 @@ def trace_block(array: EffectiveArray, job: BlockJob, *,
                 ) -> tuple[BlockResult, list[TraceEvent], list[PeState]]:
     """Cycle-by-cycle walk of one block with explicit PE state.
 
-    Independent of simulate_block's iteration-level shortcut: A elements
+    Independent of the kernel's whole-iteration updates: A elements
     hop PE to PE through fifo_a one stage per cycle (the column enters the
     chain in reverse element order, so every PE latches its element on the
     same cycle), the shadow register is checked against overwrite while

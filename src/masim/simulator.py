@@ -1,5 +1,12 @@
 """Event-driven simulation of the full accelerator.
 
+The simulator is a pure timing engine: the schedule depends only on the
+tile grid, the layout, the queues and the bandwidth model, never on the
+matrix values, so run_mpe takes no matrix data. The output the modelled
+arrays produce is the k-ordered kernel blockmm.reference_gemm applied to
+the whole problem (mpe.simulate_block and mpe.trace_block tie each block's
+numerics to that kernel); callers compute it once, after the schedule.
+
 One run drives the active arrays over their work queues with overlapped
 transfers: each array holds at most two resident blocks (one computing
 from the active buffer, one prefetching into the shadow buffer), its
@@ -32,37 +39,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import mac, wqm
-from .blockmm import DTYPE, TileGrid, as_matrix, make_tile, transpose_a
-from .mpe import (BlockJob, InfeasibleBlockError, MpeLayout, block_cycles,
-                  simulate_block)
+from .blockmm import TileGrid
+from .mpe import InfeasibleBlockError, MpeLayout, block_cycles, psu_stall_plan
 
 
 class SimulationError(RuntimeError):
     """Internal inconsistency: the event loop wedged or lost work."""
-
-
-@dataclass(frozen=True)
-class Workload:
-    """Problem data plus its tiling; a_t is the transposed image of a that
-    the memory controller actually fetches blocks of A from."""
-
-    a: np.ndarray
-    b: np.ndarray
-    a_t: np.ndarray
-    grid: TileGrid
-
-
-def make_workload(a, b, grid: TileGrid) -> Workload:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != (grid.m, grid.depth):
-        raise ValueError(f"a has shape {a.shape}, grid expects {(grid.m, grid.depth)}")
-    if b.shape != (grid.depth, grid.n):
-        raise ValueError(f"b has shape {b.shape}, grid expects {(grid.depth, grid.n)}")
-    return Workload(a=a, b=b, a_t=transpose_a(a), grid=grid)
 
 
 @dataclass
@@ -83,7 +66,6 @@ class ArrayRunStats:
 
 @dataclass
 class SimReport:
-    output: np.ndarray
     shape: tuple[int, int, int]          # (m, depth, n)
     total_cycles: int
     time_seconds: float
@@ -98,9 +80,8 @@ class SimReport:
 class _ArrayState:
     """Per-array run state: queue, engines, buffers."""
 
-    def __init__(self, idx, array, queue, slowdown):
+    def __init__(self, idx, queue, slowdown):
         self.idx = idx
-        self.array = array
         self.queue = queue
         self.slowdown = slowdown
         self.stats = ArrayRunStats(array_id=idx)
@@ -116,25 +97,21 @@ class _ArrayState:
         return len(self.queue) == 0 and self.resident < 2
 
 
-def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
+def run_mpe(layout: MpeLayout, grid: TileGrid, queues: list[wqm.WorkQueue],
             bw_model, *, f_acc: float = 2e8, fmac_stages: int = 8,
-            steal: bool = True, slowdowns=None, numerics: str = "exact",
+            steal: bool = True, slowdowns=None,
             contention: str = "per_array", drain_width: int = 1,
-            trace_path=None, active_arrays=None, strict: bool = True) -> SimReport:
-    """Run the accelerator over a partitioned workload and report results.
+            trace_path=None, active_arrays=None) -> SimReport:
+    """Schedule the tiles of grid on the accelerator and report the timing.
 
     queues come from the workload queue manager, one per active array.
     slowdowns optionally scales individual arrays' clock periods (testing
     aid for load-imbalance scenarios; charged cycle stats stay nominal).
-    numerics "exact" reproduces the per-PE float32 accumulation bit for
-    bit; "fast" computes tiles with a float32 matmul, which is within
-    normal float tolerance but not bit-identical.
+    After every arbitration round the queue counters and the no-starvation
+    rule are checked; a violation raises SimulationError.
     """
-    if numerics not in ("exact", "fast"):
-        raise ValueError(f"unknown numerics mode {numerics!r}")
     if contention not in ("per_array", "shared_port"):
         raise ValueError(f"unknown contention mode {contention!r}")
-    grid = workload.grid
     if active_arrays is None:
         active_arrays = list(range(len(queues)))
     if len(active_arrays) != len(queues):
@@ -164,13 +141,19 @@ def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
     port_bw = mac.effective_bandwidth(bw_model, 1, grid.block_rows)
     shared = contention == "shared_port"
     shared_free = 0.0
+    # Every padded tile moves the same bytes, so one plan serves the grid.
+    plan = mac.plan_for_tile(grid, 0, 0)
+    in_bytes, out_bytes = plan.in_bytes, plan.out_bytes
+    si, sj, depth = grid.block_rows, grid.block_cols, grid.depth
+    cycles = block_cycles(si, sj, depth, fmac_stages)
+    compute_cycles = sj * depth + fmac_stages
+    stall_cycles = psu_stall_plan(si, sj) * depth
+    drain_cycles = -(-si * sj // drain_width)
 
-    states = [_ArrayState(i, layout.arrays[aid], queues[i], slow[i])
-              for i, aid in enumerate(active_arrays)]
+    states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]
     arbiter = wqm.RoundRobinArbiter(n_active)
     steal_log: list[wqm.StealEvent] = []
     trace: list[tuple[int, int, str, int]] = []
-    out = np.zeros((grid.padded_rows, grid.padded_cols), DTYPE)
     executed: set[int] = set()
 
     heap: list = []
@@ -204,8 +187,8 @@ def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
         while st.resident < 2 and len(st.queue) > 0:
             item = st.queue.pop_head()
             st.resident += 1
-            start, end = xfer(st, t, item.plan.in_bytes)
-            st.stats.bytes_in += item.plan.in_bytes
+            start, end = xfer(st, t, in_bytes)
+            st.stats.bytes_in += in_bytes
             log(start, st, "fetch_start", item)
             push(end, "fetch_done", st.idx, item)
 
@@ -214,51 +197,25 @@ def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
             return
         item = st.ready.popleft()
         st.compute_busy = True
-        cycles = block_cycles(grid.block_rows, grid.block_cols, grid.depth, fmac_stages)
         log(t, st, "compute_start", item)
         push(t + cycles / f_acc * st.slowdown, "compute_done", st.idx, item)
 
     def finish_compute(st: _ArrayState, item: wqm.WorkItem, t: float):
-        tile = make_tile(grid, item.tile_row, item.tile_col, workload.a, workload.b)
-        if numerics == "exact":
-            res = simulate_block(
-                st.array,
-                BlockJob(tile.sa(), tile.sb(), grid.block_rows, grid.block_cols,
-                         grid.depth, item.tile_row, item.tile_col),
-                fmac_stages=fmac_stages, mc_depth=layout.mc_depth,
-                drain_width=drain_width)
-            block = res.tile
-            stats_src = res
-        else:
-            block = np.matmul(tile.sa(), tile.sb())
-            stats_src = None
-        r0 = item.tile_row * grid.block_rows
-        c0 = item.tile_col * grid.block_cols
-        out[r0: r0 + grid.block_rows, c0: c0 + grid.block_cols] = block
-
         s = st.stats
         s.blocks_executed += 1
         s.tiles.append(item.item_id)
-        s.prefetch_cycles += grid.block_rows
-        if stats_src is not None:
-            s.compute_cycles += stats_src.compute_cycles
-            s.stall_cycles += stats_src.stall_cycles
-            drain = stats_src.drain_cycles
-        else:
-            s.compute_cycles += grid.block_cols * grid.depth + fmac_stages
-            s.stall_cycles += (max(grid.block_rows, grid.block_cols)
-                               - grid.block_cols) * grid.depth
-            drain = -(-grid.block_rows * grid.block_cols // drain_width)
-        cycles = block_cycles(grid.block_rows, grid.block_cols, grid.depth, fmac_stages)
+        s.prefetch_cycles += si
+        s.compute_cycles += compute_cycles
+        s.stall_cycles += stall_cycles
         s.busy_seconds += cycles / f_acc * st.slowdown
-        st.last_drain_cycles = drain
+        st.last_drain_cycles = drain_cycles
         st.last_compute_end = t
         if item.item_id in executed:
             raise SimulationError(f"tile {item.item_id} executed twice")
         executed.add(item.item_id)
 
-        start, end = xfer(st, t, item.plan.out_bytes)
-        s.bytes_out += item.plan.out_bytes
+        start, end = xfer(st, t, out_bytes)
+        s.bytes_out += out_bytes
         log(start, st, "wb_start", item)
         push(end, "wb_done", st.idx, item)
         st.resident -= 1
@@ -280,13 +237,12 @@ def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
                       on_steal=grant)
         for ev in steal_log[before:]:
             trace.append((cyc(ev.time_s), ev.thief, "steal", ev.item_id))
-        if strict:
-            for st in states:
-                st.queue.check_counter()
-            still = [st for st in states if st.needy() and st.resident == 0
-                     and len(st.queue) == 0]
-            if still and any(st.queue.counter >= 1 for st in states):
-                raise SimulationError("array starved while another queue holds work")
+        for st in states:
+            st.queue.check_counter()
+        still = [st for st in states if st.needy() and st.resident == 0
+                 and len(st.queue) == 0]
+        if still and any(st.queue.counter >= 1 for st in states):
+            raise SimulationError("array starved while another queue holds work")
 
     for st in states:
         issue_fetches(st, 0.0)
@@ -325,7 +281,6 @@ def run_mpe(layout: MpeLayout, workload: Workload, queues: list[wqm.WorkQueue],
 
     m, k, n = grid.m, grid.depth, grid.n
     report = SimReport(
-        output=out[: grid.m, : grid.n],
         shape=(m, k, n),
         total_cycles=cyc(time_seconds),
         time_seconds=time_seconds,

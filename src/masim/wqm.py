@@ -11,33 +11,19 @@ and only tasks whose transfers have not started are ever moved.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import mac
 from .blockmm import TileGrid
 
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One tile task: coordinates, block geometry, and its transfer plan."""
+    """One tile task: coordinates and block geometry."""
 
     item_id: int
     tile_row: int
     tile_col: int
     grid: TileGrid
-    plan: mac.TransferPlan
-
-    @property
-    def block_rows(self) -> int:
-        return self.grid.block_rows
-
-    @property
-    def block_cols(self) -> int:
-        return self.grid.block_cols
-
-    @property
-    def depth(self) -> int:
-        return self.grid.depth
 
 
 @dataclass(frozen=True)
@@ -80,25 +66,19 @@ class WorkQueue:
 
 
 def build_work_items(grid: TileGrid) -> list[WorkItem]:
-    """All tiles of the grid in row-major order, plans attached."""
-    return [
-        WorkItem(tid, *grid.tile_coords(tid), grid,
-                 mac.plan_for_tile(grid, *grid.tile_coords(tid)))
-        for tid in range(grid.tile_count)
-    ]
+    """All tiles of the grid in row-major order."""
+    return [WorkItem(tid, *grid.tile_coords(tid), grid)
+            for tid in range(grid.tile_count)]
 
 
-def partition_workload(grid: TileGrid, n_queues: int,
-                       policy: str = "round_robin") -> list[WorkQueue]:
+def partition_workload(grid: TileGrid, n_queues: int) -> list[WorkQueue]:
     """Assign every tile to exactly one of n_queues queues.
 
-    The default (and only) policy deals tiles round-robin in row-major
-    order, so per-queue counts differ by at most one.
+    Tiles are dealt round-robin in row-major order, so per-queue counts
+    differ by at most one.
     """
     if n_queues < 1:
         raise ValueError("n_queues must be >= 1")
-    if policy != "round_robin":
-        raise ValueError(f"unknown partition policy {policy!r}")
     queues = [WorkQueue(i) for i in range(n_queues)]
     for item in build_work_items(grid):
         queues[item.item_id % n_queues].push(item)

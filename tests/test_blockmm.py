@@ -51,22 +51,48 @@ class TestPartition:
             assert g.tile_id(*g.tile_coords(tid)) == tid
 
 
+def fetch_a_bursts(a, grid, tile_row):
+    """Bursts the tile row's A descriptor reads from the padded, transposed
+    image of a: one row of block_rows elements per inner step."""
+    image = np.zeros((grid.depth, grid.padded_rows), np.float32)
+    image[:, : grid.m] = np.asarray(a, np.float32).T
+    flat = image.ravel()
+    d = masim.plan_for_tile(grid, tile_row, 0).a
+    starts = [d.addr + i * d.stride for i in range(d.n_bursts)]
+    return np.stack([flat[s0: s0 + d.burst_elems] for s0 in starts])
+
+
 class TestTranspose:
+    """The transposed A image that the A descriptors address."""
+
     def test_single_element(self):
-        assert masim.transpose_a([[3.5]]).tolist() == [[3.5]]
+        g = masim.partition(1, 1, 1, 1, 1)
+        assert fetch_a_bursts([[3.5]], g, 0).tolist() == [[3.5]]
 
     def test_two_by_three(self):
-        t = masim.transpose_a([[1, 2, 3], [4, 5, 6]])
-        assert t.tolist() == [[1, 4], [2, 5], [3, 6]]
+        g = masim.partition(2, 1, 3, 2, 1)
+        bursts = fetch_a_bursts([[1, 2, 3], [4, 5, 6]], g, 0)
+        assert bursts.tolist() == [[1, 4], [2, 5], [3, 6]]
 
     def test_involution(self):
+        # transposing the fetched bursts back gives each tile's A block,
+        # zero rows past m included
         rng = np.random.default_rng(0)
-        a = rand(rng, 64, 48)
-        assert np.array_equal(masim.transpose_a(masim.transpose_a(a)), a)
+        a = rand(rng, 70, 48)
+        g = masim.partition(70, 8, 48, 16, 8)
+        for i in range(g.grid_rows):
+            tile = masim.make_tile(g, i, 0, a, np.zeros((48, 8), np.float32))
+            assert np.array_equal(fetch_a_bursts(a, g, i).T, tile.sa())
 
     def test_row_major_result(self):
-        t = masim.transpose_a([[1, 2, 3], [4, 5, 6]])
-        assert t.flags.c_contiguous
+        # the tile rows' bursts cover the row-major image exactly once
+        g = masim.partition(70, 8, 48, 16, 8)
+        hits = np.zeros(g.depth * g.padded_rows, int)
+        for i in range(g.grid_rows):
+            d = masim.plan_for_tile(g, i, 0).a
+            for k in range(d.n_bursts):
+                hits[d.addr + k * d.stride: d.addr + k * d.stride + d.burst_elems] += 1
+        assert (hits == 1).all()
 
 
 class TestReferenceGemm:
@@ -98,23 +124,25 @@ class TestReferenceGemm:
 
 
 class TestTileOuterAccumulate:
+    """A tile accumulated by the k-ordered kernel on its zero-filled slices."""
+
     def test_single_outer_product(self):
         g = masim.partition(2, 2, 1, 2, 2)
         tile = masim.make_tile(g, 0, 0, [[1], [2]], [[3, 4]])
-        assert masim.tile_outer_accumulate(tile).tolist() == [[3, 4], [6, 8]]
+        assert masim.reference_gemm(tile.sa(), tile.sb()).tolist() == [[3, 4], [6, 8]]
 
     def test_zero_columns(self):
         g = masim.partition(4, 4, 3, 4, 4)
         rng = np.random.default_rng(4)
         tile = masim.make_tile(g, 0, 0, np.zeros((4, 3), np.float32), rand(rng, 3, 4))
-        assert not masim.tile_outer_accumulate(tile).any()
+        assert not masim.reference_gemm(tile.sa(), tile.sb()).any()
 
     def test_matches_reference_subblock(self):
         rng = np.random.default_rng(5)
         a, b = rand(rng, 8, 16), rand(rng, 16, 8)
         g = masim.partition(8, 8, 16, 8, 8)
         tile = masim.make_tile(g, 0, 0, a, b)
-        got = masim.tile_outer_accumulate(tile)
+        got = masim.reference_gemm(tile.sa(), tile.sb())
         ref = masim.reference_gemm(a, b, accumulate="f64")
         np.testing.assert_allclose(got, ref, rtol=1e-5)
 
@@ -122,7 +150,8 @@ class TestTileOuterAccumulate:
         rng = np.random.default_rng(6)
         a, b = rand(rng, 5, 3), rand(rng, 3, 6)
         g = masim.partition(5, 6, 3, 4, 4)
-        bottom = masim.tile_outer_accumulate(masim.make_tile(g, 1, 1, a, b))
+        tile = masim.make_tile(g, 1, 1, a, b)
+        bottom = masim.reference_gemm(tile.sa(), tile.sb())
         # rows past m and cols past n read as zero
         assert not bottom[1:, :].any()
         assert not bottom[:, 2:].any()
@@ -149,6 +178,43 @@ class TestBlockedMultiply:
         exact = masim.multiply_blocked(a, b, masim.partition(5, 7, 3, 5, 7))
         padded = masim.multiply_blocked(a, b, masim.partition(5, 7, 3, 8, 8))
         assert np.array_equal(exact, padded)
+
+
+class TestMaxRelError:
+    """The float64 oracle: a matmul over bounded output panels."""
+
+    def test_agrees_with_float64_k_loop(self):
+        rng = np.random.default_rng(8)
+        a, b = rand(rng, 45, 70), rand(rng, 70, 83)
+        out = masim.reference_gemm(a, b)
+        ref = masim.reference_gemm(a, b, accumulate="f64")
+        want = (np.abs(out - ref) / np.abs(ref)).max()
+        assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6)
+        for rows, cols, depth in ((32, 64, 16), (7, 5, 3), (45, 83, 70), (100, 100, 1)):
+            got = masim.max_rel_error(a, b, out, panel_rows=rows, panel_cols=cols,
+                                      panel_depth=depth)
+            assert got == pytest.approx(want, rel=1e-6), (rows, cols, depth)
+
+    def test_every_panel_is_checked(self):
+        rng = np.random.default_rng(9)
+        a, b = rand(rng, 10, 7), rand(rng, 7, 9)
+        for i in range(10):
+            for j in range(9):
+                out = masim.reference_gemm(a, b)
+                out[i, j] *= 1.01
+                assert masim.max_rel_error(a, b, out, panel_rows=4, panel_cols=4,
+                                           panel_depth=3) > 5e-3, (i, j)
+
+    def test_nan_is_reported(self):
+        a = np.ones((3, 2), np.float32)
+        out = masim.reference_gemm(a, a.T)
+        out[2, 1] = np.nan
+        assert np.isnan(masim.max_rel_error(a, a.T, out, panel_rows=2, panel_cols=2))
+
+    def test_rejects_wrong_output_shape(self):
+        a = np.ones((3, 2), np.float32)
+        with pytest.raises(ValueError):
+            masim.max_rel_error(a, a.T, np.ones((3, 2), np.float32))
 
 
 class TestMatrixValidation:

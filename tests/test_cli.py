@@ -1,9 +1,16 @@
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import assemble_run
 
+import masim
 from masim import cli
+
+DATA = Path(__file__).resolve().parent / "data"
+ORACLE_FIELDS = ("oracle_ok", "max_rel_error", "oracle_skipped")
 
 
 def run_cli(*argv):
@@ -83,6 +90,93 @@ class TestRun:
         assert len(rows) > 1
 
 
+class TestOutputAndOracle:
+    def test_exact_output_equals_per_tile_blocks(self, tmp_path, cli_output):
+        # a ragged 4x6 grid of 16x8 blocks (50 rows, 43 columns), two arrays
+        out_path = tmp_path / "r.json"
+        assert run_cli("run", "--shape", "50x32x43", "--np", "2", "--si", "16",
+                       "--sj", "8", "--seed", "4", "--out", str(out_path)) == 0
+        [(a, b, out)] = cli_output
+        grid = masim.partition(50, 43, 32, 16, 8)
+        layout, active = masim.layout_for_point(2, 16, 64, 4)
+        rep = masim.run_mpe(layout, grid, masim.partition_workload(grid, 2),
+                            masim.ParametricBandwidth(), active_arrays=active)
+        tiles = assemble_run(rep, layout, active, grid, a, b)
+        assert np.array_equal(out.view(np.uint32), tiles.view(np.uint32))
+
+    def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):
+        # 136 rows, 262 columns and depth 520 leave the last 128x256x512
+        # oracle panel 8x6x8
+        kernel = cli.reference_gemm
+
+        def planted(a, b):
+            out = kernel(a, b)
+            out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
+            return out
+
+        monkeypatch.setattr(cli, "reference_gemm", planted)
+        out_path = tmp_path / "r.json"
+        assert run_cli("run", "--shape", "136x520x262", "--np", "1", "--si", "64",
+                       "--out", str(out_path)) == 1
+        checks = load_report(out_path)["checks"]
+        assert checks["oracle_ok"] is False
+        assert checks["max_rel_error"] == pytest.approx(10 * cli.ORACLE_RTOL, rel=1e-2)
+
+    def test_oracle_runs_above_former_size_cutoff(self, tmp_path):
+        out_path = tmp_path / "r.json"       # 512 * 513 * 520 > 2**27
+        assert run_cli("run", "--shape", "512x513x520", "--np", "1", "--si", "256",
+                       "--fast-numerics", "--out", str(out_path)) == 0
+        checks = load_report(out_path)["checks"]
+        assert checks["oracle_ok"] is True and "oracle_skipped" not in checks
+
+    @pytest.mark.parametrize("flags,reason", [
+        (("--no-verify",), "--no-verify"),
+        (("--verify-cutoff", "1000"), "--verify-cutoff"),
+    ])
+    def test_skipped_oracle_gives_reason_and_builds_nothing(
+            self, tmp_path, monkeypatch, flags, reason):
+        monkeypatch.setattr(cli, "build_matrices", None)
+        out_path = tmp_path / "r.json"
+        assert run_cli("run", "--shape", "16x16x8", "--np", "1", "--si", "8",
+                       *flags, "--out", str(out_path)) == 0
+        checks = load_report(out_path)["checks"]
+        assert checks["oracle_ok"] is None and checks["max_rel_error"] is None
+        assert checks["oracle_skipped"] == reason
+
+    def test_cutoff_above_problem_still_verifies(self, tmp_path):
+        out_path = tmp_path / "r.json"
+        assert run_cli("run", "--shape", "8x8x8", "--np", "1", "--si", "8",
+                       "--verify-cutoff", "512", "--out", str(out_path)) == 0
+        assert load_report(out_path)["checks"]["oracle_ok"] is True
+
+
+class TestGoldenOutputs:
+    """Reports and traces of three runs, pinned byte for byte: the per-array
+    default, the shared port (two steals) and a static split. The oracle
+    fields are left out of the reports."""
+
+    CASES = {
+        "per_array": ("--shape", "50x32x43", "--np", "2", "--si", "16", "--sj", "8"),
+        "shared_port": ("--shape", "40x48x36", "--np", "3", "--si", "16",
+                        "--contention", "shared_port"),
+        "no_steal": ("--shape", "72x24x36", "--np", "4", "--si", "8", "--no-steal"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_and_trace_unchanged(self, tmp_path, name):
+        out_path, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        code = run_cli("run", *self.CASES[name], "--seed", "3",
+                       "--out", str(out_path), "--trace", str(trace))
+        rep = load_report(out_path)
+        assert code == (1 if rep["checks"]["bounds_ok"] is False else 0)
+        del rep["created_at"]
+        for key in ORACLE_FIELDS:
+            rep["checks"].pop(key, None)
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        assert text == (DATA / f"{name}.json").read_text()
+        assert trace.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
 class TestDeterminism:
     def strip_timestamp(self, path):
         rep = load_report(path)
@@ -117,6 +211,14 @@ class TestExplore:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["n_arrays"] == "1"
+
+    def test_simulate_builds_no_matrices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "build_matrices", None)
+        out = tmp_path / "sweep.json"
+        assert run_cli("explore", "--shape", "64x48x64", "--simulate",
+                       "--fast-numerics", "--candidates", "8,16",
+                       "--out", str(out)) == 0
+        assert all(r["in_bounds"] for r in load_report(out)["entries"])
 
     def test_simulate_adds_measured_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -39,7 +39,6 @@ class TestTransferPlan:
             plan = masim.plan_for_tile(g, i, j)
             # A bursts are rows of the transposed padded image: unit stride,
             # block_rows long, one burst per inner step
-            assert plan.a.unit_stride_bursts
             assert plan.a.burst_elems == g.block_rows
             assert plan.a.n_bursts == g.depth
             assert plan.a.stride == g.padded_rows
@@ -48,10 +47,13 @@ class TestTransferPlan:
             assert plan.c.n_bursts == g.block_rows
 
     def test_make_transfer_plan_from_item(self):
-        g = masim.partition(16, 16, 8, 8, 8)
-        items = masim.build_work_items(g)
-        for item in items:
-            assert masim.make_transfer_plan(item) == item.plan
+        # every item's plan, edge tiles included, moves the bytes of the
+        # grid's first tile: one plan per grid is what a run charges
+        g = masim.partition(13, 11, 8, 8, 4)
+        first = masim.plan_for_tile(g, 0, 0)
+        for item in masim.build_work_items(g):
+            plan = masim.plan_for_tile(item.grid, item.tile_row, item.tile_col)
+            assert (plan.in_bytes, plan.out_bytes) == (first.in_bytes, first.out_bytes)
 
     def test_stride_never_shorter_than_burst(self):
         with pytest.raises(ValueError):
@@ -151,29 +153,32 @@ class TestTableBandwidth:
 
 
 class TestTransferTime:
+    """One block's transfer time, model.t_work: padded block bytes / rate."""
+
     def test_conv1_at_documented_rate(self):
-        g = masim.partition(96, 3025, 363, 128, 128)
-        plan = masim.plan_for_tile(g, 0, 0)
-        assert masim.transfer_time(plan, 1.6e9) == pytest.approx(273.28e-6)
+        shape = masim.ProblemShape(96, 363, 3025)
+        assert masim.t_work(shape, masim.DesignPoint(1, 128), 1.6e9) \
+            == pytest.approx(273.28e-6)
 
     def test_bytes_equal_rate(self):
-        g = masim.partition(1, 1, 1, 1, 1)
-        assert masim.transfer_time(masim.plan_for_tile(g, 0, 0), 12.0) == 1.0
+        shape = masim.ProblemShape(1, 1, 1)
+        assert masim.t_work(shape, masim.DesignPoint(1, 1), 12.0) == 1.0
 
     def test_fc6_block(self):
         g = masim.partition(128, 4096, 9216, 128, 128)
-        plan = masim.plan_for_tile(g, 0, 0)
-        assert plan.total_bytes == 9502720
-        assert masim.transfer_time(plan, 2.0e9) == pytest.approx(4.75136e-3)
+        assert masim.plan_for_tile(g, 0, 0).total_bytes == 9502720
+        shape = masim.ProblemShape(128, 9216, 4096)
+        assert masim.t_work(shape, masim.DesignPoint(2, 128), 2.0e9) \
+            == pytest.approx(4.75136e-3)
 
     def test_rejects_nonpositive_rate(self):
-        g = masim.partition(1, 1, 1, 1, 1)
+        shape = masim.ProblemShape(1, 1, 1)
         with pytest.raises(ValueError):
-            masim.transfer_time(masim.plan_for_tile(g, 0, 0), 0.0)
+            masim.t_work(shape, masim.DesignPoint(1, 1), 0.0)
 
     def test_ideal_bandwidth_is_instant(self):
-        g = masim.partition(8, 8, 8, 8, 8)
         ideal = masim.IdealBandwidth()
         bw = masim.effective_bandwidth(ideal, 4, 8)
         assert math.isinf(bw)
-        assert masim.transfer_time(masim.plan_for_tile(g, 0, 0), bw) == 0.0
+        shape = masim.ProblemShape(8, 8, 8)
+        assert masim.t_work(shape, masim.DesignPoint(4, 8), bw) == 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assemble_run
 
 import masim
 from masim.mpe import TraceEvent
@@ -93,14 +94,16 @@ class TestSimulateBlock:
                     == res.cycles == masim.block_cycles(si, sj, k, st))
 
     def test_bit_identical_to_tile_accumulate(self):
+        # a ragged edge tile: the block equals the kernel on its zero-filled
+        # slices, and its live region equals that part of the full product
         rng = np.random.default_rng(3)
-        a, b = rand(rng, 8, 16), rand(rng, 16, 8)
-        g = masim.partition(8, 8, 16, 8, 8)
-        tile = masim.make_tile(g, 0, 0, a, b)
-        want = masim.tile_outer_accumulate(tile)
+        a, b = rand(rng, 13, 16), rand(rng, 16, 11)
+        g = masim.partition(13, 11, 16, 8, 8)
+        tile = masim.make_tile(g, 1, 1, a, b)
         res = masim.simulate_block(SINGLE_128,
                                    masim.BlockJob(tile.sa(), tile.sb(), 8, 8, 16))
-        assert np.array_equal(res.tile, want)
+        assert np.array_equal(res.tile, masim.reference_gemm(tile.sa(), tile.sb()))
+        assert np.array_equal(res.tile[:5, :3], masim.reference_gemm(a, b)[8:, 8:])
 
     def test_block_too_tall(self):
         rng = np.random.default_rng(4)
@@ -177,15 +180,14 @@ class TestModeEquivalence:
         m, n, k = 32, 48, 20
         a, b = rand(rng, m, k), rand(rng, k, n)
         grid = masim.partition(m, n, k, 16, 16)
-        wl = masim.make_workload(a, b, grid)
         outputs = []
         times = []
         for n_arrays in (4, 1):
             layout, active = masim.layout_for_point(n_arrays, 16, 64, 4)
             queues = masim.partition_workload(grid, n_arrays)
-            rep = masim.run_mpe(layout, wl, queues,
+            rep = masim.run_mpe(layout, grid, queues,
                                 masim.ParametricBandwidth(), active_arrays=active)
-            outputs.append(rep.output)
+            outputs.append(assemble_run(rep, layout, active, grid, a, b))
             times.append(rep.time_seconds)
         assert np.array_equal(outputs[0], outputs[1])
         assert times[0] != times[1]

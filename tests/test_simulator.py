@@ -3,8 +3,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import assemble_run
 
 import masim
+from masim import cli
 
 
 def rand(rng, r, c):
@@ -12,25 +14,32 @@ def rand(rng, r, c):
 
 
 def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, **kwargs):
+    """Schedule an m x k x n problem; return the report and its per-tile output."""
     rng = np.random.default_rng(seed)
     a, b = rand(rng, m, k), rand(rng, k, n)
     grid = masim.partition(m, n, k, si, sj)
     layout, active = masim.layout_for_point(n_arrays, si, 64, 4)
     queues = masim.partition_workload(grid, n_arrays)
-    wl = masim.make_workload(a, b, grid)
-    rep = masim.run_mpe(layout, wl, queues, bw_model, active_arrays=active, **kwargs)
-    return rep, a, b
+    rep = masim.run_mpe(layout, grid, queues, bw_model, active_arrays=active, **kwargs)
+    return rep, a, b, assemble_run(rep, layout, active, grid, a, b)
+
+
+def schedule(shape, n_arrays, si):
+    """Layout, grid and queues for a square-block point; no matrix data."""
+    grid = masim.partition(shape.m, shape.n, shape.depth, si, si)
+    layout, _ = masim.layout_for_point(n_arrays, si, 64, 4)
+    return layout, grid, masim.partition_workload(grid, n_arrays)
 
 
 class TestSingleBlock:
     def test_ideal_bandwidth_charges_exact_block_cycles(self):
-        rep, _, _ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
+        rep, *_ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
         assert rep.total_cycles == masim.block_cycles(8, 8, 8, 8)
         assert rep.arrays[0].idle_cycles == 0
 
     def test_finite_bandwidth_adds_first_fetch(self):
         bw = masim.ParametricBandwidth(1e6, 0, 0)   # deliberately slow
-        rep, _, _ = run_problem(8, 8, 8, 8, 8, 1, bw)
+        rep, *_ = run_problem(8, 8, 8, 8, 8, 1, bw)
         grid = masim.partition(8, 8, 8, 8, 8)
         plan = masim.plan_for_tile(grid, 0, 0)
         expected = plan.in_bytes / 1e6 + masim.block_cycles(8, 8, 8, 8) / 2e8 \
@@ -38,7 +47,7 @@ class TestSingleBlock:
         assert rep.time_seconds == pytest.approx(expected)
 
     def test_drain_reported_separately(self):
-        rep, _, _ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
+        rep, *_ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
         assert rep.arrays[0].drain_cycles == 64
         assert rep.time_with_drain_seconds == pytest.approx(
             rep.time_seconds + 64 / 2e8)
@@ -47,14 +56,14 @@ class TestSingleBlock:
 class TestBalancedRun:
     def test_four_arrays_equal_busy_cycles(self):
         # 24 identical tiles split 6/6/6/6 on identical arrays
-        rep, _, _ = run_problem(32, 96, 16, 8, 16, 4, masim.IdealBandwidth())
+        rep, *_ = run_problem(32, 96, 16, 8, 16, 4, masim.IdealBandwidth())
         busy = [s.busy_seconds for s in rep.arrays]
         assert busy.count(busy[0]) == 4
         assert [s.blocks_executed for s in rep.arrays] == [6, 6, 6, 6]
         assert not rep.steal_events
 
     def test_per_block_cycle_contract_from_stats(self):
-        rep, _, _ = run_problem(32, 96, 16, 8, 16, 4, masim.ParametricBandwidth())
+        rep, *_ = run_problem(32, 96, 16, 8, 16, 4, masim.ParametricBandwidth())
         per_block = masim.block_cycles(8, 16, 16, 8)
         for s in rep.arrays:
             charged = s.prefetch_cycles + s.compute_cycles + s.stall_cycles
@@ -69,19 +78,23 @@ class TestNumericalExactness:
             si = int(rng.choice([4, 8, 16, 32]))
             sj = int(rng.choice([4, 8, 16, 32]))
             n_arrays = int(rng.choice([1, 2, 4]))
-            rep, a, b = run_problem(m, n, k, si, sj, n_arrays,
-                                    masim.IdealBandwidth(), seed=int(rng.integers(1e9)))
+            _, a, b, out = run_problem(m, n, k, si, sj, n_arrays,
+                                       masim.IdealBandwidth(),
+                                       seed=int(rng.integers(1e9)))
             ref = masim.reference_gemm(a, b, accumulate="f64")
-            np.testing.assert_allclose(rep.output, ref, rtol=1e-4)
-            # same k order: bitwise equal to the float32 functional path
+            np.testing.assert_allclose(out, ref, rtol=1e-4)
+            # same k order: the tiles a run executes are bitwise equal to
+            # the whole-matrix kernel and to the functional blocked path
             grid = masim.partition(m, n, k, si, sj)
-            assert np.array_equal(rep.output, masim.multiply_blocked(a, b, grid))
+            assert np.array_equal(out, masim.reference_gemm(a, b))
+            assert np.array_equal(out, masim.multiply_blocked(a, b, grid))
 
-    def test_fast_numerics_within_tolerance(self):
-        rep, a, b = run_problem(33, 29, 41, 8, 8, 2, masim.IdealBandwidth(),
-                                numerics="fast")
+    def test_fast_numerics_within_tolerance(self, cli_output, tmp_path):
+        assert cli.main(["run", "--shape", "33x41x29", "--np", "2", "--si", "8",
+                         "--fast-numerics", "--out", str(tmp_path / "r.json")]) == 0
+        [(a, b, out)] = cli_output
         ref = masim.reference_gemm(a, b, accumulate="f64")
-        np.testing.assert_allclose(rep.output, ref, rtol=1e-4)
+        np.testing.assert_allclose(out, ref, rtol=1e-4)
 
 
 class TestBracketing:
@@ -90,8 +103,7 @@ class TestBracketing:
         point = masim.DesignPoint(2, 128)
         bw = masim.ParametricBandwidth()
         est = masim.bounds(shape, point, bw_model=bw)
-        rep, _, _ = run_problem(shape.m, shape.n, shape.depth, 128, 128, 2, bw,
-                                numerics="fast")
+        rep = masim.run_mpe(*schedule(shape, 2, 128), bw, active_arrays=[0, 1])
         assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds <= est.upper_seconds
 
     def test_bounds_hold_across_points(self):
@@ -100,53 +112,47 @@ class TestBracketing:
         for n_arrays, si in [(1, 16), (2, 16), (4, 16), (1, 48), (2, 48), (1, 96)]:
             point = masim.DesignPoint(n_arrays, si)
             est = masim.bounds(shape, point, bw_model=bw)
-            rep, _, _ = run_problem(shape.m, shape.n, shape.depth, si, si,
-                                    n_arrays, bw)
+            rep = masim.run_mpe(*schedule(shape, n_arrays, si), bw,
+                                active_arrays=list(range(n_arrays)))
             assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds \
                 <= est.upper_seconds, (n_arrays, si)
 
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self):
-        reps = []
-        for _ in range(2):
-            rep, _, _ = run_problem(24, 24, 12, 4, 4, 3,
-                                    masim.ParametricBandwidth(), seed=7,
-                                    slowdowns={1: 2.0})
-            reps.append(rep)
-        r0, r1 = reps
+        (r0, _, _, out0), (r1, _, _, out1) = [
+            run_problem(24, 24, 12, 4, 4, 3, masim.ParametricBandwidth(), seed=7,
+                        slowdowns={1: 2.0})
+            for _ in range(2)]
         assert r0.time_seconds == r1.time_seconds
         assert r0.trace == r1.trace
         assert r0.steal_events == r1.steal_events
         assert [dataclasses.asdict(s) for s in r0.arrays] \
             == [dataclasses.asdict(s) for s in r1.arrays]
-        assert np.array_equal(r0.output, r1.output)
+        assert np.array_equal(out0, out1)
 
 
 class TestSharedPort:
     def test_same_values_slower_or_equal_time(self):
         kwargs = dict(seed=3)
-        per, a, b = run_problem(32, 32, 16, 8, 8, 4,
-                                masim.ParametricBandwidth(), contention="per_array",
-                                **kwargs)
-        shared, _, _ = run_problem(32, 32, 16, 8, 8, 4,
-                                   masim.ParametricBandwidth(), contention="shared_port",
-                                   **kwargs)
-        assert np.array_equal(per.output, shared.output)
+        per, _, _, per_out = run_problem(32, 32, 16, 8, 8, 4,
+                                         masim.ParametricBandwidth(),
+                                         contention="per_array", **kwargs)
+        shared, _, _, shared_out = run_problem(32, 32, 16, 8, 8, 4,
+                                               masim.ParametricBandwidth(),
+                                               contention="shared_port", **kwargs)
+        assert np.array_equal(per_out, shared_out)
         assert shared.time_seconds > 0
 
 
 class TestTraceOutput:
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "trace.csv"
-        rng = np.random.default_rng(0)
-        a, b = rand(rng, 8, 4), rand(rng, 4, 8)
         grid = masim.partition(8, 8, 4, 4, 4)
         layout, active = masim.layout_for_point(2, 4, 64, 4)
         queues = masim.partition_workload(grid, 2)
-        rep = masim.run_mpe(layout, masim.make_workload(a, b, grid), queues,
-                            masim.IdealBandwidth(), trace_path=path,
-                            active_arrays=active)
+        rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
+                            trace_path=path, active_arrays=active)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["cycle", "array", "event", "block"]
@@ -156,28 +162,24 @@ class TestTraceOutput:
         assert len(rows) - 1 == len(rep.trace)
 
     def test_every_block_appears_once_in_compute_events(self):
-        rep, _, _ = run_problem(16, 16, 8, 4, 4, 2, masim.ParametricBandwidth())
+        rep, _, _, _ = run_problem(16, 16, 8, 4, 4, 2, masim.ParametricBandwidth())
         done = [r[3] for r in rep.trace if r[2] == "compute_done"]
         assert sorted(done) == list(range(rep.tile_count))
 
 
 class TestErrorPaths:
     def test_infeasible_block_rejected_upfront(self):
-        rng = np.random.default_rng(0)
-        a, b = rand(rng, 128, 8), rand(rng, 8, 16)
         grid = masim.partition(128, 16, 8, 128, 16)
         layout, _ = masim.layout_for_point(4, 16, 64, 4)   # arrays of 64 PEs
         queues = masim.partition_workload(grid, 4)
         with pytest.raises(masim.InfeasibleBlockError):
-            masim.run_mpe(layout, masim.make_workload(a, b, grid), queues,
-                          masim.IdealBandwidth(), active_arrays=[0, 1, 2, 3])
+            masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
+                          active_arrays=[0, 1, 2, 3])
 
     def test_queue_count_must_match_active(self):
-        rng = np.random.default_rng(0)
-        a, b = rand(rng, 8, 4), rand(rng, 4, 8)
         grid = masim.partition(8, 8, 4, 4, 4)
         layout, _ = masim.layout_for_point(2, 4, 64, 4)
         queues = masim.partition_workload(grid, 2)
         with pytest.raises(ValueError):
-            masim.run_mpe(layout, masim.make_workload(a, b, grid), queues,
-                          masim.IdealBandwidth(), active_arrays=[0])
+            masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
+                          active_arrays=[0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assemble_run
 
 import masim
 from masim import wqm
@@ -40,10 +41,10 @@ class TestPartitionWorkload:
             counts = [q.counter for q in queues]
             assert max(counts) - min(counts) <= 1
 
-    def test_rejects_unknown_policy(self):
+    def test_rejects_zero_queues(self):
         grid = masim.partition(4, 4, 4, 4, 4)
         with pytest.raises(ValueError):
-            masim.partition_workload(grid, 2, policy="lifo")
+            masim.partition_workload(grid, 0)
 
 
 class TestSelectVictim:
@@ -108,16 +109,12 @@ class TestSteal:
         # static round-robin keeps 4 tasks on the slow array (4 * 40 = 160
         # cycles); with stealing the fast array takes one of them and the
         # slow array finishes 3 (3 * 40 = 120 cycles).
-        rng = np.random.default_rng(0)
-        a = rng.random((8, 4), dtype=np.float32)
-        b = rng.random((4, 16), dtype=np.float32)
         grid = masim.partition(8, 16, 4, 4, 4)
         layout, active = masim.layout_for_point(2, 4, 64, 4)
-        wl = masim.make_workload(a, b, grid)
         results = {}
         for steal_on in (False, True):
             queues = masim.partition_workload(grid, 2)
-            rep = masim.run_mpe(layout, wl, queues, masim.IdealBandwidth(),
+            rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
                                 fmac_stages=0, steal=steal_on,
                                 slowdowns={0: 2.0}, active_arrays=active)
             results[steal_on] = rep
@@ -167,26 +164,25 @@ class TestStealInsideRuns:
             layout, active = masim.layout_for_point(n_arrays, 4, 64, 4)
             slow = {i: float(rng.choice([1.0, 2.0, 4.0])) for i in range(n_arrays)}
             queues = masim.partition_workload(grid, n_arrays)
-            rep = masim.run_mpe(layout, masim.make_workload(a, b, grid), queues,
+            rep = masim.run_mpe(layout, grid, queues,
                                 masim.IdealBandwidth(), steal=True,
                                 slowdowns=slow, active_arrays=active)
             executed = sorted(t for s in rep.arrays for t in s.tiles)
             assert executed == list(range(grid.tile_count))
+            out = assemble_run(rep, layout, active, grid, a, b)
+            assert np.array_equal(out, masim.reference_gemm(a, b))
 
     def test_makespan_dominance(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
             m, n = 16, int(rng.integers(3, 8)) * 4
             grid = masim.partition(m, n, 8, 4, 4)
-            a = rng.random((m, 8), dtype=np.float32)
-            b = rng.random((8, n), dtype=np.float32)
             slow = {i: float(rng.choice([1.0, 1.5, 3.0])) for i in range(4)}
             layout, active = masim.layout_for_point(4, 4, 64, 4)
-            wl = masim.make_workload(a, b, grid)
             times = {}
             for steal_on in (False, True):
                 queues = masim.partition_workload(grid, 4)
-                rep = masim.run_mpe(layout, wl, queues, masim.IdealBandwidth(),
+                rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
                                     steal=steal_on, slowdowns=slow,
                                     active_arrays=active)
                 times[steal_on] = rep.time_seconds
