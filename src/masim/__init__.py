@@ -12,8 +12,9 @@ from .model import (DesignPoint, ExploreResult, ModelEstimate, ProblemShape,
                     bounds, default_block_candidates, explore,
                     feasible_array_counts, feasible_points, is_feasible,
                     n_work, peak_gflops, t_compute, t_trans, t_work)
-from .mpe import (BlockJob, BlockResult, EffectiveArray, InfeasibleBlockError,
-                  MpeLayout, PeState, block_cycles, configure_mpe,
+from .mpe import (BlockCharges, BlockJob, BlockResult, EffectiveArray,
+                  InfeasibleBlockError, MpeLayout, PeState, block_charges,
+                  block_cycles, configure_mpe,
                   layout_for_point, psu_stall_plan, simulate_block,
                   trace_block)
 from .presets import LAYER_PRESETS

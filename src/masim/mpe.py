@@ -19,20 +19,22 @@ Per-block charged cycles are therefore
 
     block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
-exactly. The run loop in the simulator charges this closed form and
-never touches matrix data. Two per-block implementations tie the timing
-to the numerics: simulate_block returns the charged cycle breakdown and
-the block's tile from the k-ordered kernel blockmm.reference_gemm, and
-trace_block walks the dataflow cycle by cycle with explicit PE state and
-FIFO hops (the audit of the closed form and of the register-reuse
-invariants). Both produce bit-identical numerics because they apply the
-same float32 multiply-add sequence per output element, which is also why
-the whole-matrix kernel equals the tiles a run assembles.
+exactly. block_charges gives this total and its breakdown; the run loop
+in the simulator charges it and never touches matrix data. Two per-block
+implementations tie the timing to the numerics: simulate_block returns
+block_charges and the block's tile from the k-ordered kernel
+blockmm.reference_gemm, and trace_block walks the dataflow cycle by
+cycle with explicit PE state and FIFO hops (the audit of the closed form
+and of the register-reuse invariants). Both produce bit-identical
+numerics because they apply the same float32 multiply-add sequence per
+output element, which is also why the whole-matrix kernel equals the
+tiles a run assembles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +148,33 @@ def block_cycles(block_rows: int, block_cols: int, depth: int, fmac_stages: int)
     return block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
 
+class BlockCharges(NamedTuple):
+    """Cycle breakdown of one block; prefetch + compute + stall = cycles."""
+
+    cycles: int
+    prefetch_cycles: int
+    compute_cycles: int
+    stall_cycles: int
+    drain_cycles: int
+
+
+def block_charges(block_rows: int, block_cols: int, depth: int, fmac_stages: int,
+                  drain_width: int = 1) -> BlockCharges:
+    """What one block is charged: the one cycle policy every path applies.
+
+    The drain streams the finished tile out of the chain at drain_width
+    elements per cycle; it overlaps the next block's compute and is not
+    part of the charged cycles.
+    """
+    return BlockCharges(
+        cycles=block_cycles(block_rows, block_cols, depth, fmac_stages),
+        prefetch_cycles=block_rows,
+        compute_cycles=block_cols * depth + fmac_stages,
+        stall_cycles=psu_stall_plan(block_rows, block_cols) * depth,
+        drain_cycles=-(-block_rows * block_cols // drain_width),
+    )
+
+
 @dataclass(frozen=True)
 class BlockJob:
     """One block's data and geometry, ready to run on an array."""
@@ -187,10 +216,7 @@ def simulate_block(array: EffectiveArray, job: BlockJob, *,
     PE p holds element p of the current A column; each iteration k
     multiplies that buffered value against the streamed k-th B row and
     accumulates into the local result memory, which is the k-ordered
-    kernel applied to the block. The returned drain cycles
-    cover streaming the finished tile out of the chain at drain_width
-    elements per cycle; they overlap the next block's compute and are not
-    part of the charged cycle count.
+    kernel applied to the block. The cycles are block_charges.
     """
     if mc_depth is None:
         mc_depth = job.block_cols
@@ -199,16 +225,8 @@ def simulate_block(array: EffectiveArray, job: BlockJob, *,
     if job.sa.shape != (si, k_depth) or job.sb.shape != (k_depth, sj):
         raise ValueError("job data does not match its geometry")
 
-    stalls = psu_stall_plan(si, sj) * k_depth
-    cycles = block_cycles(si, sj, k_depth, fmac_stages)
-    return BlockResult(
-        tile=reference_gemm(job.sa, job.sb),
-        cycles=cycles,
-        prefetch_cycles=si,
-        compute_cycles=sj * k_depth + fmac_stages,
-        stall_cycles=stalls,
-        drain_cycles=-(-si * sj // drain_width),
-    )
+    return BlockResult(reference_gemm(job.sa, job.sb),
+                       *block_charges(si, sj, k_depth, fmac_stages, drain_width))
 
 
 @dataclass
@@ -360,24 +378,15 @@ def trace_block(array: EffectiveArray, job: BlockJob, *,
         cycle += 1
         events.append(TraceEvent(cycle, "flush", block_id))
 
-    expected = block_cycles(si, sj, k_depth, fmac_stages)
-    if cycle != expected:
-        raise AssertionError(f"trace walked {cycle} cycles, contract says {expected}")
-    if stalls != psu_stall_plan(si, sj) * k_depth:
+    charges = block_charges(si, sj, k_depth, fmac_stages, drain_width)
+    if cycle != charges.cycles:
+        raise AssertionError(f"trace walked {cycle} cycles, contract says {charges.cycles}")
+    if stalls != charges.stall_cycles:
         raise AssertionError("stall count disagrees with the stall plan")
 
-    drain = -(-si * sj // drain_width)
     for pe in pes:
         pe.fifo_c = list(pe.mc)
-    events.append(TraceEvent(cycle + drain, "drain_done", block_id))
+    events.append(TraceEvent(cycle + charges.drain_cycles, "drain_done", block_id))
 
-    tile = np.stack([pe.mc for pe in pes])
-    result = BlockResult(
-        tile=tile,
-        cycles=cycle,
-        prefetch_cycles=si,
-        compute_cycles=sj * k_depth + fmac_stages,
-        stall_cycles=stalls,
-        drain_cycles=drain,
-    )
+    result = BlockResult(np.stack([pe.mc for pe in pes]), *charges)
     return result, events, pes

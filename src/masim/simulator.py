@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from . import mac, wqm
 from .blockmm import TileGrid
-from .mpe import InfeasibleBlockError, MpeLayout, block_cycles, psu_stall_plan
+from .mpe import InfeasibleBlockError, MpeLayout, block_charges
 
 
 class SimulationError(RuntimeError):
@@ -144,11 +144,9 @@ def run_mpe(layout: MpeLayout, grid: TileGrid, queues: list[wqm.WorkQueue],
     # Every padded tile moves the same bytes, so one plan serves the grid.
     plan = mac.plan_for_tile(grid, 0, 0)
     in_bytes, out_bytes = plan.in_bytes, plan.out_bytes
-    si, sj, depth = grid.block_rows, grid.block_cols, grid.depth
-    cycles = block_cycles(si, sj, depth, fmac_stages)
-    compute_cycles = sj * depth + fmac_stages
-    stall_cycles = psu_stall_plan(si, sj) * depth
-    drain_cycles = -(-si * sj // drain_width)
+    charges = block_charges(grid.block_rows, grid.block_cols, grid.depth,
+                            fmac_stages, drain_width)
+    cycles = charges.cycles
 
     states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]
     arbiter = wqm.RoundRobinArbiter(n_active)
@@ -204,11 +202,11 @@ def run_mpe(layout: MpeLayout, grid: TileGrid, queues: list[wqm.WorkQueue],
         s = st.stats
         s.blocks_executed += 1
         s.tiles.append(item.item_id)
-        s.prefetch_cycles += si
-        s.compute_cycles += compute_cycles
-        s.stall_cycles += stall_cycles
+        s.prefetch_cycles += charges.prefetch_cycles
+        s.compute_cycles += charges.compute_cycles
+        s.stall_cycles += charges.stall_cycles
         s.busy_seconds += cycles / f_acc * st.slowdown
-        st.last_drain_cycles = drain_cycles
+        st.last_drain_cycles = charges.drain_cycles
         st.last_compute_end = t
         if item.item_id in executed:
             raise SimulationError(f"tile {item.item_id} executed twice")

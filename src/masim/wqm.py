@@ -18,12 +18,11 @@ from .blockmm import TileGrid
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One tile task: coordinates and block geometry."""
+    """One tile task: its id and its coordinates in the tile grid."""
 
     item_id: int
     tile_row: int
     tile_col: int
-    grid: TileGrid
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class WorkQueue:
 
 def build_work_items(grid: TileGrid) -> list[WorkItem]:
     """All tiles of the grid in row-major order."""
-    return [WorkItem(tid, *grid.tile_coords(tid), grid)
+    return [WorkItem(tid, *grid.tile_coords(tid))
             for tid in range(grid.tile_count)]
 
 

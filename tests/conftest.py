@@ -32,9 +32,9 @@ def cli_output(monkeypatch):
     seen = []
     check = cli.max_rel_error
 
-    def recording(a, b, out, **kwargs):
+    def recording(a, b, out):
         seen.append((a, b, out))
-        return check(a, b, out, **kwargs)
+        return check(a, b, out)
 
     monkeypatch.setattr(cli, "max_rel_error", recording)
     return seen

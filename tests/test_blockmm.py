@@ -183,33 +183,33 @@ class TestBlockedMultiply:
 class TestMaxRelError:
     """The float64 oracle: a matmul over bounded output panels."""
 
-    def test_agrees_with_float64_k_loop(self):
+    def test_agrees_with_float64_k_loop(self, monkeypatch):
         rng = np.random.default_rng(8)
         a, b = rand(rng, 45, 70), rand(rng, 70, 83)
         out = masim.reference_gemm(a, b)
         ref = masim.reference_gemm(a, b, accumulate="f64")
         want = (np.abs(out - ref) / np.abs(ref)).max()
         assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6)
-        for rows, cols, depth in ((32, 64, 16), (7, 5, 3), (45, 83, 70), (100, 100, 1)):
-            got = masim.max_rel_error(a, b, out, panel_rows=rows, panel_cols=cols,
-                                      panel_depth=depth)
-            assert got == pytest.approx(want, rel=1e-6), (rows, cols, depth)
+        for panel in ((32, 64, 16), (7, 5, 3), (45, 83, 70), (100, 100, 1)):
+            monkeypatch.setattr(blockmm, "ORACLE_PANEL", panel)
+            assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6), panel
 
-    def test_every_panel_is_checked(self):
+    def test_every_panel_is_checked(self, monkeypatch):
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (4, 4, 3))
         rng = np.random.default_rng(9)
         a, b = rand(rng, 10, 7), rand(rng, 7, 9)
         for i in range(10):
             for j in range(9):
                 out = masim.reference_gemm(a, b)
                 out[i, j] *= 1.01
-                assert masim.max_rel_error(a, b, out, panel_rows=4, panel_cols=4,
-                                           panel_depth=3) > 5e-3, (i, j)
+                assert masim.max_rel_error(a, b, out) > 5e-3, (i, j)
 
-    def test_nan_is_reported(self):
+    def test_nan_is_reported(self, monkeypatch):
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (2, 2, 512))
         a = np.ones((3, 2), np.float32)
         out = masim.reference_gemm(a, a.T)
         out[2, 1] = np.nan
-        assert np.isnan(masim.max_rel_error(a, a.T, out, panel_rows=2, panel_cols=2))
+        assert np.isnan(masim.max_rel_error(a, a.T, out))
 
     def test_rejects_wrong_output_shape(self):
         a = np.ones((3, 2), np.float32)

@@ -52,7 +52,7 @@ class TestTransferPlan:
         g = masim.partition(13, 11, 8, 8, 4)
         first = masim.plan_for_tile(g, 0, 0)
         for item in masim.build_work_items(g):
-            plan = masim.plan_for_tile(item.grid, item.tile_row, item.tile_col)
+            plan = masim.plan_for_tile(g, item.tile_row, item.tile_col)
             assert (plan.in_bytes, plan.out_bytes) == (first.in_bytes, first.out_bytes)
 
     def test_stride_never_shorter_than_burst(self):

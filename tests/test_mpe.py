@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import assemble_run
@@ -92,6 +94,7 @@ class TestSimulateBlock:
                                        fmac_stages=st)
             assert (res.prefetch_cycles + res.compute_cycles + res.stall_cycles
                     == res.cycles == masim.block_cycles(si, sj, k, st))
+            assert dataclasses.astuple(res)[1:] == masim.block_charges(si, sj, k, st)
 
     def test_bit_identical_to_tile_accumulate(self):
         # a ragged edge tile: the block equals the kernel on its zero-filled

@@ -63,11 +63,19 @@ class TestBalancedRun:
         assert not rep.steal_events
 
     def test_per_block_cycle_contract_from_stats(self):
-        rep, *_ = run_problem(32, 96, 16, 8, 16, 4, masim.ParametricBandwidth())
-        per_block = masim.block_cycles(8, 16, 16, 8)
+        # the run loop charges each block what simulate_block reports
+        # (16x8 blocks, so the phase synchroniser stalls)
+        rep, a, b, _ = run_problem(32, 96, 16, 16, 8, 4, masim.ParametricBandwidth(),
+                                   drain_width=4)
+        array = masim.layout_for_point(4, 16, 64, 4)[0].arrays[0]
+        res = masim.simulate_block(array, masim.BlockJob(a[:16], b[:, :8], 16, 8, 16),
+                                   drain_width=4)
+        assert res.cycles == masim.block_cycles(16, 8, 16, 8) and res.stall_cycles > 0
         for s in rep.arrays:
-            charged = s.prefetch_cycles + s.compute_cycles + s.stall_cycles
-            assert charged == s.blocks_executed * per_block
+            n = s.blocks_executed
+            assert (s.prefetch_cycles, s.compute_cycles, s.stall_cycles) == (
+                n * res.prefetch_cycles, n * res.compute_cycles, n * res.stall_cycles)
+            assert s.drain_cycles == res.drain_cycles == 32
 
 
 class TestNumericalExactness:
