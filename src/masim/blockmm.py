@@ -3,9 +3,12 @@
 Element data is float32 throughout. reference_gemm is the one k-ordered
 accumulation kernel: the inner dimension is summed in strictly ascending k
 order, so the whole-matrix product, a single tile and the cycle-level PE
-walk all round identically and agree bit for bit. A float64 accumulation
-mode is available on the kernel for tolerance analysis, and
-max_rel_error is the float64 oracle the CLI checks every output against.
+walk all round identically and agree bit for bit. The kernel runs every k
+on one row panel of the output before it moves to the next, so the panel
+stays in L2 across the k loop; the blocking leaves each element's order of
+summation as it is. A float64 accumulation mode is available on the kernel
+for tolerance analysis, and max_rel_error is the float64 oracle the CLI
+checks every output against.
 
 Padding is logical: a tile at the ragged edge of the grid reads
 out-of-range elements as zero instead of materialising padded copies of
@@ -26,6 +29,15 @@ DTYPE = np.float32
 # (1.5 MB) at most. 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6)
 # and smaller in peak RSS than 32x64 panels over the full depth.
 ORACLE_PANEL = (128, 256, 512)
+
+# Output elements in one reference_gemm row panel, which is
+# max(1, KERNEL_PANEL_ELEMS // n) full rows of C. A float32 panel and its
+# scratch take 1 MB together and stay in a 2 MB per-core L2 across all k;
+# the whole fc-6 output and its scratch (4 MB) did not, so every k went to
+# L3 (fc-6 2.8 s -> 1.5 s). 2**16 and 2**18 measured no faster. Rows, not
+# columns: a row panel is one contiguous block and reads each row of B
+# whole, while column panels made every per-k operation strided and slower.
+KERNEL_PANEL_ELEMS = 1 << 17
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -146,9 +158,18 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     elements in exactly this order, so the kernel applied to the whole
     matrix, to one tile, or walked cycle by cycle gives the same bits. The
     sum is built as a sequence of rank-1 updates, one per k, so the
-    rounding sequence per output element is fully determined. With
+    rounding sequence per output element is fully determined: every element
+    gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ... With
     accumulate="f64" the updates run in float64 (returned as float64) for
     use as a higher-precision yardstick.
+
+    The updates are applied one row panel of C at a time (see
+    KERNEL_PANEL_ELEMS): all k for rows r0..r1, then all k for the next
+    rows. A panel is contiguous and stays in L2 with its scratch across the
+    k loop, where the whole output would be re-read from L3 once per k.
+    Each element belongs to one panel and sees the same updates in the same
+    order as in a whole-matrix pass, so the bits do not depend on the panel
+    size.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -162,11 +183,17 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
         raise ValueError(f"unknown accumulate mode {accumulate!r}")
     aa = a.astype(dt, copy=False)
     bb = b.astype(dt, copy=False)
-    out = np.zeros((a.shape[0], b.shape[1]), dt)
-    tmp = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.multiply.outer(aa[:, k], bb[k, :], out=tmp)
-        np.add(out, tmp, out=out)
+    m, n = a.shape[0], b.shape[1]
+    rows = max(1, KERNEL_PANEL_ELEMS // n)
+    out = np.zeros((m, n), dt)
+    scratch = np.empty((min(rows, m), n), dt)
+    for r0 in range(0, m, rows):
+        panel = out[r0: r0 + rows]
+        t = scratch[: panel.shape[0]]
+        a_panel = aa[r0: r0 + rows]
+        for k in range(a.shape[1]):
+            np.multiply.outer(a_panel[:, k], bb[k], out=t)
+            np.add(panel, t, out=panel)
     return out
 
 

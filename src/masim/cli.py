@@ -47,6 +47,28 @@ class CliError(Exception):
     """Configuration problem reported to the user (exit status 2)."""
 
 
+def checked(kind, ok, what: str):
+    """argparse type: kind(text), rejected unless ok(value) holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__      # argparse says "invalid int value"
+    return parse
+
+
+positive_int = checked(int, lambda v: v >= 1, "a positive integer")
+nonnegative_int = checked(int, lambda v: v >= 0, "a non-negative integer")
+positive_float = checked(float, lambda v: 0 < v < float("inf"),
+                         "a positive finite number")
+
+
+def candidate_list(text: str) -> list[int]:
+    """argparse type for --candidates: comma-separated positive integers."""
+    return [positive_int(c) for c in text.split(",")]
+
+
 def parse_shape(text: str) -> tuple[int, int, int]:
     parts = text.lower().split("x")
     if len(parts) != 3:
@@ -55,6 +77,8 @@ def parse_shape(text: str) -> tuple[int, int, int]:
         m, k, n = (int(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"shape must be three integers, got {text!r}") from exc
+    if min(m, k, n) < 1:
+        raise CliError(f"shape dimensions must be >= 1, got {text!r}")
     return m, k, n
 
 
@@ -238,12 +262,13 @@ def cmd_explore(args) -> int:
     _, shape = resolve_shape(args)
     label = args.preset or args.shape
     bw_model = resolve_bw_model(args.bw_model)
-    candidates = None
-    if args.candidates:
-        candidates = [int(c) for c in args.candidates.split(",")]
+    if not model.feasible_points(args.p, args.pm, args.candidates):
+        raise CliError(
+            f"no candidate block size is feasible for {args.pm} base arrays "
+            f"of {args.p} PEs:\n" + feasibility_table_text(args.p, args.pm))
     result = model.explore(shape, bw_model=bw_model, pes_per_base=args.p,
                            max_arrays=args.pm, fmac_stages=args.stage,
-                           f_acc=args.freq, candidates=candidates)
+                           f_acc=args.freq, candidates=args.candidates)
 
     rows = []
     for rank, entry in enumerate(result.entries):
@@ -311,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fast_help):
         p.add_argument("--shape", help="problem as MxKxN, e.g. 128x1200x729")
         p.add_argument("--preset", help=f"layer preset: {', '.join(LAYER_PRESETS)}")
-        p.add_argument("--p", type=int, default=64, help="PEs per base array")
-        p.add_argument("--pm", type=int, default=4, help="number of base arrays")
-        p.add_argument("--freq", type=float, default=2e8, help="clock in Hz")
-        p.add_argument("--stage", type=int, default=8,
+        p.add_argument("--p", type=positive_int, default=64, help="PEs per base array")
+        p.add_argument("--pm", type=positive_int, default=4, help="number of base arrays")
+        p.add_argument("--freq", type=positive_float, default=2e8, help="clock in Hz")
+        p.add_argument("--stage", type=nonnegative_int, default=8,
                        help="multiply-accumulate pipeline depth")
         p.add_argument("--bw-model", default="parametric",
                        help="ideal | parametric[:peak,latency_elems,contention] "
@@ -329,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one problem at one design point")
     add_common(p_run, "compute the output with a float32 matmul instead of "
                       "the bit-exact k-ordered accumulation")
-    p_run.add_argument("--np", type=int, help="number of active arrays")
-    p_run.add_argument("--si", type=int, help="block rows (A sub-block)")
-    p_run.add_argument("--sj", type=int, help="block cols (B sub-block), default --si")
+    p_run.add_argument("--np", type=positive_int, help="number of active arrays")
+    p_run.add_argument("--si", type=positive_int, help="block rows (A sub-block)")
+    p_run.add_argument("--sj", type=positive_int,
+                       help="block cols (B sub-block), default --si")
     p_run.add_argument("--auto", action="store_true",
                        help="pick the best design point from the model")
     p_run.add_argument("--trace", help="write the event trace CSV here")
@@ -346,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explore", help="rank all feasible design points")
     add_common(p_exp, "no effect: explore computes timing only, never the "
                       "product (accepted for symmetry with run)")
-    p_exp.add_argument("--candidates", help="comma-separated block-size candidates")
+    p_exp.add_argument("--candidates", type=candidate_list,
+                       help="comma-separated block-size candidates")
     p_exp.add_argument("--simulate", action="store_true",
                        help="simulate every point and compare against the bounds")
     p_exp.add_argument("--out", help="write the table here (.json or CSV)")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,61 @@ class TestReferenceGemm:
         c64 = masim.reference_gemm(a, b, accumulate="f64")
         assert c64.dtype == np.float64
         np.testing.assert_allclose(c32, c64, rtol=1e-5)
+
+
+def k_loop(a, b, dt):
+    """Whole-matrix k-ordered product: one rank-1 update of all of C per k."""
+    aa, bb = a.astype(dt), b.astype(dt)
+    out = np.zeros((a.shape[0], b.shape[1]), dt)
+    tmp = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.multiply.outer(aa[:, k], bb[k, :], out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
+def signed(rng, r, c):
+    return rng.random((r, c), dtype=np.float32) - np.float32(0.5)
+
+
+class TestKernelPanels:
+    """The row-panelled kernel rounds exactly like one whole-matrix k loop."""
+
+    # sha256 of reference_gemm(a, b).view(np.uint32), recorded from the
+    # whole-matrix kernel before row panels existed.
+    @pytest.mark.parametrize("m, depth, n, seed, digest", [
+        # 1000 columns -> 131-row panels; 300 rows leave a 38-row last panel
+        (300, 20, 1000, 1,
+         "73625639d4425019588190e1317050c460bc1b3db2adcf00d1d8a6fb8914f2ed"),
+        # n > KERNEL_PANEL_ELEMS: one row per panel
+        (3, 4, (1 << 17) + 5, 2,
+         "f98268a4b8f19e82c68ae15454c68fff812fc6904061d5eedadc2c3f92763ff2"),
+        (1, 50, 77, 3,
+         "3dac964bc8583e48dfdfe44b4e9487bd3b64ddc09861c33e3c56175b01368bed"),
+        # fc-8
+        (128, 4096, 1000, 4,
+         "bfad76e915a80b6958c633f78888f0228b5e3f1eb29f88ee25c625e28a909741"),
+    ])
+    def test_golden_digest(self, m, depth, n, seed, digest):
+        rng = np.random.default_rng(seed)
+        a, b = signed(rng, m, depth), signed(rng, depth, n)
+        out = masim.reference_gemm(a, b)
+        assert hashlib.sha256(out.view(np.uint32).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("accumulate, dt", [("f32", np.float32),
+                                                ("f64", np.float64)])
+    @pytest.mark.parametrize("panel_elems", [1, 10, 33, 77, 1 << 17])
+    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems,
+                                                      accumulate, dt):
+        # 11 columns: 1 and 10 elements give one-row panels, 33 three rows
+        # (23 rows leave a 2-row last panel), 77 seven rows, 1 << 17 one panel
+        monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
+        rng = np.random.default_rng(10)
+        a, b = signed(rng, 23, 37), signed(rng, 37, 11)
+        got = masim.reference_gemm(a, b, accumulate=accumulate)
+        want = k_loop(a, b, dt)
+        assert got.dtype == dt
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestTileOuterAccumulate:

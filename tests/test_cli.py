@@ -90,6 +90,38 @@ class TestRun:
         assert len(rows) > 1
 
 
+class TestInvalidFlags:
+    """Out-of-range numbers are configuration errors: exit 2, one error line,
+    no traceback."""
+
+    POINT = ("--shape", "8x8x8", "--np", "1", "--si", "8")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", *POINT, "--freq", "0"),
+        ("run", *POINT, "--freq", "nan"),
+        ("run", *POINT, "--p", "0"),
+        ("run", "--shape", "8x8x8", "--np", "0", "--si", "8"),
+        ("run", *POINT, "--sj", "0"),
+        ("run", "--shape", "64x0x64", "--np", "1", "--si", "8"),
+        ("run", *POINT, "--stage", "-5"),
+        ("explore", "--shape", "64x64x64", "--candidates", "0,8"),
+        ("explore", "--shape", "64x64x64", "--candidates", "x"),
+        ("explore", "--shape", "64x64x64", "--candidates", "1000"),
+    ])
+    def test_exits_2_with_one_error_line(self, capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:       # argparse rejected a flag value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    def test_zero_pipeline_stages_is_valid(self):
+        assert run_cli("run", *self.POINT, "--stage", "0", "--no-verify") == 0
+
+
 class TestOutputAndOracle:
     def test_exact_output_equals_per_tile_blocks(self, tmp_path, cli_output):
         # a ragged 4x6 grid of 16x8 blocks (50 rows, 43 columns), two arrays
