@@ -5,10 +5,12 @@ accumulation kernel: the inner dimension is summed in strictly ascending k
 order, so the whole-matrix product, a single tile and the cycle-level PE
 walk all round identically and agree bit for bit. The kernel runs every k
 on one row panel of the output before it moves to the next, so the panel
-stays in L2 across the k loop; the blocking leaves each element's order of
-summation as it is. A float64 accumulation mode is available on the kernel
-for tolerance analysis, and max_rel_error is the float64 oracle the CLI
-checks every output against.
+stays in L2 across the k loop, and a large output is split into row bands,
+one per core the process may run on, each band on its own thread. Neither
+the panels nor the bands change any element's order of summation, so the
+bits do not depend on the core count. A float64 accumulation mode is
+available on the kernel for tolerance analysis, and max_rel_error is the
+float64 oracle the CLI checks every output against.
 
 Padding is logical: a tile at the ragged edge of the grid reads
 out-of-range elements as zero instead of materialising padded copies of
@@ -18,6 +20,8 @@ blocks, which is exactly what the transfer model assumes.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,18 @@ ORACLE_PANEL = (128, 256, 512)
 # columns: a row panel is one contiguous block and reads each row of B
 # whole, while column panels made every per-k operation strided and slower.
 KERNEL_PANEL_ELEMS = 1 << 17
+
+# Output elements each reference_gemm row band must have: an m x n output
+# runs as min(usable_cores(), m, m * n // KERNEL_BAND_MIN_ELEMS) bands, and
+# with one band the caller runs the whole product on its own thread. On two
+# cores, two bands of 32k-47k elements ran 13-42% faster than one on nine of
+# eleven shapes tried (256x363x256 broke even, 256x1200x256 ran 11-28%
+# slower); bands of 8k-11k elements ran 24-72% slower, because handing the
+# GIL round the per-k ufunc calls cost more than the second core saved.
+# Outputs under 2**16 elements stay serial: conv-3..5 and the 128x128 and
+# 192x192 blocks --auto picks, as mpe.simulate_block and multiply_blocked
+# pass them.
+KERNEL_BAND_MIN_ELEMS = 1 << 15
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -151,6 +167,56 @@ def make_tile(grid: TileGrid, tile_row: int, tile_col: int, a, b) -> Tile:
     return Tile(grid, tile_row, tile_col, a, b)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
+    """out += aa @ bb as one rank-1 update per ascending k, one row panel of
+    KERNEL_PANEL_ELEMS elements at a time, with a scratch of its own."""
+    n = out.shape[1]
+    rows = max(1, KERNEL_PANEL_ELEMS // n)
+    scratch = np.empty((min(rows, out.shape[0]), n), out.dtype)
+    for r0 in range(0, out.shape[0], rows):
+        panel = out[r0: r0 + rows]
+        t = scratch[: panel.shape[0]]
+        a_panel = aa[r0: r0 + rows]
+        for k in range(aa.shape[1]):
+            np.multiply.outer(a_panel[:, k], bb[k], out=t)
+            np.add(panel, t, out=panel)
+
+
+def _k_loop_bands(aa: np.ndarray, bb: np.ndarray, out: np.ndarray, bands: int) -> None:
+    """_k_loop over `bands` contiguous row bands of out at once: the caller
+    runs the first band and one thread each the rest. A worker's exception
+    is re-raised here, and every started thread is joined before return."""
+    edges = [out.shape[0] * i // bands for i in range(bands + 1)]
+    errors = []
+
+    def band(r0: int, r1: int) -> None:
+        try:
+            _k_loop(aa[r0:r1], bb, out[r0:r1])
+        except BaseException as exc:    # re-raised in the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for r0, r1 in zip(edges[1:-1], edges[2:]):
+            worker = threading.Thread(target=band, args=(r0, r1))
+            worker.start()
+            started.append(worker)
+        _k_loop(aa[: edges[1]], bb, out[: edges[1]])
+    finally:
+        for worker in started:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
@@ -167,9 +233,12 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     KERNEL_PANEL_ELEMS): all k for rows r0..r1, then all k for the next
     rows. A panel is contiguous and stays in L2 with its scratch across the
     k loop, where the whole output would be re-read from L3 once per k.
-    Each element belongs to one panel and sees the same updates in the same
-    order as in a whole-matrix pass, so the bits do not depend on the panel
-    size.
+    An output of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first split
+    into contiguous row bands, one per usable core, each running its own
+    panels on its own thread (numpy releases the GIL inside the ufuncs).
+    Each element belongs to one panel of one band and sees the same updates
+    in the same order, on one thread, as in a whole-matrix pass, so the bits
+    depend on neither the panel size nor the band count.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -184,16 +253,9 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     aa = a.astype(dt, copy=False)
     bb = b.astype(dt, copy=False)
     m, n = a.shape[0], b.shape[1]
-    rows = max(1, KERNEL_PANEL_ELEMS // n)
     out = np.zeros((m, n), dt)
-    scratch = np.empty((min(rows, m), n), dt)
-    for r0 in range(0, m, rows):
-        panel = out[r0: r0 + rows]
-        t = scratch[: panel.shape[0]]
-        a_panel = aa[r0: r0 + rows]
-        for k in range(a.shape[1]):
-            np.multiply.outer(a_panel[:, k], bb[k], out=t)
-            np.add(panel, t, out=panel)
+    bands = min(m, m * n // KERNEL_BAND_MIN_ELEMS, usable_cores())
+    _k_loop_bands(aa, bb, out, max(bands, 1))
     return out
 
 

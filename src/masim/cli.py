@@ -47,6 +47,13 @@ class CliError(Exception):
     """Configuration problem reported to the user (exit status 2)."""
 
 
+def bounds_ok(estimate: model.ModelEstimate, seconds: float) -> bool:
+    """A simulated time lies between the model's bounds, give or take
+    LOWER_BOUND_SLACK below and UPPER_BOUND_GUARD above."""
+    return bool(estimate.lower_seconds * (1.0 - LOWER_BOUND_SLACK) <= seconds
+                <= estimate.upper_seconds * (1.0 + UPPER_BOUND_GUARD))
+
+
 def checked(kind, ok, what: str):
     """argparse type: kind(text), rejected unless ok(value) holds."""
     def parse(text: str):
@@ -116,7 +123,7 @@ def resolve_bw_model(spec: str):
         return mac.TableBandwidth.from_csv(spec)
     except FileNotFoundError as exc:
         raise CliError(f"bandwidth model {spec!r} is neither a keyword nor a file") from exc
-    except mac.CalibrationError as exc:
+    except ValueError as exc:       # a mac.CalibrationError or a non-number
         raise CliError(f"bad calibration {spec!r}: {exc}") from exc
 
 
@@ -225,9 +232,7 @@ def cmd_run(args) -> int:
                             fmac_stages=args.stage, f_acc=args.freq)
 
     checks: dict = {}
-    checks["bounds_ok"] = bool(
-        estimate.lower_seconds * (1.0 - LOWER_BOUND_SLACK) <= sim.time_seconds
-        <= estimate.upper_seconds * (1.0 + UPPER_BOUND_GUARD))
+    checks["bounds_ok"] = bounds_ok(estimate, sim.time_seconds)
     skipped = oracle_skip_reason(args, shape)
     if skipped:
         # Nothing but the oracle reads the output, so it is not computed.
@@ -284,10 +289,7 @@ def cmd_explore(args) -> int:
             sim = simulate_point(shape, entry.point, bw_model, args)
             row["measured_seconds"] = sim.time_seconds
             row["measured_gflops"] = sim.gflops
-            row["in_bounds"] = bool(
-                entry.estimate.lower_seconds * (1.0 - LOWER_BOUND_SLACK)
-                <= sim.time_seconds
-                <= entry.estimate.upper_seconds * (1.0 + UPPER_BOUND_GUARD))
+            row["in_bounds"] = bounds_ok(entry.estimate, sim.time_seconds)
         rows.append(row)
 
     if args.out and args.out.endswith(".json"):
@@ -391,10 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleBlockError as exc:
+    except (CliError, InfeasibleBlockError, mac.CalibrationMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

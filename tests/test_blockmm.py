@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +181,86 @@ class TestKernelPanels:
         want = k_loop(a, b, dt)
         assert got.dtype == dt
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+class KernelFault(Exception):
+    pass
+
+
+class TestKernelBands:
+    """Row bands on threads round exactly like one whole-matrix k loop."""
+
+    @pytest.mark.parametrize("accumulate, dt", [("f32", np.float32),
+                                                ("f64", np.float64)])
+    @pytest.mark.parametrize("panel_elems", [33, 1 << 17])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5, 40])
+    def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, cores,
+                                                      panel_elems, accumulate, dt):
+        # 23 rows: 40 cores give one row per band; 33-element panels put
+        # several panels, the last one ragged, in each band of 3+ rows. A
+        # short switch interval makes the threads interleave finely.
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
+        rng = np.random.default_rng(11)
+        a, b = signed(rng, 23, 37), signed(rng, 37, 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = masim.reference_gemm(a, b, accumulate=accumulate)
+        finally:
+            sys.setswitchinterval(interval)
+        want = k_loop(a, b, dt)
+        assert got.dtype == dt
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("on_caller", [False, True])
+    def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
+                                                             on_caller):
+        # _k_loop raises on the calling thread or on the workers; the threads
+        # that do not raise are slow, so they still run when the fault is raised
+        kernel = blockmm._k_loop
+        caller = threading.current_thread()
+
+        def faulty(aa, bb, out):
+            if (threading.current_thread() is caller) == on_caller:
+                raise KernelFault
+            time.sleep(0.1)
+            kernel(aa, bb, out)
+
+        monkeypatch.setattr(blockmm, "_k_loop", faulty)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 4)
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        rng = np.random.default_rng(12)
+        a, b = signed(rng, 16, 300), signed(rng, 300, 64)
+        before = threading.active_count()
+        with pytest.raises(KernelFault):
+            masim.reference_gemm(a, b)
+        assert threading.active_count() == before
+
+    def test_tile_sized_calls_start_no_thread(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(blockmm.threading, "Thread", Counted)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
+        rng = np.random.default_rng(13)
+        a, b = signed(rng, 192, 40), signed(rng, 40, 192)
+        # the 128x128 and 192x192 blocks --auto picks, as simulate_block
+        # and multiply_blocked pass them
+        for tile in (128, 192):
+            g = masim.partition(192, 192, 40, tile, tile)
+            t = masim.make_tile(g, 0, 0, a, b)
+            masim.reference_gemm(t.sa(), t.sb())
+        assert started == []
+        # two bands' worth of output does start one
+        masim.reference_gemm(signed(rng, 2, 3),
+                             signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS))
+        assert len(started) == 1
 
 
 class TestTileOuterAccumulate:

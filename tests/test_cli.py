@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import masim
 from masim import cli
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 ORACLE_FIELDS = ("oracle_ok", "max_rel_error", "oracle_skipped")
 
 
@@ -109,6 +112,20 @@ class TestInvalidFlags:
         ("explore", "--shape", "64x64x64", "--candidates", "1000"),
     ])
     def test_exits_2_with_one_error_line(self, capsys, argv):
+        self.assert_config_error(capsys, argv)
+
+    @pytest.mark.parametrize("rows", [
+        "1,64,1e9\n1,128,2e9\n",      # no row for the 2 arrays asked for
+        "2,64,fast\n",                 # not a number
+    ])
+    def test_calibration_table_errors(self, tmp_path, capsys, rows):
+        table = tmp_path / "table.csv"
+        table.write_text("n_p,s_i,bytes_per_second\n" + rows)
+        self.assert_config_error(capsys, ("run", "--shape", "64x64x64", "--np", "2",
+                                          "--si", "64", "--bw-model", str(table)))
+
+    @staticmethod
+    def assert_config_error(capsys, argv):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:       # argparse rejected a flag value
@@ -120,6 +137,36 @@ class TestInvalidFlags:
 
     def test_zero_pipeline_stages_is_valid(self):
         assert run_cli("run", *self.POINT, "--stage", "0", "--no-verify") == 0
+
+
+class TestBoundsOk:
+    """The one bounds check behind run's bounds_ok and explore's in_bounds."""
+
+    @staticmethod
+    def estimate(lower, upper):
+        return masim.ModelEstimate(work_per_array=1, load_seconds=0.0,
+                                   transfer_seconds=0.0, compute_seconds=0.0,
+                                   lower_seconds=lower, upper_seconds=upper,
+                                   gflops_upper=0.0, gflops_lower=0.0)
+
+    def test_edges(self):
+        est = self.estimate(1.0, 2.0)
+        lowest = 1.0 - cli.LOWER_BOUND_SLACK
+        highest = 2.0 * (1.0 + cli.UPPER_BOUND_GUARD)
+        assert cli.bounds_ok(est, lowest) and cli.bounds_ok(est, highest)
+        assert not cli.bounds_ok(est, lowest * (1 - 1e-9))
+        assert not cli.bounds_ok(est, highest * (1 + 1e-12))
+        assert type(cli.bounds_ok(est, 1.5)) is bool
+
+
+def test_cli_import_loads_no_pool_module():
+    # concurrent.futures alone costs milliseconds of start-up on every run
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import masim.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 class TestOutputAndOracle:
