@@ -17,14 +17,15 @@ import numpy as np
 import masim
 
 rng = np.random.default_rng(1)
-array = masim.configure_mpe(1, 64, []).arrays[0]
+machine = masim.Machine()                  # 4 base arrays of 64 PEs, 8 stages
+array = masim.configure_mpe(machine, [False] * 3).arrays[0]
 
 print("closed-form cycles vs cycle-by-cycle walk")
 for si, sj, k in [(16, 16, 8), (16, 8, 8), (8, 16, 8), (5, 7, 3)]:
     job = masim.BlockJob(rng.random((si, k), dtype=np.float32),
                          rng.random((k, sj), dtype=np.float32), si, sj, k)
-    fast = masim.simulate_block(array, job, fmac_stages=8)
-    walk, events, pes = masim.trace_block(array, job, fmac_stages=8)
+    fast = masim.simulate_block(array, job, machine)
+    walk, events, pes = masim.trace_block(array, job, machine)
     stalls = masim.psu_stall_plan(si, sj)
     print(f"  {si:>3}x{sj:<3} depth {k}: {fast.cycles} cycles "
           f"({stalls} stall/step), walk {walk.cycles}, "
@@ -34,7 +35,7 @@ for si, sj, k in [(16, 16, 8), (16, 8, 8), (8, 16, 8), (5, 7, 3)]:
 si, sj, k = 6, 4, 3
 job = masim.BlockJob(rng.random((si, k), dtype=np.float32),
                      rng.random((k, sj), dtype=np.float32), si, sj, k)
-_, events, pes = masim.trace_block(array, job, fmac_stages=4)
+_, events, pes = masim.trace_block(array, job, machine)
 latches = [e for e in events if e.kind == "a_latch" and e.k == 0]
 print(f"\nprefetch: all {len(latches)} PEs latch their own element on "
       f"cycle {latches[0].cycle}")
@@ -46,10 +47,8 @@ print(f"register reuse per step: {pes[0].reuse_this_iter} "
 grid = masim.partition(48, 48, 20, 16, 16)
 print("\nindependent vs cooperating arrays on the same 9-tile workload")
 for n_arrays in (4, 1):
-    layout, active = masim.layout_for_point(n_arrays, 16, 64, 4)
     queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(layout, grid, queues, masim.ParametricBandwidth(),
-                        active_arrays=active)
+    rep = masim.run_mpe(machine, grid, queues)
     label = f"{n_arrays} array(s)"
     print(f"  {label:<12} {rep.total_cycles:>8} cycles, "
           f"{rep.gflops:6.2f} GFLOPS, "

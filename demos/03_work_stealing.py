@@ -10,7 +10,7 @@ import masim
 
 m, k, n = 32, 8, 32                       # 8x8 grid of 4x4 tiles
 grid = masim.partition(m, n, k, 4, 4)
-layout, active = masim.layout_for_point(4, 4, 64, 4)
+machine = masim.Machine(bw_model=masim.IdealBandwidth())
 
 slow = {0: 2.0}                            # array 0 runs at half speed
 print(f"{grid.tile_count} tiles over 4 arrays, array 0 clocked 2x slower\n")
@@ -18,15 +18,14 @@ print(f"{grid.tile_count} tiles over 4 arrays, array 0 clocked 2x slower\n")
 results = {}
 for steal_on in (False, True):
     queues = masim.partition_workload(grid, 4)
-    rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                        steal=steal_on, slowdowns=slow, active_arrays=active)
+    rep = masim.run_mpe(machine, grid, queues, steal=steal_on, slowdowns=slow)
     results[steal_on] = rep
     mode = "stealing" if steal_on else "static  "
     print(f"{mode}: makespan {rep.total_cycles} cycles, "
           f"blocks per array {[s.blocks_executed for s in rep.arrays]}, "
           f"steals {len(rep.steal_events)}")
 
-blocks = masim.block_cycles(4, 4, k, 8)
+blocks = masim.block_cycles(4, 4, k, machine)
 ideal = 64 * blocks / (0.5 + 1 + 1 + 1)
 speedup = results[False].total_cycles / results[True].total_cycles
 print(f"\nideal balanced makespan {ideal:.0f} cycles; stealing is "
@@ -35,7 +34,7 @@ print(f"\nideal balanced makespan {ideal:.0f} cycles; stealing is "
 
 print("\nsteal log (time, thief, victim, task):")
 for ev in results[True].steal_events:
-    print(f"  {ev.time_s * 2e8:8.0f} cy  array {ev.thief} <- array {ev.victim}"
+    print(f"  {ev.time_s * machine.f_acc:8.0f} cy  array {ev.thief} <- array {ev.victim}"
           f"  tile {ev.item_id}")
 
 # both schedules execute every tile exactly once, so both write back the

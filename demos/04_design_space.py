@@ -10,15 +10,16 @@ bursts can win.
 
 import masim
 
-bw = masim.ParametricBandwidth()           # placeholder calibration
-print(f"machine peak: {masim.peak_gflops():.1f} GFLOPS "
-      f"(4 base arrays of 64 PEs at 200 MHz)\n")
+machine = masim.Machine()    # 4 base arrays of 64 PEs at 200 MHz, placeholder bandwidth
+print(f"machine peak: {machine.peak_gflops:.1f} GFLOPS "
+      f"({machine.max_arrays} base arrays of {machine.pes_per_base} PEs "
+      f"at {machine.f_acc / 1e6:.0f} MHz)\n")
 
 print(f"{'layer':<8} {'best point':>12} {'lower ms':>9} {'upper ms':>9} "
       f"{'gflops<=':>9}")
 for name, (m, k, n) in masim.LAYER_PRESETS.items():
     shape = masim.ProblemShape(m, k, n)
-    result = masim.explore(shape, bw_model=bw)
+    result = masim.explore(shape, machine)
     best = result.best
     pt = f"({best.point.n_arrays},{best.point.block_rows})"
     est = best.estimate
@@ -33,14 +34,15 @@ table = masim.TableBandwidth({
     (3, 16): 4e8, (3, 32): 5.5e8,
     (4, 16): 3.5e8, (4, 32): 4.5e8,
 })
+starved = masim.Machine(bw_model=table)
 shape = masim.ProblemShape(128, 1200, 729)
 print("\nmemory-bound corner (measured-table calibration):")
 for point in (masim.DesignPoint(1, 32), masim.DesignPoint(2, 16)):
-    est = masim.bounds(shape, point, bw_model=table)
+    est = masim.bounds(shape, point, starved)
     bound = "memory" if est.transfer_seconds > est.compute_seconds else "compute"
     print(f"  ({point.n_arrays},{point.block_rows}): "
           f"upper {est.upper_seconds * 1e3:6.2f} ms, {bound}-bound")
-result = masim.explore(shape, bw_model=table, candidates=[16, 32])
+result = masim.explore(shape, starved, candidates=[16, 32])
 ranked = [(e.point.n_arrays, e.point.block_rows) for e in result.entries]
 print(f"  ranking: {ranked}")
 print(f"  (1,32) placed {ranked.index((1, 32)) + 1} of {len(ranked)}, "

@@ -15,9 +15,13 @@ with the k-ordered float32 kernel (a float32 matmul under --fast-numerics)
 and checks it against a float64 product; when the oracle is skipped
 nothing reads the output, so neither is built. explore builds no matrices.
 
+One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
+is handed to every model and simulator call of a command.
+
 Reports are deterministic for a fixed configuration and seed (only the
 created_at field varies). Exit status is 0 on success, 1 when any check
-fails, 2 for infeasible or invalid configurations.
+fails, 2 for infeasible or invalid configurations and for input or output
+files that cannot be opened.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import mac, model, wqm
 from .blockmm import max_rel_error, partition, reference_gemm
-from .mpe import InfeasibleBlockError, layout_for_point
+from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
 from .simulator import run_mpe
 
@@ -127,34 +131,22 @@ def resolve_bw_model(spec: str):
         raise CliError(f"bad calibration {spec!r}: {exc}") from exc
 
 
-def feasibility_table_text(pes_per_base: int, max_arrays: int) -> str:
-    """Human-readable feasibility rows for the configured geometry."""
-    lines = []
-    for chains in range(1, max_arrays + 1):
-        lo = (chains - 1) * pes_per_base + 1
-        hi = chains * pes_per_base
-        counts = ", ".join(str(c) for c in range(1, max_arrays // chains + 1))
-        lines.append(f"  block rows {lo:>4}..{hi:<4} -> array count in {{{counts}}}")
-    lines.append(f"  block rows > {max_arrays * pes_per_base:<7} -> infeasible")
-    return "\n".join(lines)
+def resolve_machine(args) -> Machine:
+    """The one machine every call of this command sees."""
+    return Machine(pes_per_base=args.p, max_arrays=args.pm, f_acc=args.freq,
+                   fmac_stages=args.stage, bw_model=resolve_bw_model(args.bw_model),
+                   contention=args.contention)
 
 
-def resolve_point(args, shape: model.ProblemShape, bw_model) -> model.DesignPoint:
+def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.DesignPoint:
     if args.auto:
         if args.np is not None or args.si is not None or args.sj is not None:
             raise CliError("--auto replaces --np/--si/--sj")
-        result = model.explore(shape, bw_model=bw_model, pes_per_base=args.p,
-                               max_arrays=args.pm, fmac_stages=args.stage,
-                               f_acc=args.freq)
-        return result.best.point
+        return model.explore(shape, machine).best.point
     if args.np is None or args.si is None:
         raise CliError("a design point is required: --np and --si, or --auto")
     point = model.DesignPoint(args.np, args.si, args.sj)
-    if not model.is_feasible(point, args.p, args.pm):
-        raise CliError(
-            f"design point (n_arrays={point.n_arrays}, block_rows={point.block_rows}) "
-            f"is infeasible for {args.pm} base arrays of {args.p} PEs:\n"
-            + feasibility_table_text(args.p, args.pm))
+    machine.check(point.n_arrays, point.block_rows, point.block_cols)  # before any queue is built
     return point
 
 
@@ -165,16 +157,12 @@ def build_matrices(shape: model.ProblemShape, seed: int):
     return a, b
 
 
-def simulate_point(shape, point, bw_model, args, *, trace_path=None):
+def simulate_point(shape, point, machine, args, *, trace_path=None):
     grid = partition(shape.m, shape.n, shape.depth,
                      point.block_rows, point.block_cols)
-    layout, active = layout_for_point(point.n_arrays, point.block_rows,
-                                      args.p, args.pm)
     queues = wqm.partition_workload(grid, point.n_arrays)
-    return run_mpe(layout, grid, queues, bw_model,
-                   f_acc=args.freq, fmac_stages=args.stage,
-                   steal=not args.no_steal, contention=args.contention,
-                   trace_path=trace_path, active_arrays=active)
+    return run_mpe(machine, grid, queues, steal=not args.no_steal,
+                   trace_path=trace_path)
 
 
 def oracle_skip_reason(args, shape: model.ProblemShape) -> str | None:
@@ -187,7 +175,7 @@ def oracle_skip_reason(args, shape: model.ProblemShape) -> str | None:
     return None
 
 
-def report_dict(args, label, shape, point, estimate, sim, checks) -> dict:
+def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> dict:
     return {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": {
@@ -196,18 +184,18 @@ def report_dict(args, label, shape, point, estimate, sim, checks) -> dict:
             "n_arrays": point.n_arrays,
             "block_rows": point.block_rows,
             "block_cols": point.block_cols,
-            "pes_per_base": args.p,
-            "max_arrays": args.pm,
-            "f_acc": args.freq,
-            "fmac_stages": args.stage,
+            "pes_per_base": machine.pes_per_base,
+            "max_arrays": machine.max_arrays,
+            "f_acc": machine.f_acc,
+            "fmac_stages": machine.fmac_stages,
             "bw_model": args.bw_model,
             "seed": args.seed,
             "steal": not args.no_steal,
-            "contention": args.contention,
+            "contention": machine.contention,
             "numerics": "fast" if args.fast_numerics else "exact",
         },
         "estimate": dataclasses.asdict(estimate)
-        | {"peak_gflops": model.peak_gflops(args.freq, args.pm, args.p)},
+        | {"peak_gflops": machine.peak_gflops},
         "sim": {
             "time_seconds": sim.time_seconds,
             "time_with_drain_seconds": sim.time_with_drain_seconds,
@@ -224,12 +212,11 @@ def report_dict(args, label, shape, point, estimate, sim, checks) -> dict:
 def cmd_run(args) -> int:
     _, shape = resolve_shape(args)
     label = args.preset or args.shape
-    bw_model = resolve_bw_model(args.bw_model)
-    point = resolve_point(args, shape, bw_model)
+    machine = resolve_machine(args)
+    point = resolve_point(args, shape, machine)
 
-    sim = simulate_point(shape, point, bw_model, args, trace_path=args.trace)
-    estimate = model.bounds(shape, point, bw_model=bw_model,
-                            fmac_stages=args.stage, f_acc=args.freq)
+    sim = simulate_point(shape, point, machine, args, trace_path=args.trace)
+    estimate = model.bounds(shape, point, machine)
 
     checks: dict = {}
     checks["bounds_ok"] = bounds_ok(estimate, sim.time_seconds)
@@ -248,7 +235,7 @@ def cmd_run(args) -> int:
     checks["tiles_ok"] = bool(
         sum(s.blocks_executed for s in sim.arrays) == sim.tile_count)
 
-    report = report_dict(args, label, shape, point, estimate, sim, checks)
+    report = report_dict(args, machine, label, shape, point, estimate, sim, checks)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -266,14 +253,8 @@ def cmd_run(args) -> int:
 def cmd_explore(args) -> int:
     _, shape = resolve_shape(args)
     label = args.preset or args.shape
-    bw_model = resolve_bw_model(args.bw_model)
-    if not model.feasible_points(args.p, args.pm, args.candidates):
-        raise CliError(
-            f"no candidate block size is feasible for {args.pm} base arrays "
-            f"of {args.p} PEs:\n" + feasibility_table_text(args.p, args.pm))
-    result = model.explore(shape, bw_model=bw_model, pes_per_base=args.p,
-                           max_arrays=args.pm, fmac_stages=args.stage,
-                           f_acc=args.freq, candidates=args.candidates)
+    machine = resolve_machine(args)
+    result = model.explore(shape, machine, args.candidates)
 
     rows = []
     for rank, entry in enumerate(result.entries):
@@ -282,11 +263,12 @@ def cmd_explore(args) -> int:
             "n_arrays": entry.point.n_arrays,
             "block_rows": entry.point.block_rows,
             "block_cols": entry.point.block_cols,
-            "feasible": model.is_feasible(entry.point, args.p, args.pm),
+            "feasible": entry.point.n_arrays in machine.array_counts(
+                entry.point.block_rows, entry.point.block_cols),
             **dataclasses.asdict(entry.estimate),
         }
         if args.simulate:
-            sim = simulate_point(shape, entry.point, bw_model, args)
+            sim = simulate_point(shape, entry.point, machine, args)
             row["measured_seconds"] = sim.time_seconds
             row["measured_gflops"] = sim.gflops
             row["in_bounds"] = bounds_ok(entry.estimate, sim.time_seconds)
@@ -317,11 +299,9 @@ def cmd_calibrate(args) -> int:
     try:
         table = mac.TableBandwidth.from_csv(args.csv)
     except mac.CalibrationError as exc:
-        print(f"calibration rejected: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"calibration rejected: {exc}") from exc
     except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot read calibration: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot read calibration: {exc}") from exc
     out = args.out or args.csv
     table.to_csv(out)
     print(f"calibration accepted: {len(table.table)} points -> {out}")
@@ -346,11 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bw-model", default="parametric",
                        help="ideal | parametric[:peak,latency_elems,contention] "
                             "| calibration CSV path")
-        p.add_argument("--seed", type=int, default=0, help="seed for matrix data")
+        p.add_argument("--seed", type=nonnegative_int, default=0,
+                       help="seed for matrix data")
         p.add_argument("--fast-numerics", action="store_true", help=fast_help)
         p.add_argument("--no-steal", action="store_true",
                        help="disable work stealing (static partition)")
-        p.add_argument("--contention", choices=["per_array", "shared_port"],
+        p.add_argument("--contention", choices=CONTENTION_MODES,
                        default="per_array", help="transfer serialisation regime")
 
     p_run = sub.add_parser("run", help="simulate one problem at one design point")
@@ -366,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the JSON report here (default stdout)")
     p_run.add_argument("--no-verify", action="store_true",
                        help="skip the reference-product verification")
-    p_run.add_argument("--verify-cutoff", type=int, metavar="N",
+    p_run.add_argument("--verify-cutoff", type=nonnegative_int, metavar="N",
                        help="skip verification when m*depth*n exceeds N "
                             "(default: always verify)")
     p_run.set_defaults(func=cmd_run)
@@ -394,6 +375,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, InfeasibleBlockError, mac.CalibrationMissingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:          # e.g. an --out or --trace path in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -148,8 +148,8 @@ class ParametricBandwidth:
     def __post_init__(self):
         if not self.peak_bps > 0:
             raise ValueError("peak_bps must be positive")
-        if self.latency_elems < 0 or self.contention < 0:
-            raise ValueError("latency_elems and contention must be non-negative")
+        if not (0 <= self.latency_elems < math.inf and 0 <= self.contention < math.inf):
+            raise ValueError("latency_elems and contention must be non-negative and finite")
 
     def rate(self, n_arrays: int, block_rows: int) -> float:
         return (self.peak_bps * block_rows / (block_rows + self.latency_elems)
@@ -208,6 +208,9 @@ class TableBandwidth:
                 raise CalibrationError(
                     f"calibration CSV must have header columns {sorted(required)}")
             for line in reader:
+                if any(line[name] is None for name in required):
+                    raise CalibrationError(
+                        f"calibration row {reader.line_num} has too few fields")
                 key = (int(line["n_p"]), int(line["s_i"]))
                 if key in table:
                     raise CalibrationError(f"duplicate calibration row for {key}")

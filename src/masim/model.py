@@ -14,15 +14,18 @@ overlap at all). The explorer enumerates feasible (n_arrays, block_rows)
 points and ranks them by the worst-case bound, breaking ties by the best
 case and then by fewer arrays.
 
-Feasibility couples the block size to the array count: a block of
-block_rows needs a chain of ceil(block_rows / pes_per_base) base arrays,
-and n_arrays such chains must fit into max_arrays base arrays. For the
-default four base arrays of 64 PEs this yields
+Every function takes its clock, pipeline depth and bandwidth model from
+one mpe.Machine, and the explorer takes its points from the machine's one
+feasibility rule (Machine.array_counts): a block of block_rows needs a
+chain of ceil(block_rows / pes_per_base) base arrays, n_arrays such
+chains must fit into max_arrays base arrays, and block_cols must fit the
+accumulator depth. For the default four base arrays of 64 PEs this yields
 
   block_rows   1..64   -> n_arrays in {1, 2, 3, 4}
   block_rows  65..128  -> n_arrays in {1, 2}
   block_rows 129..256  -> n_arrays = 1
   block_rows  > 256    -> infeasible
+  block_cols  > 256    -> infeasible
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mac
-from .mpe import block_cycles
+from .mpe import Machine, block_cycles
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,11 @@ def n_work(shape: ProblemShape, block_rows: int, block_cols: int,
     return -(-tiles // n_arrays)
 
 
-def t_compute(shape: ProblemShape, point: DesignPoint,
-              fmac_stages: int = 8, f_acc: float = 2e8) -> float:
+def t_compute(shape: ProblemShape, point: DesignPoint, machine: Machine) -> float:
     """Compute-only time of the busiest array, in seconds."""
-    if not f_acc > 0:
-        raise ValueError("f_acc must be positive")
     work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
     return work * block_cycles(point.block_rows, point.block_cols,
-                               shape.depth, fmac_stages) / f_acc
+                               shape.depth, machine) / machine.f_acc
 
 
 def t_work(shape: ProblemShape, point: DesignPoint, bw: float) -> float:
@@ -99,21 +99,20 @@ def t_work(shape: ProblemShape, point: DesignPoint, bw: float) -> float:
     return mac.block_bytes(point.block_rows, point.block_cols, shape.depth) / bw
 
 
-def t_trans(shape: ProblemShape, point: DesignPoint, bw_model) -> float:
+def t_trans(shape: ProblemShape, point: DesignPoint, machine: Machine) -> float:
     """Transfer-only time for one array's share of the workload."""
-    bw = mac.effective_bandwidth(bw_model, point.n_arrays, point.block_rows)
+    bw = mac.effective_bandwidth(machine.bw_model, point.n_arrays, point.block_rows)
     work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
     return work * t_work(shape, point, bw)
 
 
-def bounds(shape: ProblemShape, point: DesignPoint, *, bw_model,
-           fmac_stages: int = 8, f_acc: float = 2e8) -> ModelEstimate:
+def bounds(shape: ProblemShape, point: DesignPoint, machine: Machine) -> ModelEstimate:
     """Lower/upper run-time bounds and the matching throughput bounds."""
-    bw = mac.effective_bandwidth(bw_model, point.n_arrays, point.block_rows)
+    bw = mac.effective_bandwidth(machine.bw_model, point.n_arrays, point.block_rows)
     work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
     load = t_work(shape, point, bw)
     trans = work * load
-    comp = t_compute(shape, point, fmac_stages, f_acc)
+    comp = t_compute(shape, point, machine)
     return ModelEstimate(
         work_per_array=work,
         load_seconds=load,
@@ -126,46 +125,19 @@ def bounds(shape: ProblemShape, point: DesignPoint, *, bw_model,
     )
 
 
-def feasible_array_counts(block_rows: int, pes_per_base: int = 64,
-                          max_arrays: int = 4) -> list[int]:
-    """Array counts that can each field a chain long enough for block_rows."""
-    if block_rows < 1:
-        raise ValueError("block_rows must be >= 1")
-    chains = -(-block_rows // pes_per_base)
-    if chains > max_arrays:
-        return []
-    return list(range(1, max_arrays // chains + 1))
-
-
-def is_feasible(point: DesignPoint, pes_per_base: int = 64,
-                max_arrays: int = 4) -> bool:
-    return point.n_arrays in feasible_array_counts(
-        point.block_rows, pes_per_base, max_arrays)
-
-
-def default_block_candidates(pes_per_base: int = 64) -> list[int]:
-    """Candidate block sizes spanning fractions and multiples of one array."""
-    p = pes_per_base
+def default_block_candidates(machine: Machine) -> list[int]:
+    """Candidate block sizes spanning fractions and multiples of one base array."""
+    p = machine.pes_per_base
     raw = [p // 8, p // 4, p // 2, p, 3 * p // 2, 2 * p, 3 * p, 4 * p]
     return sorted({c for c in raw if c >= 1})
 
 
-def feasible_points(pes_per_base: int = 64, max_arrays: int = 4,
-                    candidates=None) -> list[DesignPoint]:
+def feasible_points(machine: Machine, candidates=None) -> list[DesignPoint]:
     """All feasible square-block design points over the candidate sizes."""
     if candidates is None:
-        candidates = default_block_candidates(pes_per_base)
-    points = []
-    for s in sorted(set(candidates)):
-        for np_ in feasible_array_counts(s, pes_per_base, max_arrays):
-            points.append(DesignPoint(np_, s))
-    return points
-
-
-def peak_gflops(f_acc: float = 2e8, max_arrays: int = 4,
-                pes_per_base: int = 64) -> float:
-    """Machine peak: every PE retires one multiply-add per cycle."""
-    return 2.0 * f_acc * max_arrays * pes_per_base / 1e9
+        candidates = default_block_candidates(machine)
+    return [DesignPoint(n_arrays, s) for s in sorted(set(candidates))
+            for n_arrays in machine.array_counts(s, s)]
 
 
 @dataclass(frozen=True)
@@ -183,20 +155,18 @@ class ExploreResult:
         return self.entries[0]
 
 
-def explore(shape: ProblemShape, *, bw_model, pes_per_base: int = 64,
-            max_arrays: int = 4, fmac_stages: int = 8, f_acc: float = 2e8,
-            candidates=None) -> ExploreResult:
+def explore(shape: ProblemShape, machine: Machine, candidates=None) -> ExploreResult:
     """Rank all feasible design points for a problem shape.
 
     Primary key: minimise the worst-case bound. Ties fall back to the
     best-case bound, then to fewer arrays, then to the smaller block.
+    Raises InfeasibleBlockError when no candidate is feasible.
     """
-    points = feasible_points(pes_per_base, max_arrays, candidates)
+    points = feasible_points(machine, candidates)
     if not points:
-        raise ValueError("no feasible design points for the given candidates")
-    entries = [ExploreEntry(p, bounds(shape, p, bw_model=bw_model,
-                                      fmac_stages=fmac_stages, f_acc=f_acc))
-               for p in points]
+        # every candidate fails the rule; let it say why for the smallest
+        machine.check(1, min(candidates), min(candidates))
+    entries = [ExploreEntry(p, bounds(shape, p, machine)) for p in points]
     entries.sort(key=lambda e: (e.estimate.upper_seconds, e.estimate.lower_seconds,
                                 e.point.n_arrays, e.point.block_rows))
     return ExploreResult(entries)

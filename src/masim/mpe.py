@@ -1,4 +1,8 @@
-"""Matrix processing engine: configurable linear PE arrays.
+"""Matrix processing engine: the machine and its configurable linear PE arrays.
+
+Machine is the one validated configuration every other module takes, and
+Machine.array_counts the one feasibility rule that layout_for_point,
+simulate_block, trace_block, the simulator and the explorer all apply.
 
 Adjacent base arrays can be chained through multiplexers into longer
 effective arrays (cooperation mode); with all multiplexers off each base
@@ -33,16 +37,109 @@ tiles a run assembles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .blockmm import DTYPE, reference_gemm
+from .mac import BandwidthModel, ParametricBandwidth
 
 
 class InfeasibleBlockError(ValueError):
     """Block geometry does not fit the target array."""
+
+
+CONTENTION_MODES = ("per_array", "shared_port")
+
+
+@dataclass(frozen=True)
+class Machine:
+    """The accelerator's configuration, validated once on construction.
+
+    pm = max_arrays base arrays of p = pes_per_base PEs each, clocked at
+    f_acc Hz, with an fmac_stages-deep multiply-accumulate pipeline and a
+    result drain of drain_width elements per cycle. bw_model gives the
+    effective bandwidth (anything with rate(n_arrays, block_rows));
+    contention is the transfer regime of the simulator ("per_array" or
+    "shared_port"). Every model, layout and simulation call takes its
+    machine parameters from one Machine, so they cannot disagree.
+    """
+
+    pes_per_base: int = 64
+    max_arrays: int = 4
+    f_acc: float = 2e8
+    fmac_stages: int = 8
+    drain_width: int = 1
+    bw_model: BandwidthModel = ParametricBandwidth()
+    contention: str = "per_array"
+
+    def __post_init__(self):
+        for name, least in (("pes_per_base", 1), ("max_arrays", 1),
+                            ("fmac_stages", 0), ("drain_width", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0 < self.f_acc < math.inf:
+            raise ValueError(f"f_acc must be a positive finite number, got {self.f_acc!r}")
+        if not callable(getattr(self.bw_model, "rate", None)):
+            raise ValueError(f"bw_model must have a rate method, got {self.bw_model!r}")
+        if self.contention not in CONTENTION_MODES:
+            raise ValueError(f"contention must be one of {CONTENTION_MODES}, "
+                             f"got {self.contention!r}")
+
+    def chain(self, block_rows: int) -> int:
+        """Base arrays one effective array chains for a block of block_rows."""
+        return -(-block_rows // self.pes_per_base)
+
+    @property
+    def mc_depth(self) -> int:
+        """Per-PE accumulator depth: a square block on the longest chain."""
+        return self.max_arrays * self.pes_per_base
+
+    @property
+    def peak_gflops(self) -> float:
+        """Every PE retires one multiply-add per cycle."""
+        return 2.0 * self.f_acc * self.max_arrays * self.pes_per_base / 1e9
+
+    def array_counts(self, block_rows: int, block_cols: int,
+                     bases: int | None = None) -> range:
+        """The feasibility rule: the array counts that can run the block.
+
+        Each array chains the ceil(block_rows / pes_per_base) base arrays a
+        block of block_rows needs, and the chains must fit in bases base
+        arrays (all of them by default); block_cols must fit the
+        accumulator depth. Empty when no count can.
+        """
+        if block_rows < 1 or block_cols < 1:
+            raise ValueError("block sizes must be >= 1")
+        if block_cols > self.mc_depth:
+            return range(0)
+        return range(1, (bases or self.max_arrays) // self.chain(block_rows) + 1)
+
+    def check(self, n_arrays: int, block_rows: int, block_cols: int,
+              bases: int | None = None):
+        """Raise InfeasibleBlockError, with the feasibility table, unless
+        n_arrays arrays can run block_rows x block_cols blocks."""
+        if n_arrays not in self.array_counts(block_rows, block_cols, bases):
+            raise InfeasibleBlockError(
+                f"design point (n_arrays={n_arrays}, block_rows={block_rows}, "
+                f"block_cols={block_cols}) is infeasible on {bases or self.max_arrays} "
+                f"base arrays of {self.pes_per_base} PEs:\n" + self.feasibility_table())
+
+    def feasibility_table(self) -> str:
+        """The rule as text: array counts per range of block rows."""
+        p, pm = self.pes_per_base, self.max_arrays
+        lines = []
+        for chain in range(1, pm + 1):
+            counts = ", ".join(map(str, self.array_counts(chain * p, 1)))
+            lines.append(f"  block rows {(chain - 1) * p + 1:>4}..{chain * p:<4} "
+                         f"-> array count in {{{counts}}}")
+        lines.append(f"  block rows > {pm * p:<7} -> infeasible")
+        lines.append(f"  block cols > {self.mc_depth:<7} -> infeasible "
+                     "(accumulator depth)")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -57,33 +154,21 @@ class EffectiveArray:
 class MpeLayout:
     """Base-array configuration plus the effective arrays it produces."""
 
-    max_arrays: int            # number of base arrays
-    pes_per_base: int
     mux: tuple[bool, ...]      # mux[k] joins base arrays k and k+1
     arrays: tuple[EffectiveArray, ...]
-    mc_depth: int              # per-PE accumulator memory depth
 
     @property
     def n_arrays(self) -> int:
         return len(self.arrays)
 
-    @property
-    def total_pes(self) -> int:
-        return self.max_arrays * self.pes_per_base
 
-
-def configure_mpe(max_arrays: int, pes_per_base: int, mux,
-                  mc_depth: int | None = None) -> MpeLayout:
-    """Group base arrays into effective arrays according to the mux settings.
+def configure_mpe(machine: Machine, mux) -> MpeLayout:
+    """Group the machine's base arrays into effective arrays by the mux settings.
 
     mux must have max_arrays - 1 entries; entry k joins base arrays k and
-    k+1 when enabled. mc_depth defaults to max_arrays * pes_per_base (deep
-    enough for a square block on the longest possible chain).
+    k+1 when enabled.
     """
-    if max_arrays < 1:
-        raise ValueError("max_arrays must be >= 1")
-    if pes_per_base < 1:
-        raise ValueError("pes_per_base must be >= 1")
+    max_arrays = machine.max_arrays
     mux = tuple(bool(x) for x in mux)
     if len(mux) != max_arrays - 1:
         raise ValueError(
@@ -96,39 +181,25 @@ def configure_mpe(max_arrays: int, pes_per_base: int, mux,
             n_bases = k - first + 1
             arrays.append(EffectiveArray(
                 array_id=len(arrays), first_base=first, n_bases=n_bases,
-                pe_count=n_bases * pes_per_base))
+                pe_count=n_bases * machine.pes_per_base))
             first = k + 1
-    if mc_depth is None:
-        mc_depth = max_arrays * pes_per_base
-    layout = MpeLayout(max_arrays, pes_per_base, mux, tuple(arrays), mc_depth)
-    assert layout.n_arrays == max_arrays - sum(mux)
-    assert sum(a.pe_count for a in layout.arrays) == layout.total_pes
-    return layout
+    assert len(arrays) == max_arrays - sum(mux)
+    return MpeLayout(mux, tuple(arrays))
 
 
-def layout_for_point(n_arrays: int, block_rows: int, pes_per_base: int,
-                     max_arrays: int, mc_depth: int | None = None
-                     ) -> tuple[MpeLayout, list[int]]:
-    """Layout running n_arrays effective arrays long enough for block_rows.
+def layout_for_point(machine: Machine, n_arrays: int, block_rows: int,
+                     block_cols: int | None = None) -> MpeLayout:
+    """Layout whose first n_arrays effective arrays run the design point.
 
-    Each active array chains ceil(block_rows / pes_per_base) adjacent base
-    arrays; leftover base arrays stay independent and unscheduled. Returns
-    the layout and the ids of the active arrays.
+    Each of them chains ceil(block_rows / pes_per_base) adjacent base
+    arrays; leftover base arrays stay independent and unscheduled.
+    block_cols defaults to block_rows. Raises InfeasibleBlockError when
+    the machine cannot run the point.
     """
-    if n_arrays < 1:
-        raise ValueError("n_arrays must be >= 1")
-    bases_each = max(1, -(-block_rows // pes_per_base))
-    if n_arrays * bases_each > max_arrays:
-        raise InfeasibleBlockError(
-            f"{n_arrays} arrays of {bases_each} base arrays each do not fit "
-            f"in {max_arrays} base arrays")
-    mux = []
-    for _ in range(n_arrays):
-        mux.extend([True] * (bases_each - 1))
-        mux.append(False)
-    mux = (mux + [False] * max_arrays)[: max_arrays - 1]
-    layout = configure_mpe(max_arrays, pes_per_base, mux, mc_depth)
-    return layout, list(range(n_arrays))
+    machine.check(n_arrays, block_rows, block_rows if block_cols is None else block_cols)
+    mux = ([True] * (machine.chain(block_rows) - 1) + [False]) * n_arrays
+    return configure_mpe(machine, (mux + [False] * machine.max_arrays)
+                         [: machine.max_arrays - 1])
 
 
 def psu_stall_plan(block_rows: int, block_cols: int) -> int:
@@ -143,9 +214,9 @@ def psu_stall_plan(block_rows: int, block_cols: int) -> int:
     return max(block_rows, block_cols) - block_cols
 
 
-def block_cycles(block_rows: int, block_cols: int, depth: int, fmac_stages: int) -> int:
+def block_cycles(block_rows: int, block_cols: int, depth: int, machine: Machine) -> int:
     """Charged cycles for one block on one array."""
-    return block_rows + max(block_rows, block_cols) * depth + fmac_stages
+    return block_rows + max(block_rows, block_cols) * depth + machine.fmac_stages
 
 
 class BlockCharges(NamedTuple):
@@ -158,8 +229,8 @@ class BlockCharges(NamedTuple):
     drain_cycles: int
 
 
-def block_charges(block_rows: int, block_cols: int, depth: int, fmac_stages: int,
-                  drain_width: int = 1) -> BlockCharges:
+def block_charges(block_rows: int, block_cols: int, depth: int,
+                  machine: Machine) -> BlockCharges:
     """What one block is charged: the one cycle policy every path applies.
 
     The drain streams the finished tile out of the chain at drain_width
@@ -167,11 +238,11 @@ def block_charges(block_rows: int, block_cols: int, depth: int, fmac_stages: int
     part of the charged cycles.
     """
     return BlockCharges(
-        cycles=block_cycles(block_rows, block_cols, depth, fmac_stages),
+        cycles=block_cycles(block_rows, block_cols, depth, machine),
         prefetch_cycles=block_rows,
-        compute_cycles=block_cols * depth + fmac_stages,
+        compute_cycles=block_cols * depth + machine.fmac_stages,
         stall_cycles=psu_stall_plan(block_rows, block_cols) * depth,
-        drain_cycles=-(-block_rows * block_cols // drain_width),
+        drain_cycles=-(-block_rows * block_cols // machine.drain_width),
     )
 
 
@@ -198,35 +269,23 @@ class BlockResult:
     drain_cycles: int
 
 
-def _check_feasible(array: EffectiveArray, job: BlockJob, mc_depth: int):
-    if job.block_rows > array.pe_count:
-        raise InfeasibleBlockError(
-            f"block_rows {job.block_rows} exceeds array {array.array_id} "
-            f"length {array.pe_count}")
-    if job.block_cols > mc_depth:
-        raise InfeasibleBlockError(
-            f"block_cols {job.block_cols} exceeds accumulator depth {mc_depth}")
-
-
-def simulate_block(array: EffectiveArray, job: BlockJob, *,
-                   fmac_stages: int = 8, mc_depth: int | None = None,
-                   drain_width: int = 1) -> BlockResult:
-    """Run one block on one array: exact tile numerics plus charged cycles.
+def simulate_block(array: EffectiveArray, job: BlockJob, machine: Machine) -> BlockResult:
+    """Run one block on one of the machine's arrays: exact tile numerics
+    plus charged cycles.
 
     PE p holds element p of the current A column; each iteration k
     multiplies that buffered value against the streamed k-th B row and
     accumulates into the local result memory, which is the k-ordered
-    kernel applied to the block. The cycles are block_charges.
+    kernel applied to the block. The cycles are block_charges. Raises
+    InfeasibleBlockError unless the array's base arrays can run the block.
     """
-    if mc_depth is None:
-        mc_depth = job.block_cols
-    _check_feasible(array, job, mc_depth)
+    machine.check(1, job.block_rows, job.block_cols, array.n_bases)
     si, sj, k_depth = job.block_rows, job.block_cols, job.depth
     if job.sa.shape != (si, k_depth) or job.sb.shape != (k_depth, sj):
         raise ValueError("job data does not match its geometry")
 
     return BlockResult(reference_gemm(job.sa, job.sb),
-                       *block_charges(si, sj, k_depth, fmac_stages, drain_width))
+                       *block_charges(si, sj, k_depth, machine))
 
 
 @dataclass
@@ -263,9 +322,8 @@ class _AFlight:
         self.entered_at = entered_at
 
 
-def trace_block(array: EffectiveArray, job: BlockJob, *,
-                fmac_stages: int = 8, mc_depth: int | None = None,
-                drain_width: int = 1, block_id: int = 0
+def trace_block(array: EffectiveArray, job: BlockJob, machine: Machine, *,
+                block_id: int = 0
                 ) -> tuple[BlockResult, list[TraceEvent], list[PeState]]:
     """Cycle-by-cycle walk of one block with explicit PE state.
 
@@ -278,9 +336,7 @@ def trace_block(array: EffectiveArray, job: BlockJob, *,
     invariant breaks. The B-row stream is modelled at its issue cycle; the
     per-PE skew of that stream is part of the pipeline constant.
     """
-    if mc_depth is None:
-        mc_depth = job.block_cols
-    _check_feasible(array, job, mc_depth)
+    machine.check(1, job.block_rows, job.block_cols, array.n_bases)
     si, sj, k_depth = job.block_rows, job.block_cols, job.depth
     sa = np.ascontiguousarray(job.sa, DTYPE)
     sb = np.ascontiguousarray(job.sb, DTYPE)
@@ -374,11 +430,11 @@ def trace_block(array: EffectiveArray, job: BlockJob, *,
         if k + 1 < k_depth:
             events.append(TraceEvent(cycle, "swap", block_id, -1, k + 1))
 
-    for _ in range(fmac_stages):
+    for _ in range(machine.fmac_stages):
         cycle += 1
         events.append(TraceEvent(cycle, "flush", block_id))
 
-    charges = block_charges(si, sj, k_depth, fmac_stages, drain_width)
+    charges = block_charges(si, sj, k_depth, machine)
     if cycle != charges.cycles:
         raise AssertionError(f"trace walked {cycle} cycles, contract says {charges.cycles}")
     if stalls != charges.stall_cycles:

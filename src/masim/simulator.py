@@ -1,8 +1,10 @@
 """Event-driven simulation of the full accelerator.
 
 The simulator is a pure timing engine: the schedule depends only on the
-tile grid, the layout, the queues and the bandwidth model, never on the
-matrix values, so run_mpe takes no matrix data. The output the modelled
+machine (mpe.Machine: clock, pipeline, bandwidth model, transfer regime),
+the tile grid and the queues, never on the matrix values, so run_mpe
+takes no matrix data. The machine's feasibility rule is checked for one
+array per queue before anything runs. The output the modelled
 arrays produce is the k-ordered kernel blockmm.reference_gemm applied to
 the whole problem (mpe.simulate_block and mpe.trace_block tie each block's
 numerics to that kernel); callers compute it once, after the schedule.
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 from . import mac, wqm
 from .blockmm import TileGrid
-from .mpe import InfeasibleBlockError, MpeLayout, block_charges
+from .mpe import Machine, block_charges
 
 
 class SimulationError(RuntimeError):
@@ -97,37 +99,20 @@ class _ArrayState:
         return len(self.queue) == 0 and self.resident < 2
 
 
-def run_mpe(layout: MpeLayout, grid: TileGrid, queues: list[wqm.WorkQueue],
-            bw_model, *, f_acc: float = 2e8, fmac_stages: int = 8,
-            steal: bool = True, slowdowns=None,
-            contention: str = "per_array", drain_width: int = 1,
-            trace_path=None, active_arrays=None) -> SimReport:
-    """Schedule the tiles of grid on the accelerator and report the timing.
+def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
+            steal: bool = True, slowdowns=None, trace_path=None) -> SimReport:
+    """Schedule the tiles of grid on the machine and report the timing.
 
-    queues come from the workload queue manager, one per active array.
-    slowdowns optionally scales individual arrays' clock periods (testing
-    aid for load-imbalance scenarios; charged cycle stats stay nominal).
-    After every arbitration round the queue counters and the no-starvation
-    rule are checked; a violation raises SimulationError.
+    queues come from the workload queue manager, one per active array;
+    the machine must be able to field that many arrays for the grid's
+    blocks (InfeasibleBlockError otherwise). slowdowns optionally scales
+    individual arrays' clock periods (testing aid for load-imbalance
+    scenarios; charged cycle stats stay nominal). After every arbitration
+    round the queue counters and the no-starvation rule are checked; a
+    violation raises SimulationError.
     """
-    if contention not in ("per_array", "shared_port"):
-        raise ValueError(f"unknown contention mode {contention!r}")
-    if active_arrays is None:
-        active_arrays = list(range(len(queues)))
-    if len(active_arrays) != len(queues):
-        raise ValueError("one queue per active array required")
-    if len(active_arrays) > layout.n_arrays:
-        raise ValueError("more queues than effective arrays")
-    for aid in active_arrays:
-        arr = layout.arrays[aid]
-        if grid.block_rows > arr.pe_count:
-            raise InfeasibleBlockError(
-                f"block_rows {grid.block_rows} exceeds array {aid} length {arr.pe_count}")
-        if grid.block_cols > layout.mc_depth:
-            raise InfeasibleBlockError(
-                f"block_cols {grid.block_cols} exceeds accumulator depth {layout.mc_depth}")
-
-    n_active = len(active_arrays)
+    n_active = len(queues)
+    machine.check(n_active, grid.block_rows, grid.block_cols)
     if slowdowns is None:
         slow = [1.0] * n_active
     elif isinstance(slowdowns, dict):
@@ -137,15 +122,15 @@ def run_mpe(layout: MpeLayout, grid: TileGrid, queues: list[wqm.WorkQueue],
         if len(slow) != n_active:
             raise ValueError("slowdowns must match the number of active arrays")
 
-    per_array_bw = mac.effective_bandwidth(bw_model, n_active, grid.block_rows)
-    port_bw = mac.effective_bandwidth(bw_model, 1, grid.block_rows)
-    shared = contention == "shared_port"
+    f_acc = machine.f_acc
+    per_array_bw = mac.effective_bandwidth(machine.bw_model, n_active, grid.block_rows)
+    port_bw = mac.effective_bandwidth(machine.bw_model, 1, grid.block_rows)
+    shared = machine.contention == "shared_port"
     shared_free = 0.0
     # Every padded tile moves the same bytes, so one plan serves the grid.
     plan = mac.plan_for_tile(grid, 0, 0)
     in_bytes, out_bytes = plan.in_bytes, plan.out_bytes
-    charges = block_charges(grid.block_rows, grid.block_cols, grid.depth,
-                            fmac_stages, drain_width)
+    charges = block_charges(grid.block_rows, grid.block_cols, grid.depth, machine)
     cycles = charges.cycles
 
     states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]

@@ -30,15 +30,17 @@ def rand(rng, r, c):
     return rng.random((r, c), dtype=np.float32)
 
 
+MACHINE = masim.Machine()
+
+
 def simulate(shape, n_arrays, si, sj, bw_model, **kwargs):
     """Schedule an (m, k, n) problem; the timing needs no matrix data."""
     m, k, n = shape
     grid = masim.partition(m, n, k, si, sj)
-    layout, active = masim.layout_for_point(n_arrays, si, 64, 4)
+    machine = masim.Machine(bw_model=bw_model)
     queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(layout, grid, queues, bw_model, active_arrays=active,
-                        **kwargs)
-    return rep, layout, active, grid
+    rep = masim.run_mpe(machine, grid, queues, **kwargs)
+    return rep, machine, grid
 
 
 @criterion(1, "simulated output matches the reference product at 1e-4 "
@@ -58,16 +60,16 @@ def test_oracle_equivalence():
             m, n, k = (int(rng.integers(1, 257)) for _ in range(3))
             si = int(rng.choice([16, 32, 64, 96, 128, 192, 256]))
             sj = int(rng.choice([16, 32, 64, 128]))
-        n_arrays = int(rng.choice(masim.feasible_array_counts(si)))
+        n_arrays = int(rng.choice(MACHINE.array_counts(si, sj)))
         rect_cases += si != sj
         padded_cases += (m % si != 0) or (n % sj != 0)
-        rep, layout, active, grid = simulate((m, k, n), n_arrays, si, sj,
-                                             masim.ParametricBandwidth())
+        rep, machine, grid = simulate((m, k, n), n_arrays, si, sj,
+                                      masim.ParametricBandwidth())
         data = np.random.default_rng(int(rng.integers(2**31)))
         a, b = rand(data, m, k), rand(data, k, n)
         # the tiles the run executed, each through simulate_block, equal
         # the whole-matrix kernel the CLI computes
-        out = assemble_run(rep, layout, active, grid, a, b)
+        out = assemble_run(rep, machine, grid, a, b)
         assert np.array_equal(out, masim.reference_gemm(a, b))
         ref = masim.reference_gemm(a, b, accumulate="f64")
         rel = np.abs(out - ref) / np.maximum(np.abs(ref), tiny)
@@ -81,16 +83,18 @@ def test_oracle_equivalence():
               "block_rows + max(block_rows, block_cols) * depth + stages, exactly")
 def test_cycle_contract():
     rng = np.random.default_rng(1)
-    array = masim.configure_mpe(1, 128, []).arrays[0]
+    machines = [masim.Machine(pes_per_base=128, max_arrays=1, fmac_stages=stage)
+                for stage in (0, 4, 8)]
+    array = masim.configure_mpe(machines[0], []).arrays[0]
     sizes = [1, 2, 4, 8, 16, 64, 128]
     for si in sizes:
         for sj in sizes:
             for k in (1, 3, 10, 100):
                 sa, sb = rand(rng, si, k), rand(rng, k, sj)
-                for stage in (0, 4, 8):
+                for machine in machines:
+                    stage = machine.fmac_stages
                     res = masim.simulate_block(
-                        array, masim.BlockJob(sa, sb, si, sj, k),
-                        fmac_stages=stage, mc_depth=128)
+                        array, masim.BlockJob(sa, sb, si, sj, k), machine)
                     assert res.cycles == si + max(si, sj) * k + stage
                     assert res.prefetch_cycles + res.compute_cycles \
                         + res.stall_cycles == res.cycles
@@ -102,7 +106,7 @@ def test_cycle_contract():
 def test_bracketing(tmp_path):
     shape = masim.ProblemShape(128, 1200, 729)
     configs = [(n_p, si) for si in (16, 32, 64, 96, 128)
-               for n_p in masim.feasible_array_counts(si) if n_p <= 4]
+               for n_p in MACHINE.array_counts(si, si) if n_p <= 4]
     assert {n_p for n_p, _ in configs} == {1, 2, 3, 4}
     for n_p, si in configs:
         out = tmp_path / f"conv2_{n_p}_{si}.json"
@@ -121,7 +125,7 @@ def test_bracketing(tmp_path):
     roomy = masim.ParametricBandwidth(256e9, 64, 0.3)
     for n_p, si in [(1, 128), (2, 128), (4, 64)]:
         point = masim.DesignPoint(n_p, si)
-        est = masim.bounds(shape, point, bw_model=roomy)
+        est = masim.bounds(shape, point, masim.Machine(bw_model=roomy))
         rep, *_ = simulate((128, 1200, 729), n_p, si, si, roomy)
         assert est.lower_seconds <= rep.time_seconds <= 1.02 * est.lower_seconds
 
@@ -129,11 +133,11 @@ def test_bracketing(tmp_path):
 @criterion(4, "global peak is exactly 102.4 GFLOPS and the fc-6 upper bound "
               "exceeds the measured 100.9 by less than 2%")
 def test_peak_arithmetic():
-    assert masim.peak_gflops(2e8, 4, 64) == 102.4
+    machine = masim.Machine(pes_per_base=64, max_arrays=4, f_acc=2e8, fmac_stages=8,
+                            bw_model=masim.ParametricBandwidth())
+    assert machine.peak_gflops == 102.4
     est = masim.bounds(masim.ProblemShape(128, 9216, 4096),
-                       masim.DesignPoint(2, 128),
-                       bw_model=masim.ParametricBandwidth(),
-                       fmac_stages=8, f_acc=2e8)
+                       masim.DesignPoint(2, 128), machine)
     assert abs(est.gflops_upper - 102.4) <= 0.1
     measured = 100.9
     assert measured < est.gflops_upper
@@ -143,8 +147,9 @@ def test_peak_arithmetic():
 @criterion(5, "feasible array counts reproduce the constraint table for "
               "every block size from 1 to 300")
 def test_feasibility_table():
+    machine = masim.Machine(pes_per_base=64, max_arrays=4)
     for si in range(1, 301):
-        counts = masim.feasible_array_counts(si, pes_per_base=64, max_arrays=4)
+        counts = list(machine.array_counts(si, si))
         if si <= 64:
             assert counts == [1, 2, 3, 4], si
         elif si <= 128:
@@ -165,8 +170,8 @@ def test_memory_bound_anomaly():
     shape = masim.ProblemShape(128, 1200, 729)
     single = masim.DesignPoint(1, 32)
     double = masim.DesignPoint(2, 16)
-    est_single = masim.bounds(shape, single, bw_model=table)
-    est_double = masim.bounds(shape, double, bw_model=table)
+    est_single = masim.bounds(shape, single, masim.Machine(bw_model=table))
+    est_double = masim.bounds(shape, double, masim.Machine(bw_model=table))
     # precondition: both starved for bandwidth
     assert est_single.transfer_seconds > est_single.compute_seconds
     assert est_double.transfer_seconds > est_double.compute_seconds
@@ -205,7 +210,7 @@ def test_work_stealing(tmp_path):
         rep, *_ = simulate(shape, 4, 4, 4, masim.IdealBandwidth(),
                            steal=steal_on, slowdowns=slow)
         makespans[steal_on] = rep.time_seconds
-    blocks = masim.block_cycles(4, 4, 8, 8)
+    blocks = masim.block_cycles(4, 4, 8, MACHINE)
     ideal = 64 * blocks / 2e8 / (0.5 + 1 + 1 + 1)
     assert makespans[True] <= makespans[False]
     assert makespans[True] <= 1.15 * ideal, (makespans[True], ideal)

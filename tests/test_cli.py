@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assemble_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import masim
 from masim import cli
@@ -72,10 +77,14 @@ class TestRun:
         assert rep["config"]["block_rows"] == best["block_rows"]
 
     def test_infeasible_point_fails_with_table(self, capsys):
-        assert run_cli("run", "--shape", "8x8x8", "--np", "3", "--si", "100") == 2
-        err = capsys.readouterr().err
-        assert "infeasible" in err
-        assert "block rows" in err      # the feasibility rows are listed
+        # too many arrays for the chain, too few PEs, a too-deep accumulator row
+        for point in (("--np", "3", "--si", "100"), ("--np", "1", "--si", "300"),
+                      ("--np", "1", "--si", "64", "--sj", "300")):
+            assert run_cli("run", "--shape", "8x8x8", *point) == 2
+            err = capsys.readouterr().err
+            assert "infeasible" in err
+            assert "block rows" in err      # the feasibility rows are listed
+            assert "block cols > 256" in err
 
     def test_requires_problem(self):
         assert run_cli("run", "--np", "1", "--si", "8") == 2
@@ -94,10 +103,11 @@ class TestRun:
 
 
 class TestInvalidFlags:
-    """Out-of-range numbers are configuration errors: exit 2, one error line,
-    no traceback."""
+    """Out-of-range numbers and unwritable outputs are configuration errors:
+    exit 2, one error line, no traceback."""
 
     POINT = ("--shape", "8x8x8", "--np", "1", "--si", "8")
+    MISSING = "{tmp}/no-such-dir"       # a directory that does not exist
 
     @pytest.mark.parametrize("argv", [
         ("run", *POINT, "--freq", "0"),
@@ -110,19 +120,35 @@ class TestInvalidFlags:
         ("explore", "--shape", "64x64x64", "--candidates", "0,8"),
         ("explore", "--shape", "64x64x64", "--candidates", "x"),
         ("explore", "--shape", "64x64x64", "--candidates", "1000"),
+        ("run", *POINT, "--verify-cutoff", "-5"),
+        ("run", *POINT, "--seed", "-1"),
+        ("run", *POINT, "--out", f"{MISSING}/r.json"),
+        ("run", *POINT, "--trace", f"{MISSING}/t.csv"),
+        ("explore", "--shape", "64x64x64", "--out", f"{MISSING}/t.csv"),
+        ("calibrate", "{tmp}/table.csv", "--out", f"{MISSING}/t.csv"),
+        ("run", *POINT, "--bw-model", "parametric:1e9,nan,0"),
+        ("run", *POINT, "--bw-model", "parametric:1e9,inf,0"),
     ])
-    def test_exits_2_with_one_error_line(self, capsys, argv):
-        self.assert_config_error(capsys, argv)
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        (tmp_path / "table.csv").write_text("n_p,s_i,bytes_per_second\n1,64,1e9\n")
+        self.assert_config_error(capsys, [a.format(tmp=tmp_path) for a in argv])
 
     @pytest.mark.parametrize("rows", [
         "1,64,1e9\n1,128,2e9\n",      # no row for the 2 arrays asked for
         "2,64,fast\n",                 # not a number
+        "1,64\n",                      # a field short
     ])
     def test_calibration_table_errors(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
         table.write_text("n_p,s_i,bytes_per_second\n" + rows)
         self.assert_config_error(capsys, ("run", "--shape", "64x64x64", "--np", "2",
                                           "--si", "64", "--bw-model", str(table)))
+
+    @pytest.mark.parametrize("rows", ["2,64,fast\n", "1,64\n"])
+    def test_calibrate_rejects_malformed_rows(self, tmp_path, capsys, rows):
+        table = tmp_path / "table.csv"
+        table.write_text("n_p,s_i,bytes_per_second\n" + rows)
+        self.assert_config_error(capsys, ("calibrate", str(table)))
 
     @staticmethod
     def assert_config_error(capsys, argv):
@@ -159,6 +185,72 @@ class TestBoundsOk:
         assert type(cli.bounds_ok(est, 1.5)) is bool
 
 
+class TestArgvFuzz:
+    """Any argv, in range or not: exit 0, 1 or 2, never a traceback, and 1
+    only when the report holds a failed check."""
+
+    # flag: (in-range values, out-of-range values); at most one flag of an
+    # argv is out of range, so that most argvs get past parsing
+    COMMON = {
+        "--shape": ([f"{m}x{k}x{n}" for m, k, n in ((8, 8, 8), (24, 5, 17), (1, 24, 3))],
+                    ["0x4x4", "4x-1x4", "4x4"]),
+        "--p": ([64, 4, 8, 1], [0, -1]),
+        "--pm": ([4, 2, 1], [0]),
+        "--freq": (["2e8", "1e6"], ["0", "nan", "inf"]),
+        "--stage": ([8, 0], [-1]),
+        "--bw-model": (["parametric", "ideal", "parametric:1e9,0,0"],
+                       ["no-such.csv", "parametric:1e9,inf,0", "parametric:0,1,1"]),
+        "--contention": (["per_array", "shared_port"], ["both"]),
+        "--seed": ([0, 7], [-1]),
+    }
+    RUN = {
+        "--np": ([1, 2, 3, 4], [0, -1, 5]),
+        "--si": ([1, 4, 8, 16, 24], [0, 300]),
+        "--sj": ([1, 4, 8, 16, 24], [0, 300]),
+        "--verify-cutoff": ([10**12, 0], [-1]),
+    }
+    EXPLORE = {"--candidates": (["2,4", "16", "1,8,24"], ["300", "0,8", "x"])}
+    SWITCHES = {"run": ["--no-steal", "--fast-numerics", "--no-verify", "--auto"],
+                "explore": ["--no-steal", "--fast-numerics", "--simulate"]}
+
+    @st.composite
+    def argvs(draw, common=COMMON, run=RUN, explore=EXPLORE, switches=SWITCHES):
+        command = draw(st.sampled_from(["run", "explore"]))
+        flags = {**common, **(run if command == "run" else explore)}
+        bad = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
+        argv = [command] + [f for f in switches[command] if draw(st.booleans())]
+        auto = "--auto" in argv           # which replaces the design point
+        for flag, (good, out_of_range) in flags.items():
+            point = flag in ("--np", "--si", "--sj")
+            needed = flag == "--shape" or (point and flag != "--sj" and not auto)
+            if flag == bad or needed or (not (point and auto) and draw(st.booleans())):
+                value = draw(st.sampled_from(out_of_range if flag == bad else good))
+                argv.append(f"{flag}={value}")
+        return argv
+
+    @given(argv=argvs())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_exit_status_contract(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = cli.main([*argv, "--out", str(out)])
+                except SystemExit as exc:       # argparse rejected a flag value
+                    code = exc.code
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
+            failed = False
+            if code != 2:
+                report = load_report(out)
+                if argv[0] == "run":
+                    failed = False in report["checks"].values()
+                else:
+                    failed = any(r.get("in_bounds") is False for r in report["entries"])
+            assert (code == 1) == failed, (argv, err.getvalue())
+
+
 def test_cli_import_loads_no_pool_module():
     # concurrent.futures alone costs milliseconds of start-up on every run
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import masim.cli; "
@@ -177,10 +269,9 @@ class TestOutputAndOracle:
                        "--sj", "8", "--seed", "4", "--out", str(out_path)) == 0
         [(a, b, out)] = cli_output
         grid = masim.partition(50, 43, 32, 16, 8)
-        layout, active = masim.layout_for_point(2, 16, 64, 4)
-        rep = masim.run_mpe(layout, grid, masim.partition_workload(grid, 2),
-                            masim.ParametricBandwidth(), active_arrays=active)
-        tiles = assemble_run(rep, layout, active, grid, a, b)
+        machine = masim.Machine()
+        rep = masim.run_mpe(machine, grid, masim.partition_workload(grid, 2))
+        tiles = assemble_run(rep, machine, grid, a, b)
         assert np.array_equal(out.view(np.uint32), tiles.view(np.uint32))
 
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):

@@ -87,6 +87,11 @@ class TestParametricBandwidth:
             masim.ParametricBandwidth(peak_bps=0)
         with pytest.raises(ValueError):
             masim.ParametricBandwidth(contention=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                masim.ParametricBandwidth(latency_elems=bad)
+            with pytest.raises(ValueError):
+                masim.ParametricBandwidth(contention=bad)
 
     def test_validates_arguments(self):
         m = masim.ParametricBandwidth()

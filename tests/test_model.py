@@ -7,6 +7,11 @@ import masim
 CONV1 = masim.ProblemShape(96, 363, 3025)
 CONV2 = masim.ProblemShape(128, 1200, 729)
 FC6 = masim.ProblemShape(128, 9216, 4096)
+MACHINE = masim.Machine()
+
+
+def machine(bw_model):
+    return masim.Machine(bw_model=bw_model)
 
 
 class TestWorkPerArray:
@@ -32,23 +37,25 @@ class TestWorkPerArray:
 
 class TestComputeTime:
     def test_fc6_at_two_by_128(self):
-        t = masim.t_compute(FC6, masim.DesignPoint(2, 128), fmac_stages=8, f_acc=2e8)
+        t = masim.t_compute(FC6, masim.DesignPoint(2, 128), MACHINE)
         assert t == pytest.approx(16 * 1179784 / 2e8)
         assert t == pytest.approx(0.09438272)
 
     def test_formula_collapse(self):
         shape = masim.ProblemShape(16, 1, 16)
-        t = masim.t_compute(shape, masim.DesignPoint(1, 16), fmac_stages=0, f_acc=1e6)
+        t = masim.t_compute(shape, masim.DesignPoint(1, 16),
+                            masim.Machine(fmac_stages=0, f_acc=1e6))
         assert t == pytest.approx((16 + 16) / 1e6)
 
     def test_conv2_at_two_by_128(self):
-        t = masim.t_compute(CONV2, masim.DesignPoint(2, 128), fmac_stages=8, f_acc=2e8)
+        t = masim.t_compute(CONV2, masim.DesignPoint(2, 128), MACHINE)
         assert t == pytest.approx(3 * (128 + 153600 + 8) / 2e8)
         assert t == pytest.approx(2.30604e-3)
 
     def test_rejects_bad_frequency(self):
-        with pytest.raises(ValueError):
-            masim.t_compute(CONV2, masim.DesignPoint(1, 64), f_acc=0)
+        for f_acc in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                masim.Machine(f_acc=f_acc)
 
 
 class TestTransferTimeModel:
@@ -56,41 +63,38 @@ class TestTransferTimeModel:
         shape = masim.ProblemShape(64, 100, 64)
         point = masim.DesignPoint(1, 64)
         bw = masim.ParametricBandwidth(1e9, 0, 0)
-        assert masim.t_trans(shape, point, bw) == pytest.approx(
+        assert masim.t_trans(shape, point, machine(bw)) == pytest.approx(
             masim.t_work(shape, point, 1e9))
 
     def test_conv1_chain(self):
         point = masim.DesignPoint(2, 128)
         bw = masim.ParametricBandwidth(1.6e9, 0, 0)   # flat 1.6e9 at any point
-        assert masim.t_trans(CONV1, point, bw) == pytest.approx(12 * 273.28e-6)
+        assert masim.t_trans(CONV1, point, machine(bw)) == pytest.approx(12 * 273.28e-6)
 
     def test_doubling_bandwidth_halves_transfer(self):
         point = masim.DesignPoint(2, 64)
-        t1 = masim.t_trans(CONV2, point, masim.ParametricBandwidth(1e9, 0, 0))
-        t2 = masim.t_trans(CONV2, point, masim.ParametricBandwidth(2e9, 0, 0))
+        t1 = masim.t_trans(CONV2, point, machine(masim.ParametricBandwidth(1e9, 0, 0)))
+        t2 = masim.t_trans(CONV2, point, machine(masim.ParametricBandwidth(2e9, 0, 0)))
         assert t1 == pytest.approx(2 * t2)
 
 
 class TestBounds:
     def test_lower_never_exceeds_upper(self):
-        bw = masim.ParametricBandwidth()
         for shape in (CONV1, CONV2, FC6):
-            for point in masim.feasible_points():
-                est = masim.bounds(shape, point, bw_model=bw)
+            for point in masim.feasible_points(MACHINE):
+                est = masim.bounds(shape, point, MACHINE)
                 assert est.lower_seconds <= est.upper_seconds
                 assert est.gflops_lower <= est.gflops_upper
 
     def test_fc6_upper_gflops_brackets_measured(self):
-        est = masim.bounds(FC6, masim.DesignPoint(2, 128),
-                           bw_model=masim.ParametricBandwidth())
+        est = masim.bounds(FC6, masim.DesignPoint(2, 128), MACHINE)
         assert est.gflops_upper == pytest.approx(102.4, abs=0.1)
         measured = 100.9
         assert measured < est.gflops_upper
         assert (est.gflops_upper - measured) / measured < 0.02
 
     def test_estimate_fields_consistent(self):
-        est = masim.bounds(CONV2, masim.DesignPoint(2, 128),
-                           bw_model=masim.ParametricBandwidth())
+        est = masim.bounds(CONV2, masim.DesignPoint(2, 128), MACHINE)
         assert est.lower_seconds == est.compute_seconds
         assert est.upper_seconds == pytest.approx(
             est.transfer_seconds + est.compute_seconds)
@@ -98,59 +102,67 @@ class TestBounds:
             est.work_per_array * est.load_seconds)
 
 
+def counts(block_rows, block_cols=None, m=MACHINE):
+    return list(m.array_counts(block_rows, block_rows if block_cols is None else block_cols))
+
+
 class TestFeasibility:
     def test_short_blocks_allow_all_counts(self):
-        assert masim.feasible_array_counts(32) == [1, 2, 3, 4]
+        assert counts(32) == [1, 2, 3, 4]
 
     def test_medium_blocks(self):
-        assert masim.feasible_array_counts(100) == [1, 2]
+        assert counts(100) == [1, 2]
 
     def test_long_blocks(self):
-        assert masim.feasible_array_counts(200) == [1]
+        assert counts(200) == [1]
 
     def test_too_long(self):
-        assert masim.feasible_array_counts(300) == []
+        assert counts(300) == []
 
     def test_boundaries(self):
-        assert masim.feasible_array_counts(64) == [1, 2, 3, 4]
-        assert masim.feasible_array_counts(65) == [1, 2]
-        assert masim.feasible_array_counts(128) == [1, 2]
-        assert masim.feasible_array_counts(129) == [1]
-        assert masim.feasible_array_counts(256) == [1]
-        assert masim.feasible_array_counts(257) == []
+        assert counts(64) == [1, 2, 3, 4]
+        assert counts(65) == [1, 2]
+        assert counts(128) == [1, 2]
+        assert counts(129) == [1]
+        assert counts(256) == [1]
+        assert counts(257) == []
+        # the accumulator depth bounds the block columns
+        assert counts(8, 256) == [1, 2, 3, 4]
+        assert counts(8, 257) == []
 
     def test_generalised_geometry(self):
         # two base arrays of 32 PEs
-        assert masim.feasible_array_counts(16, pes_per_base=32, max_arrays=2) == [1, 2]
-        assert masim.feasible_array_counts(40, pes_per_base=32, max_arrays=2) == [1]
-        assert masim.feasible_array_counts(70, pes_per_base=32, max_arrays=2) == []
+        m = masim.Machine(pes_per_base=32, max_arrays=2)
+        assert counts(16, m=m) == [1, 2]
+        assert counts(40, m=m) == [1]
+        assert counts(70, m=m) == []
 
     def test_feasible_points_sound(self):
-        for p in masim.feasible_points():
-            assert masim.is_feasible(p)
-        assert not masim.is_feasible(masim.DesignPoint(3, 100))
-        assert not masim.is_feasible(masim.DesignPoint(2, 200))
+        for p in masim.feasible_points(MACHINE):
+            MACHINE.check(p.n_arrays, p.block_rows, p.block_cols)
+        for n_arrays, block_rows in ((3, 100), (2, 200)):
+            with pytest.raises(masim.InfeasibleBlockError):
+                MACHINE.check(n_arrays, block_rows, block_rows)
 
     def test_default_candidates(self):
-        assert masim.default_block_candidates(64) == [8, 16, 32, 64, 96, 128, 192, 256]
+        assert masim.default_block_candidates(MACHINE) == [8, 16, 32, 64, 96, 128, 192, 256]
 
 
 class TestPeak:
     def test_default_machine_peak(self):
-        assert masim.peak_gflops(2e8, 4, 64) == 102.4
+        assert MACHINE.peak_gflops == 102.4
 
     def test_upper_gflops_never_beats_peak(self):
-        bw = masim.ParametricBandwidth()
-        peak = masim.peak_gflops(2e8, 4, 64)
+        peak = MACHINE.peak_gflops
         for shape in (CONV1, CONV2, FC6):
-            for entry in masim.explore(shape, bw_model=bw).entries:
+            for entry in masim.explore(shape, MACHINE).entries:
                 assert entry.estimate.gflops_upper <= peak + 1e-9
 
     def test_upper_gflops_bounded_by_own_configuration(self):
-        bw = masim.IdealBandwidth()
+        ideal = machine(masim.IdealBandwidth())
         for shape in (CONV2, masim.ProblemShape(333, 41, 577)):
-            for point in masim.feasible_points():
-                est = masim.bounds(shape, point, bw_model=bw)
+            for point in masim.feasible_points(ideal):
+                est = masim.bounds(shape, point, ideal)
                 chains = -(-point.block_rows // 64)
                 pe_count = chains * 64
                 cap = 2.0 * 2e8 * point.n_arrays * pe_count / 1e9
@@ -159,14 +171,13 @@ class TestPeak:
 
 class TestExplore:
     def test_abundant_bandwidth_ranks_by_compute(self):
-        result = masim.explore(CONV2, bw_model=masim.IdealBandwidth())
+        result = masim.explore(CONV2, machine(masim.IdealBandwidth()))
         uppers = [e.estimate.upper_seconds for e in result.entries]
         computes = [e.estimate.compute_seconds for e in result.entries]
         assert uppers == computes == sorted(computes)
 
     def test_single_candidate_single_row(self):
-        result = masim.explore(CONV2, bw_model=masim.ParametricBandwidth(),
-                               candidates=[200])
+        result = masim.explore(CONV2, MACHINE, candidates=[200])
         assert len(result.entries) == 1
         assert result.best.point == masim.DesignPoint(1, 200)
 
@@ -179,22 +190,20 @@ class TestExplore:
             (3, 16): 4e8, (3, 32): 5.5e8,
             (4, 16): 3.5e8, (4, 32): 4.5e8,
         })
-        result = masim.explore(CONV2, bw_model=table, candidates=[16, 32])
+        result = masim.explore(CONV2, machine(table), candidates=[16, 32])
         ranked = [(e.point.n_arrays, e.point.block_rows) for e in result.entries]
         assert ranked.index((1, 32)) < ranked.index((2, 16))
 
     def test_rejects_empty_candidates(self):
-        with pytest.raises(ValueError):
-            masim.explore(CONV2, bw_model=masim.ParametricBandwidth(),
-                          candidates=[2048])
+        with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
+            masim.explore(CONV2, MACHINE, candidates=[2048])
 
     def test_rectangular_point_keeps_general_formulas(self):
-        est = masim.bounds(CONV2, masim.DesignPoint(2, 128, 64),
-                           bw_model=masim.ParametricBandwidth())
+        est = masim.bounds(CONV2, masim.DesignPoint(2, 128, 64), MACHINE)
         work = masim.n_work(CONV2, 128, 64, 2)
         assert est.work_per_array == work
         assert est.compute_seconds == pytest.approx(
-            work * masim.block_cycles(128, 64, 1200, 8) / 2e8)
+            work * masim.block_cycles(128, 64, 1200, MACHINE) / 2e8)
 
 
 class TestShapeValidation:

@@ -13,28 +13,28 @@ def rand(rng, r, c):
     return rng.random((r, c), dtype=np.float32)
 
 
-def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, **kwargs):
+def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, slowdowns=None,
+                **machine_fields):
     """Schedule an m x k x n problem; return the report and its per-tile output."""
     rng = np.random.default_rng(seed)
     a, b = rand(rng, m, k), rand(rng, k, n)
     grid = masim.partition(m, n, k, si, sj)
-    layout, active = masim.layout_for_point(n_arrays, si, 64, 4)
+    machine = masim.Machine(bw_model=bw_model, **machine_fields)
     queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(layout, grid, queues, bw_model, active_arrays=active, **kwargs)
-    return rep, a, b, assemble_run(rep, layout, active, grid, a, b)
+    rep = masim.run_mpe(machine, grid, queues, slowdowns=slowdowns)
+    return rep, a, b, assemble_run(rep, machine, grid, a, b)
 
 
 def schedule(shape, n_arrays, si):
-    """Layout, grid and queues for a square-block point; no matrix data."""
+    """Grid and queues for a square-block point; no matrix data."""
     grid = masim.partition(shape.m, shape.n, shape.depth, si, si)
-    layout, _ = masim.layout_for_point(n_arrays, si, 64, 4)
-    return layout, grid, masim.partition_workload(grid, n_arrays)
+    return grid, masim.partition_workload(grid, n_arrays)
 
 
 class TestSingleBlock:
     def test_ideal_bandwidth_charges_exact_block_cycles(self):
         rep, *_ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
-        assert rep.total_cycles == masim.block_cycles(8, 8, 8, 8)
+        assert rep.total_cycles == masim.block_cycles(8, 8, 8, masim.Machine())
         assert rep.arrays[0].idle_cycles == 0
 
     def test_finite_bandwidth_adds_first_fetch(self):
@@ -42,7 +42,7 @@ class TestSingleBlock:
         rep, *_ = run_problem(8, 8, 8, 8, 8, 1, bw)
         grid = masim.partition(8, 8, 8, 8, 8)
         plan = masim.plan_for_tile(grid, 0, 0)
-        expected = plan.in_bytes / 1e6 + masim.block_cycles(8, 8, 8, 8) / 2e8 \
+        expected = plan.in_bytes / 1e6 + masim.block_cycles(8, 8, 8, masim.Machine()) / 2e8 \
             + plan.out_bytes / 1e6
         assert rep.time_seconds == pytest.approx(expected)
 
@@ -67,10 +67,11 @@ class TestBalancedRun:
         # (16x8 blocks, so the phase synchroniser stalls)
         rep, a, b, _ = run_problem(32, 96, 16, 16, 8, 4, masim.ParametricBandwidth(),
                                    drain_width=4)
-        array = masim.layout_for_point(4, 16, 64, 4)[0].arrays[0]
+        machine = masim.Machine(drain_width=4)
+        array = masim.layout_for_point(machine, 4, 16, 8).arrays[0]
         res = masim.simulate_block(array, masim.BlockJob(a[:16], b[:, :8], 16, 8, 16),
-                                   drain_width=4)
-        assert res.cycles == masim.block_cycles(16, 8, 16, 8) and res.stall_cycles > 0
+                                   machine)
+        assert res.cycles == masim.block_cycles(16, 8, 16, machine) and res.stall_cycles > 0
         for s in rep.arrays:
             n = s.blocks_executed
             assert (s.prefetch_cycles, s.compute_cycles, s.stall_cycles) == (
@@ -109,19 +110,18 @@ class TestBracketing:
     def test_conv2_within_model_bounds(self):
         shape = masim.ProblemShape(128, 1200, 729)
         point = masim.DesignPoint(2, 128)
-        bw = masim.ParametricBandwidth()
-        est = masim.bounds(shape, point, bw_model=bw)
-        rep = masim.run_mpe(*schedule(shape, 2, 128), bw, active_arrays=[0, 1])
+        machine = masim.Machine()
+        est = masim.bounds(shape, point, machine)
+        rep = masim.run_mpe(machine, *schedule(shape, 2, 128))
         assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds <= est.upper_seconds
 
     def test_bounds_hold_across_points(self):
         shape = masim.ProblemShape(96, 80, 200)
-        bw = masim.ParametricBandwidth(8e8, 32, 0.4)
+        machine = masim.Machine(bw_model=masim.ParametricBandwidth(8e8, 32, 0.4))
         for n_arrays, si in [(1, 16), (2, 16), (4, 16), (1, 48), (2, 48), (1, 96)]:
             point = masim.DesignPoint(n_arrays, si)
-            est = masim.bounds(shape, point, bw_model=bw)
-            rep = masim.run_mpe(*schedule(shape, n_arrays, si), bw,
-                                active_arrays=list(range(n_arrays)))
+            est = masim.bounds(shape, point, machine)
+            rep = masim.run_mpe(machine, *schedule(shape, n_arrays, si))
             assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds \
                 <= est.upper_seconds, (n_arrays, si)
 
@@ -157,10 +157,9 @@ class TestTraceOutput:
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "trace.csv"
         grid = masim.partition(8, 8, 4, 4, 4)
-        layout, active = masim.layout_for_point(2, 4, 64, 4)
         queues = masim.partition_workload(grid, 2)
-        rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                            trace_path=path, active_arrays=active)
+        rep = masim.run_mpe(masim.Machine(bw_model=masim.IdealBandwidth()), grid, queues,
+                            trace_path=path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["cycle", "array", "event", "block"]
@@ -177,17 +176,17 @@ class TestTraceOutput:
 
 class TestErrorPaths:
     def test_infeasible_block_rejected_upfront(self):
-        grid = masim.partition(128, 16, 8, 128, 16)
-        layout, _ = masim.layout_for_point(4, 16, 64, 4)   # arrays of 64 PEs
-        queues = masim.partition_workload(grid, 4)
-        with pytest.raises(masim.InfeasibleBlockError):
-            masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                          active_arrays=[0, 1, 2, 3])
+        # four arrays of 64 PEs cannot hold 128-row blocks, and no array
+        # holds 257-column blocks
+        for si, sj, n_arrays in ((128, 16, 4), (16, 257, 1)):
+            grid = masim.partition(128, 300, 8, si, sj)
+            queues = masim.partition_workload(grid, n_arrays)
+            with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
+                masim.run_mpe(masim.Machine(), grid, queues)
 
-    def test_queue_count_must_match_active(self):
+    def test_more_queues_than_the_machine_can_field(self):
         grid = masim.partition(8, 8, 4, 4, 4)
-        layout, _ = masim.layout_for_point(2, 4, 64, 4)
-        queues = masim.partition_workload(grid, 2)
-        with pytest.raises(ValueError):
-            masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                          active_arrays=[0])
+        machine = masim.Machine(max_arrays=2)
+        masim.run_mpe(machine, grid, masim.partition_workload(grid, 2))
+        with pytest.raises(masim.InfeasibleBlockError):
+            masim.run_mpe(machine, grid, masim.partition_workload(grid, 3))

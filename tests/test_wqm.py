@@ -110,13 +110,12 @@ class TestSteal:
         # cycles); with stealing the fast array takes one of them and the
         # slow array finishes 3 (3 * 40 = 120 cycles).
         grid = masim.partition(8, 16, 4, 4, 4)
-        layout, active = masim.layout_for_point(2, 4, 64, 4)
+        machine = masim.Machine(fmac_stages=0, bw_model=masim.IdealBandwidth())
         results = {}
         for steal_on in (False, True):
             queues = masim.partition_workload(grid, 2)
-            rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                                fmac_stages=0, steal=steal_on,
-                                slowdowns={0: 2.0}, active_arrays=active)
+            rep = masim.run_mpe(machine, grid, queues, steal=steal_on,
+                                slowdowns={0: 2.0})
             results[steal_on] = rep
         assert results[False].total_cycles == 160
         assert results[True].total_cycles == 120
@@ -154,6 +153,7 @@ class TestQueueInvariants:
 class TestStealInsideRuns:
     def test_exactly_once_under_heavy_stealing(self):
         rng = np.random.default_rng(1)
+        machine = masim.Machine(bw_model=masim.IdealBandwidth())
         for trial in range(25):
             m = int(rng.integers(2, 6)) * 4
             n = int(rng.integers(2, 6)) * 4
@@ -161,29 +161,25 @@ class TestStealInsideRuns:
             a = rng.random((m, 4), dtype=np.float32)
             b = rng.random((4, n), dtype=np.float32)
             n_arrays = int(rng.integers(2, 5))
-            layout, active = masim.layout_for_point(n_arrays, 4, 64, 4)
             slow = {i: float(rng.choice([1.0, 2.0, 4.0])) for i in range(n_arrays)}
             queues = masim.partition_workload(grid, n_arrays)
-            rep = masim.run_mpe(layout, grid, queues,
-                                masim.IdealBandwidth(), steal=True,
-                                slowdowns=slow, active_arrays=active)
+            rep = masim.run_mpe(machine, grid, queues, steal=True, slowdowns=slow)
             executed = sorted(t for s in rep.arrays for t in s.tiles)
             assert executed == list(range(grid.tile_count))
-            out = assemble_run(rep, layout, active, grid, a, b)
+            out = assemble_run(rep, machine, grid, a, b)
             assert np.array_equal(out, masim.reference_gemm(a, b))
 
     def test_makespan_dominance(self):
         rng = np.random.default_rng(2)
+        machine = masim.Machine(bw_model=masim.IdealBandwidth())
         for trial in range(10):
             m, n = 16, int(rng.integers(3, 8)) * 4
             grid = masim.partition(m, n, 8, 4, 4)
             slow = {i: float(rng.choice([1.0, 1.5, 3.0])) for i in range(4)}
-            layout, active = masim.layout_for_point(4, 4, 64, 4)
             times = {}
             for steal_on in (False, True):
                 queues = masim.partition_workload(grid, 4)
-                rep = masim.run_mpe(layout, grid, queues, masim.IdealBandwidth(),
-                                    steal=steal_on, slowdowns=slow,
-                                    active_arrays=active)
+                rep = masim.run_mpe(machine, grid, queues, steal=steal_on,
+                                    slowdowns=slow)
                 times[steal_on] = rep.time_seconds
             assert times[True] <= times[False] * (1 + 1e-12)
