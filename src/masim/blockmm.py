@@ -1,21 +1,21 @@
 """Tiling arithmetic, the k-ordered GEMM kernel and the float64 oracle.
 
-Element data is float32 throughout. reference_gemm is the one k-ordered
-accumulation kernel: the inner dimension is summed in strictly ascending k
-order, so the whole-matrix product, a single tile and the cycle-level PE
-walk all round identically and agree bit for bit. The kernel runs every k
-on one row panel of the output before it moves to the next, so the panel
-stays in L2 across the k loop, and a large output is split into row bands,
-one per core the process may run on, each band on its own thread. Neither
-the panels nor the bands change any element's order of summation, so the
-bits do not depend on the core count. A float64 accumulation mode is
-available on the kernel for tolerance analysis, and max_rel_error is the
-float64 oracle the CLI checks every output against.
+Element data and accumulation are float32 throughout. reference_gemm is
+the one k-ordered accumulation kernel: the inner dimension is summed in
+strictly ascending k order, so the whole-matrix product, the kernel on
+one tile's slices of A and B, and the cycle-level PE walk
+(mpe.trace_block) all round identically and agree bit for bit. The
+kernel runs every k on one row panel of the output before it moves to
+the next, so the panel stays in L2 across the k loop, and a large output
+is split into row bands, one per core the process may run on, each band
+on its own thread. Neither the panels nor the bands change any element's
+order of summation, so the bits do not depend on the core count.
+max_rel_error is the float64 oracle the CLI checks every output against.
 
-Padding is logical: a tile at the ragged edge of the grid reads
-out-of-range elements as zero instead of materialising padded copies of
-the operands. Traffic accounting elsewhere still charges full padded
-blocks, which is exactly what the transfer model assumes.
+Padding exists only in the traffic accounting: mac charges every tile
+full padded blocks, which is exactly what the transfer model assumes. A
+tile's numerics are the kernel on its slices A[r0:r1] and B[:, c0:c1];
+padding would only add output rows and columns that are cropped.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ KERNEL_PANEL_ELEMS = 1 << 17
 # eleven shapes tried (256x363x256 broke even, 256x1200x256 ran 11-28%
 # slower); bands of 8k-11k elements ran 24-72% slower, because handing the
 # GIL round the per-k ufunc calls cost more than the second core saved.
-# Outputs under 2**16 elements stay serial: conv-3..5 and the 128x128 and
-# 192x192 blocks --auto picks, as mpe.simulate_block and multiply_blocked
-# pass them.
+# Outputs under 2**16 elements stay serial: conv-3..5, and a single
+# 128x128 or 192x192 tile (the blocks --auto picks).
 KERNEL_BAND_MIN_ELEMS = 1 << 15
 
 
@@ -117,56 +116,6 @@ def partition(m: int, n: int, depth: int, block_rows: int, block_cols: int) -> T
     )
 
 
-@dataclass(frozen=True)
-class Tile:
-    """One (tile_row, tile_col) task: a block_rows x depth slice of A against
-    a depth x block_cols slice of B, with zero fill past the matrix edges."""
-
-    grid: TileGrid
-    tile_row: int
-    tile_col: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if not (0 <= self.tile_row < self.grid.grid_rows):
-            raise ValueError(f"tile_row {self.tile_row} outside grid")
-        if not (0 <= self.tile_col < self.grid.grid_cols):
-            raise ValueError(f"tile_col {self.tile_col} outside grid")
-
-    def sa(self) -> np.ndarray:
-        """Block of A: block_rows x depth, zero-filled below row m."""
-        g = self.grid
-        r0 = self.tile_row * g.block_rows
-        r1 = min(r0 + g.block_rows, g.m)
-        if r1 - r0 == g.block_rows:
-            return self.a[r0:r1, :]
-        out = np.zeros((g.block_rows, g.depth), DTYPE)
-        out[: r1 - r0, :] = self.a[r0:r1, :]
-        return out
-
-    def sb(self) -> np.ndarray:
-        """Block of B: depth x block_cols, zero-filled right of column n."""
-        g = self.grid
-        c0 = self.tile_col * g.block_cols
-        c1 = min(c0 + g.block_cols, g.n)
-        if c1 - c0 == g.block_cols:
-            return self.b[:, c0:c1]
-        out = np.zeros((g.depth, g.block_cols), DTYPE)
-        out[:, : c1 - c0] = self.b[:, c0:c1]
-        return out
-
-
-def make_tile(grid: TileGrid, tile_row: int, tile_col: int, a, b) -> Tile:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != (grid.m, grid.depth):
-        raise ValueError(f"a has shape {a.shape}, grid expects {(grid.m, grid.depth)}")
-    if b.shape != (grid.depth, grid.n):
-        raise ValueError(f"b has shape {b.shape}, grid expects {(grid.depth, grid.n)}")
-    return Tile(grid, tile_row, tile_col, a, b)
-
-
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity, else the CPU count."""
     try:
@@ -217,7 +166,7 @@ def _k_loop_bands(aa: np.ndarray, bb: np.ndarray, out: np.ndarray, bands: int) -
         raise errors[0]
 
 
-def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
+def reference_gemm(a, b) -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
     This is the accelerator's numerics: each PE accumulates its output
@@ -225,9 +174,7 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     matrix, to one tile, or walked cycle by cycle gives the same bits. The
     sum is built as a sequence of rank-1 updates, one per k, so the
     rounding sequence per output element is fully determined: every element
-    gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ... With
-    accumulate="f64" the updates run in float64 (returned as float64) for
-    use as a higher-precision yardstick.
+    gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ..., in float32.
 
     The updates are applied one row panel of C at a time (see
     KERNEL_PANEL_ELEMS): all k for rows r0..r1, then all k for the next
@@ -244,38 +191,11 @@ def reference_gemm(a, b, accumulate: str = "f32") -> np.ndarray:
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
-    if accumulate == "f32":
-        dt = np.float32
-    elif accumulate == "f64":
-        dt = np.float64
-    else:
-        raise ValueError(f"unknown accumulate mode {accumulate!r}")
-    aa = a.astype(dt, copy=False)
-    bb = b.astype(dt, copy=False)
     m, n = a.shape[0], b.shape[1]
-    out = np.zeros((m, n), dt)
+    out = np.zeros((m, n), DTYPE)
     bands = min(m, m * n // KERNEL_BAND_MIN_ELEMS, usable_cores())
-    _k_loop_bands(aa, bb, out, max(bands, 1))
+    _k_loop_bands(a, b, out, max(bands, 1))
     return out
-
-
-def multiply_blocked(a, b, grid: TileGrid) -> np.ndarray:
-    """Full blocked product: run every tile, assemble, crop the padding.
-
-    Functional (untimed) counterpart of what the array simulator computes;
-    bitwise equal to reference_gemm(a, b) because the k order matches.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    out = np.zeros((grid.padded_rows, grid.padded_cols), DTYPE)
-    for tid in range(grid.tile_count):
-        i, j = grid.tile_coords(tid)
-        tile = make_tile(grid, i, j, a, b)
-        r0 = i * grid.block_rows
-        c0 = j * grid.block_cols
-        out[r0: r0 + grid.block_rows, c0: c0 + grid.block_cols] = \
-            reference_gemm(tile.sa(), tile.sb())
-    return out[: grid.m, : grid.n]
 
 
 def max_rel_error(a, b, out) -> float:

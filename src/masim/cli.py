@@ -20,8 +20,9 @@ is handed to every model and simulator call of a command.
 
 Reports are deterministic for a fixed configuration and seed (only the
 created_at field varies). Exit status is 0 on success, 1 when any check
-fails, 2 for infeasible or invalid configurations and for input or output
-files that cannot be opened.
+fails, 2 for infeasible or invalid configurations (a simulated time too
+long to count in cycles included) and for input or output files that
+cannot be opened.
 """
 
 from __future__ import annotations
@@ -377,7 +378,9 @@ def main(argv=None) -> int:
     except (CliError, InfeasibleBlockError, mac.CalibrationMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:          # e.g. an --out or --trace path in a missing directory
+    except (OSError, OverflowError) as exc:
+        # e.g. an --out or --trace path in a missing directory, or a
+        # makespan too long to count in cycles
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,15 +158,25 @@ class ExploreResult:
 def explore(shape: ProblemShape, machine: Machine, candidates=None) -> ExploreResult:
     """Rank all feasible design points for a problem shape.
 
-    Primary key: minimise the worst-case bound. Ties fall back to the
-    best-case bound, then to fewer arrays, then to the smaller block.
-    Raises InfeasibleBlockError when no candidate is feasible.
+    Only the points the bandwidth model can rate are ranked: a calibration
+    table may cover some array counts and not others. Primary key:
+    minimise the worst-case bound. Ties fall back to the best-case bound,
+    then to fewer arrays, then to the smaller block. Raises
+    InfeasibleBlockError when no candidate is feasible, and the model's
+    mac.CalibrationMissingError when it can rate no feasible point.
     """
     points = feasible_points(machine, candidates)
     if not points:
         # every candidate fails the rule; let it say why for the smallest
         machine.check(1, min(candidates), min(candidates))
-    entries = [ExploreEntry(p, bounds(shape, p, machine)) for p in points]
+    entries, missing = [], None
+    for p in points:
+        try:
+            entries.append(ExploreEntry(p, bounds(shape, p, machine)))
+        except mac.CalibrationMissingError as exc:
+            missing = missing or exc
+    if not entries:
+        raise missing
     entries.sort(key=lambda e: (e.estimate.upper_seconds, e.estimate.lower_seconds,
                                 e.point.n_arrays, e.point.block_rows))
     return ExploreResult(entries)

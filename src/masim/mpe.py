@@ -1,13 +1,14 @@
 """Matrix processing engine: the machine and its configurable linear PE arrays.
 
 Machine is the one validated configuration every other module takes, and
-Machine.array_counts the one feasibility rule that layout_for_point,
-simulate_block, trace_block, the simulator and the explorer all apply.
+Machine.array_counts the one feasibility rule that trace_block, the
+simulator and the explorer all apply.
 
 Adjacent base arrays can be chained through multiplexers into longer
-effective arrays (cooperation mode); with all multiplexers off each base
-array runs independently. A block executes on one effective array in three
-stages:
+effective arrays (cooperation mode): a block of block_rows runs on a chain
+of Machine.chain(block_rows) base arrays, and with all multiplexers off
+each base array runs independently. A block executes on one effective
+array in three stages:
 
   prefetch   the first column of the A block streams through the chain,
              each PE latching the element matching its position
@@ -24,15 +25,14 @@ Per-block charged cycles are therefore
     block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
 exactly. block_charges gives this total and its breakdown; the run loop
-in the simulator charges it and never touches matrix data. Two per-block
-implementations tie the timing to the numerics: simulate_block returns
-block_charges and the block's tile from the k-ordered kernel
-blockmm.reference_gemm, and trace_block walks the dataflow cycle by
-cycle with explicit PE state and FIFO hops (the audit of the closed form
-and of the register-reuse invariants). Both produce bit-identical
-numerics because they apply the same float32 multiply-add sequence per
-output element, which is also why the whole-matrix kernel equals the
-tiles a run assembles.
+in the simulator charges it and never touches matrix data. trace_block
+ties the timing to the numerics: it walks one block's dataflow cycle by
+cycle with explicit PE state and FIFO hops, checks the walk against
+block_charges and the register-reuse invariants, and returns the same
+bits as the k-ordered kernel blockmm.reference_gemm on the block, because
+both apply the same float32 multiply-add sequence per output element.
+That is also why the whole-matrix kernel equals the tiles a run
+assembles.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blockmm import DTYPE, reference_gemm
+from .blockmm import DTYPE, as_matrix
 from .mac import BandwidthModel, ParametricBandwidth
 
 
@@ -63,8 +63,8 @@ class Machine:
     result drain of drain_width elements per cycle. bw_model gives the
     effective bandwidth (anything with rate(n_arrays, block_rows));
     contention is the transfer regime of the simulator ("per_array" or
-    "shared_port"). Every model, layout and simulation call takes its
-    machine parameters from one Machine, so they cannot disagree.
+    "shared_port"). Every model and simulation call takes its machine
+    parameters from one Machine, so they cannot disagree.
     """
 
     pes_per_base: int = 64
@@ -103,29 +103,27 @@ class Machine:
         """Every PE retires one multiply-add per cycle."""
         return 2.0 * self.f_acc * self.max_arrays * self.pes_per_base / 1e9
 
-    def array_counts(self, block_rows: int, block_cols: int,
-                     bases: int | None = None) -> range:
+    def array_counts(self, block_rows: int, block_cols: int) -> range:
         """The feasibility rule: the array counts that can run the block.
 
         Each array chains the ceil(block_rows / pes_per_base) base arrays a
-        block of block_rows needs, and the chains must fit in bases base
-        arrays (all of them by default); block_cols must fit the
-        accumulator depth. Empty when no count can.
+        block of block_rows needs, and the chains must fit in the
+        max_arrays base arrays; block_cols must fit the accumulator depth.
+        Empty when no count can.
         """
         if block_rows < 1 or block_cols < 1:
             raise ValueError("block sizes must be >= 1")
         if block_cols > self.mc_depth:
             return range(0)
-        return range(1, (bases or self.max_arrays) // self.chain(block_rows) + 1)
+        return range(1, self.max_arrays // self.chain(block_rows) + 1)
 
-    def check(self, n_arrays: int, block_rows: int, block_cols: int,
-              bases: int | None = None):
+    def check(self, n_arrays: int, block_rows: int, block_cols: int):
         """Raise InfeasibleBlockError, with the feasibility table, unless
         n_arrays arrays can run block_rows x block_cols blocks."""
-        if n_arrays not in self.array_counts(block_rows, block_cols, bases):
+        if n_arrays not in self.array_counts(block_rows, block_cols):
             raise InfeasibleBlockError(
                 f"design point (n_arrays={n_arrays}, block_rows={block_rows}, "
-                f"block_cols={block_cols}) is infeasible on {bases or self.max_arrays} "
+                f"block_cols={block_cols}) is infeasible on {self.max_arrays} "
                 f"base arrays of {self.pes_per_base} PEs:\n" + self.feasibility_table())
 
     def feasibility_table(self) -> str:
@@ -140,66 +138,6 @@ class Machine:
         lines.append(f"  block cols > {self.mc_depth:<7} -> infeasible "
                      "(accumulator depth)")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class EffectiveArray:
-    array_id: int
-    first_base: int
-    n_bases: int
-    pe_count: int
-
-
-@dataclass(frozen=True)
-class MpeLayout:
-    """Base-array configuration plus the effective arrays it produces."""
-
-    mux: tuple[bool, ...]      # mux[k] joins base arrays k and k+1
-    arrays: tuple[EffectiveArray, ...]
-
-    @property
-    def n_arrays(self) -> int:
-        return len(self.arrays)
-
-
-def configure_mpe(machine: Machine, mux) -> MpeLayout:
-    """Group the machine's base arrays into effective arrays by the mux settings.
-
-    mux must have max_arrays - 1 entries; entry k joins base arrays k and
-    k+1 when enabled.
-    """
-    max_arrays = machine.max_arrays
-    mux = tuple(bool(x) for x in mux)
-    if len(mux) != max_arrays - 1:
-        raise ValueError(
-            f"mux must have {max_arrays - 1} entries for {max_arrays} base arrays, "
-            f"got {len(mux)}")
-    arrays = []
-    first = 0
-    for k in range(max_arrays):
-        if k == max_arrays - 1 or not mux[k]:
-            n_bases = k - first + 1
-            arrays.append(EffectiveArray(
-                array_id=len(arrays), first_base=first, n_bases=n_bases,
-                pe_count=n_bases * machine.pes_per_base))
-            first = k + 1
-    assert len(arrays) == max_arrays - sum(mux)
-    return MpeLayout(mux, tuple(arrays))
-
-
-def layout_for_point(machine: Machine, n_arrays: int, block_rows: int,
-                     block_cols: int | None = None) -> MpeLayout:
-    """Layout whose first n_arrays effective arrays run the design point.
-
-    Each of them chains ceil(block_rows / pes_per_base) adjacent base
-    arrays; leftover base arrays stay independent and unscheduled.
-    block_cols defaults to block_rows. Raises InfeasibleBlockError when
-    the machine cannot run the point.
-    """
-    machine.check(n_arrays, block_rows, block_rows if block_cols is None else block_cols)
-    mux = ([True] * (machine.chain(block_rows) - 1) + [False]) * n_arrays
-    return configure_mpe(machine, (mux + [False] * machine.max_arrays)
-                         [: machine.max_arrays - 1])
 
 
 def psu_stall_plan(block_rows: int, block_cols: int) -> int:
@@ -246,48 +184,6 @@ def block_charges(block_rows: int, block_cols: int, depth: int,
     )
 
 
-@dataclass(frozen=True)
-class BlockJob:
-    """One block's data and geometry, ready to run on an array."""
-
-    sa: np.ndarray             # block_rows x depth
-    sb: np.ndarray             # depth x block_cols
-    block_rows: int
-    block_cols: int
-    depth: int
-    tile_row: int = 0
-    tile_col: int = 0
-
-
-@dataclass(frozen=True)
-class BlockResult:
-    tile: np.ndarray
-    cycles: int
-    prefetch_cycles: int
-    compute_cycles: int
-    stall_cycles: int
-    drain_cycles: int
-
-
-def simulate_block(array: EffectiveArray, job: BlockJob, machine: Machine) -> BlockResult:
-    """Run one block on one of the machine's arrays: exact tile numerics
-    plus charged cycles.
-
-    PE p holds element p of the current A column; each iteration k
-    multiplies that buffered value against the streamed k-th B row and
-    accumulates into the local result memory, which is the k-ordered
-    kernel applied to the block. The cycles are block_charges. Raises
-    InfeasibleBlockError unless the array's base arrays can run the block.
-    """
-    machine.check(1, job.block_rows, job.block_cols, array.n_bases)
-    si, sj, k_depth = job.block_rows, job.block_cols, job.depth
-    if job.sa.shape != (si, k_depth) or job.sb.shape != (k_depth, sj):
-        raise ValueError("job data does not match its geometry")
-
-    return BlockResult(reference_gemm(job.sa, job.sb),
-                       *block_charges(si, sj, k_depth, machine))
-
-
 @dataclass
 class PeState:
     """Architectural state of one PE in the cycle-accurate walk."""
@@ -322,10 +218,14 @@ class _AFlight:
         self.entered_at = entered_at
 
 
-def trace_block(array: EffectiveArray, job: BlockJob, machine: Machine, *,
-                block_id: int = 0
-                ) -> tuple[BlockResult, list[TraceEvent], list[PeState]]:
-    """Cycle-by-cycle walk of one block with explicit PE state.
+def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
+                ) -> tuple[np.ndarray, list[TraceEvent], list[PeState]]:
+    """Cycle-by-cycle walk of one block sa @ sb on one array of the machine.
+
+    Returns the block's tile, the events of the walk and the final PE
+    states. The geometry comes from the operand shapes: sa is block_rows x
+    depth and sb depth x block_cols. Raises InfeasibleBlockError unless the
+    machine can run the block on one array.
 
     Independent of the kernel's whole-iteration updates: A elements
     hop PE to PE through fifo_a one stage per cycle (the column enters the
@@ -333,13 +233,16 @@ def trace_block(array: EffectiveArray, job: BlockJob, machine: Machine, *,
     same cycle), the shadow register is checked against overwrite while
     the active value is still in use, and per-iteration reuse of the
     latched value is counted. Raises AssertionError if any architectural
-    invariant breaks. The B-row stream is modelled at its issue cycle; the
-    per-PE skew of that stream is part of the pipeline constant.
+    invariant breaks, among them a walk whose cycles or stalls disagree
+    with block_charges. The B-row stream is modelled at its issue cycle;
+    the per-PE skew of that stream is part of the pipeline constant.
     """
-    machine.check(1, job.block_rows, job.block_cols, array.n_bases)
-    si, sj, k_depth = job.block_rows, job.block_cols, job.depth
-    sa = np.ascontiguousarray(job.sa, DTYPE)
-    sb = np.ascontiguousarray(job.sb, DTYPE)
+    sa = as_matrix(sa, "sa")
+    sb = as_matrix(sb, "sb")
+    (si, k_depth), sj = sa.shape, sb.shape[1]
+    if sb.shape[0] != k_depth:
+        raise ValueError(f"inner dimensions differ: {k_depth} vs {sb.shape[0]}")
+    machine.check(1, si, sj)
 
     pes = [PeState(pid=p, mc=np.zeros(sj, DTYPE)) for p in range(si)]
     events: list[TraceEvent] = []
@@ -444,5 +347,4 @@ def trace_block(array: EffectiveArray, job: BlockJob, machine: Machine, *,
         pe.fifo_c = list(pe.mc)
     events.append(TraceEvent(cycle + charges.drain_cycles, "drain_done", block_id))
 
-    result = BlockResult(np.stack([pe.mc for pe in pes]), *charges)
-    return result, events, pes
+    return np.stack([pe.mc for pe in pes]), events, pes

@@ -4,10 +4,10 @@ The simulator is a pure timing engine: the schedule depends only on the
 machine (mpe.Machine: clock, pipeline, bandwidth model, transfer regime),
 the tile grid and the queues, never on the matrix values, so run_mpe
 takes no matrix data. The machine's feasibility rule is checked for one
-array per queue before anything runs. The output the modelled
-arrays produce is the k-ordered kernel blockmm.reference_gemm applied to
-the whole problem (mpe.simulate_block and mpe.trace_block tie each block's
-numerics to that kernel); callers compute it once, after the schedule.
+array per queue before anything runs. The output the modelled arrays
+produce is the k-ordered kernel blockmm.reference_gemm applied to the
+whole problem (mpe.trace_block ties each block's numerics to that
+kernel); callers compute it once, after the schedule.
 
 One run drives the active arrays over their work queues with overlapped
 transfers: each array holds at most two resident blocks (one computing
@@ -27,6 +27,10 @@ Reported time runs to the last write-back completion. The chain-drain of
 the final block (which the per-block cycle contract excludes, because
 every earlier drain overlaps the next block's compute) is reported
 separately in the per-array stats and in time_with_drain_seconds.
+
+The event trace (one row per fetch, compute, write-back and steal) is
+recorded only when the run is asked to write it; otherwise the loop keeps
+nothing but the per-array statistics and the steal log.
 
 A run is strictly deterministic: identical inputs produce an identical
 report, event order is fixed by (time, insertion sequence), and
@@ -76,7 +80,6 @@ class SimReport:
     arrays: list[ArrayRunStats]
     steal_events: list[wqm.StealEvent]
     tile_count: int
-    trace: list[tuple[int, int, str, int]]
 
 
 class _ArrayState:
@@ -90,7 +93,7 @@ class _ArrayState:
         self.resident = 0              # fetched (or fetching) but compute unfinished
         self.transfer_free = 0.0
         self.compute_busy = False
-        self.ready: deque = deque()    # fetched items awaiting compute
+        self.ready: deque = deque()    # fetched tile ids awaiting compute
         self.last_compute_end = 0.0
         self.last_wb_end = 0.0
         self.last_drain_cycles = 0
@@ -109,7 +112,13 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
     individual arrays' clock periods (testing aid for load-imbalance
     scenarios; charged cycle stats stay nominal). After every arbitration
     round the queue counters and the no-starvation rule are checked; a
-    violation raises SimulationError.
+    violation raises SimulationError. A makespan too long to count in
+    cycles at the machine's clock raises OverflowError.
+
+    With trace_path the event trace is written there as CSV, with header
+    cycle,array,event,block and rows sorted by cycle. The file is opened
+    before the first event, so a path that cannot be written raises
+    OSError before anything is scheduled.
     """
     n_active = len(queues)
     machine.check(n_active, grid.block_rows, grid.block_cols)
@@ -122,6 +131,25 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
         if len(slow) != n_active:
             raise ValueError("slowdowns must match the number of active arrays")
 
+    if trace_path is None:
+        return _schedule(machine, grid, queues, slow, steal, None)
+    with open(trace_path, "w", newline="") as fh:
+        trace: list[tuple[float, int, str, int]] = []
+        report = _schedule(machine, grid, queues, slow, steal, trace)
+        # seconds become cycles before sorting: rows in the same cycle are
+        # ordered by array, event and block
+        writer = csv.writer(fh)
+        writer.writerow(["cycle", "array", "event", "block"])
+        writer.writerows(sorted((round(t * machine.f_acc), idx, kind, tile)
+                                for t, idx, kind, tile in trace))
+    return report
+
+
+def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
+              slow: list[float], steal: bool, trace) -> SimReport:
+    """The event loop of run_mpe; appends (seconds, array, event, tile id)
+    rows to trace unless it is None."""
+    n_active = len(queues)
     f_acc = machine.f_acc
     per_array_bw = mac.effective_bandwidth(machine.bw_model, n_active, grid.block_rows)
     port_bw = mac.effective_bandwidth(machine.bw_model, 1, grid.block_rows)
@@ -136,22 +164,15 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
     states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]
     arbiter = wqm.RoundRobinArbiter(n_active)
     steal_log: list[wqm.StealEvent] = []
-    trace: list[tuple[int, int, str, int]] = []
     executed: set[int] = set()
 
     heap: list = []
     seq = 0
 
-    def push(t, kind, idx, item):
+    def push(t, kind, idx, tile):
         nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, idx, item))
+        heapq.heappush(heap, (t, seq, kind, idx, tile))
         seq += 1
-
-    def cyc(t: float) -> int:
-        return round(t * f_acc)
-
-    def log(t, st, kind, item):
-        trace.append((cyc(t), st.idx, kind, item.item_id if item is not None else -1))
 
     def xfer(st: _ArrayState, t: float, nbytes: int):
         """Claim the array's (or the shared) transfer engine; return end time."""
@@ -168,39 +189,42 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
 
     def issue_fetches(st: _ArrayState, t: float):
         while st.resident < 2 and len(st.queue) > 0:
-            item = st.queue.pop_head()
+            tile = st.queue.pop_head()
             st.resident += 1
             start, end = xfer(st, t, in_bytes)
             st.stats.bytes_in += in_bytes
-            log(start, st, "fetch_start", item)
-            push(end, "fetch_done", st.idx, item)
+            if trace is not None:
+                trace.append((start, st.idx, "fetch_start", tile))
+            push(end, "fetch_done", st.idx, tile)
 
     def start_compute(st: _ArrayState, t: float):
         if st.compute_busy or not st.ready:
             return
-        item = st.ready.popleft()
+        tile = st.ready.popleft()
         st.compute_busy = True
-        log(t, st, "compute_start", item)
-        push(t + cycles / f_acc * st.slowdown, "compute_done", st.idx, item)
+        if trace is not None:
+            trace.append((t, st.idx, "compute_start", tile))
+        push(t + cycles / f_acc * st.slowdown, "compute_done", st.idx, tile)
 
-    def finish_compute(st: _ArrayState, item: wqm.WorkItem, t: float):
+    def finish_compute(st: _ArrayState, tile: int, t: float):
         s = st.stats
         s.blocks_executed += 1
-        s.tiles.append(item.item_id)
+        s.tiles.append(tile)
         s.prefetch_cycles += charges.prefetch_cycles
         s.compute_cycles += charges.compute_cycles
         s.stall_cycles += charges.stall_cycles
         s.busy_seconds += cycles / f_acc * st.slowdown
         st.last_drain_cycles = charges.drain_cycles
         st.last_compute_end = t
-        if item.item_id in executed:
-            raise SimulationError(f"tile {item.item_id} executed twice")
-        executed.add(item.item_id)
+        if tile in executed:
+            raise SimulationError(f"tile {tile} executed twice")
+        executed.add(tile)
 
         start, end = xfer(st, t, out_bytes)
         s.bytes_out += out_bytes
-        log(start, st, "wb_start", item)
-        push(end, "wb_done", st.idx, item)
+        if trace is not None:
+            trace.append((start, st.idx, "wb_start", tile))
+        push(end, "wb_done", st.idx, tile)
         st.resident -= 1
         st.compute_busy = False
         issue_fetches(st, t)
@@ -218,8 +242,9 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
         before = len(steal_log)
         wqm.arbitrate([st.queue for st in states], needy, arbiter, t, steal_log,
                       on_steal=grant)
-        for ev in steal_log[before:]:
-            trace.append((cyc(ev.time_s), ev.thief, "steal", ev.item_id))
+        if trace is not None:
+            trace.extend((ev.time_s, ev.thief, "steal", ev.item_id)
+                         for ev in steal_log[before:])
         for st in states:
             st.queue.check_counter()
         still = [st for st in states if st.needy() and st.resident == 0
@@ -231,17 +256,16 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
         issue_fetches(st, 0.0)
 
     while heap:
-        t, _, kind, idx, item = heapq.heappop(heap)
+        t, _, kind, idx, tile = heapq.heappop(heap)
         st = states[idx]
+        if trace is not None:
+            trace.append((t, idx, kind, tile))
         if kind == "fetch_done":
-            log(t, st, "fetch_done", item)
-            st.ready.append(item)
+            st.ready.append(tile)
             start_compute(st, t)
         elif kind == "compute_done":
-            log(t, st, "compute_done", item)
-            finish_compute(st, item, t)
+            finish_compute(st, tile, t)
         elif kind == "wb_done":
-            log(t, st, "wb_done", item)
             st.last_wb_end = t
         if steal and (not heap or heap[0][0] > t):
             arbitration(t)
@@ -252,6 +276,11 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
 
     time_seconds = max((max(st.last_wb_end, st.last_compute_end) for st in states),
                        default=0.0)
+    # Every event, and so every trace row, lies within the makespan: one
+    # check covers every seconds-to-cycles conversion of the run.
+    if not math.isfinite(time_seconds * f_acc):
+        raise OverflowError(f"simulated time of {time_seconds:g} s is too long to "
+                            f"count in cycles at {f_acc:g} Hz")
     drain_end = 0.0
     for st in states:
         st.stats.drain_cycles = st.last_drain_cycles
@@ -263,25 +292,13 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
         st.stats.idle_cycles = max(0, round((time_seconds - st.stats.busy_seconds) * f_acc))
 
     m, k, n = grid.m, grid.depth, grid.n
-    report = SimReport(
+    return SimReport(
         shape=(m, k, n),
-        total_cycles=cyc(time_seconds),
+        total_cycles=round(time_seconds * f_acc),
         time_seconds=time_seconds,
         time_with_drain_seconds=time_with_drain,
         gflops=2.0 * m * k * n / time_seconds / 1e9 if time_seconds > 0 else 0.0,
         arrays=[st.stats for st in states],
         steal_events=steal_log,
         tile_count=grid.tile_count,
-        trace=sorted(trace),
     )
-    if trace_path is not None:
-        write_trace_csv(report.trace, trace_path)
-    return report
-
-
-def write_trace_csv(rows, path):
-    """Trace rows as CSV with header cycle,array,event,block."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "array", "event", "block"])
-        writer.writerows(rows)

@@ -1,11 +1,12 @@
 """Workload queue management: per-array task queues with work stealing.
 
-Each array owns a FIFO of pending tiles plus a counter mirroring its
-length. When an array runs dry it steals a single task from the queue
-holding the most work; concurrent steal requests at the same instant are
-granted in round-robin order. Stealing always takes the victim's tail
-(its last-to-run task) so the victim's imminent prefetches are untouched,
-and only tasks whose transfers have not started are ever moved.
+Each array owns a FIFO of pending tasks, the row-major tile ids of a
+blockmm.TileGrid, plus a counter mirroring its length. When an array
+runs dry it steals a single task from the queue holding the most work;
+concurrent steal requests at the same instant are granted in round-robin
+order. Stealing always takes the victim's tail (its last-to-run task) so
+the victim's imminent prefetches are untouched, and only tasks whose
+transfers have not started are ever moved.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ from .blockmm import TileGrid
 
 
 @dataclass(frozen=True)
-class WorkItem:
-    """One tile task: its id and its coordinates in the tile grid."""
-
-    item_id: int
-    tile_row: int
-    tile_col: int
-
-
-@dataclass(frozen=True)
 class StealEvent:
     time_s: float
     thief: int
@@ -34,26 +26,26 @@ class StealEvent:
 
 
 class WorkQueue:
-    """FIFO of pending work with an explicit task counter."""
+    """FIFO of pending tile ids with an explicit task counter."""
 
     def __init__(self, array_id: int):
         self.array_id = array_id
-        self._items: deque[WorkItem] = deque()
+        self._items: deque[int] = deque()
         self.counter = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, item: WorkItem):
+    def push(self, item: int):
         self._items.append(item)
         self.counter += 1
 
-    def pop_head(self) -> WorkItem:
+    def pop_head(self) -> int:
         item = self._items.popleft()
         self.counter -= 1
         return item
 
-    def pop_tail(self) -> WorkItem:
+    def pop_tail(self) -> int:
         item = self._items.pop()
         self.counter -= 1
         return item
@@ -64,23 +56,17 @@ class WorkQueue:
                 f"queue {self.array_id} counter {self.counter} != length {len(self._items)}")
 
 
-def build_work_items(grid: TileGrid) -> list[WorkItem]:
-    """All tiles of the grid in row-major order."""
-    return [WorkItem(tid, *grid.tile_coords(tid))
-            for tid in range(grid.tile_count)]
-
-
 def partition_workload(grid: TileGrid, n_queues: int) -> list[WorkQueue]:
-    """Assign every tile to exactly one of n_queues queues.
+    """Assign every tile id to exactly one of n_queues queues.
 
-    Tiles are dealt round-robin in row-major order, so per-queue counts
+    The ids are dealt round-robin in row-major order, so per-queue counts
     differ by at most one.
     """
     if n_queues < 1:
         raise ValueError("n_queues must be >= 1")
     queues = [WorkQueue(i) for i in range(n_queues)]
-    for item in build_work_items(grid):
-        queues[item.item_id % n_queues].push(item)
+    for tile_id in range(grid.tile_count):
+        queues[tile_id % n_queues].push(tile_id)
     return queues
 
 
@@ -121,13 +107,13 @@ def select_victim(counters, arbiter: RoundRobinArbiter, thief: int) -> int | Non
 
 
 def steal(thief_q: WorkQueue, victim_q: WorkQueue, time_s: float,
-          log: list[StealEvent]) -> WorkItem:
-    """Move one task from the victim's tail into the thief's queue."""
+          log: list[StealEvent]) -> int:
+    """Move one tile id from the victim's tail into the thief's queue."""
     if victim_q.counter < 1:
         raise ValueError(f"victim queue {victim_q.array_id} is empty")
     item = victim_q.pop_tail()
     thief_q.push(item)
-    log.append(StealEvent(time_s, thief_q.array_id, victim_q.array_id, item.item_id))
+    log.append(StealEvent(time_s, thief_q.array_id, victim_q.array_id, item))
     return item
 
 

@@ -5,26 +5,21 @@ import masim
 from masim import cli
 
 
-def assemble_run(rep, machine, grid, a, b):
-    """Output of simulate_block run on every tile, on the array that executed it.
+def assemble_run(rep, grid, a, b):
+    """Output of the k-ordered kernel run on every tile the run executed.
 
-    This is the per-block path a run's schedule implies; the cropped result
-    is what the accelerator writes back.
+    Each executed tile is reference_gemm on its slices A[r0:r1] and
+    B[:, c0:c1]: padding would only add rows and columns that are cropped.
+    The assembled result is what the accelerator writes back.
     """
-    layout = masim.layout_for_point(machine, len(rep.arrays), grid.block_rows,
-                                    grid.block_cols)
-    out = np.zeros((grid.padded_rows, grid.padded_cols), np.float32)
-    for array, stats in zip(layout.arrays, rep.arrays):
+    out = np.full((grid.m, grid.n), np.nan, np.float32)
+    for stats in rep.arrays:
         for tid in stats.tiles:
             i, j = grid.tile_coords(tid)
-            tile = masim.make_tile(grid, i, j, a, b)
-            res = masim.simulate_block(
-                array, masim.BlockJob(tile.sa(), tile.sb(), grid.block_rows,
-                                      grid.block_cols, grid.depth, i, j),
-                machine)
-            r0, c0 = i * grid.block_rows, j * grid.block_cols
-            out[r0: r0 + grid.block_rows, c0: c0 + grid.block_cols] = res.tile
-    return out[: grid.m, : grid.n]
+            rows = slice(i * grid.block_rows, (i + 1) * grid.block_rows)
+            cols = slice(j * grid.block_cols, (j + 1) * grid.block_cols)
+            out[rows, cols] = masim.reference_gemm(a[rows], b[:, cols])
+    return out
 
 
 @pytest.fixture

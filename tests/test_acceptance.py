@@ -63,15 +63,15 @@ def test_oracle_equivalence():
         n_arrays = int(rng.choice(MACHINE.array_counts(si, sj)))
         rect_cases += si != sj
         padded_cases += (m % si != 0) or (n % sj != 0)
-        rep, machine, grid = simulate((m, k, n), n_arrays, si, sj,
+        rep, _, grid = simulate((m, k, n), n_arrays, si, sj,
                                       masim.ParametricBandwidth())
         data = np.random.default_rng(int(rng.integers(2**31)))
         a, b = rand(data, m, k), rand(data, k, n)
-        # the tiles the run executed, each through simulate_block, equal
-        # the whole-matrix kernel the CLI computes
-        out = assemble_run(rep, machine, grid, a, b)
+        # the tiles the run executed, each through the kernel on its
+        # slices, equal the whole-matrix kernel the CLI computes
+        out = assemble_run(rep, grid, a, b)
         assert np.array_equal(out, masim.reference_gemm(a, b))
-        ref = masim.reference_gemm(a, b, accumulate="f64")
+        ref = a.astype(np.float64) @ b.astype(np.float64)
         rel = np.abs(out - ref) / np.maximum(np.abs(ref), tiny)
         assert rel.max() <= 1e-4, (m, n, k, si, sj, n_arrays)
     assert rect_cases >= 50 and padded_cases >= 50
@@ -85,19 +85,20 @@ def test_cycle_contract():
     rng = np.random.default_rng(1)
     machines = [masim.Machine(pes_per_base=128, max_arrays=1, fmac_stages=stage)
                 for stage in (0, 4, 8)]
-    array = masim.configure_mpe(machines[0], []).arrays[0]
     sizes = [1, 2, 4, 8, 16, 64, 128]
     for si in sizes:
         for sj in sizes:
             for k in (1, 3, 10, 100):
-                sa, sb = rand(rng, si, k), rand(rng, k, sj)
                 for machine in machines:
                     stage = machine.fmac_stages
-                    res = masim.simulate_block(
-                        array, masim.BlockJob(sa, sb, si, sj, k), machine)
+                    res = masim.block_charges(si, sj, k, machine)
                     assert res.cycles == si + max(si, sj) * k + stage
                     assert res.prefetch_cycles + res.compute_cycles \
                         + res.stall_cycles == res.cycles
+    # the cycle-by-cycle walk lands on the same count (it raises otherwise)
+    for si, sj, k in ((1, 1, 1), (16, 4, 10), (4, 16, 3), (64, 64, 3)):
+        for machine in machines:
+            masim.trace_block(rand(rng, si, k), rand(rng, k, sj), machine)
 
 
 @criterion(3, "simulated conv-2 time lies within the model's bounds at every "

@@ -86,8 +86,10 @@ class TestTranspose:
         a = rand(rng, 70, 48)
         g = masim.partition(70, 8, 48, 16, 8)
         for i in range(g.grid_rows):
-            tile = masim.make_tile(g, i, 0, a, np.zeros((48, 8), np.float32))
-            assert np.array_equal(fetch_a_bursts(a, g, i).T, tile.sa())
+            block = np.zeros((16, 48), np.float32)
+            rows = a[i * 16: (i + 1) * 16]
+            block[: len(rows)] = rows
+            assert np.array_equal(fetch_a_bursts(a, g, i).T, block)
 
     def test_row_major_result(self):
         # the tile rows' bursts cover the row-major image exactly once
@@ -119,17 +121,21 @@ class TestReferenceGemm:
         with pytest.raises(ValueError):
             masim.reference_gemm(np.ones((2, 3)), np.ones((4, 2)))
 
-    def test_f64_mode_close_to_f32(self):
+    def test_close_to_float64_product(self):
         rng = np.random.default_rng(3)
         a, b = rand(rng, 20, 30), rand(rng, 30, 10)
         c32 = masim.reference_gemm(a, b)
-        c64 = masim.reference_gemm(a, b, accumulate="f64")
-        assert c64.dtype == np.float64
-        np.testing.assert_allclose(c32, c64, rtol=1e-5)
+        assert c32.dtype == np.float32
+        np.testing.assert_allclose(c32, f64_product(a, b), rtol=1e-5)
 
 
-def k_loop(a, b, dt):
-    """Whole-matrix k-ordered product: one rank-1 update of all of C per k."""
+def f64_product(a, b):
+    """The float64 yardstick: a matmul of the operands widened to float64."""
+    return np.asarray(a, np.float64) @ np.asarray(b, np.float64)
+
+
+def k_loop(a, b, dt=np.float32):
+    """Whole-matrix k-ordered product in dt: one rank-1 update of all of C per k."""
     aa, bb = a.astype(dt), b.astype(dt)
     out = np.zeros((a.shape[0], b.shape[1]), dt)
     tmp = np.empty_like(out)
@@ -167,20 +173,15 @@ class TestKernelPanels:
         out = masim.reference_gemm(a, b)
         assert hashlib.sha256(out.view(np.uint32).tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("accumulate, dt", [("f32", np.float32),
-                                                ("f64", np.float64)])
     @pytest.mark.parametrize("panel_elems", [1, 10, 33, 77, 1 << 17])
-    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems,
-                                                      accumulate, dt):
+    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems):
         # 11 columns: 1 and 10 elements give one-row panels, 33 three rows
         # (23 rows leave a 2-row last panel), 77 seven rows, 1 << 17 one panel
         monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
         rng = np.random.default_rng(10)
         a, b = signed(rng, 23, 37), signed(rng, 37, 11)
-        got = masim.reference_gemm(a, b, accumulate=accumulate)
-        want = k_loop(a, b, dt)
-        assert got.dtype == dt
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        got = masim.reference_gemm(a, b)
+        assert np.array_equal(got.view(np.uint32), k_loop(a, b).view(np.uint32))
 
 
 class KernelFault(Exception):
@@ -190,12 +191,10 @@ class KernelFault(Exception):
 class TestKernelBands:
     """Row bands on threads round exactly like one whole-matrix k loop."""
 
-    @pytest.mark.parametrize("accumulate, dt", [("f32", np.float32),
-                                                ("f64", np.float64)])
     @pytest.mark.parametrize("panel_elems", [33, 1 << 17])
     @pytest.mark.parametrize("cores", [1, 2, 3, 5, 40])
     def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, cores,
-                                                      panel_elems, accumulate, dt):
+                                                      panel_elems):
         # 23 rows: 40 cores give one row per band; 33-element panels put
         # several panels, the last one ragged, in each band of 3+ rows. A
         # short switch interval makes the threads interleave finely.
@@ -207,12 +206,10 @@ class TestKernelBands:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = masim.reference_gemm(a, b, accumulate=accumulate)
+            got = masim.reference_gemm(a, b)
         finally:
             sys.setswitchinterval(interval)
-        want = k_loop(a, b, dt)
-        assert got.dtype == dt
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        assert np.array_equal(got.view(np.uint32), k_loop(a, b).view(np.uint32))
 
     @pytest.mark.parametrize("on_caller", [False, True])
     def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
@@ -250,12 +247,9 @@ class TestKernelBands:
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
         rng = np.random.default_rng(13)
         a, b = signed(rng, 192, 40), signed(rng, 40, 192)
-        # the 128x128 and 192x192 blocks --auto picks, as simulate_block
-        # and multiply_blocked pass them
+        # one tile of the 128x128 and 192x192 blocks --auto picks
         for tile in (128, 192):
-            g = masim.partition(192, 192, 40, tile, tile)
-            t = masim.make_tile(g, 0, 0, a, b)
-            masim.reference_gemm(t.sa(), t.sb())
+            masim.reference_gemm(a[:tile], b[:, :tile])
         assert started == []
         # two bands' worth of output does start one
         masim.reference_gemm(signed(rng, 2, 3),
@@ -263,38 +257,54 @@ class TestKernelBands:
         assert len(started) == 1
 
 
+def tile_of(a, b, grid, tile_id):
+    """The tile with id tile_id: the k-ordered kernel on its slices of a and b."""
+    i, j = grid.tile_coords(tile_id)
+    rows = slice(i * grid.block_rows, (i + 1) * grid.block_rows)
+    cols = slice(j * grid.block_cols, (j + 1) * grid.block_cols)
+    return masim.reference_gemm(np.asarray(a, np.float32)[rows],
+                                np.asarray(b, np.float32)[:, cols])
+
+
+def blocked(a, b, grid):
+    """Every tile of the grid by tile_of, assembled into the m x n product."""
+    rows = [np.hstack([tile_of(a, b, grid, grid.tile_id(i, j))
+                       for j in range(grid.grid_cols)])
+            for i in range(grid.grid_rows)]
+    return np.vstack(rows)
+
+
 class TestTileOuterAccumulate:
-    """A tile accumulated by the k-ordered kernel on its zero-filled slices."""
+    """A tile accumulated by the k-ordered kernel on its slices of A and B."""
 
     def test_single_outer_product(self):
         g = masim.partition(2, 2, 1, 2, 2)
-        tile = masim.make_tile(g, 0, 0, [[1], [2]], [[3, 4]])
-        assert masim.reference_gemm(tile.sa(), tile.sb()).tolist() == [[3, 4], [6, 8]]
+        assert tile_of([[1], [2]], [[3, 4]], g, 0).tolist() == [[3, 4], [6, 8]]
 
     def test_zero_columns(self):
         g = masim.partition(4, 4, 3, 4, 4)
         rng = np.random.default_rng(4)
-        tile = masim.make_tile(g, 0, 0, np.zeros((4, 3), np.float32), rand(rng, 3, 4))
-        assert not masim.reference_gemm(tile.sa(), tile.sb()).any()
+        assert not tile_of(np.zeros((4, 3), np.float32), rand(rng, 3, 4), g, 0).any()
 
     def test_matches_reference_subblock(self):
         rng = np.random.default_rng(5)
         a, b = rand(rng, 8, 16), rand(rng, 16, 8)
         g = masim.partition(8, 8, 16, 8, 8)
-        tile = masim.make_tile(g, 0, 0, a, b)
-        got = masim.reference_gemm(tile.sa(), tile.sb())
-        ref = masim.reference_gemm(a, b, accumulate="f64")
-        np.testing.assert_allclose(got, ref, rtol=1e-5)
+        np.testing.assert_allclose(tile_of(a, b, g, 0), f64_product(a, b), rtol=1e-5)
 
     def test_padded_tail_is_zero(self):
+        # the padded block the transfers charge gives the slice's tile
+        # bit for bit, plus zero rows past m and zero cols past n
         rng = np.random.default_rng(6)
         a, b = rand(rng, 5, 3), rand(rng, 3, 6)
         g = masim.partition(5, 6, 3, 4, 4)
-        tile = masim.make_tile(g, 1, 1, a, b)
-        bottom = masim.reference_gemm(tile.sa(), tile.sb())
-        # rows past m and cols past n read as zero
-        assert not bottom[1:, :].any()
-        assert not bottom[:, 2:].any()
+        sa = np.zeros((4, 3), np.float32)
+        sb = np.zeros((3, 4), np.float32)
+        sa[:1], sb[:, :2] = a[4:], b[:, 4:]
+        padded = masim.reference_gemm(sa, sb)
+        assert not padded[1:, :].any()
+        assert not padded[:, 2:].any()
+        assert np.array_equal(padded[:1, :2], tile_of(a, b, g, g.tile_id(1, 1)))
 
 
 class TestBlockedMultiply:
@@ -305,18 +315,16 @@ class TestBlockedMultiply:
     def test_oracle_equivalence(self, m, n, k, si, sj, seed):
         rng = np.random.default_rng(seed)
         a, b = rand(rng, m, k), rand(rng, k, n)
-        g = masim.partition(m, n, k, si, sj)
-        got = masim.multiply_blocked(a, b, g)
+        got = blocked(a, b, masim.partition(m, n, k, si, sj))
         # identical k-ascending order makes the paths bitwise equal
         assert np.array_equal(got, masim.reference_gemm(a, b))
-        ref = masim.reference_gemm(a, b, accumulate="f64")
-        np.testing.assert_allclose(got, ref, rtol=1e-4)
+        np.testing.assert_allclose(got, f64_product(a, b), rtol=1e-4)
 
     def test_padding_neutrality(self):
         rng = np.random.default_rng(7)
         a, b = rand(rng, 5, 3), rand(rng, 3, 7)
-        exact = masim.multiply_blocked(a, b, masim.partition(5, 7, 3, 5, 7))
-        padded = masim.multiply_blocked(a, b, masim.partition(5, 7, 3, 8, 8))
+        exact = blocked(a, b, masim.partition(5, 7, 3, 5, 7))
+        padded = blocked(a, b, masim.partition(5, 7, 3, 8, 8))
         assert np.array_equal(exact, padded)
 
 
@@ -327,7 +335,7 @@ class TestMaxRelError:
         rng = np.random.default_rng(8)
         a, b = rand(rng, 45, 70), rand(rng, 70, 83)
         out = masim.reference_gemm(a, b)
-        ref = masim.reference_gemm(a, b, accumulate="f64")
+        ref = k_loop(a, b, np.float64)
         want = (np.abs(out - ref) / np.abs(ref)).max()
         assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6)
         for panel in ((32, 64, 16), (7, 5, 3), (45, 83, 70), (100, 100, 1)):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masim
-from masim import cli
+from masim import cli, simulator
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -128,6 +128,12 @@ class TestInvalidFlags:
         ("calibrate", "{tmp}/table.csv", "--out", f"{MISSING}/t.csv"),
         ("run", *POINT, "--bw-model", "parametric:1e9,nan,0"),
         ("run", *POINT, "--bw-model", "parametric:1e9,inf,0"),
+        # makespans too long to count in cycles
+        ("run", "--shape", "8x8x8", "--np", "1", "--si", "8", "--freq", "5e-324"),
+        ("run", "--preset", "conv-1", "--np", "1", "--si", "64",
+         "--bw-model", "parametric:1e-300,0,0", "--no-verify"),
+        ("explore", "--preset", "conv-1", "--simulate",
+         "--bw-model", "parametric:1e-300,0,0"),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "table.csv").write_text("n_p,s_i,bytes_per_second\n1,64,1e9\n")
@@ -160,6 +166,16 @@ class TestInvalidFlags:
         assert code == 2
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1
+
+    def test_unwritable_trace_fails_before_scheduling(self, tmp_path, capsys,
+                                                      monkeypatch):
+        pushed = []
+        monkeypatch.setattr(simulator.heapq, "heappush",
+                            lambda heap, entry: pushed.append(entry))
+        self.assert_config_error(capsys, (
+            "run", "--preset", "conv-3", "--np", "1", "--si", "64", "--no-verify",
+            "--trace", str(tmp_path / "no-such-dir" / "x.csv")))
+        assert pushed == []
 
     def test_zero_pipeline_stages_is_valid(self):
         assert run_cli("run", *self.POINT, "--stage", "0", "--no-verify") == 0
@@ -271,7 +287,7 @@ class TestOutputAndOracle:
         grid = masim.partition(50, 43, 32, 16, 8)
         machine = masim.Machine()
         rep = masim.run_mpe(machine, grid, masim.partition_workload(grid, 2))
-        tiles = assemble_run(rep, machine, grid, a, b)
+        tiles = assemble_run(rep, grid, a, b)
         assert np.array_equal(out.view(np.uint32), tiles.view(np.uint32))
 
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):
@@ -468,6 +484,16 @@ class TestBandwidthSpecs:
         out = tmp_path / "r.json"
         assert run_cli("run", "--shape", "8x8x8", "--np", "1", "--si", "8",
                        "--bw-model", str(cal), "--out", str(out)) == 0
+
+    def test_auto_on_partial_table(self, tmp_path):
+        # a table with n_p = 1 rows only: --auto chooses among the
+        # calibrated array counts
+        cal = tmp_path / "cal.csv"
+        cal.write_text("n_p,s_i,bytes_per_second\n1,64,1e9\n1,128,2e9\n")
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--preset", "conv-3", "--auto", "--bw-model", str(cal),
+                       "--out", str(out)) == 0
+        assert load_report(out)["config"]["n_arrays"] == 1
 
     def test_bad_spec(self):
         assert run_cli("run", "--shape", "8x8x8", "--np", "1", "--si", "8",

@@ -47,12 +47,12 @@ class TestTransferPlan:
             assert plan.c.n_bursts == g.block_rows
 
     def test_make_transfer_plan_from_item(self):
-        # every item's plan, edge tiles included, moves the bytes of the
-        # grid's first tile: one plan per grid is what a run charges
+        # every queued tile id's plan, edge tiles included, moves the bytes
+        # of the grid's first tile: one plan per grid is what a run charges
         g = masim.partition(13, 11, 8, 8, 4)
         first = masim.plan_for_tile(g, 0, 0)
-        for item in masim.build_work_items(g):
-            plan = masim.plan_for_tile(g, item.tile_row, item.tile_col)
+        for tile_id in range(g.tile_count):
+            plan = masim.plan_for_tile(g, *g.tile_coords(tile_id))
             assert (plan.in_bytes, plan.out_bytes) == (first.in_bytes, first.out_bytes)
 
     def test_stride_never_shorter_than_burst(self):

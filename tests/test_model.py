@@ -198,6 +198,16 @@ class TestExplore:
         with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
             masim.explore(CONV2, MACHINE, candidates=[2048])
 
+    def test_ranks_only_the_array_counts_the_table_rates(self):
+        partial = machine(masim.TableBandwidth({(1, 64): 1e9, (1, 128): 2e9}))
+        result = masim.explore(CONV2, partial)
+        assert result.entries
+        assert {e.point.n_arrays for e in result.entries} == {1}
+        # a table that rates no feasible point still ends the search
+        only_three = machine(masim.TableBandwidth({(3, 64): 1e9}))
+        with pytest.raises(masim.CalibrationMissingError, match="n_arrays=1"):
+            masim.explore(CONV2, only_three, candidates=[128])
+
     def test_rectangular_point_keeps_general_formulas(self):
         est = masim.bounds(CONV2, masim.DesignPoint(2, 128, 64), MACHINE)
         work = masim.n_work(CONV2, 128, 64, 2)

@@ -22,7 +22,7 @@ def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, slowdowns=None,
     machine = masim.Machine(bw_model=bw_model, **machine_fields)
     queues = masim.partition_workload(grid, n_arrays)
     rep = masim.run_mpe(machine, grid, queues, slowdowns=slowdowns)
-    return rep, a, b, assemble_run(rep, machine, grid, a, b)
+    return rep, a, b, assemble_run(rep, grid, a, b)
 
 
 def schedule(shape, n_arrays, si):
@@ -63,14 +63,14 @@ class TestBalancedRun:
         assert not rep.steal_events
 
     def test_per_block_cycle_contract_from_stats(self):
-        # the run loop charges each block what simulate_block reports
-        # (16x8 blocks, so the phase synchroniser stalls)
+        # the run loop charges each block what block_charges gives, which
+        # the cycle-by-cycle walk of one block audits (16x8 blocks, so the
+        # phase synchroniser stalls)
         rep, a, b, _ = run_problem(32, 96, 16, 16, 8, 4, masim.ParametricBandwidth(),
                                    drain_width=4)
         machine = masim.Machine(drain_width=4)
-        array = masim.layout_for_point(machine, 4, 16, 8).arrays[0]
-        res = masim.simulate_block(array, masim.BlockJob(a[:16], b[:, :8], 16, 8, 16),
-                                   machine)
+        res = masim.block_charges(16, 8, 16, machine)
+        masim.trace_block(a[:16], b[:, :8], machine)
         assert res.cycles == masim.block_cycles(16, 8, 16, machine) and res.stall_cycles > 0
         for s in rep.arrays:
             n = s.blocks_executed
@@ -90,19 +90,17 @@ class TestNumericalExactness:
             _, a, b, out = run_problem(m, n, k, si, sj, n_arrays,
                                        masim.IdealBandwidth(),
                                        seed=int(rng.integers(1e9)))
-            ref = masim.reference_gemm(a, b, accumulate="f64")
+            ref = a.astype(np.float64) @ b.astype(np.float64)
             np.testing.assert_allclose(out, ref, rtol=1e-4)
             # same k order: the tiles a run executes are bitwise equal to
-            # the whole-matrix kernel and to the functional blocked path
-            grid = masim.partition(m, n, k, si, sj)
+            # the whole-matrix kernel
             assert np.array_equal(out, masim.reference_gemm(a, b))
-            assert np.array_equal(out, masim.multiply_blocked(a, b, grid))
 
     def test_fast_numerics_within_tolerance(self, cli_output, tmp_path):
         assert cli.main(["run", "--shape", "33x41x29", "--np", "2", "--si", "8",
                          "--fast-numerics", "--out", str(tmp_path / "r.json")]) == 0
         [(a, b, out)] = cli_output
-        ref = masim.reference_gemm(a, b, accumulate="f64")
+        ref = a.astype(np.float64) @ b.astype(np.float64)
         np.testing.assert_allclose(out, ref, rtol=1e-4)
 
 
@@ -126,18 +124,46 @@ class TestBracketing:
                 <= est.upper_seconds, (n_arrays, si)
 
 
+def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **fields):
+    """Schedule a square-block problem with its trace written to path;
+    return the report and the trace rows as read back from the CSV."""
+    grid = masim.partition(m, n, k, si, si)
+    rep = masim.run_mpe(masim.Machine(**fields), grid,
+                        masim.partition_workload(grid, n_arrays),
+                        slowdowns=slowdowns, trace_path=path)
+    with open(path, newline="") as fh:
+        return rep, list(csv.reader(fh))
+
+
 class TestDeterminism:
-    def test_identical_runs_identical_reports(self):
-        (r0, _, _, out0), (r1, _, _, out1) = [
-            run_problem(24, 24, 12, 4, 4, 3, masim.ParametricBandwidth(), seed=7,
-                        slowdowns={1: 2.0})
-            for _ in range(2)]
+    def test_identical_runs_identical_reports(self, tmp_path):
+        (r0, t0), (r1, t1) = [traced_run(tmp_path / f"{i}.csv", slowdowns={1: 2.0})
+                              for i in range(2)]
         assert r0.time_seconds == r1.time_seconds
-        assert r0.trace == r1.trace
+        assert t0 == t1 and len(t0) > 1
         assert r0.steal_events == r1.steal_events
         assert [dataclasses.asdict(s) for s in r0.arrays] \
             == [dataclasses.asdict(s) for s in r1.arrays]
-        assert np.array_equal(out0, out1)
+        rng = np.random.default_rng(7)
+        a, b = rand(rng, 24, 12), rand(rng, 12, 24)
+        grid = masim.partition(24, 24, 12, 4, 4)
+        assert np.array_equal(assemble_run(r0, grid, a, b), assemble_run(r1, grid, a, b))
+
+    def test_trace_path_changes_no_report_field(self, tmp_path):
+        # recording the trace is all that trace_path turns on, with or
+        # without steals and in either transfer regime
+        steals = 0
+        for fields in ({"bw_model": masim.IdealBandwidth()}, {},
+                       {"contention": "shared_port"}):
+            grid = masim.partition(40, 36, 12, 4, 4)
+            plain = masim.run_mpe(masim.Machine(**fields), grid,
+                                  masim.partition_workload(grid, 3), slowdowns={1: 2.0})
+            traced, _ = traced_run(tmp_path / "t.csv", 40, 36, 12, 4, 3,
+                                   slowdowns={1: 2.0}, **fields)
+            for f in dataclasses.fields(masim.SimReport):
+                assert getattr(plain, f.name) == getattr(traced, f.name), f.name
+            steals += len(plain.steal_events)
+        assert steals > 0
 
 
 class TestSharedPort:
@@ -155,22 +181,20 @@ class TestSharedPort:
 
 class TestTraceOutput:
     def test_csv_schema(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        grid = masim.partition(8, 8, 4, 4, 4)
-        queues = masim.partition_workload(grid, 2)
-        rep = masim.run_mpe(masim.Machine(bw_model=masim.IdealBandwidth()), grid, queues,
-                            trace_path=path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
+        rep, rows = traced_run(tmp_path / "trace.csv", 8, 8, 4, 4, 2,
+                               bw_model=masim.IdealBandwidth())
         assert rows[0] == ["cycle", "array", "event", "block"]
         kinds = {r[2] for r in rows[1:]}
         assert {"fetch_start", "fetch_done", "compute_start",
                 "compute_done", "wb_start", "wb_done"} <= kinds
-        assert len(rows) - 1 == len(rep.trace)
+        # six events per tile, sorted by cycle
+        assert len(rows) - 1 == 6 * rep.tile_count
+        cycles = [int(r[0]) for r in rows[1:]]
+        assert cycles == sorted(cycles) and cycles[-1] == rep.total_cycles
 
-    def test_every_block_appears_once_in_compute_events(self):
-        rep, _, _, _ = run_problem(16, 16, 8, 4, 4, 2, masim.ParametricBandwidth())
-        done = [r[3] for r in rep.trace if r[2] == "compute_done"]
+    def test_every_block_appears_once_in_compute_events(self, tmp_path):
+        rep, rows = traced_run(tmp_path / "trace.csv", 16, 16, 8, 4, 2)
+        done = [int(r[3]) for r in rows[1:] if r[2] == "compute_done"]
         assert sorted(done) == list(range(rep.tile_count))
 
 

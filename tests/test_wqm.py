@@ -32,7 +32,7 @@ class TestPartitionWorkload:
         seen = []
         for q in queues:
             while len(q):
-                seen.append(q.pop_head().item_id)
+                seen.append(q.pop_head())
         assert sorted(seen) == list(range(grid.tile_count))
 
     def test_counts_differ_by_at_most_one(self):
@@ -88,8 +88,7 @@ class TestSteal:
         queues = masim.partition_workload(grid, 1)
         thief = wqm.WorkQueue(1)
         log = []
-        item = masim.steal(thief, queues[0], 1.5, log)
-        assert item.item_id == 2                 # last-to-run task
+        assert masim.steal(thief, queues[0], 1.5, log) == 2    # last-to-run task
         assert [q.counter for q in (queues[0], thief)] == [2, 1]
         assert log[0] == masim.StealEvent(1.5, 1, 0, 2)
 
@@ -127,8 +126,8 @@ class TestQueueInvariants:
     def test_counter_tracks_length(self):
         q = wqm.WorkQueue(0)
         grid = masim.partition(4, 4, 2, 2, 2)
-        for item in masim.build_work_items(grid):
-            q.push(item)
+        for tile_id in range(grid.tile_count):
+            q.push(tile_id)
             q.check_counter()
         q.pop_head()
         q.pop_tail()
@@ -166,7 +165,7 @@ class TestStealInsideRuns:
             rep = masim.run_mpe(machine, grid, queues, steal=True, slowdowns=slow)
             executed = sorted(t for s in rep.arrays for t in s.tiles)
             assert executed == list(range(grid.tile_count))
-            out = assemble_run(rep, machine, grid, a, b)
+            out = assemble_run(rep, grid, a, b)
             assert np.array_equal(out, masim.reference_gemm(a, b))
 
     def test_makespan_dominance(self):
