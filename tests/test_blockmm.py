@@ -145,6 +145,11 @@ def k_loop(a, b, dt=np.float32):
     return out
 
 
+# The kernel accumulates in float32 only; the k-loop yardstick runs in the
+# same dtype.
+KERNEL_DTYPE = pytest.mark.parametrize("dtype_name, dt", [("f32", np.float32)])
+
+
 def signed(rng, r, c):
     return rng.random((r, c), dtype=np.float32) - np.float32(0.5)
 
@@ -173,15 +178,18 @@ class TestKernelPanels:
         out = masim.reference_gemm(a, b)
         assert hashlib.sha256(out.view(np.uint32).tobytes()).hexdigest() == digest
 
+    @KERNEL_DTYPE
     @pytest.mark.parametrize("panel_elems", [1, 10, 33, 77, 1 << 17])
-    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems):
+    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems,
+                                                      dtype_name, dt):
         # 11 columns: 1 and 10 elements give one-row panels, 33 three rows
         # (23 rows leave a 2-row last panel), 77 seven rows, 1 << 17 one panel
         monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
         rng = np.random.default_rng(10)
         a, b = signed(rng, 23, 37), signed(rng, 37, 11)
         got = masim.reference_gemm(a, b)
-        assert np.array_equal(got.view(np.uint32), k_loop(a, b).view(np.uint32))
+        assert got.dtype == dt
+        assert np.array_equal(got.view(np.uint32), k_loop(a, b, dt).view(np.uint32))
 
 
 class KernelFault(Exception):
@@ -191,10 +199,11 @@ class KernelFault(Exception):
 class TestKernelBands:
     """Row bands on threads round exactly like one whole-matrix k loop."""
 
+    @KERNEL_DTYPE
     @pytest.mark.parametrize("panel_elems", [33, 1 << 17])
     @pytest.mark.parametrize("cores", [1, 2, 3, 5, 40])
     def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, cores,
-                                                      panel_elems):
+                                                      panel_elems, dtype_name, dt):
         # 23 rows: 40 cores give one row per band; 33-element panels put
         # several panels, the last one ragged, in each band of 3+ rows. A
         # short switch interval makes the threads interleave finely.
@@ -209,7 +218,8 @@ class TestKernelBands:
             got = masim.reference_gemm(a, b)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got.view(np.uint32), k_loop(a, b).view(np.uint32))
+        assert got.dtype == dt
+        assert np.array_equal(got.view(np.uint32), k_loop(a, b, dt).view(np.uint32))
 
     @pytest.mark.parametrize("on_caller", [False, True])
     def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
