@@ -52,9 +52,8 @@ print(f"  blocked result equals reference bitwise: "
 rel = masim.max_rel_error(a, b, blocked)
 print(f"  max relative error vs float64 product: {rel:.2e}")
 
-# A is addressed in its transposed layout, so block fetches are unit-stride
-# bursts; every tile moves the same padded bytes
-plan = masim.plan_for_tile(grid, 0, 0)
-print(f"  A-block descriptor reads {plan.a.n_bursts} bursts of "
-      f"{plan.a.burst_elems} elements (stride {plan.a.stride}), "
-      f"{plan.total_bytes} bytes per tile in total")
+# every tile, edge tiles included, moves the same padded bytes: both
+# operand slices in, the result tile out
+in_bytes, out_bytes = masim.block_bytes(grid.block_rows, grid.block_cols, grid.depth)
+print(f"  each tile moves {in_bytes} bytes in and {out_bytes} bytes out, "
+      f"{in_bytes + out_bytes} bytes in total")

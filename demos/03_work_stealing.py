@@ -25,7 +25,7 @@ for steal_on in (False, True):
           f"blocks per array {[s.blocks_executed for s in rep.arrays]}, "
           f"steals {len(rep.steal_events)}")
 
-blocks = masim.block_cycles(4, 4, k, machine)
+blocks = masim.block_charges(4, 4, k, machine).cycles
 ideal = 64 * blocks / (0.5 + 1 + 1 + 1)
 speedup = results[False].total_cycles / results[True].total_cycles
 print(f"\nideal balanced makespan {ideal:.0f} cycles; stealing is "

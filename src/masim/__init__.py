@@ -3,15 +3,14 @@ GEMM accelerator."""
 
 from .blockmm import (DTYPE, TileGrid, as_matrix, max_rel_error, partition,
                       reference_gemm)
-from .mac import (BufferDescriptor, CalibrationError, CalibrationMissingError,
-                  IdealBandwidth, ParametricBandwidth, TableBandwidth,
-                  TransferPlan, block_bytes, effective_bandwidth,
-                  plan_for_tile)
+from .mac import (CalibrationError, CalibrationMissingError, IdealBandwidth,
+                  ParametricBandwidth, TableBandwidth, block_bytes,
+                  effective_bandwidth)
 from .model import (DesignPoint, ExploreResult, ModelEstimate, ProblemShape,
                     bounds, default_block_candidates, explore,
-                    feasible_points, n_work, t_compute, t_trans, t_work)
+                    feasible_points, n_work)
 from .mpe import (BlockCharges, InfeasibleBlockError, Machine, PeState,
-                  block_charges, block_cycles, psu_stall_plan, trace_block)
+                  block_charges, trace_block)
 from .presets import LAYER_PRESETS
 from .simulator import ArrayRunStats, SimReport, SimulationError, run_mpe
 from .wqm import (RoundRobinArbiter, StealEvent, WorkQueue, arbitrate,

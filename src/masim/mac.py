@@ -1,11 +1,12 @@
-"""Memory access controller model: descriptors, byte accounting, bandwidth.
+"""Memory access controller model: byte accounting and bandwidth.
 
-Transfers are described by buffer descriptors (start address, stride,
-block sizes, iteration count) against the padded, transposed-A memory
-image, so that every burst is a unit-stride run of elements. The amount of
-data a block moves is charged in full padded form:
+block_bytes is the one traffic rule: every block, edge tiles included,
+moves its operand slices in and its result tile out in full padded form,
 
-    bytes = 4 * (block_rows * depth + block_cols * depth + block_rows * block_cols)
+    in_bytes  = 4 * (block_rows * depth + block_cols * depth)
+    out_bytes = 4 * block_rows * block_cols
+
+and both the simulator and the analytical model charge exactly that.
 
 Effective bandwidth is a first-class, swappable model of how achieved
 throughput varies with the number of arrays sharing the memory system and
@@ -21,8 +22,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .blockmm import TileGrid
-
 ELEMENT_BYTES = 4
 
 
@@ -31,100 +30,14 @@ class CalibrationError(ValueError):
 
 
 class CalibrationMissingError(LookupError):
-    """A table lookup has no entry and interpolation is disabled or impossible."""
+    """A bandwidth table has no row for the requested array count."""
 
 
-def block_bytes(block_rows: int, block_cols: int, depth: int) -> int:
-    """Bytes moved for one block: both operand slices plus the result tile."""
-    return ELEMENT_BYTES * (block_rows * depth + block_cols * depth + block_rows * block_cols)
-
-
-@dataclass(frozen=True)
-class BufferDescriptor:
-    """One contiguous-burst transfer pattern.
-
-    addr/stride are in elements against the padded memory image. A burst
-    is burst_elems consecutive elements; n_bursts bursts are stride
-    elements apart. block and iters echo the block geometry the descriptor
-    serves.
-    """
-
-    role: str                 # "a", "b" or "c"
-    addr: int
-    stride: int
-    burst_elems: int
-    n_bursts: int
-    block: tuple[int, int]    # (block_rows, block_cols)
-    iters: int                # inner-dimension depth
-
-    def __post_init__(self):
-        if self.stride < self.burst_elems:
-            raise ValueError("descriptor stride shorter than its burst")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.burst_elems * self.n_bursts * ELEMENT_BYTES
-
-
-@dataclass(frozen=True)
-class TransferPlan:
-    """Descriptors for one tile: A block in, B block in, result out."""
-
-    a: BufferDescriptor
-    b: BufferDescriptor
-    c: BufferDescriptor
-
-    @property
-    def in_bytes(self) -> int:
-        return self.a.total_bytes + self.b.total_bytes
-
-    @property
-    def out_bytes(self) -> int:
-        return self.c.total_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.in_bytes + self.out_bytes
-
-
-def plan_for_tile(grid: TileGrid, tile_row: int, tile_col: int) -> TransferPlan:
-    """Build the three descriptors for one tile of the grid.
-
-    The A operand is addressed in its transposed layout (depth rows of
-    padded_rows elements), which is what makes the A bursts unit-stride
-    runs of block_rows elements.
-    """
-    si, sj, k = grid.block_rows, grid.block_cols, grid.depth
-    a = BufferDescriptor(
-        role="a",
-        addr=tile_row * si,
-        stride=grid.padded_rows,
-        burst_elems=si,
-        n_bursts=k,
-        block=(si, sj),
-        iters=k,
-    )
-    b = BufferDescriptor(
-        role="b",
-        addr=tile_col * sj,
-        stride=grid.padded_cols,
-        burst_elems=sj,
-        n_bursts=k,
-        block=(si, sj),
-        iters=k,
-    )
-    c = BufferDescriptor(
-        role="c",
-        addr=tile_row * si * grid.padded_cols + tile_col * sj,
-        stride=grid.padded_cols,
-        burst_elems=sj,
-        n_bursts=si,
-        block=(si, sj),
-        iters=k,
-    )
-    plan = TransferPlan(a, b, c)
-    assert plan.total_bytes == block_bytes(si, sj, k)
-    return plan
+def block_bytes(block_rows: int, block_cols: int, depth: int) -> tuple[int, int]:
+    """Bytes one block moves, as (in_bytes, out_bytes): both operand
+    slices in, the result tile out."""
+    return (ELEMENT_BYTES * (block_rows * depth + block_cols * depth),
+            ELEMENT_BYTES * block_rows * block_cols)
 
 
 @dataclass(frozen=True)
@@ -159,19 +72,18 @@ class ParametricBandwidth:
 class TableBandwidth:
     """Calibrated effective bandwidth: (n_arrays, block_rows) -> bytes/s.
 
-    Block-size lookups may be linearly interpolated (and clamped) within
-    the calibrated points of a matching n_arrays row; the array count must
+    Block-size lookups are linearly interpolated (and clamped) within the
+    calibrated points of a matching n_arrays row; the array count must
     match exactly since it is a discrete hardware configuration. Loading
     rejects tables that break monotonicity: within a row, bandwidth must
     not fall as block size grows; across rows at the same block size, it
     must not rise as the array count grows.
     """
 
-    def __init__(self, table: dict[tuple[int, int], float], interpolate: bool = True):
+    def __init__(self, table: dict[tuple[int, int], float]):
         if not table:
             raise CalibrationError("empty bandwidth table")
         self.table = dict(table)
-        self.interpolate = interpolate
         self._rows: dict[int, list[tuple[int, float]]] = {}
         for (n_p, s_i), bw in sorted(self.table.items()):
             if n_p < 1 or s_i < 1:
@@ -198,7 +110,7 @@ class TableBandwidth:
             raise CalibrationError("bandwidth table not monotone: " + "; ".join(bad))
 
     @classmethod
-    def from_csv(cls, path, interpolate: bool = True) -> "TableBandwidth":
+    def from_csv(cls, path) -> "TableBandwidth":
         """Load a calibration CSV with header n_p,s_i,bytes_per_second."""
         table = {}
         with open(path, newline="") as fh:
@@ -215,7 +127,7 @@ class TableBandwidth:
                 if key in table:
                     raise CalibrationError(f"duplicate calibration row for {key}")
                 table[key] = float(line["bytes_per_second"])
-        return cls(table, interpolate=interpolate)
+        return cls(table)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -228,24 +140,17 @@ class TableBandwidth:
         row = self._rows.get(n_arrays)
         if row is None:
             raise CalibrationMissingError(f"no calibration for n_arrays={n_arrays}")
+        # a calibrated point returns its own rate: b0 + 1.0 * (b1 - b0)
+        # need not round to b1
         exact = self.table.get((n_arrays, block_rows))
         if exact is not None:
             return exact
-        if not self.interpolate:
-            raise CalibrationMissingError(
-                f"no calibration for (n_arrays={n_arrays}, block_rows={block_rows}) "
-                "and interpolation is disabled")
-        xs = [s for s, _ in row]
-        ys = [b for _, b in row]
-        if block_rows <= xs[0]:
-            return ys[0]
-        if block_rows >= xs[-1]:
-            return ys[-1]
+        if block_rows <= row[0][0]:
+            return row[0][1]
         for (s0, b0), (s1, b1) in zip(row, row[1:]):
-            if s0 <= block_rows <= s1:
-                t = (block_rows - s0) / (s1 - s0)
-                return b0 + t * (b1 - b0)
-        raise CalibrationMissingError(f"lookup failed for block_rows={block_rows}")
+            if block_rows <= s1:
+                return b0 + (block_rows - s0) / (s1 - s0) * (b1 - b0)
+        return row[-1][1]
 
 
 class IdealBandwidth:
@@ -259,9 +164,16 @@ BandwidthModel = ParametricBandwidth | TableBandwidth | IdealBandwidth
 
 
 def effective_bandwidth(model: BandwidthModel, n_arrays: int, block_rows: int) -> float:
-    """Achieved bytes/second for one array in the given configuration."""
+    """Achieved bytes/second for one array in the given configuration.
+
+    The one lookup the model and the simulator both make; a rate that is
+    not positive (zero, negative or NaN) raises ValueError.
+    """
     if n_arrays < 1:
         raise ValueError("n_arrays must be >= 1")
     if block_rows < 1:
         raise ValueError("block_rows must be >= 1")
-    return model.rate(n_arrays, block_rows)
+    bw = model.rate(n_arrays, block_rows)
+    if not bw > 0:
+        raise ValueError(f"bandwidth must be positive, got {bw!r}")
+    return bw

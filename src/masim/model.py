@@ -3,10 +3,13 @@
 For a problem of shape (m, depth) x (depth, n) running on n_arrays arrays
 with block sizes (block_rows, block_cols):
 
-  work_per_array = ceil(ceil(m / block_rows) * ceil(n / block_cols) / n_arrays)
-  load_seconds   = bytes of one block / effective bandwidth
+  work_per_array   = ceil(ceil(m / block_rows) * ceil(n / block_cols) / n_arrays)
+  load_seconds     = (in_bytes + out_bytes) / effective bandwidth
   transfer_seconds = work_per_array * load_seconds
-  compute_seconds  = work_per_array * charged block cycles / clock
+  compute_seconds  = work_per_array * charged cycles / clock
+
+with one block's bytes from mac.block_bytes and its charged cycles from
+mpe.block_charges, the same two rules the simulator charges.
 
 The true run time is bracketed by compute_seconds from below (transfers
 overlap compute) and transfer_seconds + compute_seconds from above (no
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mac
-from .mpe import Machine, block_cycles
+from .mpe import Machine, block_charges
 
 
 @dataclass(frozen=True)
@@ -85,34 +88,14 @@ def n_work(shape: ProblemShape, block_rows: int, block_cols: int,
     return -(-tiles // n_arrays)
 
 
-def t_compute(shape: ProblemShape, point: DesignPoint, machine: Machine) -> float:
-    """Compute-only time of the busiest array, in seconds."""
-    work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
-    return work * block_cycles(point.block_rows, point.block_cols,
-                               shape.depth, machine) / machine.f_acc
-
-
-def t_work(shape: ProblemShape, point: DesignPoint, bw: float) -> float:
-    """Seconds to move one block's traffic at the given rate."""
-    if not bw > 0:
-        raise ValueError("bandwidth must be positive")
-    return mac.block_bytes(point.block_rows, point.block_cols, shape.depth) / bw
-
-
-def t_trans(shape: ProblemShape, point: DesignPoint, machine: Machine) -> float:
-    """Transfer-only time for one array's share of the workload."""
-    bw = mac.effective_bandwidth(machine.bw_model, point.n_arrays, point.block_rows)
-    work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
-    return work * t_work(shape, point, bw)
-
-
 def bounds(shape: ProblemShape, point: DesignPoint, machine: Machine) -> ModelEstimate:
     """Lower/upper run-time bounds and the matching throughput bounds."""
-    bw = mac.effective_bandwidth(machine.bw_model, point.n_arrays, point.block_rows)
-    work = n_work(shape, point.block_rows, point.block_cols, point.n_arrays)
-    load = t_work(shape, point, bw)
+    si, sj, depth = point.block_rows, point.block_cols, shape.depth
+    bw = mac.effective_bandwidth(machine.bw_model, point.n_arrays, si)
+    work = n_work(shape, si, sj, point.n_arrays)
+    load = sum(mac.block_bytes(si, sj, depth)) / bw
     trans = work * load
-    comp = t_compute(shape, point, machine)
+    comp = work * block_charges(si, sj, depth, machine).cycles / machine.f_acc
     return ModelEstimate(
         work_per_array=work,
         load_seconds=load,

@@ -24,15 +24,16 @@ Per-block charged cycles are therefore
 
     block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
-exactly. block_charges gives this total and its breakdown; the run loop
-in the simulator charges it and never touches matrix data. trace_block
-ties the timing to the numerics: it walks one block's dataflow cycle by
-cycle with explicit PE state and FIFO hops, checks the walk against
-block_charges and the register-reuse invariants, and returns the same
-bits as the k-ordered kernel blockmm.reference_gemm on the block, because
-both apply the same float32 multiply-add sequence per output element.
-That is also why the whole-matrix kernel equals the tiles a run
-assembles.
+exactly. block_charges is the one place this is written: it gives the
+total and its breakdown, the run loop in the simulator charges it without
+touching matrix data, and model.bounds takes its compute time from it.
+trace_block ties the timing to the numerics: it walks one block's
+dataflow cycle by cycle with explicit PE state and FIFO hops, checks the
+walk against block_charges and the register-reuse invariants, and returns
+the same bits as the k-ordered kernel blockmm.reference_gemm on the
+block, because both apply the same float32 multiply-add sequence per
+output element. That is also why the whole-matrix kernel equals the
+tiles a run assembles.
 """
 
 from __future__ import annotations
@@ -140,23 +141,6 @@ class Machine:
         return "\n".join(lines)
 
 
-def psu_stall_plan(block_rows: int, block_cols: int) -> int:
-    """Stalls the phase synchroniser inserts per compute iteration.
-
-    Each iteration must cover both the B-row stream (block_cols cycles)
-    and the next A-column load (block_rows cycles); the shorter B side is
-    padded up to the common max(block_rows, block_cols) duration.
-    """
-    if block_rows < 1 or block_cols < 1:
-        raise ValueError("block sizes must be >= 1")
-    return max(block_rows, block_cols) - block_cols
-
-
-def block_cycles(block_rows: int, block_cols: int, depth: int, machine: Machine) -> int:
-    """Charged cycles for one block on one array."""
-    return block_rows + max(block_rows, block_cols) * depth + machine.fmac_stages
-
-
 class BlockCharges(NamedTuple):
     """Cycle breakdown of one block; prefetch + compute + stall = cycles."""
 
@@ -171,15 +155,21 @@ def block_charges(block_rows: int, block_cols: int, depth: int,
                   machine: Machine) -> BlockCharges:
     """What one block is charged: the one cycle policy every path applies.
 
-    The drain streams the finished tile out of the chain at drain_width
-    elements per cycle; it overlaps the next block's compute and is not
-    part of the charged cycles.
+    Each compute iteration must cover both the B-row stream (block_cols
+    cycles) and the next A-column load (block_rows cycles), so the phase
+    synchroniser pads the shorter B side with max(block_rows, block_cols)
+    - block_cols stall cycles per iteration. The drain streams the
+    finished tile out of the chain at drain_width elements per cycle; it
+    overlaps the next block's compute and is not part of the charged
+    cycles.
     """
+    if block_rows < 1 or block_cols < 1:
+        raise ValueError("block sizes must be >= 1")
     return BlockCharges(
-        cycles=block_cycles(block_rows, block_cols, depth, machine),
+        cycles=block_rows + max(block_rows, block_cols) * depth + machine.fmac_stages,
         prefetch_cycles=block_rows,
         compute_cycles=block_cols * depth + machine.fmac_stages,
-        stall_cycles=psu_stall_plan(block_rows, block_cols) * depth,
+        stall_cycles=(max(block_rows, block_cols) - block_cols) * depth,
         drain_cycles=-(-block_rows * block_cols // machine.drain_width),
     )
 
@@ -341,7 +331,8 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
     if cycle != charges.cycles:
         raise AssertionError(f"trace walked {cycle} cycles, contract says {charges.cycles}")
     if stalls != charges.stall_cycles:
-        raise AssertionError("stall count disagrees with the stall plan")
+        raise AssertionError(
+            f"trace stalled {stalls} cycles, contract says {charges.stall_cycles}")
 
     for pe in pes:
         pe.fifo_c = list(pe.mc)

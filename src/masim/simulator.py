@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -108,34 +109,42 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
 
     queues come from the workload queue manager, one per active array;
     the machine must be able to field that many arrays for the grid's
-    blocks (InfeasibleBlockError otherwise). slowdowns optionally scales
-    individual arrays' clock periods (testing aid for load-imbalance
-    scenarios; charged cycle stats stay nominal). After every arbitration
-    round the queue counters and the no-starvation rule are checked; a
-    violation raises SimulationError. A makespan too long to count in
-    cycles at the machine's clock raises OverflowError.
+    blocks (InfeasibleBlockError otherwise). slowdowns optionally maps
+    array ids to factors that scale those arrays' clock periods (testing
+    aid for load-imbalance scenarios; charged cycle stats stay nominal);
+    an id outside range(len(queues)) or a factor that is not positive and
+    finite raises ValueError. After every arbitration round the queue
+    counters and the no-starvation rule are checked; a violation raises
+    SimulationError. A makespan too long to count in cycles at the
+    machine's clock raises OverflowError.
 
     With trace_path the event trace is written there as CSV, with header
     cycle,array,event,block and rows sorted by cycle. The file is opened
     before the first event, so a path that cannot be written raises
-    OSError before anything is scheduled.
+    OSError before anything is scheduled; a run that then fails removes
+    the file again.
     """
     n_active = len(queues)
     machine.check(n_active, grid.block_rows, grid.block_cols)
-    if slowdowns is None:
-        slow = [1.0] * n_active
-    elif isinstance(slowdowns, dict):
-        slow = [float(slowdowns.get(i, 1.0)) for i in range(n_active)]
-    else:
-        slow = [float(s) for s in slowdowns]
-        if len(slow) != n_active:
-            raise ValueError("slowdowns must match the number of active arrays")
+    slow = [1.0] * n_active
+    for idx, factor in (slowdowns or {}).items():
+        if idx not in range(n_active):
+            raise ValueError(f"slowdowns names array {idx!r}; the run has {n_active}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"slowdown of array {idx} must be positive and finite, "
+                             f"got {factor!r}")
+        slow[idx] = float(factor)
 
     if trace_path is None:
         return _schedule(machine, grid, queues, slow, steal, None)
     with open(trace_path, "w", newline="") as fh:
         trace: list[tuple[float, int, str, int]] = []
-        report = _schedule(machine, grid, queues, slow, steal, trace)
+        try:
+            report = _schedule(machine, grid, queues, slow, steal, trace)
+        except BaseException:
+            fh.close()
+            os.remove(trace_path)
+            raise
         # seconds become cycles before sorting: rows in the same cycle are
         # ordered by array, event and block
         writer = csv.writer(fh)
@@ -151,13 +160,13 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
     rows to trace unless it is None."""
     n_active = len(queues)
     f_acc = machine.f_acc
-    per_array_bw = mac.effective_bandwidth(machine.bw_model, n_active, grid.block_rows)
-    port_bw = mac.effective_bandwidth(machine.bw_model, 1, grid.block_rows)
     shared = machine.contention == "shared_port"
+    # the shared port moves every array's data at the single-array rate
+    bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active,
+                                 grid.block_rows)
     shared_free = 0.0
-    # Every padded tile moves the same bytes, so one plan serves the grid.
-    plan = mac.plan_for_tile(grid, 0, 0)
-    in_bytes, out_bytes = plan.in_bytes, plan.out_bytes
+    # Every padded tile moves the same bytes, so one count serves the grid.
+    in_bytes, out_bytes = mac.block_bytes(grid.block_rows, grid.block_cols, grid.depth)
     charges = block_charges(grid.block_rows, grid.block_cols, grid.depth, machine)
     cycles = charges.cycles
 
@@ -179,11 +188,11 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
         nonlocal shared_free
         if shared:
             start = max(t, shared_free)
-            end = start + (nbytes / port_bw if math.isfinite(port_bw) else 0.0)
+            end = start + nbytes / bw
             shared_free = end
         else:
             start = max(t, st.transfer_free)
-            end = start + (nbytes / per_array_bw if math.isfinite(per_array_bw) else 0.0)
+            end = start + nbytes / bw
             st.transfer_free = end
         return start, end
 

@@ -211,7 +211,7 @@ def test_work_stealing(tmp_path):
         rep, *_ = simulate(shape, 4, 4, 4, masim.IdealBandwidth(),
                            steal=steal_on, slowdowns=slow)
         makespans[steal_on] = rep.time_seconds
-    blocks = masim.block_cycles(4, 4, 8, MACHINE)
+    blocks = masim.block_charges(4, 4, 8, MACHINE).cycles
     ideal = 64 * blocks / 2e8 / (0.5 + 1 + 1 + 1)
     assert makespans[True] <= makespans[False]
     assert makespans[True] <= 1.15 * ideal, (makespans[True], ideal)

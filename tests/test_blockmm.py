@@ -56,52 +56,6 @@ class TestPartition:
             assert g.tile_id(*g.tile_coords(tid)) == tid
 
 
-def fetch_a_bursts(a, grid, tile_row):
-    """Bursts the tile row's A descriptor reads from the padded, transposed
-    image of a: one row of block_rows elements per inner step."""
-    image = np.zeros((grid.depth, grid.padded_rows), np.float32)
-    image[:, : grid.m] = np.asarray(a, np.float32).T
-    flat = image.ravel()
-    d = masim.plan_for_tile(grid, tile_row, 0).a
-    starts = [d.addr + i * d.stride for i in range(d.n_bursts)]
-    return np.stack([flat[s0: s0 + d.burst_elems] for s0 in starts])
-
-
-class TestTranspose:
-    """The transposed A image that the A descriptors address."""
-
-    def test_single_element(self):
-        g = masim.partition(1, 1, 1, 1, 1)
-        assert fetch_a_bursts([[3.5]], g, 0).tolist() == [[3.5]]
-
-    def test_two_by_three(self):
-        g = masim.partition(2, 1, 3, 2, 1)
-        bursts = fetch_a_bursts([[1, 2, 3], [4, 5, 6]], g, 0)
-        assert bursts.tolist() == [[1, 4], [2, 5], [3, 6]]
-
-    def test_involution(self):
-        # transposing the fetched bursts back gives each tile's A block,
-        # zero rows past m included
-        rng = np.random.default_rng(0)
-        a = rand(rng, 70, 48)
-        g = masim.partition(70, 8, 48, 16, 8)
-        for i in range(g.grid_rows):
-            block = np.zeros((16, 48), np.float32)
-            rows = a[i * 16: (i + 1) * 16]
-            block[: len(rows)] = rows
-            assert np.array_equal(fetch_a_bursts(a, g, i).T, block)
-
-    def test_row_major_result(self):
-        # the tile rows' bursts cover the row-major image exactly once
-        g = masim.partition(70, 8, 48, 16, 8)
-        hits = np.zeros(g.depth * g.padded_rows, int)
-        for i in range(g.grid_rows):
-            d = masim.plan_for_tile(g, i, 0).a
-            for k in range(d.n_bursts):
-                hits[d.addr + k * d.stride: d.addr + k * d.stride + d.burst_elems] += 1
-        assert (hits == 1).all()
-
-
 class TestReferenceGemm:
     def test_identity_passthrough(self):
         rng = np.random.default_rng(1)

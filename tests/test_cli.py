@@ -177,6 +177,14 @@ class TestInvalidFlags:
             "--trace", str(tmp_path / "no-such-dir" / "x.csv")))
         assert pushed == []
 
+    def test_failed_run_leaves_no_trace(self, tmp_path, capsys):
+        # the trace file is opened before the schedule, and removed again
+        # when the makespan then overflows
+        trace = tmp_path / "t.csv"
+        self.assert_config_error(capsys, ("run", *self.POINT, "--freq", "5e-324",
+                                          "--trace", str(trace)))
+        assert not trace.exists()
+
     def test_zero_pipeline_stages_is_valid(self):
         assert run_cli("run", *self.POINT, "--stage", "0", "--no-verify") == 0
 
@@ -483,6 +491,14 @@ class TestBandwidthSpecs:
         cal.write_text("n_p,s_i,bytes_per_second\n1,8,8e8\n")
         out = tmp_path / "r.json"
         assert run_cli("run", "--shape", "8x8x8", "--np", "1", "--si", "8",
+                       "--bw-model", str(cal), "--out", str(out)) == 0
+
+    def test_table_without_single_array_rows(self, tmp_path):
+        # the per-array regime looks up only the array count it runs
+        cal = tmp_path / "cal.csv"
+        cal.write_text("n_p,s_i,bytes_per_second\n2,32,1e9\n2,64,2e9\n")
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--shape", "64x64x64", "--np", "2", "--si", "32",
                        "--bw-model", str(cal), "--out", str(out)) == 0
 
     def test_auto_on_partial_table(self, tmp_path):

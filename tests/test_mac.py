@@ -7,57 +7,24 @@ from masim import mac
 
 
 class TestTransferPlan:
+    """The one traffic rule, mac.block_bytes: (in_bytes, out_bytes)."""
+
     def test_conv1_block_bytes(self):
-        g = masim.partition(96, 3025, 363, 128, 128)
-        plan = masim.plan_for_tile(g, 0, 0)
-        assert plan.total_bytes == 4 * (46464 + 46464 + 16384) == 437248
+        assert sum(mac.block_bytes(128, 128, 363)) == 4 * (46464 + 46464 + 16384) == 437248
 
     def test_minimal_block(self):
-        g = masim.partition(1, 1, 1, 1, 1)
-        assert masim.plan_for_tile(g, 0, 0).total_bytes == 12
+        assert mac.block_bytes(1, 1, 1) == (8, 4)
+        assert sum(mac.block_bytes(1, 1, 1)) == 12
 
     def test_rectangular_block(self):
-        g = masim.partition(128, 64, 100, 128, 64)
-        plan = masim.plan_for_tile(g, 0, 0)
-        assert plan.total_bytes == 4 * (12800 + 6400 + 8192) == 109568
+        assert sum(mac.block_bytes(128, 64, 100)) == 4 * (12800 + 6400 + 8192) == 109568
 
     def test_in_out_split(self):
-        g = masim.partition(8, 8, 4, 8, 8)
-        plan = masim.plan_for_tile(g, 0, 0)
-        assert plan.in_bytes == 4 * (8 * 4 + 8 * 4)
-        assert plan.out_bytes == 4 * 64
+        assert mac.block_bytes(8, 8, 4) == (4 * (8 * 4 + 8 * 4), 4 * 64)
 
     def test_byte_accounting_formula(self):
         for si, sj, k in [(1, 1, 1), (3, 5, 7), (128, 96, 363), (64, 64, 1200)]:
-            g = masim.partition(si, sj, k, si, sj)
-            assert masim.plan_for_tile(g, 0, 0).total_bytes == mac.block_bytes(si, sj, k)
-
-    def test_a_descriptor_addresses_transposed_layout(self):
-        g = masim.partition(130, 100, 50, 64, 64)
-        for tid in range(g.tile_count):
-            i, j = g.tile_coords(tid)
-            plan = masim.plan_for_tile(g, i, j)
-            # A bursts are rows of the transposed padded image: unit stride,
-            # block_rows long, one burst per inner step
-            assert plan.a.burst_elems == g.block_rows
-            assert plan.a.n_bursts == g.depth
-            assert plan.a.stride == g.padded_rows
-            assert plan.a.addr == i * g.block_rows
-            assert plan.b.burst_elems == g.block_cols
-            assert plan.c.n_bursts == g.block_rows
-
-    def test_make_transfer_plan_from_item(self):
-        # every queued tile id's plan, edge tiles included, moves the bytes
-        # of the grid's first tile: one plan per grid is what a run charges
-        g = masim.partition(13, 11, 8, 8, 4)
-        first = masim.plan_for_tile(g, 0, 0)
-        for tile_id in range(g.tile_count):
-            plan = masim.plan_for_tile(g, *g.tile_coords(tile_id))
-            assert (plan.in_bytes, plan.out_bytes) == (first.in_bytes, first.out_bytes)
-
-    def test_stride_never_shorter_than_burst(self):
-        with pytest.raises(ValueError):
-            mac.BufferDescriptor("a", 0, 4, 8, 2, (8, 8), 2)
+            assert sum(mac.block_bytes(si, sj, k)) == 4 * (si * k + sj * k + si * sj)
 
 
 class TestParametricBandwidth:
@@ -117,11 +84,6 @@ class TestTableBandwidth:
         assert masim.effective_bandwidth(t, 1, 8) == 8e8
         assert masim.effective_bandwidth(t, 1, 500) == 1.5e9
 
-    def test_miss_without_interpolation(self):
-        t = masim.TableBandwidth(self.TABLE, interpolate=False)
-        with pytest.raises(masim.CalibrationMissingError):
-            masim.effective_bandwidth(t, 1, 48)
-
     def test_missing_array_count(self):
         t = masim.TableBandwidth(self.TABLE)
         with pytest.raises(masim.CalibrationMissingError):
@@ -158,32 +120,51 @@ class TestTableBandwidth:
 
 
 class TestTransferTime:
-    """One block's transfer time, model.t_work: padded block bytes / rate."""
+    """One block's transfer time, the model's load_seconds: padded block
+    bytes / rate."""
+
+    @staticmethod
+    def load(shape, point, rate):
+        flat = masim.Machine(bw_model=masim.ParametricBandwidth(rate, 0, 0))
+        return masim.bounds(shape, point, flat).load_seconds
 
     def test_conv1_at_documented_rate(self):
         shape = masim.ProblemShape(96, 363, 3025)
-        assert masim.t_work(shape, masim.DesignPoint(1, 128), 1.6e9) \
+        assert self.load(shape, masim.DesignPoint(1, 128), 1.6e9) \
             == pytest.approx(273.28e-6)
 
     def test_bytes_equal_rate(self):
         shape = masim.ProblemShape(1, 1, 1)
-        assert masim.t_work(shape, masim.DesignPoint(1, 1), 12.0) == 1.0
+        assert self.load(shape, masim.DesignPoint(1, 1), 12.0) == 1.0
 
     def test_fc6_block(self):
-        g = masim.partition(128, 4096, 9216, 128, 128)
-        assert masim.plan_for_tile(g, 0, 0).total_bytes == 9502720
+        assert sum(mac.block_bytes(128, 128, 9216)) == 9502720
         shape = masim.ProblemShape(128, 9216, 4096)
-        assert masim.t_work(shape, masim.DesignPoint(2, 128), 2.0e9) \
+        assert self.load(shape, masim.DesignPoint(2, 128), 2.0e9) \
             == pytest.approx(4.75136e-3)
 
-    def test_rejects_nonpositive_rate(self):
-        shape = masim.ProblemShape(1, 1, 1)
-        with pytest.raises(ValueError):
-            masim.t_work(shape, masim.DesignPoint(1, 1), 0.0)
+    def test_rejects_nonpositive_rate(self, tmp_path):
+        # effective_bandwidth is the one lookup: the model and the
+        # simulator both reject a rate that is not positive
+        class Stalled:
+            def rate(self, n_arrays, block_rows):
+                return 0.0
+
+        with pytest.raises(ValueError, match="positive"):
+            masim.effective_bandwidth(Stalled(), 1, 1)
+        machine = masim.Machine(bw_model=Stalled())
+        with pytest.raises(ValueError, match="positive"):
+            masim.bounds(masim.ProblemShape(1, 1, 1), masim.DesignPoint(1, 1), machine)
+        grid = masim.partition(1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="positive"):
+            masim.run_mpe(machine, grid, masim.partition_workload(grid, 1),
+                          trace_path=tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_ideal_bandwidth_is_instant(self):
         ideal = masim.IdealBandwidth()
         bw = masim.effective_bandwidth(ideal, 4, 8)
         assert math.isinf(bw)
         shape = masim.ProblemShape(8, 8, 8)
-        assert masim.t_work(shape, masim.DesignPoint(4, 8), bw) == 0.0
+        machine = masim.Machine(bw_model=ideal)
+        assert masim.bounds(shape, masim.DesignPoint(4, 8), machine).load_seconds == 0.0

@@ -36,19 +36,21 @@ class TestWorkPerArray:
 
 
 class TestComputeTime:
+    """The busiest array's compute time, the model's compute_seconds."""
+
     def test_fc6_at_two_by_128(self):
-        t = masim.t_compute(FC6, masim.DesignPoint(2, 128), MACHINE)
+        t = masim.bounds(FC6, masim.DesignPoint(2, 128), MACHINE).compute_seconds
         assert t == pytest.approx(16 * 1179784 / 2e8)
         assert t == pytest.approx(0.09438272)
 
     def test_formula_collapse(self):
         shape = masim.ProblemShape(16, 1, 16)
-        t = masim.t_compute(shape, masim.DesignPoint(1, 16),
-                            masim.Machine(fmac_stages=0, f_acc=1e6))
+        t = masim.bounds(shape, masim.DesignPoint(1, 16),
+                         masim.Machine(fmac_stages=0, f_acc=1e6)).compute_seconds
         assert t == pytest.approx((16 + 16) / 1e6)
 
     def test_conv2_at_two_by_128(self):
-        t = masim.t_compute(CONV2, masim.DesignPoint(2, 128), MACHINE)
+        t = masim.bounds(CONV2, masim.DesignPoint(2, 128), MACHINE).compute_seconds
         assert t == pytest.approx(3 * (128 + 153600 + 8) / 2e8)
         assert t == pytest.approx(2.30604e-3)
 
@@ -59,22 +61,28 @@ class TestComputeTime:
 
 
 class TestTransferTimeModel:
+    """Transfer-only time of one array's share, the model's transfer_seconds."""
+
+    @staticmethod
+    def transfer(shape, point, bw_model):
+        return masim.bounds(shape, point, machine(bw_model)).transfer_seconds
+
     def test_single_block_equals_one_load(self):
         shape = masim.ProblemShape(64, 100, 64)
         point = masim.DesignPoint(1, 64)
         bw = masim.ParametricBandwidth(1e9, 0, 0)
-        assert masim.t_trans(shape, point, machine(bw)) == pytest.approx(
-            masim.t_work(shape, point, 1e9))
+        assert self.transfer(shape, point, bw) == pytest.approx(
+            sum(masim.block_bytes(64, 64, 100)) / 1e9)
 
     def test_conv1_chain(self):
         point = masim.DesignPoint(2, 128)
         bw = masim.ParametricBandwidth(1.6e9, 0, 0)   # flat 1.6e9 at any point
-        assert masim.t_trans(CONV1, point, machine(bw)) == pytest.approx(12 * 273.28e-6)
+        assert self.transfer(CONV1, point, bw) == pytest.approx(12 * 273.28e-6)
 
     def test_doubling_bandwidth_halves_transfer(self):
         point = masim.DesignPoint(2, 64)
-        t1 = masim.t_trans(CONV2, point, machine(masim.ParametricBandwidth(1e9, 0, 0)))
-        t2 = masim.t_trans(CONV2, point, machine(masim.ParametricBandwidth(2e9, 0, 0)))
+        t1 = self.transfer(CONV2, point, masim.ParametricBandwidth(1e9, 0, 0))
+        t2 = self.transfer(CONV2, point, masim.ParametricBandwidth(2e9, 0, 0))
         assert t1 == pytest.approx(2 * t2)
 
 
@@ -213,7 +221,10 @@ class TestExplore:
         work = masim.n_work(CONV2, 128, 64, 2)
         assert est.work_per_array == work
         assert est.compute_seconds == pytest.approx(
-            work * masim.block_cycles(128, 64, 1200, MACHINE) / 2e8)
+            work * masim.block_charges(128, 64, 1200, MACHINE).cycles / 2e8)
+        assert est.load_seconds == pytest.approx(
+            sum(masim.block_bytes(128, 64, 1200))
+            / masim.effective_bandwidth(MACHINE.bw_model, 2, 128))
 
 
 class TestShapeValidation:

@@ -31,15 +31,20 @@ def m128(**fields):
 
 
 class TestPsuStallPlan:
+    """The phase synchroniser's stalls per compute iteration, as
+    block_charges counts them."""
+
     @pytest.mark.parametrize("si,sj,stalls", [
         (128, 128, 0), (96, 64, 32), (64, 96, 0), (1, 1, 0), (10, 3, 7),
     ])
     def test_examples(self, si, sj, stalls):
-        assert masim.psu_stall_plan(si, sj) == stalls
+        assert masim.block_charges(si, sj, 1, MACHINE).stall_cycles == stalls
+        assert masim.block_charges(si, sj, 5, MACHINE).stall_cycles == 5 * stalls
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            masim.psu_stall_plan(0, 4)
+        for si, sj in ((0, 4), (4, 0)):
+            with pytest.raises(ValueError):
+                masim.block_charges(si, sj, 1, MACHINE)
 
 
 class TestSimulateBlock:
@@ -62,7 +67,7 @@ class TestSimulateBlock:
         assert walked_cycles(events) == 2
 
     def test_cycle_example_fc6_sized(self):
-        assert masim.block_cycles(128, 128, 9216, MACHINE) == 1179784
+        assert masim.block_charges(128, 128, 9216, MACHINE).cycles == 1179784
 
     def test_cycle_breakdown_sums(self):
         rng = np.random.default_rng(2)
@@ -70,7 +75,7 @@ class TestSimulateBlock:
             machine = m128(fmac_stages=st)
             charges = masim.block_charges(si, sj, k, machine)
             assert (charges.prefetch_cycles + charges.compute_cycles + charges.stall_cycles
-                    == charges.cycles == masim.block_cycles(si, sj, k, machine))
+                    == charges.cycles == si + max(si, sj) * k + st)
             _, events, _ = masim.trace_block(*block_of(rng, si, sj, k), machine)
             assert walked_cycles(events) == charges.cycles
             assert sum(e.kind == "psu_stall" for e in events) == charges.stall_cycles
@@ -139,7 +144,8 @@ class TestTraceBlock:
         si, sj, k = 9, 4, 5
         _, events, _ = masim.trace_block(*block_of(rng, si, sj, k), M128)
         stalls = [e for e in events if e.kind == "psu_stall"]
-        assert len(stalls) == masim.psu_stall_plan(si, sj) * k
+        assert len(stalls) == masim.block_charges(si, sj, k, M128).stall_cycles
+        assert len(stalls) == (si - sj) * k
 
     def test_reuse_and_swap_sequence(self):
         rng = np.random.default_rng(10)

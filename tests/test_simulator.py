@@ -34,17 +34,19 @@ def schedule(shape, n_arrays, si):
 class TestSingleBlock:
     def test_ideal_bandwidth_charges_exact_block_cycles(self):
         rep, *_ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
-        assert rep.total_cycles == masim.block_cycles(8, 8, 8, masim.Machine())
+        assert rep.total_cycles == masim.block_charges(8, 8, 8, masim.Machine()).cycles
         assert rep.arrays[0].idle_cycles == 0
 
     def test_finite_bandwidth_adds_first_fetch(self):
+        # one tile on one array overlaps nothing: the run takes the model's
+        # upper bound, so both charge the same bytes and cycles
         bw = masim.ParametricBandwidth(1e6, 0, 0)   # deliberately slow
         rep, *_ = run_problem(8, 8, 8, 8, 8, 1, bw)
-        grid = masim.partition(8, 8, 8, 8, 8)
-        plan = masim.plan_for_tile(grid, 0, 0)
-        expected = plan.in_bytes / 1e6 + masim.block_cycles(8, 8, 8, masim.Machine()) / 2e8 \
-            + plan.out_bytes / 1e6
-        assert rep.time_seconds == pytest.approx(expected)
+        est = masim.bounds(masim.ProblemShape(8, 8, 8), masim.DesignPoint(1, 8),
+                           masim.Machine(bw_model=bw))
+        assert rep.time_seconds == pytest.approx(est.upper_seconds)
+        in_bytes, out_bytes = masim.block_bytes(8, 8, 8)
+        assert (rep.arrays[0].bytes_in, rep.arrays[0].bytes_out) == (in_bytes, out_bytes)
 
     def test_drain_reported_separately(self):
         rep, *_ = run_problem(8, 8, 8, 8, 8, 1, masim.IdealBandwidth())
@@ -71,7 +73,7 @@ class TestBalancedRun:
         machine = masim.Machine(drain_width=4)
         res = masim.block_charges(16, 8, 16, machine)
         masim.trace_block(a[:16], b[:, :8], machine)
-        assert res.cycles == masim.block_cycles(16, 8, 16, machine) and res.stall_cycles > 0
+        assert res.cycles == 16 + 16 * 16 + 8 and res.stall_cycles > 0
         for s in rep.arrays:
             n = s.blocks_executed
             assert (s.prefetch_cycles, s.compute_cycles, s.stall_cycles) == (
@@ -207,6 +209,14 @@ class TestErrorPaths:
             queues = masim.partition_workload(grid, n_arrays)
             with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
                 masim.run_mpe(masim.Machine(), grid, queues)
+
+    def test_rejects_bad_slowdowns(self):
+        grid = masim.partition(8, 8, 4, 4, 4)
+        for slow in ({7: 3.0}, {-1: 2.0}, {0: -1.0}, {1: 0.0},
+                     {0: float("nan")}, {1: float("inf")}):
+            with pytest.raises(ValueError, match="slowdown"):
+                masim.run_mpe(masim.Machine(), grid, masim.partition_workload(grid, 2),
+                              slowdowns=slow)
 
     def test_more_queues_than_the_machine_can_field(self):
         grid = masim.partition(8, 8, 4, 4, 4)
