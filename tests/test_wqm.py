@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import assemble_run
@@ -182,3 +185,35 @@ class TestStealInsideRuns:
                                     slowdowns=slow)
                 times[steal_on] = rep.time_seconds
             assert times[True] <= times[False] * (1 + 1e-12)
+
+    def test_steal_schedule_pinned(self):
+        # A seeded sweep over both transfer regimes, ideal and finite
+        # bandwidth, 3-4 arrays (so victims tie and the pointer breaks the
+        # tie) and uneven slowdowns, with stealing on and off. The digest
+        # covers the makespan, the steal log and each array's tiles, which
+        # are the whole of the schedule the steal rule decides.
+        rng = np.random.default_rng(11)
+        digest = hashlib.sha256()
+        runs = steals = 0
+        for contention in ("per_array", "shared_port"):
+            for bw in (masim.IdealBandwidth(), masim.ParametricBandwidth(4e8, 8, 0.3)):
+                machine = masim.Machine(bw_model=bw, contention=contention)
+                for _ in range(38):
+                    n_arrays = int(rng.integers(3, 5))
+                    m, n, k = (int(rng.integers(2, hi)) * 4 for hi in (7, 7, 9))
+                    grid = masim.partition(m, n, k, 4, 4)
+                    slow = {i: float(rng.choice([1.0, 1.25, 2.0, 3.0]))
+                            for i in range(n_arrays)}
+                    for steal_on in (False, True):
+                        rep = masim.run_mpe(machine, grid,
+                                            masim.partition_workload(grid, n_arrays),
+                                            steal=steal_on, slowdowns=slow)
+                        runs += 1
+                        steals += len(rep.steal_events)
+                        digest.update(repr((
+                            rep.time_seconds,
+                            [dataclasses.astuple(e) for e in rep.steal_events],
+                            [s.tiles for s in rep.arrays])).encode())
+        assert runs == 304 and steals >= 100
+        assert digest.hexdigest() == \
+            "b4d783264c292eefc39eebe2ddb049cf5388eff5ee0fb1088cd43ba2555dc32d"
