@@ -56,8 +56,7 @@ for si in (64, 100, 192):
 grid = masim.partition(48, 48, 20, 16, 16)
 print("\nindependent vs cooperating arrays on the same 9-tile workload")
 for n_arrays in (4, 1):
-    queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(machine, grid, queues)
+    rep = masim.run_mpe(machine, grid, n_arrays)
     label = f"{n_arrays} array(s)"
     print(f"  {label:<12} {rep.total_cycles:>8} cycles, "
           f"{rep.gflops:6.2f} GFLOPS, "

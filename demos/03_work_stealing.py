@@ -1,8 +1,9 @@
 """Work stealing between array queues.
 
-Each array owns a task queue; when an array has nothing queued and a
-buffer slot free, it steals the tail task of the fullest other queue,
-with simultaneous requests arbitrated round-robin. Under skewed service
+run_mpe deals the tiles round-robin, one task queue per array; when an
+array has nothing queued and a buffer slot free, it steals the tail task
+of the fullest other queue, with simultaneous requests arbitrated
+round-robin. Under skewed service
 rates this keeps every array busy and cuts the makespan.
 """
 
@@ -17,8 +18,7 @@ print(f"{grid.tile_count} tiles over 4 arrays, array 0 clocked 2x slower\n")
 
 results = {}
 for steal_on in (False, True):
-    queues = masim.partition_workload(grid, 4)
-    rep = masim.run_mpe(machine, grid, queues, steal=steal_on, slowdowns=slow)
+    rep = masim.run_mpe(machine, grid, 4, steal=steal_on, slowdowns=slow)
     results[steal_on] = rep
     mode = "stealing" if steal_on else "static  "
     print(f"{mode}: makespan {rep.total_cycles} cycles, "

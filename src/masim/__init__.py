@@ -13,7 +13,6 @@ from .mpe import (BlockCharges, InfeasibleBlockError, Machine, PeState,
                   block_charges, trace_block)
 from .presets import LAYER_PRESETS
 from .simulator import ArrayRunStats, SimReport, SimulationError, run_mpe
-from .wqm import (RoundRobinArbiter, StealEvent, WorkQueue, arbitrate,
-                  partition_workload, select_victim, steal)
+from .wqm import StealEvent, arbitrate, partition_workload
 
 __version__ = "0.1.0"

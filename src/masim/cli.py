@@ -9,11 +9,13 @@ Subcommands:
              simulate each point and compare against the bounds
   calibrate  validate a measured bandwidth table and store it for reuse
 
-The simulator only schedules; it never reads matrix data. After the
-schedule, run builds the seeded matrices once, computes the arrays' output
-with the k-ordered float32 kernel (a float32 matmul under --fast-numerics)
-and checks it against a float64 product; when the oracle is skipped
-nothing reads the output, so neither is built. explore builds no matrices.
+The simulator only schedules: given the tile grid and the array count it
+rejects an infeasible point, deals the tiles and arbitrates steals itself,
+and it never reads matrix data. After the schedule, run builds the seeded
+matrices once, computes the arrays' output with the k-ordered float32
+kernel (a float32 matmul under --fast-numerics) and checks it against a
+float64 product; when the oracle is skipped nothing reads the output, so
+neither is built. explore builds no matrices.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
@@ -36,7 +38,7 @@ import time
 
 import numpy as np
 
-from . import mac, model, wqm
+from . import mac, model
 from .blockmm import max_rel_error, partition, reference_gemm
 from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
@@ -146,9 +148,7 @@ def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.De
         return model.explore(shape, machine).best.point
     if args.np is None or args.si is None:
         raise CliError("a design point is required: --np and --si, or --auto")
-    point = model.DesignPoint(args.np, args.si, args.sj)
-    machine.check(point.n_arrays, point.block_rows, point.block_cols)  # before any queue is built
-    return point
+    return model.DesignPoint(args.np, args.si, args.sj)
 
 
 def build_matrices(shape: model.ProblemShape, seed: int):
@@ -161,8 +161,7 @@ def build_matrices(shape: model.ProblemShape, seed: int):
 def simulate_point(shape, point, machine, args, *, trace_path=None):
     grid = partition(shape.m, shape.n, shape.depth,
                      point.block_rows, point.block_cols)
-    queues = wqm.partition_workload(grid, point.n_arrays)
-    return run_mpe(machine, grid, queues, steal=not args.no_steal,
+    return run_mpe(machine, grid, point.n_arrays, steal=not args.no_steal,
                    trace_path=trace_path)
 
 
@@ -211,8 +210,7 @@ def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> di
 
 
 def cmd_run(args) -> int:
-    _, shape = resolve_shape(args)
-    label = args.preset or args.shape
+    label, shape = resolve_shape(args)
     machine = resolve_machine(args)
     point = resolve_point(args, shape, machine)
 
@@ -252,8 +250,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _, shape = resolve_shape(args)
-    label = args.preset or args.shape
+    label, shape = resolve_shape(args)
     machine = resolve_machine(args)
     result = model.explore(shape, machine, args.candidates)
 
@@ -375,12 +372,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InfeasibleBlockError, mac.CalibrationMissingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, OverflowError) as exc:
-        # e.g. an --out or --trace path in a missing directory, or a
-        # makespan too long to count in cycles
+    except (CliError, InfeasibleBlockError, mac.CalibrationMissingError,
+            OSError, OverflowError) as exc:
+        # OSError: e.g. an --out or --trace path in a missing directory;
+        # OverflowError: a makespan too long to count in cycles
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

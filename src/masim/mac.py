@@ -75,9 +75,10 @@ class TableBandwidth:
     Block-size lookups are linearly interpolated (and clamped) within the
     calibrated points of a matching n_arrays row; the array count must
     match exactly since it is a discrete hardware configuration. Loading
-    rejects tables that break monotonicity: within a row, bandwidth must
-    not fall as block size grows; across rows at the same block size, it
-    must not rise as the array count grows.
+    rejects rates that are not positive and finite (IdealBandwidth is the
+    infinite one), and tables that break monotonicity: within a row,
+    bandwidth must not fall as block size grows; across rows at the same
+    block size, it must not rise as the array count grows.
     """
 
     def __init__(self, table: dict[tuple[int, int], float]):
@@ -88,8 +89,9 @@ class TableBandwidth:
         for (n_p, s_i), bw in sorted(self.table.items()):
             if n_p < 1 or s_i < 1:
                 raise CalibrationError(f"invalid key (n_p={n_p}, s_i={s_i})")
-            if not bw > 0:
-                raise CalibrationError(f"non-positive bandwidth at (n_p={n_p}, s_i={s_i})")
+            if not 0 < bw < math.inf:
+                raise CalibrationError(f"bandwidth at (n_p={n_p}, s_i={s_i}) must be "
+                                       f"positive and finite, got {bw!r}")
             self._rows.setdefault(n_p, []).append((s_i, bw))
         self._validate()
 

@@ -2,20 +2,21 @@
 
 The simulator is a pure timing engine: the schedule depends only on the
 machine (mpe.Machine: clock, pipeline, bandwidth model, transfer regime),
-the tile grid and the queues, never on the matrix values, so run_mpe
-takes no matrix data. The machine's feasibility rule is checked for one
-array per queue before anything runs. The output the modelled arrays
+the tile grid and the array count, never on the matrix values, so run_mpe
+takes no matrix data. The machine's feasibility rule is checked for that
+array count before anything runs. The output the modelled arrays
 produce is the k-ordered kernel blockmm.reference_gemm applied to the
 whole problem (mpe.trace_block ties each block's numerics to that
 kernel); callers compute it once, after the schedule.
 
-One run drives the active arrays over their work queues with overlapped
+One run deals the tiles round-robin onto one work queue per active array
+(wqm.partition_workload) and drives the arrays over them with overlapped
 transfers: each array holds at most two resident blocks (one computing
 from the active buffer, one prefetching into the shadow buffer), its
 transfer engine serialises fetches and write-backs, and compute starts
-only once a block's data is fully resident. Work stealing is evaluated at
-block boundaries, i.e. whenever the event loop finishes a batch of
-same-time events.
+only once a block's data is fully resident. Work stealing
+(wqm.arbitrate) is evaluated at block boundaries, i.e. whenever the event
+loop finishes a batch of same-time events.
 
 Two transfer regimes are available. In the default per-array regime every
 active array sees the effective bandwidth the bandwidth model assigns to
@@ -34,7 +35,7 @@ nothing but the per-array statistics and the steal log.
 
 A run is strictly deterministic: identical inputs produce an identical
 report, event order is fixed by (time, insertion sequence), and
-same-instant steal requests are resolved by the round-robin arbiter.
+same-instant steal requests are resolved in round-robin order.
 """
 
 from __future__ import annotations
@@ -103,20 +104,20 @@ class _ArrayState:
         return len(self.queue) == 0 and self.resident < 2
 
 
-def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
+def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
             steal: bool = True, slowdowns=None, trace_path=None) -> SimReport:
-    """Schedule the tiles of grid on the machine and report the timing.
+    """Schedule the tiles of grid on n_arrays arrays of the machine and
+    report the timing.
 
-    queues come from the workload queue manager, one per active array;
-    the machine must be able to field that many arrays for the grid's
-    blocks (InfeasibleBlockError otherwise). slowdowns optionally maps
-    array ids to factors that scale those arrays' clock periods (testing
-    aid for load-imbalance scenarios; charged cycle stats stay nominal);
-    an id outside range(len(queues)) or a factor that is not positive and
-    finite raises ValueError. After every arbitration round the queue
-    counters and the no-starvation rule are checked; a violation raises
-    SimulationError. A makespan too long to count in cycles at the
-    machine's clock raises OverflowError.
+    The machine must be able to field n_arrays arrays for the grid's
+    blocks (InfeasibleBlockError otherwise). With steal=False each array
+    runs only the tiles dealt to it. slowdowns optionally maps array ids
+    to factors that scale those arrays' clock periods (testing aid for
+    load-imbalance scenarios; charged cycle stats stay nominal); an id
+    outside range(n_arrays) or a factor that is not positive and finite
+    raises ValueError. After every arbitration round the no-starvation
+    rule is checked; a violation raises SimulationError. A makespan too
+    long to count in cycles at the machine's clock raises OverflowError.
 
     With trace_path the event trace is written there as CSV, with header
     cycle,array,event,block and rows sorted by cycle. The file is opened
@@ -124,23 +125,22 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
     OSError before anything is scheduled; a run that then fails removes
     the file again.
     """
-    n_active = len(queues)
-    machine.check(n_active, grid.block_rows, grid.block_cols)
-    slow = [1.0] * n_active
+    machine.check(n_arrays, grid.block_rows, grid.block_cols)
+    slow = [1.0] * n_arrays
     for idx, factor in (slowdowns or {}).items():
-        if idx not in range(n_active):
-            raise ValueError(f"slowdowns names array {idx!r}; the run has {n_active}")
+        if idx not in range(n_arrays):
+            raise ValueError(f"slowdowns names array {idx!r}; the run has {n_arrays}")
         if not 0 < factor < math.inf:
             raise ValueError(f"slowdown of array {idx} must be positive and finite, "
                              f"got {factor!r}")
         slow[idx] = float(factor)
 
     if trace_path is None:
-        return _schedule(machine, grid, queues, slow, steal, None)
+        return _schedule(machine, grid, slow, steal, None)
     with open(trace_path, "w", newline="") as fh:
         trace: list[tuple[float, int, str, int]] = []
         try:
-            report = _schedule(machine, grid, queues, slow, steal, trace)
+            report = _schedule(machine, grid, slow, steal, trace)
         except BaseException:
             fh.close()
             os.remove(trace_path)
@@ -154,11 +154,11 @@ def run_mpe(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue], *,
     return report
 
 
-def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
-              slow: list[float], steal: bool, trace) -> SimReport:
-    """The event loop of run_mpe; appends (seconds, array, event, tile id)
-    rows to trace unless it is None."""
-    n_active = len(queues)
+def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
+              trace) -> SimReport:
+    """The event loop of run_mpe over one array per slow entry; appends
+    (seconds, array, event, tile id) rows to trace unless it is None."""
+    n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
     # the shared port moves every array's data at the single-array rate
@@ -170,8 +170,9 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
     charges = block_charges(grid.block_rows, grid.block_cols, grid.depth, machine)
     cycles = charges.cycles
 
+    queues = wqm.partition_workload(grid.tile_count, n_active)
     states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]
-    arbiter = wqm.RoundRobinArbiter(n_active)
+    pointer = 0                    # round-robin pointer of the steal arbitration
     steal_log: list[wqm.StealEvent] = []
     executed: set[int] = set()
 
@@ -196,15 +197,17 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
             st.transfer_free = end
         return start, end
 
+    def fetch(st: _ArrayState, t: float, tile: int):
+        st.resident += 1
+        start, end = xfer(st, t, in_bytes)
+        st.stats.bytes_in += in_bytes
+        if trace is not None:
+            trace.append((start, st.idx, "fetch_start", tile))
+        push(end, "fetch_done", st.idx, tile)
+
     def issue_fetches(st: _ArrayState, t: float):
-        while st.resident < 2 and len(st.queue) > 0:
-            tile = st.queue.pop_head()
-            st.resident += 1
-            start, end = xfer(st, t, in_bytes)
-            st.stats.bytes_in += in_bytes
-            if trace is not None:
-                trace.append((start, st.idx, "fetch_start", tile))
-            push(end, "fetch_done", st.idx, tile)
+        while st.resident < 2 and st.queue:
+            fetch(st, t, st.queue.popleft())
 
     def start_compute(st: _ArrayState, t: float):
         if st.compute_busy or not st.ready:
@@ -240,25 +243,21 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
         start_compute(st, t)
 
     def arbitration(t: float):
+        nonlocal pointer
         needy = [st.idx for st in states if st.needy()]
         if not needy:
             return
-
-        def grant(thief: int):
-            states[thief].stats.steals_taken += 1
-            issue_fetches(states[thief], t)
-
         before = len(steal_log)
-        wqm.arbitrate([st.queue for st in states], needy, arbiter, t, steal_log,
-                      on_steal=grant)
-        if trace is not None:
-            trace.extend((ev.time_s, ev.thief, "steal", ev.item_id)
-                         for ev in steal_log[before:])
-        for st in states:
-            st.queue.check_counter()
-        still = [st for st in states if st.needy() and st.resident == 0
-                 and len(st.queue) == 0]
-        if still and any(st.queue.counter >= 1 for st in states):
+        pointer = wqm.arbitrate(queues, needy, pointer, t, steal_log)
+        # each thief fetches its tile at once, in grant order, so the
+        # shared port serves the stolen tiles in that order
+        for ev in steal_log[before:]:
+            thief = states[ev.thief]
+            thief.stats.steals_taken += 1
+            fetch(thief, t, ev.item_id)
+            if trace is not None:
+                trace.append((t, ev.thief, "steal", ev.item_id))
+        if any(st.resident == 0 and not st.queue for st in states) and any(queues):
             raise SimulationError("array starved while another queue holds work")
 
     for st in states:
@@ -279,7 +278,7 @@ def _schedule(machine: Machine, grid: TileGrid, queues: list[wqm.WorkQueue],
         if steal and (not heap or heap[0][0] > t):
             arbitration(t)
 
-    if len(executed) != grid.tile_count or any(len(st.queue) for st in states):
+    if len(executed) != grid.tile_count or any(queues):
         raise SimulationError(
             f"run ended with {len(executed)}/{grid.tile_count} tiles executed")
 

@@ -38,8 +38,7 @@ def simulate(shape, n_arrays, si, sj, bw_model, **kwargs):
     m, k, n = shape
     grid = masim.partition(m, n, k, si, sj)
     machine = masim.Machine(bw_model=bw_model)
-    queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(machine, grid, queues, **kwargs)
+    rep = masim.run_mpe(machine, grid, n_arrays, **kwargs)
     return rep, machine, grid
 
 

@@ -143,14 +143,15 @@ class TestInvalidFlags:
         "1,64,1e9\n1,128,2e9\n",      # no row for the 2 arrays asked for
         "2,64,fast\n",                 # not a number
         "1,64\n",                      # a field short
+        "2,32,inf\n2,64,inf\n",        # infinite rates (48 interpolates to inf - inf)
     ])
     def test_calibration_table_errors(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
         table.write_text("n_p,s_i,bytes_per_second\n" + rows)
         self.assert_config_error(capsys, ("run", "--shape", "64x64x64", "--np", "2",
-                                          "--si", "64", "--bw-model", str(table)))
+                                          "--si", "48", "--bw-model", str(table)))
 
-    @pytest.mark.parametrize("rows", ["2,64,fast\n", "1,64\n"])
+    @pytest.mark.parametrize("rows", ["2,64,fast\n", "1,64\n", "1,32,inf\n1,64,inf\n"])
     def test_calibrate_rejects_malformed_rows(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
         table.write_text("n_p,s_i,bytes_per_second\n" + rows)
@@ -294,7 +295,7 @@ class TestOutputAndOracle:
         [(a, b, out)] = cli_output
         grid = masim.partition(50, 43, 32, 16, 8)
         machine = masim.Machine()
-        rep = masim.run_mpe(machine, grid, masim.partition_workload(grid, 2))
+        rep = masim.run_mpe(machine, grid, 2)
         tiles = assemble_run(rep, grid, a, b)
         assert np.array_equal(out.view(np.uint32), tiles.view(np.uint32))
 

@@ -186,8 +186,7 @@ class TestModeEquivalence:
         outputs = []
         times = []
         for n_arrays in (4, 1):
-            queues = masim.partition_workload(grid, n_arrays)
-            rep = masim.run_mpe(MACHINE, grid, queues)
+            rep = masim.run_mpe(MACHINE, grid, n_arrays)
             outputs.append(assemble_run(rep, grid, a, b))
             times.append(rep.time_seconds)
         assert np.array_equal(outputs[0], outputs[1])
@@ -249,8 +248,7 @@ class TestOneRule:
                     point = (n_arrays, block_rows, block_cols)
                     grid = masim.partition(shape.m, shape.n, shape.depth,
                                            block_rows, block_cols)
-                    queues = masim.partition_workload(grid, n_arrays)
-                    assert self.accepts(masim.run_mpe, m, grid, queues) == ok, point
+                    assert self.accepts(masim.run_mpe, m, grid, n_arrays) == ok, point
                     if block_rows == block_cols:
                         try:
                             ranked = masim.explore(shape, m, [block_rows]).entries

@@ -20,15 +20,13 @@ def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, slowdowns=None,
     a, b = rand(rng, m, k), rand(rng, k, n)
     grid = masim.partition(m, n, k, si, sj)
     machine = masim.Machine(bw_model=bw_model, **machine_fields)
-    queues = masim.partition_workload(grid, n_arrays)
-    rep = masim.run_mpe(machine, grid, queues, slowdowns=slowdowns)
+    rep = masim.run_mpe(machine, grid, n_arrays, slowdowns=slowdowns)
     return rep, a, b, assemble_run(rep, grid, a, b)
 
 
-def schedule(shape, n_arrays, si):
-    """Grid and queues for a square-block point; no matrix data."""
-    grid = masim.partition(shape.m, shape.n, shape.depth, si, si)
-    return grid, masim.partition_workload(grid, n_arrays)
+def square_grid(shape, si):
+    """Tile grid of si x si blocks; no matrix data."""
+    return masim.partition(shape.m, shape.n, shape.depth, si, si)
 
 
 class TestSingleBlock:
@@ -112,7 +110,7 @@ class TestBracketing:
         point = masim.DesignPoint(2, 128)
         machine = masim.Machine()
         est = masim.bounds(shape, point, machine)
-        rep = masim.run_mpe(machine, *schedule(shape, 2, 128))
+        rep = masim.run_mpe(machine, square_grid(shape, 128), 2)
         assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds <= est.upper_seconds
 
     def test_bounds_hold_across_points(self):
@@ -121,7 +119,7 @@ class TestBracketing:
         for n_arrays, si in [(1, 16), (2, 16), (4, 16), (1, 48), (2, 48), (1, 96)]:
             point = masim.DesignPoint(n_arrays, si)
             est = masim.bounds(shape, point, machine)
-            rep = masim.run_mpe(machine, *schedule(shape, n_arrays, si))
+            rep = masim.run_mpe(machine, square_grid(shape, si), n_arrays)
             assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds \
                 <= est.upper_seconds, (n_arrays, si)
 
@@ -130,8 +128,7 @@ def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **field
     """Schedule a square-block problem with its trace written to path;
     return the report and the trace rows as read back from the CSV."""
     grid = masim.partition(m, n, k, si, si)
-    rep = masim.run_mpe(masim.Machine(**fields), grid,
-                        masim.partition_workload(grid, n_arrays),
+    rep = masim.run_mpe(masim.Machine(**fields), grid, n_arrays,
                         slowdowns=slowdowns, trace_path=path)
     with open(path, newline="") as fh:
         return rep, list(csv.reader(fh))
@@ -158,8 +155,7 @@ class TestDeterminism:
         for fields in ({"bw_model": masim.IdealBandwidth()}, {},
                        {"contention": "shared_port"}):
             grid = masim.partition(40, 36, 12, 4, 4)
-            plain = masim.run_mpe(masim.Machine(**fields), grid,
-                                  masim.partition_workload(grid, 3), slowdowns={1: 2.0})
+            plain = masim.run_mpe(masim.Machine(**fields), grid, 3, slowdowns={1: 2.0})
             traced, _ = traced_run(tmp_path / "t.csv", 40, 36, 12, 4, 3,
                                    slowdowns={1: 2.0}, **fields)
             for f in dataclasses.fields(masim.SimReport):
@@ -206,21 +202,19 @@ class TestErrorPaths:
         # holds 257-column blocks
         for si, sj, n_arrays in ((128, 16, 4), (16, 257, 1)):
             grid = masim.partition(128, 300, 8, si, sj)
-            queues = masim.partition_workload(grid, n_arrays)
             with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
-                masim.run_mpe(masim.Machine(), grid, queues)
+                masim.run_mpe(masim.Machine(), grid, n_arrays)
 
     def test_rejects_bad_slowdowns(self):
         grid = masim.partition(8, 8, 4, 4, 4)
         for slow in ({7: 3.0}, {-1: 2.0}, {0: -1.0}, {1: 0.0},
                      {0: float("nan")}, {1: float("inf")}):
             with pytest.raises(ValueError, match="slowdown"):
-                masim.run_mpe(masim.Machine(), grid, masim.partition_workload(grid, 2),
-                              slowdowns=slow)
+                masim.run_mpe(masim.Machine(), grid, 2, slowdowns=slow)
 
     def test_more_queues_than_the_machine_can_field(self):
         grid = masim.partition(8, 8, 4, 4, 4)
         machine = masim.Machine(max_arrays=2)
-        masim.run_mpe(machine, grid, masim.partition_workload(grid, 2))
+        masim.run_mpe(machine, grid, 2)
         with pytest.raises(masim.InfeasibleBlockError):
-            masim.run_mpe(machine, grid, masim.partition_workload(grid, 3))
+            masim.run_mpe(machine, grid, 3)
