@@ -10,7 +10,13 @@ the next, so the panel stays in L2 across the k loop, and a large output
 is split into row bands, one per core the process may run on, each band
 on its own thread. Neither the panels nor the bands change any element's
 order of summation, so the bits do not depend on the core count.
-max_rel_error is the float64 oracle the CLI checks every output against.
+max_rel_error is the float64 oracle the CLI checks every output against;
+when BLAS is pinned to one thread per call, it splits its 256-column
+panel strips over the usable cores the same way, and its result does not
+depend on the core count either. run_parts is the one thread helper
+behind the bands, the strips and the CLI's seeded matrix draw, and
+part_count the one rule for how many parts each gets; a process limited
+to one core (taskset -c 0) runs all of them on the calling thread.
 
 Padding exists only in the traffic accounting: mac charges every tile
 full padded blocks, which is exactly what the transfer model assumes. A
@@ -43,16 +49,26 @@ ORACLE_PANEL = (128, 256, 512)
 # whole, while column panels made every per-k operation strided and slower.
 KERNEL_PANEL_ELEMS = 1 << 17
 
-# Output elements each reference_gemm row band must have: an m x n output
-# runs as min(usable_cores(), m, m * n // KERNEL_BAND_MIN_ELEMS) bands, and
-# with one band the caller runs the whole product on its own thread. On two
-# cores, two bands of 32k-47k elements ran 13-42% faster than one on nine of
-# eleven shapes tried (256x363x256 broke even, 256x1200x256 ran 11-28%
-# slower); bands of 8k-11k elements ran 24-72% slower, because handing the
-# GIL round the per-k ufunc calls cost more than the second core saved.
-# Outputs under 2**16 elements stay serial: conv-3..5, and a single
+# Elements each part of a threaded stage must have (part_count): the
+# kernel's row bands, the oracle's column strips and the seeded matrix
+# draw all split work over E elements into min(usable_cores(),
+# E // KERNEL_BAND_MIN_ELEMS) parts, at least one, and with one part the
+# caller runs it all on its own thread. The floor was set on the kernel: on
+# two cores, two bands of 32k-47k elements ran 13-42% faster than one on
+# nine of eleven shapes tried (256x363x256 broke even, 256x1200x256 ran
+# 11-28% slower); bands of 8k-11k elements ran 24-72% slower, because
+# handing the GIL round the per-k ufunc calls cost more than the second core
+# saved. Outputs under 2**16 elements stay serial: conv-3..5, and a single
 # 128x128 or 192x192 tile (the blocks --auto picks).
 KERNEL_BAND_MIN_ELEMS = 1 << 15
+
+# The variables that set how many threads OpenBLAS, OpenMP and MKL run per
+# call. The oracle is BLAS-bound, so it splits its strips over threads only
+# when these pin BLAS to one thread (blas_pinned). On two cores, fc-6's
+# oracle took 0.34 s serial and 0.17 s on two strip threads with BLAS
+# pinned; with BLAS's own threads it took 0.25 s serial and 0.34 s on two
+# strip threads, which oversubscribed the cores.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -139,31 +155,43 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
             np.add(panel, t, out=panel)
 
 
-def _k_loop_bands(aa: np.ndarray, bb: np.ndarray, out: np.ndarray, bands: int) -> None:
-    """_k_loop over `bands` contiguous row bands of out at once: the caller
-    runs the first band and one thread each the rest. A worker's exception
-    is re-raised here, and every started thread is joined before return."""
-    edges = [out.shape[0] * i // bands for i in range(bands + 1)]
+def part_count(elements: int) -> int:
+    """Parts to split work over `elements` elements into: one per usable
+    core, each of at least KERNEL_BAND_MIN_ELEMS elements, and at least one."""
+    return max(1, min(usable_cores(), elements // KERNEL_BAND_MIN_ELEMS))
+
+
+def run_parts(work, parts: int) -> None:
+    """work(0), ..., work(parts - 1) at once: the caller runs part 0 and one
+    thread each the rest. A worker's exception is re-raised here, and every
+    started thread is joined before return."""
     errors = []
 
-    def band(r0: int, r1: int) -> None:
+    def part(i: int) -> None:
         try:
-            _k_loop(aa[r0:r1], bb, out[r0:r1])
+            work(i)
         except BaseException as exc:    # re-raised in the caller below
             errors.append(exc)
 
     started = []
     try:
-        for r0, r1 in zip(edges[1:-1], edges[2:]):
-            worker = threading.Thread(target=band, args=(r0, r1))
+        for i in range(1, parts):
+            worker = threading.Thread(target=part, args=(i,))
             worker.start()
             started.append(worker)
-        _k_loop(aa[: edges[1]], bb, out[: edges[1]])
+        work(0)
     finally:
         for worker in started:
             worker.join()
     if errors:
         raise errors[0]
+
+
+def blas_pinned() -> bool:
+    """Whether the standard thread variables pin BLAS to one thread: at
+    least one of BLAS_THREAD_VARS is set, and every one set reads 1."""
+    values = [os.environ[v].strip() for v in BLAS_THREAD_VARS if v in os.environ]
+    return bool(values) and all(v == "1" for v in values)
 
 
 def reference_gemm(a, b) -> np.ndarray:
@@ -181,8 +209,8 @@ def reference_gemm(a, b) -> np.ndarray:
     rows. A panel is contiguous and stays in L2 with its scratch across the
     k loop, where the whole output would be re-read from L3 once per k.
     An output of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first split
-    into contiguous row bands, one per usable core, each running its own
-    panels on its own thread (numpy releases the GIL inside the ufuncs).
+    into min(m, part_count(m * n)) contiguous row bands, each running its
+    own panels on its own thread (numpy releases the GIL inside the ufuncs).
     Each element belongs to one panel of one band and sees the same updates
     in the same order, on one thread, as in a whole-matrix pass, so the bits
     depend on neither the panel size nor the band count.
@@ -193,8 +221,14 @@ def reference_gemm(a, b) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
     m, n = a.shape[0], b.shape[1]
     out = np.zeros((m, n), DTYPE)
-    bands = min(m, m * n // KERNEL_BAND_MIN_ELEMS, usable_cores())
-    _k_loop_bands(a, b, out, max(bands, 1))
+    bands = min(m, part_count(m * n))
+    edges = [m * i // bands for i in range(bands + 1)]
+
+    def band(i: int) -> None:
+        rows = slice(edges[i], edges[i + 1])
+        _k_loop(a[rows], b, out[rows])
+
+    run_parts(band, bands)
     return out
 
 
@@ -203,8 +237,14 @@ def max_rel_error(a, b, out) -> float:
 
     The float64 reference is a matmul computed one ORACLE_PANEL output panel
     at a time, each summed over depth slices of the inner dimension, so its
-    float64 working set is bounded whatever the problem size. A NaN anywhere
-    in out makes the result NaN.
+    float64 working set is bounded per thread whatever the problem size. A
+    NaN anywhere in out makes the result NaN.
+
+    When blas_pinned(), the panels' column strips are dealt round-robin to
+    part_count(m * n) threads (at most one per strip); otherwise BLAS runs
+    its own threads inside each matmul and one thread walks the strips. The
+    panels and their sums do not change, and the per-part maxima are
+    combined exactly, so the result does not depend on the part count.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -214,14 +254,22 @@ def max_rel_error(a, b, out) -> float:
         raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
-    worst = np.float64(0.0)
-    for c0 in range(0, b.shape[1], panel_cols):
-        cols = slice(c0, c0 + panel_cols)
-        for r0 in range(0, a.shape[0], panel_rows):
-            rows = slice(r0, r0 + panel_rows)
-            ref = sum(a[rows, k0: k0 + panel_depth].astype(np.float64)
-                      @ b[k0: k0 + panel_depth, cols].astype(np.float64)
-                      for k0 in range(0, a.shape[1], panel_depth))
-            err = np.abs(out[rows, cols] - ref)
-            worst = np.maximum(worst, (err / np.maximum(np.abs(ref), tiny)).max())
-    return float(worst)
+    strips = range(0, b.shape[1], panel_cols)
+    parts = min(len(strips), part_count(out.size)) if blas_pinned() else 1
+    worst = [np.float64(0.0)] * parts
+
+    def strip_part(p: int) -> None:
+        for c0 in strips[p::parts]:
+            cols = slice(c0, c0 + panel_cols)
+            for r0 in range(0, a.shape[0], panel_rows):
+                rows = slice(r0, r0 + panel_rows)
+                ref = sum(a[rows, k0: k0 + panel_depth].astype(np.float64)
+                          @ b[k0: k0 + panel_depth, cols].astype(np.float64)
+                          for k0 in range(0, a.shape[1], panel_depth))
+                err = np.abs(out[rows, cols] - ref)
+                worst[p] = np.maximum(worst[p],
+                                      (err / np.maximum(np.abs(ref), tiny)).max())
+
+    run_parts(strip_part, parts)
+    # np.maximum, not max(): a NaN from any part must survive
+    return float(np.maximum.reduce(worst))

@@ -15,7 +15,12 @@ and it never reads matrix data. After the schedule, run builds the seeded
 matrices once, computes the arrays' output with the k-ordered float32
 kernel (a float32 matmul under --fast-numerics) and checks it against a
 float64 product; when the oracle is skipped nothing reads the output, so
-neither is built. explore builds no matrices.
+neither is built. explore builds no matrices. The matrix draw, the kernel
+and the oracle run on the cores the process may use (the oracle only when
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS pin BLAS to one
+thread; see blockmm.blas_pinned), and every output bit is the same on one
+core as on many; a process limited to one core (taskset -c 0) runs all
+three on the calling thread.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
@@ -39,7 +44,7 @@ import time
 import numpy as np
 
 from . import mac, model
-from .blockmm import max_rel_error, partition, reference_gemm
+from .blockmm import max_rel_error, part_count, partition, reference_gemm, run_parts
 from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
 from .simulator import run_mpe
@@ -151,10 +156,46 @@ def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.De
     return model.DesignPoint(args.np, args.si, args.sj)
 
 
+def draw_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
+    part_count(rows * cols) contiguous chunks at once; rng (a PCG64
+    generator) is left in the state the serial draw leaves it in.
+
+    A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
+    half first, so a chunk that starts at an even element offset o is drawn
+    from a copy of the state advanced by o // 2. A half left buffered by an
+    odd-sized earlier draw is the first element, drawn here on the caller.
+    """
+    out = np.empty((rows, cols), np.float32)
+    flat = out.reshape(-1)
+    bitgen = rng.bit_generator
+    if bitgen.state["has_uint32"]:
+        rng.random(out=flat[:1], dtype=np.float32)
+        flat = flat[1:]
+        if flat.size == 0:
+            return out
+    start = bitgen.state
+    parts = part_count(flat.size)
+    edges = [flat.size * i // parts // 2 * 2 for i in range(parts)] + [flat.size]
+    chunk_gens = [np.random.PCG64() for _ in range(parts)]
+
+    def chunk(i: int) -> None:
+        gen = chunk_gens[i]
+        gen.state = start
+        gen.advance(edges[i] // 2)
+        np.random.Generator(gen).random(out=flat[edges[i]: edges[i + 1]],
+                                        dtype=np.float32)
+
+    run_parts(chunk, parts)
+    # the last chunk is never empty, and ends where the serial draw ends
+    bitgen.state = chunk_gens[-1].state
+    return out
+
+
 def build_matrices(shape: model.ProblemShape, seed: int):
     rng = np.random.default_rng(seed)
-    a = rng.random((shape.m, shape.depth), dtype=np.float32)
-    b = rng.random((shape.depth, shape.n), dtype=np.float32)
+    a = draw_matrix(rng, shape.m, shape.depth)
+    b = draw_matrix(rng, shape.depth, shape.n)
     return a, b
 
 

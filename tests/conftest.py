@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import masim
-from masim import cli
+from masim import blockmm, cli
 
 
 def assemble_run(rep, grid, a, b):
@@ -34,3 +37,36 @@ def cli_output(monkeypatch):
 
     monkeypatch.setattr(cli, "max_rel_error", recording)
     return seen
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Record every thread blockmm.run_parts starts."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(blockmm.threading, "Thread", Counted)
+    return started
+
+
+@pytest.fixture
+def pinned_blas(monkeypatch):
+    """The standard thread variables pin BLAS to one thread, as far as
+    blockmm.blas_pinned can tell (the loaded BLAS keeps its own setting)."""
+    for var in blockmm.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+
+
+@pytest.fixture
+def fine_switching():
+    """A 1 us switch interval, so threads interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 import threading
 import time
 
@@ -156,22 +155,16 @@ class TestKernelBands:
     @KERNEL_DTYPE
     @pytest.mark.parametrize("panel_elems", [33, 1 << 17])
     @pytest.mark.parametrize("cores", [1, 2, 3, 5, 40])
-    def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, cores,
-                                                      panel_elems, dtype_name, dt):
+    def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, fine_switching,
+                                                      cores, panel_elems, dtype_name, dt):
         # 23 rows: 40 cores give one row per band; 33-element panels put
-        # several panels, the last one ragged, in each band of 3+ rows. A
-        # short switch interval makes the threads interleave finely.
+        # several panels, the last one ragged, in each band of 3+ rows.
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
         monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
         rng = np.random.default_rng(11)
         a, b = signed(rng, 23, 37), signed(rng, 37, 11)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = masim.reference_gemm(a, b)
-        finally:
-            sys.setswitchinterval(interval)
+        got = masim.reference_gemm(a, b)
         assert got.dtype == dt
         assert np.array_equal(got.view(np.uint32), k_loop(a, b, dt).view(np.uint32))
 
@@ -199,26 +192,18 @@ class TestKernelBands:
             masim.reference_gemm(a, b)
         assert threading.active_count() == before
 
-    def test_tile_sized_calls_start_no_thread(self, monkeypatch):
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(blockmm.threading, "Thread", Counted)
+    def test_tile_sized_calls_start_no_thread(self, monkeypatch, started_threads):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
         rng = np.random.default_rng(13)
         a, b = signed(rng, 192, 40), signed(rng, 40, 192)
         # one tile of the 128x128 and 192x192 blocks --auto picks
         for tile in (128, 192):
             masim.reference_gemm(a[:tile], b[:, :tile])
-        assert started == []
+        assert started_threads == []
         # two bands' worth of output does start one
         masim.reference_gemm(signed(rng, 2, 3),
                              signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS))
-        assert len(started) == 1
+        assert len(started_threads) == 1
 
 
 def tile_of(a, b, grid, tile_id):
@@ -327,6 +312,103 @@ class TestMaxRelError:
         a = np.ones((3, 2), np.float32)
         with pytest.raises(ValueError):
             masim.max_rel_error(a, a.T, np.ones((3, 2), np.float32))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    def test_any_part_count_matches_one_part(self, monkeypatch, pinned_blas,
+                                             started_threads, fine_switching, parts):
+        # 4-column strips: 83 columns give 21 strips, the last one ragged,
+        # each of four row panels and three depth slices
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 4, 32))
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        rng = np.random.default_rng(14)
+        a, b = signed(rng, 50, 70), signed(rng, 70, 83)
+        out = k_loop(a, b)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 1)
+        want = masim.max_rel_error(a, b, out)
+        assert started_threads == []
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
+        assert masim.max_rel_error(a, b, out) == want
+        assert len(started_threads) == parts - 1
+
+    def test_nan_on_a_worker_strip_is_reported(self, monkeypatch, pinned_blas):
+        # two parts over two 2-column strips: the worker covers columns 2-3,
+        # and the caller's strip holds a larger finite error that the builtin
+        # max would keep in place of the worker's NaN
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (2, 2, 512))
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
+        a = np.ones((3, 2), np.float32)
+        b = np.ones((2, 4), np.float32)
+        out = masim.reference_gemm(a, b)
+        out[0, 0] *= 2
+        out[2, 3] = np.nan
+        assert np.isnan(masim.max_rel_error(a, b, out))
+
+    @pytest.mark.parametrize("on_caller", [False, True])
+    def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
+                                                             pinned_blas, on_caller):
+        # reading the output raises on the calling thread or on the workers;
+        # the parts that do not raise are slow, so they still run when it does
+        caller = threading.current_thread()
+
+        class Faulty(np.ndarray):
+            def __getitem__(self, key):
+                if (threading.current_thread() is caller) == on_caller:
+                    raise KernelFault
+                time.sleep(0.05)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 4, 300))
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 4)
+        rng = np.random.default_rng(15)
+        a, b = signed(rng, 16, 300), signed(rng, 300, 16)
+        out = masim.reference_gemm(a, b).view(Faulty)
+        before = threading.active_count()
+        with pytest.raises(KernelFault):
+            masim.max_rel_error(a, b, out)
+        assert threading.active_count() == before
+
+    def test_tile_sized_outputs_start_no_thread(self, monkeypatch, pinned_blas,
+                                                started_threads):
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
+        rng = np.random.default_rng(16)
+        a, b = rand(rng, 512, 40), rand(rng, 40, 512)
+        # one tile of the 128x128 and 192x192 blocks --auto picks
+        for tile in (128, 192):
+            masim.max_rel_error(a[:tile], b[:, :tile], k_loop(a[:tile], b[:, :tile]))
+        assert started_threads == []
+        # a tall output of four parts' worth has one strip, and starts none
+        masim.max_rel_error(a, b[:, :256], k_loop(a, b[:, :256]))
+        assert started_threads == []
+        # two strips of 128x256 make two parts' worth, and start one thread
+        masim.max_rel_error(a[:128], b, k_loop(a[:128], b))
+        assert len(started_threads) == 1
+
+    def test_blas_threads_keep_the_strips_on_the_caller(self, monkeypatch,
+                                                        started_threads):
+        # the same two-part output with BLAS free to run its own threads
+        for var in blockmm.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
+        rng = np.random.default_rng(16)
+        a, b = rand(rng, 128, 40), rand(rng, 40, 512)
+        masim.max_rel_error(a, b, k_loop(a, b))
+        assert started_threads == []
+
+    @pytest.mark.parametrize("env,pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ])
+    def test_blas_pinned(self, monkeypatch, env, pinned):
+        for var in blockmm.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert blockmm.blas_pinned() is pinned
 
 
 class TestMatrixValidation:

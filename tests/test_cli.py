@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masim
-from masim import cli, simulator
+from masim import blockmm, cli, model, simulator
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -385,6 +386,75 @@ class TestDeterminism:
         assert run_cli(*args, "--out", str(a)) == 0
         assert run_cli(*args, "--out", str(b)) == 0
         assert self.strip_timestamp(a) == self.strip_timestamp(b)
+
+    @pytest.mark.parametrize("problem", [
+        ("--preset", "conv-1"),
+        # odd A, B and output element counts, each two parts' worth on 4 cores
+        ("--shape", "301x257x263"),
+    ])
+    def test_core_count_changes_no_byte(self, tmp_path, monkeypatch, pinned_blas,
+                                        started_threads, problem):
+        texts = {}
+        for cores in (1, 4):
+            monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
+            path = tmp_path / f"{cores}.json"
+            assert run_cli("run", *problem, "--auto", "--seed", "7",
+                           "--out", str(path)) == 0
+            texts[cores] = self.strip_timestamp(path)
+            assert (len(started_threads) > 0) == (cores > 1)
+        assert texts[1] == texts[4]
+        assert json.loads(texts[1])["checks"]["oracle_ok"] is True
+
+
+class TestMatrixDraw:
+    """The seeded matrices, drawn in chunks on threads, are the serial draw."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
+                                           (96, 363, 64)])
+    def test_chunked_draw_is_the_serial_draw(self, monkeypatch, fine_switching,
+                                             cores, m, depth, n):
+        # odd m*depth leaves a buffered half for the first element of B
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        a, b = cli.build_matrices(model.ProblemShape(m, depth, n), 5)
+        # A, B and a third draw from the same generator, each continuing
+        # from the state the serial draw before it ends in
+        serial, rng = np.random.default_rng(5), np.random.default_rng(5)
+        for shape, built in (((m, depth), a), ((depth, n), b), ((5, 3), None)):
+            want = serial.random(shape, dtype=np.float32).view(np.uint32)
+            assert np.array_equal(cli.draw_matrix(rng, *shape).view(np.uint32), want)
+            assert rng.bit_generator.state == serial.bit_generator.state
+            if built is not None:
+                assert np.array_equal(built.view(np.uint32), want)
+
+    def test_small_matrices_start_no_thread(self, monkeypatch, started_threads):
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
+        cli.build_matrices(model.ProblemShape(128, 255, 256), 5)
+        assert started_threads == []
+        cli.draw_matrix(np.random.default_rng(5), 2, blockmm.KERNEL_BAND_MIN_ELEMS)
+        assert len(started_threads) == 1
+
+
+class TestModuleEntryPoint:
+    """python -m masim runs the CLI without an installed script."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "masim", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_tiny_run_exits_0(self):
+        done = self.run_module("run", "--shape", "8x8x8", "--np", "1", "--si", "8")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["checks"]["oracle_ok"] is True
+
+    def test_bad_flag_exits_2(self):
+        done = self.run_module("run", "--shape", "8x8x8", "--no-such-flag")
+        assert done.returncode == 2
+        assert "unrecognized arguments: --no-such-flag" in done.stderr
 
 
 class TestExplore:
