@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -162,6 +163,41 @@ class TestDeterminism:
                 assert getattr(plain, f.name) == getattr(traced, f.name), f.name
             steals += len(plain.steal_events)
         assert steals > 0
+
+    def test_reports_and_traces_pinned(self, tmp_path):
+        # A seeded sweep over both transfer regimes, ideal and finite
+        # bandwidth, pipelines of 0 and 8 stages, ragged grids on 1-4
+        # arrays, with and without slowdowns and stealing. The digest
+        # covers every report field and the bytes of every trace, so any
+        # change to the event loop's output shows here.
+        rng = np.random.default_rng(23)
+        digest = hashlib.sha256()
+        path = tmp_path / "trace.csv"
+        runs = steals = 0
+        for contention in ("per_array", "shared_port"):
+            for bw in (masim.IdealBandwidth(), masim.ParametricBandwidth(4e8, 8, 0.3)):
+                for stages in (0, 8):
+                    machine = masim.Machine(bw_model=bw, contention=contention,
+                                            fmac_stages=stages)
+                    for _ in range(10):
+                        n_arrays = int(rng.integers(1, 5))
+                        si, sj = (int(rng.choice([3, 4, 8])) for _ in range(2))
+                        m, n, k = (int(rng.integers(1, hi)) for hi in (65, 65, 33))
+                        grid = masim.partition(m, n, k, si, sj)
+                        slow = None
+                        if rng.random() < 0.75:
+                            slow = {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+                                    for i in range(n_arrays)}
+                        for steal_on in (False, True):
+                            rep = masim.run_mpe(machine, grid, n_arrays, steal=steal_on,
+                                                slowdowns=slow, trace_path=path)
+                            runs += 1
+                            steals += len(rep.steal_events)
+                            digest.update(repr(dataclasses.asdict(rep)).encode())
+                            digest.update(path.read_bytes())
+        assert (runs, steals) == (160, 218)
+        assert digest.hexdigest() == \
+            "8e3d5d1d3c761061a51c875296e74ad32507d0d8647e123146a6e3fbb3cf4b94"
 
 
 class TestSharedPort:
