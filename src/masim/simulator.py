@@ -24,6 +24,9 @@ the (array count, block size) configuration. The shared-port regime
 serialises all arrays' transfers through one port at the single-array
 rate, so contention emerges from the schedule instead of the model.
 
+Every padded tile moves the same bytes and is charged the same cycles
+(mac.block_bytes, mpe.block_charges), so each array's totals are its block
+count times one block's values; only busy_seconds is summed block by block.
 Reported time runs to the last write-back completion. The chain-drain of
 the final block (which the per-block cycle contract excludes, because
 every earlier drain overlaps the next block's compute) is reported
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import math
 import os
 from collections import deque
@@ -85,23 +89,18 @@ class SimReport:
 
 
 class _ArrayState:
-    """Per-array run state: queue, engines, buffers."""
+    """Per-array run state: queue, transfer port, buffers."""
 
-    def __init__(self, idx, queue, slowdown):
+    def __init__(self, idx, queue, slowdown, port):
         self.idx = idx
         self.queue = queue
         self.slowdown = slowdown
+        self.port = port               # [time its transfer engine is free]
         self.stats = ArrayRunStats(array_id=idx)
         self.resident = 0              # fetched (or fetching) but compute unfinished
-        self.transfer_free = 0.0
         self.compute_busy = False
         self.ready: deque = deque()    # fetched tile ids awaiting compute
         self.last_compute_end = 0.0
-        self.last_wb_end = 0.0
-        self.last_drain_cycles = 0
-
-    def needy(self) -> bool:
-        return len(self.queue) == 0 and self.resident < 2
 
 
 def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
@@ -164,50 +163,34 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
     # the shared port moves every array's data at the single-array rate
     bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active,
                                  grid.block_rows)
-    shared_free = 0.0
-    # Every padded tile moves the same bytes, so one count serves the grid.
     in_bytes, out_bytes = mac.block_bytes(grid.block_rows, grid.block_cols, grid.depth)
     charges = block_charges(grid.block_rows, grid.block_cols, grid.depth, machine)
-    cycles = charges.cycles
+    block_seconds = charges.cycles / f_acc
 
     queues = wqm.partition_workload(grid.tile_count, n_active)
-    states = [_ArrayState(i, queues[i], slow[i]) for i in range(n_active)]
+    port = [0.0]
+    states = [_ArrayState(i, queues[i], slow[i], port if shared else [0.0])
+              for i in range(n_active)]
     pointer = 0                    # round-robin pointer of the steal arbitration
     steal_log: list[wqm.StealEvent] = []
     executed: set[int] = set()
 
     heap: list = []
-    seq = 0
+    order = itertools.count()      # same-time events pop in insertion order
 
-    def push(t, kind, idx, tile):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, idx, tile))
-        seq += 1
-
-    def xfer(st: _ArrayState, t: float, nbytes: int):
-        """Claim the array's (or the shared) transfer engine; return end time."""
-        nonlocal shared_free
-        if shared:
-            start = max(t, shared_free)
-            end = start + nbytes / bw
-            shared_free = end
-        else:
-            start = max(t, st.transfer_free)
-            end = start + nbytes / bw
-            st.transfer_free = end
-        return start, end
-
-    def fetch(st: _ArrayState, t: float, tile: int):
-        st.resident += 1
-        start, end = xfer(st, t, in_bytes)
-        st.stats.bytes_in += in_bytes
+    def transfer(st: _ArrayState, t: float, nbytes: int, tile: int,
+                 start_kind: str, done_kind: str):
+        """Queue nbytes on the array's transfer port from t on."""
+        start = max(t, st.port[0])
+        st.port[0] = end = start + nbytes / bw
         if trace is not None:
-            trace.append((start, st.idx, "fetch_start", tile))
-        push(end, "fetch_done", st.idx, tile)
+            trace.append((start, st.idx, start_kind, tile))
+        heapq.heappush(heap, (end, next(order), done_kind, st, tile))
 
     def issue_fetches(st: _ArrayState, t: float):
         while st.resident < 2 and st.queue:
-            fetch(st, t, st.queue.popleft())
+            st.resident += 1
+            transfer(st, t, in_bytes, st.queue.popleft(), "fetch_start", "fetch_done")
 
     def start_compute(st: _ArrayState, t: float):
         if st.compute_busy or not st.ready:
@@ -216,37 +199,40 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
         st.compute_busy = True
         if trace is not None:
             trace.append((t, st.idx, "compute_start", tile))
-        push(t + cycles / f_acc * st.slowdown, "compute_done", st.idx, tile)
+        heapq.heappush(heap, (t + block_seconds * st.slowdown, next(order),
+                              "compute_done", st, tile))
 
     def finish_compute(st: _ArrayState, tile: int, t: float):
-        s = st.stats
-        s.blocks_executed += 1
-        s.tiles.append(tile)
-        s.prefetch_cycles += charges.prefetch_cycles
-        s.compute_cycles += charges.compute_cycles
-        s.stall_cycles += charges.stall_cycles
-        s.busy_seconds += cycles / f_acc * st.slowdown
-        st.last_drain_cycles = charges.drain_cycles
+        st.stats.tiles.append(tile)
+        st.stats.busy_seconds += block_seconds * st.slowdown
         st.last_compute_end = t
         if tile in executed:
             raise SimulationError(f"tile {tile} executed twice")
         executed.add(tile)
-
-        start, end = xfer(st, t, out_bytes)
-        s.bytes_out += out_bytes
-        if trace is not None:
-            trace.append((start, st.idx, "wb_start", tile))
-        push(end, "wb_done", st.idx, tile)
+        transfer(st, t, out_bytes, tile, "wb_start", "wb_done")
         st.resident -= 1
         st.compute_busy = False
         issue_fetches(st, t)
         start_compute(st, t)
 
-    def arbitration(t: float):
-        nonlocal pointer
-        needy = [st.idx for st in states if st.needy()]
+    for st in states:
+        issue_fetches(st, 0.0)
+
+    t = 0.0
+    while heap:
+        t, _, kind, st, tile = heapq.heappop(heap)
+        if trace is not None:
+            trace.append((t, st.idx, kind, tile))
+        if kind == "fetch_done":
+            st.ready.append(tile)
+            start_compute(st, t)
+        elif kind == "compute_done":
+            finish_compute(st, tile, t)
+        if not steal or heap and heap[0][0] <= t:
+            continue
+        needy = [s.idx for s in states if not s.queue and s.resident < 2]
         if not needy:
-            return
+            continue
         before = len(steal_log)
         pointer = wqm.arbitrate(queues, needy, pointer, t, steal_log)
         # each thief fetches its tile at once, in grant order, so the
@@ -254,36 +240,18 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
         for ev in steal_log[before:]:
             thief = states[ev.thief]
             thief.stats.steals_taken += 1
-            fetch(thief, t, ev.item_id)
+            thief.resident += 1
+            transfer(thief, t, in_bytes, ev.item_id, "fetch_start", "fetch_done")
             if trace is not None:
                 trace.append((t, ev.thief, "steal", ev.item_id))
-        if any(st.resident == 0 and not st.queue for st in states) and any(queues):
+        if any(s.resident == 0 and not s.queue for s in states) and any(queues):
             raise SimulationError("array starved while another queue holds work")
-
-    for st in states:
-        issue_fetches(st, 0.0)
-
-    while heap:
-        t, _, kind, idx, tile = heapq.heappop(heap)
-        st = states[idx]
-        if trace is not None:
-            trace.append((t, idx, kind, tile))
-        if kind == "fetch_done":
-            st.ready.append(tile)
-            start_compute(st, t)
-        elif kind == "compute_done":
-            finish_compute(st, tile, t)
-        elif kind == "wb_done":
-            st.last_wb_end = t
-        if steal and (not heap or heap[0][0] > t):
-            arbitration(t)
 
     if len(executed) != grid.tile_count or any(queues):
         raise SimulationError(
             f"run ended with {len(executed)}/{grid.tile_count} tiles executed")
 
-    time_seconds = max((max(st.last_wb_end, st.last_compute_end) for st in states),
-                       default=0.0)
+    time_seconds = t               # the last event: the latest write-back end
     # Every event, and so every trace row, lies within the makespan: one
     # check covers every seconds-to-cycles conversion of the run.
     if not math.isfinite(time_seconds * f_acc):
@@ -291,20 +259,24 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
                             f"count in cycles at {f_acc:g} Hz")
     drain_end = 0.0
     for st in states:
-        st.stats.drain_cycles = st.last_drain_cycles
-        if st.stats.blocks_executed:
+        s = st.stats
+        n = s.blocks_executed = len(s.tiles)
+        s.prefetch_cycles = n * charges.prefetch_cycles
+        s.compute_cycles = n * charges.compute_cycles
+        s.stall_cycles = n * charges.stall_cycles
+        s.bytes_in, s.bytes_out = n * in_bytes, n * out_bytes
+        s.idle_cycles = max(0, round((time_seconds - s.busy_seconds) * f_acc))
+        if n:
+            s.drain_cycles = charges.drain_cycles
             drain_end = max(drain_end, st.last_compute_end
-                            + st.last_drain_cycles / f_acc * st.slowdown)
-    time_with_drain = max(time_seconds, drain_end)
-    for st in states:
-        st.stats.idle_cycles = max(0, round((time_seconds - st.stats.busy_seconds) * f_acc))
+                            + charges.drain_cycles / f_acc * st.slowdown)
 
     m, k, n = grid.m, grid.depth, grid.n
     return SimReport(
         shape=(m, k, n),
         total_cycles=round(time_seconds * f_acc),
         time_seconds=time_seconds,
-        time_with_drain_seconds=time_with_drain,
+        time_with_drain_seconds=max(time_seconds, drain_end),
         gflops=2.0 * m * k * n / time_seconds / 1e9 if time_seconds > 0 else 0.0,
         arrays=[st.stats for st in states],
         steal_events=steal_log,
