@@ -19,8 +19,7 @@ print(f"{'layer':<8} {'best point':>12} {'lower ms':>9} {'upper ms':>9} "
       f"{'gflops<=':>9}")
 for name, (m, k, n) in masim.LAYER_PRESETS.items():
     shape = masim.ProblemShape(m, k, n)
-    result = masim.explore(shape, machine)
-    best = result.best
+    best = masim.explore(shape, machine)[0]
     pt = f"({best.point.n_arrays},{best.point.block_rows})"
     est = best.estimate
     print(f"{name:<8} {pt:>12} {est.lower_seconds * 1e3:9.2f} "
@@ -42,8 +41,8 @@ for point in (masim.DesignPoint(1, 32), masim.DesignPoint(2, 16)):
     bound = "memory" if est.transfer_seconds > est.compute_seconds else "compute"
     print(f"  ({point.n_arrays},{point.block_rows}): "
           f"upper {est.upper_seconds * 1e3:6.2f} ms, {bound}-bound")
-result = masim.explore(shape, starved, candidates=[16, 32])
-ranked = [(e.point.n_arrays, e.point.block_rows) for e in result.entries]
+ranked = [(e.point.n_arrays, e.point.block_rows)
+          for e in masim.explore(shape, starved, candidates=[16, 32])]
 print(f"  ranking: {ranked}")
 print(f"  (1,32) placed {ranked.index((1, 32)) + 1} of {len(ranked)}, "
       f"ahead of (2,16) at {ranked.index((2, 16)) + 1}")

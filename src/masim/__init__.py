@@ -6,7 +6,7 @@ from .blockmm import (DTYPE, TileGrid, as_matrix, max_rel_error, partition,
 from .mac import (CalibrationError, CalibrationMissingError, IdealBandwidth,
                   ParametricBandwidth, TableBandwidth, block_bytes,
                   effective_bandwidth)
-from .model import (DesignPoint, ExploreResult, ModelEstimate, ProblemShape,
+from .model import (DesignPoint, ExploreEntry, ModelEstimate, ProblemShape,
                     bounds, default_block_candidates, explore,
                     feasible_points, n_work)
 from .mpe import (BlockCharges, InfeasibleBlockError, Machine, PeState,

@@ -25,11 +25,13 @@ three on the calling thread.
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
 
-Reports are deterministic for a fixed configuration and seed (only the
-created_at field varies). Exit status is 0 on success, 1 when any check
-fails, 2 for infeasible or invalid configurations (a simulated time too
-long to count in cycles included) and for input or output files that
-cannot be opened.
+Exact-mode reports are deterministic for a fixed configuration and seed
+(only the created_at field varies); --fast-numerics reports also need a
+fixed BLAS thread setting, because the float32 matmul rounds differently
+when BLAS splits it over threads. Exit status is 0 on success, 1 when
+any check fails, 2 for infeasible or invalid configurations (a simulated
+time too long to count in cycles included) and for input or output files
+that cannot be opened.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.De
     if args.auto:
         if args.np is not None or args.si is not None or args.sj is not None:
             raise CliError("--auto replaces --np/--si/--sj")
-        return model.explore(shape, machine).best.point
+        return model.explore(shape, machine)[0].point
     if args.np is None or args.si is None:
         raise CliError("a design point is required: --np and --si, or --auto")
     return model.DesignPoint(args.np, args.si, args.sj)
@@ -293,10 +295,10 @@ def cmd_run(args) -> int:
 def cmd_explore(args) -> int:
     label, shape = resolve_shape(args)
     machine = resolve_machine(args)
-    result = model.explore(shape, machine, args.candidates)
+    ranked = model.explore(shape, machine, args.candidates)
 
     rows = []
-    for rank, entry in enumerate(result.entries):
+    for rank, entry in enumerate(ranked):
         row = {
             "rank": rank,
             "n_arrays": entry.point.n_arrays,

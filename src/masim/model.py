@@ -129,17 +129,9 @@ class ExploreEntry:
     estimate: ModelEstimate
 
 
-@dataclass(frozen=True)
-class ExploreResult:
-    entries: list[ExploreEntry]          # ranked, best first
-
-    @property
-    def best(self) -> ExploreEntry:
-        return self.entries[0]
-
-
-def explore(shape: ProblemShape, machine: Machine, candidates=None) -> ExploreResult:
-    """Rank all feasible design points for a problem shape.
+def explore(shape: ProblemShape, machine: Machine,
+            candidates=None) -> list[ExploreEntry]:
+    """Rank all feasible design points for a problem shape, best first.
 
     Only the points the bandwidth model can rate are ranked: a calibration
     table may cover some array counts and not others. Primary key:
@@ -162,4 +154,4 @@ def explore(shape: ProblemShape, machine: Machine, candidates=None) -> ExploreRe
         raise missing
     entries.sort(key=lambda e: (e.estimate.upper_seconds, e.estimate.lower_seconds,
                                 e.point.n_arrays, e.point.block_rows))
-    return ExploreResult(entries)
+    return entries

@@ -61,7 +61,7 @@ class Machine:
 
     pm = max_arrays base arrays of p = pes_per_base PEs each, clocked at
     f_acc Hz, with an fmac_stages-deep multiply-accumulate pipeline and a
-    result drain of drain_width elements per cycle. bw_model gives the
+    result drain of one element per cycle. bw_model gives the
     effective bandwidth (anything with rate(n_arrays, block_rows));
     contention is the transfer regime of the simulator ("per_array" or
     "shared_port"). Every model and simulation call takes its machine
@@ -72,13 +72,11 @@ class Machine:
     max_arrays: int = 4
     f_acc: float = 2e8
     fmac_stages: int = 8
-    drain_width: int = 1
     bw_model: BandwidthModel = ParametricBandwidth()
     contention: str = "per_array"
 
     def __post_init__(self):
-        for name, least in (("pes_per_base", 1), ("max_arrays", 1),
-                            ("fmac_stages", 0), ("drain_width", 1)):
+        for name, least in (("pes_per_base", 1), ("max_arrays", 1), ("fmac_stages", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -159,9 +157,8 @@ def block_charges(block_rows: int, block_cols: int, depth: int,
     cycles) and the next A-column load (block_rows cycles), so the phase
     synchroniser pads the shorter B side with max(block_rows, block_cols)
     - block_cols stall cycles per iteration. The drain streams the
-    finished tile out of the chain at drain_width elements per cycle; it
-    overlaps the next block's compute and is not part of the charged
-    cycles.
+    finished tile out of the chain one element per cycle; it overlaps the
+    next block's compute and is not part of the charged cycles.
     """
     if block_rows < 1 or block_cols < 1:
         raise ValueError("block sizes must be >= 1")
@@ -170,7 +167,7 @@ def block_charges(block_rows: int, block_cols: int, depth: int,
         prefetch_cycles=block_rows,
         compute_cycles=block_cols * depth + machine.fmac_stages,
         stall_cycles=(max(block_rows, block_cols) - block_cols) * depth,
-        drain_cycles=-(-block_rows * block_cols // machine.drain_width),
+        drain_cycles=block_rows * block_cols,
     )
 
 

@@ -168,7 +168,7 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
     block_seconds = charges.cycles / f_acc
 
     queues = wqm.partition_workload(grid.tile_count, n_active)
-    port = [0.0]
+    port = [0.0]                   # the one port all arrays share under shared_port
     states = [_ArrayState(i, queues[i], slow[i], port if shared else [0.0])
               for i in range(n_active)]
     pointer = 0                    # round-robin pointer of the steal arbitration

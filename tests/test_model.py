@@ -163,7 +163,7 @@ class TestPeak:
     def test_upper_gflops_never_beats_peak(self):
         peak = MACHINE.peak_gflops
         for shape in (CONV1, CONV2, FC6):
-            for entry in masim.explore(shape, MACHINE).entries:
+            for entry in masim.explore(shape, MACHINE):
                 assert entry.estimate.gflops_upper <= peak + 1e-9
 
     def test_upper_gflops_bounded_by_own_configuration(self):
@@ -179,15 +179,14 @@ class TestPeak:
 
 class TestExplore:
     def test_abundant_bandwidth_ranks_by_compute(self):
-        result = masim.explore(CONV2, machine(masim.IdealBandwidth()))
-        uppers = [e.estimate.upper_seconds for e in result.entries]
-        computes = [e.estimate.compute_seconds for e in result.entries]
+        ranked = masim.explore(CONV2, machine(masim.IdealBandwidth()))
+        uppers = [e.estimate.upper_seconds for e in ranked]
+        computes = [e.estimate.compute_seconds for e in ranked]
         assert uppers == computes == sorted(computes)
 
     def test_single_candidate_single_row(self):
-        result = masim.explore(CONV2, MACHINE, candidates=[200])
-        assert len(result.entries) == 1
-        assert result.best.point == masim.DesignPoint(1, 200)
+        [entry] = masim.explore(CONV2, MACHINE, candidates=[200])
+        assert entry.point == masim.DesignPoint(1, 200)
 
     def test_memory_bound_anomaly_ordering(self):
         # single narrow array with longer bursts beats two arrays with
@@ -198,8 +197,8 @@ class TestExplore:
             (3, 16): 4e8, (3, 32): 5.5e8,
             (4, 16): 3.5e8, (4, 32): 4.5e8,
         })
-        result = masim.explore(CONV2, machine(table), candidates=[16, 32])
-        ranked = [(e.point.n_arrays, e.point.block_rows) for e in result.entries]
+        ranked = [(e.point.n_arrays, e.point.block_rows)
+                  for e in masim.explore(CONV2, machine(table), candidates=[16, 32])]
         assert ranked.index((1, 32)) < ranked.index((2, 16))
 
     def test_rejects_empty_candidates(self):
@@ -208,9 +207,9 @@ class TestExplore:
 
     def test_ranks_only_the_array_counts_the_table_rates(self):
         partial = machine(masim.TableBandwidth({(1, 64): 1e9, (1, 128): 2e9}))
-        result = masim.explore(CONV2, partial)
-        assert result.entries
-        assert {e.point.n_arrays for e in result.entries} == {1}
+        ranked = masim.explore(CONV2, partial)
+        assert ranked
+        assert {e.point.n_arrays for e in ranked} == {1}
         # a table that rates no feasible point still ends the search
         only_three = machine(masim.TableBandwidth({(3, 64): 1e9}))
         with pytest.raises(masim.CalibrationMissingError, match="n_arrays=1"):

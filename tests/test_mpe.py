@@ -107,16 +107,6 @@ class TestSimulateBlock:
         with pytest.raises(masim.InfeasibleBlockError):
             masim.trace_block(*block_of(rng, 2, 9, 1), machine)
 
-    def test_drain_respects_width(self):
-        rng = np.random.default_rng(6)
-        for width, drain in ((1, 64), (4, 16)):
-            machine = m128(drain_width=width)
-            charges = masim.block_charges(8, 8, 2, machine)
-            assert charges.drain_cycles == drain
-            _, events, _ = masim.trace_block(*block_of(rng, 8, 8, 2), machine)
-            [done] = [e for e in events if e.kind == "drain_done"]
-            assert done.cycle == charges.cycles + drain
-
 
 class TestTraceBlock:
     def test_matches_fast_path_bit_for_bit(self):
@@ -199,7 +189,6 @@ class TestMachine:
         ("max_arrays", 0),
         ("f_acc", float("inf")),
         ("fmac_stages", -1),
-        ("drain_width", 0),
         ("bw_model", "parametric"),     # a spec string, not a model
         ("contention", "both"),
     ])
@@ -251,7 +240,7 @@ class TestOneRule:
                     assert self.accepts(masim.run_mpe, m, grid, n_arrays) == ok, point
                     if block_rows == block_cols:
                         try:
-                            ranked = masim.explore(shape, m, [block_rows]).entries
+                            ranked = masim.explore(shape, m, [block_rows])
                         except masim.InfeasibleBlockError:
                             ranked = []
                         assert (n_arrays in [e.point.n_arrays for e in ranked]) == ok

@@ -67,9 +67,8 @@ class TestBalancedRun:
         # the run loop charges each block what block_charges gives, which
         # the cycle-by-cycle walk of one block audits (16x8 blocks, so the
         # phase synchroniser stalls)
-        rep, a, b, _ = run_problem(32, 96, 16, 16, 8, 4, masim.ParametricBandwidth(),
-                                   drain_width=4)
-        machine = masim.Machine(drain_width=4)
+        rep, a, b, _ = run_problem(32, 96, 16, 16, 8, 4, masim.ParametricBandwidth())
+        machine = masim.Machine()
         res = masim.block_charges(16, 8, 16, machine)
         masim.trace_block(a[:16], b[:, :8], machine)
         assert res.cycles == 16 + 16 * 16 + 8 and res.stall_cycles > 0
@@ -77,7 +76,7 @@ class TestBalancedRun:
             n = s.blocks_executed
             assert (s.prefetch_cycles, s.compute_cycles, s.stall_cycles) == (
                 n * res.prefetch_cycles, n * res.compute_cycles, n * res.stall_cycles)
-            assert s.drain_cycles == res.drain_cycles == 32
+            assert s.drain_cycles == res.drain_cycles == 16 * 8
 
 
 class TestNumericalExactness:
