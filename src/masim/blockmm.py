@@ -4,19 +4,24 @@ Element data and accumulation are float32 throughout. reference_gemm is
 the one k-ordered accumulation kernel: the inner dimension is summed in
 strictly ascending k order, so the whole-matrix product, the kernel on
 one tile's slices of A and B, and the cycle-level PE walk
-(mpe.trace_block) all round identically and agree bit for bit. The
-kernel runs every k on one row panel of the output before it moves to
-the next, so the panel stays in L2 across the k loop, and a large output
-is split into row bands, one per core the process may run on, each band
-on its own thread. Neither the panels nor the bands change any element's
-order of summation, so the bits do not depend on the core count.
-max_rel_error is the float64 oracle the CLI checks every output against;
-when BLAS is pinned to one thread per call, it splits its 256-column
-panel strips over the usable cores the same way, and its result does not
-depend on the core count either. run_parts is the one thread helper
-behind the bands, the strips and the CLI's seeded matrix draw, and
-part_count the one rule for how many parts each gets; a process limited
-to one core (taskset -c 0) runs all of them on the calling thread.
+(mpe.trace_block) all round identically and agree bit for bit. Its inner
+loop is a small C kernel shipped beside this module (_kernel.c), compiled
+on first use into a per-user cache and called through ctypes; it packs a
+panel of B and keeps a block of C in registers across k, in the manner of
+Goto and van de Geijn's GEMM, without changing any element's order of
+summation. Where it cannot be built or loaded, the same loop runs in
+numpy, one row panel of the output at a time, and gives the same bits.
+A large output is split into row bands, one per core the process may run
+on, each band on its own thread. Neither the panels nor the bands change
+any element's order of summation, so the bits do not depend on the core
+count. max_rel_error is the float64 oracle the CLI checks every output
+against; when BLAS is pinned to one thread per call, it splits its
+256-column panel strips over the usable cores the same way, and its
+result does not depend on the core count either. run_parts is the one
+thread helper behind the bands, the strips and the CLI's seeded matrix
+draw, and part_count the one rule for how many parts each gets; a
+process limited to one core (taskset -c 0) runs all of them on the
+calling thread.
 
 Padding exists only in the traffic accounting: mac charges every tile
 full padded blocks, which is exactly what the transfer model assumes. A
@@ -26,7 +31,12 @@ padding would only add output rows and columns that are cropped.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import platform
+import shutil
+import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -40,7 +50,8 @@ DTYPE = np.float32
 # and smaller in peak RSS than 32x64 panels over the full depth.
 ORACLE_PANEL = (128, 256, 512)
 
-# Output elements in one reference_gemm row panel, which is
+# Output elements in one row panel of _k_loop's numpy loop, the fallback
+# where the compiled kernel cannot be had, which is
 # max(1, KERNEL_PANEL_ELEMS // n) full rows of C. A float32 panel and its
 # scratch take 1 MB together and stay in a 2 MB per-core L2 across all k;
 # the whole fc-6 output and its scratch (4 MB) did not, so every k went to
@@ -69,6 +80,15 @@ KERNEL_BAND_MIN_ELEMS = 1 << 15
 # pinned; with BLAS's own threads it took 0.25 s serial and 0.34 s on two
 # strip threads, which oversubscribed the cores.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The compiled kernel's source and build flags. -ffp-contract=off keeps
+# every multiply and add rounded on its own, never fused into an FMA, and
+# there is no -ffast-math (or -Ofast): it reassociates sums, and its start-up
+# code turns on flush-to-zero for the whole process. On x86-64 the source
+# asks GCC for AVX-512, AVX2 and baseline clones of the kernel, picked at
+# load time, so one build runs on any x86-64 CPU.
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -140,9 +160,75 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _build(cc: str, path: str) -> None:
+    """Compile KERNEL_SOURCE into path: into a temporary file beside it, then
+    renamed into place, so no process loads a partly written library. A
+    failed build leaves no file behind."""
+    import subprocess
+    fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        if subprocess.run([cc, *KERNEL_FLAGS, "-o", tmp, KERNEL_SOURCE],
+                          stdin=subprocess.DEVNULL, capture_output=True).returncode == 0:
+            os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _library():
+    """The compiled kernel's entry point, or None where it cannot be had.
+
+    The library is built on first use into the per-user cache,
+    $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name hashed from
+    the source, the flags, the compiler (its resolved path, size and mtime)
+    and the machine type, so a cache hit starts no process. No cc, a failed
+    build, an unwritable cache or a library that will not load gives None,
+    and _k_loop runs its numpy loop.
+    """
+    import hashlib
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        cc = os.path.realpath(cc)
+        info = os.stat(cc)
+        with open(KERNEL_SOURCE, "rb") as fh:
+            key = (fh.read(), KERNEL_FLAGS, cc, info.st_size, info.st_mtime_ns,
+                   platform.machine())
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                             or os.path.expanduser("~/.cache"), "masim")
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+        path = os.path.join(cache, f"kernel-{digest}.so")
+        if not os.path.exists(path):
+            os.makedirs(cache, mode=0o700, exist_ok=True)
+            _build(cc, path)
+        kernel = ctypes.CDLL(path).masim_k_loop
+    except OSError:
+        return None
+    kernel.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
 def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
-    """out += aa @ bb as one rank-1 update per ascending k, one row panel of
-    KERNEL_PANEL_ELEMS elements at a time, with a scratch of its own."""
+    """out += aa @ bb, k ascending, for float32 matrices whose rows are
+    contiguous: by the compiled kernel when _library() has one, else as one
+    rank-1 update per ascending k, one row panel of KERNEL_PANEL_ELEMS
+    elements at a time, with a scratch of its own. Both paths give every
+    element c = fl(c + fl(a * b)) per k, so they agree bit for bit."""
+    kernel = _library()
+    if kernel is not None:
+        if (any(x.dtype != DTYPE or x.strides[1] != x.itemsize for x in (aa, bb, out))
+                or out.shape != (aa.shape[0], bb.shape[1]) or aa.shape[1] != bb.shape[0]):
+            raise ValueError("the kernel needs conforming float32 matrices "
+                             "with contiguous rows")
+        strides = (x.strides[0] // x.itemsize for x in (aa, bb, out))
+        if kernel(aa.ctypes.data, bb.ctypes.data, out.ctypes.data,
+                  *aa.shape, bb.shape[1], *strides):
+            raise MemoryError("no memory for the kernel's packed panel of B")
+        return
     n = out.shape[1]
     rows = max(1, KERNEL_PANEL_ELEMS // n)
     scratch = np.empty((min(rows, out.shape[0]), n), out.dtype)
@@ -204,16 +290,16 @@ def reference_gemm(a, b) -> np.ndarray:
     rounding sequence per output element is fully determined: every element
     gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ..., in float32.
 
-    The updates are applied one row panel of C at a time (see
-    KERNEL_PANEL_ELEMS): all k for rows r0..r1, then all k for the next
-    rows. A panel is contiguous and stays in L2 with its scratch across the
-    k loop, where the whole output would be re-read from L3 once per k.
-    An output of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first split
-    into min(m, part_count(m * n)) contiguous row bands, each running its
-    own panels on its own thread (numpy releases the GIL inside the ufuncs).
-    Each element belongs to one panel of one band and sees the same updates
-    in the same order, on one thread, as in a whole-matrix pass, so the bits
-    depend on neither the panel size nor the band count.
+    The updates run in _k_loop: the compiled kernel, which keeps each 4x64
+    block of C in registers across k, or its numpy fallback, which applies
+    them one row panel of C at a time (see KERNEL_PANEL_ELEMS). An output
+    of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first split into
+    min(m, part_count(m * n)) contiguous row bands, each on its own thread
+    (ctypes and the numpy ufuncs release the GIL). The library is resolved
+    here, on the calling thread, so bands never race to build it. Each
+    element belongs to one block (or panel) of one band and sees the same
+    updates in the same order, on one thread, as in a whole-matrix pass, so
+    the bits depend on neither the path, the panel size nor the band count.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -221,6 +307,7 @@ def reference_gemm(a, b) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
     m, n = a.shape[0], b.shape[1]
     out = np.zeros((m, n), DTYPE)
+    _library()
     bands = min(m, part_count(m * n))
     edges = [m * i // bands for i in range(bands + 1)]
 

@@ -180,7 +180,6 @@ class PeState:
     ra_shadow: tuple[float, int] | None = None
     mc: np.ndarray | None = None
     fifo_a: list = field(default_factory=list)   # A element in transit here
-    fifo_c: list = field(default_factory=list)   # drained results
     reuse_this_iter: int = 0
 
 
@@ -331,8 +330,6 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
         raise AssertionError(
             f"trace stalled {stalls} cycles, contract says {charges.stall_cycles}")
 
-    for pe in pes:
-        pe.fifo_c = list(pe.mc)
     events.append(TraceEvent(cycle + charges.drain_cycles, "drain_done", block_id))
 
     return np.stack([pe.mc for pe in pes]), events, pes

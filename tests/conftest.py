@@ -25,6 +25,18 @@ def assemble_run(rep, grid, a, b):
     return out
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_kernel_cache(tmp_path_factory):
+    """Cache the compiled kernel in a directory of this session, never the
+    user's home: the session's first exact product is one cold build, and
+    the CLI subprocesses the tests start inherit the directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        blockmm._library.cache_clear()
+        yield
+    blockmm._library.cache_clear()
+
+
 @pytest.fixture
 def cli_output(monkeypatch):
     """Record (a, b, out) each time the CLI hands an output to the oracle."""

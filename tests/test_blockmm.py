@@ -1,4 +1,6 @@
 import hashlib
+import shutil
+import subprocess
 import threading
 import time
 
@@ -133,10 +135,11 @@ class TestKernelPanels:
 
     @KERNEL_DTYPE
     @pytest.mark.parametrize("panel_elems", [1, 10, 33, 77, 1 << 17])
-    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, panel_elems,
-                                                      dtype_name, dt):
-        # 11 columns: 1 and 10 elements give one-row panels, 33 three rows
-        # (23 rows leave a 2-row last panel), 77 seven rows, 1 << 17 one panel
+    def test_any_panel_size_matches_whole_matrix_loop(self, monkeypatch, numpy_kernel,
+                                                      panel_elems, dtype_name, dt):
+        # the panels are the numpy loop's. 11 columns: 1 and 10 elements give
+        # one-row panels, 33 three rows (23 rows leave a 2-row last panel),
+        # 77 seven rows, 1 << 17 one panel
         monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
         rng = np.random.default_rng(10)
         a, b = signed(rng, 23, 37), signed(rng, 37, 11)
@@ -204,6 +207,214 @@ class TestKernelBands:
         masim.reference_gemm(signed(rng, 2, 3),
                              signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS))
         assert len(started_threads) == 1
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture
+def cold_kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache of the test's own, and no library resolved yet
+    in this process; afterwards the next call resolves it afresh."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+    blockmm._library.cache_clear()
+    yield tmp_path / "xdg-cache" / "masim"
+    blockmm._library.cache_clear()
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Force _k_loop's numpy loop, as where no compiled kernel can be had."""
+    monkeypatch.setattr(blockmm, "_library", lambda: None)
+
+
+def both_paths(monkeypatch, a, b):
+    """reference_gemm(a, b) by the compiled kernel, then by the numpy loop
+    (which warns of the NaNs that inf * 0 and NaN inputs make)."""
+    assert blockmm._library() is not None
+    compiled = masim.reference_gemm(a, b)
+    with monkeypatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(blockmm, "_library", lambda: None)
+        fallback = masim.reference_gemm(a, b)
+    return compiled, fallback
+
+
+def same_bits(x, y):
+    return np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
+def f32(*rows):
+    return np.array(rows, np.float32)
+
+
+@needs_cc
+class TestCompiledKernel:
+    """The compiled kernel rounds exactly like _k_loop's numpy loop."""
+
+    @pytest.mark.parametrize("m, depth, n", [
+        (1, 1, 1),
+        (1, 37, 200),       # one row
+        (37, 20, 1),        # one column
+        (23, 1, 130),       # depth 1
+        (5, 13, 63),        # m past a multiple of 4, n short of one of 64
+        (6, 7, 65),
+        (9, 2100, 129),     # three 1024-deep slices of k, the last ragged
+        (128, 300, 1000),   # fc-8's output shape
+    ])
+    def test_ragged_shapes(self, monkeypatch, m, depth, n):
+        rng = np.random.default_rng(m * depth + n)
+        compiled, fallback = both_paths(monkeypatch, signed(rng, m, depth),
+                                        signed(rng, depth, n))
+        assert same_bits(compiled, fallback)
+
+    @given(m=st.integers(1, 20), depth=st.integers(1, 40), n=st.integers(1, 150),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_any_shape_of_signed_data(self, m, depth, n, seed):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            compiled, fallback = both_paths(mp, signed(rng, m, depth),
+                                            signed(rng, depth, n))
+        assert same_bits(compiled, fallback)
+
+    def test_band_and_column_slices(self, monkeypatch):
+        # _k_loop on a band of rows 3..10, then on columns 5..74, whose row
+        # stride exceeds their row length; the second call adds onto the
+        # first one's values where the two overlap
+        rng = np.random.default_rng(20)
+        a, b = signed(rng, 13, 30), signed(rng, 30, 80)
+        outs = []
+        for kernel in (blockmm._library(), None):
+            monkeypatch.setattr(blockmm, "_library", lambda: kernel)
+            out = np.zeros((13, 80), np.float32)
+            blockmm._k_loop(a[3:11], b, out[3:11])
+            blockmm._k_loop(a, b[:, 5:75], out[:, 5:75])
+            outs.append(out)
+        assert same_bits(*outs)
+
+    def test_signed_zeros(self, monkeypatch):
+        # 0 * -1 is -0, and +0 + -0 is +0: every element starts at +0
+        a = f32([0, -0.0], [-1, 1], [-0.0, -0.0])
+        b = f32([-1, 0, -0.0], [1, -0.0, 0])
+        compiled, fallback = both_paths(monkeypatch, a, b)
+        assert same_bits(compiled, fallback)
+        assert not compiled[0].view(np.uint32).any()
+        assert compiled[1].tolist() == [2, 0, 0]
+
+    def test_infinities_and_subnormals(self, monkeypatch):
+        # bits, not values, are compared: with flush-to-zero on, the float32
+        # constants would flush too
+        tiny = np.float32(2.0 ** -70)       # tiny * tiny = 2**-140, subnormal
+        sub = np.float32(2.0 ** -149)       # the least subnormal
+        a = f32([tiny, sub], [np.inf, 1], [-np.inf, 1])
+        b = f32([tiny, 2], [2, 1])
+        compiled, fallback = both_paths(monkeypatch, a, b)
+        assert same_bits(compiled, fallback)
+        # 2**-140 + 2**-148: neither flushed to zero (FTZ) nor read as zero (DAZ)
+        assert compiled.view(np.uint32)[0, 0] == (1 << 9) + (1 << 1)
+        assert compiled.view(np.uint32)[1:].tolist() == [[0x7F800000] * 2,
+                                                         [0xFF800000] * 2]
+        # nor did loading the library turn either on for this thread
+        assert (np.array([tiny]) * tiny).view(np.uint32)[0] == 1 << 9
+
+    def test_nan_positions(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        a, b = signed(rng, 9, 6), signed(rng, 6, 70)
+        a[2, 3] = np.nan
+        b[4, 65] = np.nan
+        a[5, 0] = np.inf            # inf * 0 is NaN too
+        b[0, 7] = 0
+        compiled, fallback = both_paths(monkeypatch, a, b)
+        assert np.array_equal(np.isnan(compiled), np.isnan(fallback))
+        assert np.isnan(compiled).sum() == 70 + 9 - 1 + 1
+        assert same_bits(compiled[~np.isnan(compiled)], fallback[~np.isnan(fallback)])
+
+    def test_multiply_and_add_are_not_fused(self, monkeypatch):
+        # -1 + fl((1 + 2**-12)**2) is 2**-11; a fused multiply-add keeps the
+        # product's last bit and gives 2**-11 + 2**-24
+        x = 1 + 2.0 ** -12
+        a = np.tile(f32([-1, x]), (5, 1))
+        b = np.tile(f32([1], [x]), (1, 70))
+        compiled, fallback = both_paths(monkeypatch, a, b)
+        assert (compiled == np.float32(2.0 ** -11)).all()
+        assert same_bits(compiled, fallback)
+
+
+class TestKernelCache:
+    """Building, caching and loading the compiled kernel, and falling back."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count calls of the build step."""
+        calls = []
+        build = blockmm._build
+
+        def counted(cc, path):
+            calls.append(path)
+            build(cc, path)
+
+        monkeypatch.setattr(blockmm, "_build", counted)
+        return calls
+
+    @needs_cc
+    def test_cold_cache_under_two_bands_builds_once(self, monkeypatch, cold_kernel_cache,
+                                                    started_threads, builds):
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
+        rng = np.random.default_rng(22)
+        a, b = signed(rng, 2, 3), signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS)
+        got = masim.reference_gemm(a, b)
+        assert len(started_threads) == 1
+        assert len(builds) == 1
+        assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]
+        assert (cold_kernel_cache.stat().st_mode & 0o777) == 0o700
+        assert blockmm._library() is not None
+        assert same_bits(got, k_loop(a, b))
+
+    @needs_cc
+    def test_warm_cache_starts_no_process(self, monkeypatch, cold_kernel_cache, builds):
+        assert blockmm._library() is not None
+        blockmm._library.cache_clear()
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a warm cache started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        assert blockmm._library() is not None
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("fault", ["no compiler", "failing build", "unwritable cache",
+                                       pytest.param("truncated library", marks=needs_cc)])
+    def test_fault_falls_back_to_the_same_bits(self, monkeypatch, tmp_path,
+                                               cold_kernel_cache, fault):
+        cache_home = cold_kernel_cache.parent
+        if fault == "no compiler":
+            monkeypatch.setattr(blockmm.shutil, "which", lambda name: None)
+        elif fault == "failing build":
+            broken = tmp_path / "broken.c"
+            broken.write_text("this is not C\n")
+            monkeypatch.setattr(blockmm, "KERNEL_SOURCE", str(broken))
+        elif fault == "unwritable cache":
+            # a file where the directory would go (the tests may run as root,
+            # for whom permission bits forbid nothing)
+            cache_home.write_text("")
+        else:
+            # the library cut short, under its own name in a second cache: a
+            # path this process has not loaded
+            blockmm._library()
+            [built] = cold_kernel_cache.iterdir()
+            cache_home = tmp_path / "second-cache"
+            (cache_home / "masim").mkdir(parents=True)
+            (cache_home / "masim" / built.name).write_bytes(built.read_bytes()[:512])
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+            blockmm._library.cache_clear()
+        rng = np.random.default_rng(23)
+        a, b = signed(rng, 7, 50), signed(rng, 50, 90)
+        got = masim.reference_gemm(a, b)
+        assert blockmm._library() is None
+        assert same_bits(got, k_loop(a, b))
+        cache = cache_home / "masim"
+        left = sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+        assert left == ([built.name] if fault == "truncated library" else [])
 
 
 def tile_of(a, b, grid, tile_id):

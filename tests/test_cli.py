@@ -287,6 +287,17 @@ def test_cli_import_loads_no_pool_module():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_kernel(tmp_path):
+    # the compiled kernel is built on the first exact product, not on import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import masim.cli; "
+            "print([m for m in ('subprocess', 'hashlib') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestOutputAndOracle:
     def test_exact_output_equals_per_tile_blocks(self, tmp_path, cli_output):
         # a ragged 4x6 grid of 16x8 blocks (50 rows, 43 columns), two arrays

@@ -156,12 +156,6 @@ class TestTraceBlock:
         assert drain.cycle == charges.cycles + charges.drain_cycles
         assert {e.block for e in events} == {5}
 
-    def test_results_parked_in_output_fifo(self):
-        rng = np.random.default_rng(12)
-        tile, _, pes = masim.trace_block(*block_of(rng, 3, 4, 2), M128)
-        parked = np.array([pe.fifo_c for pe in pes], dtype=np.float32)
-        assert np.array_equal(parked, tile)
-
     def test_rejects_mismatched_operands(self):
         with pytest.raises(ValueError, match="inner dimensions"):
             masim.trace_block(np.ones((2, 3)), np.ones((4, 2)), M128)
