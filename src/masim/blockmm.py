@@ -14,9 +14,12 @@ numpy, one row panel of the output at a time, and gives the same bits.
 A large output is split into row bands, one per core the process may run
 on, each band on its own thread. Neither the panels nor the bands change
 any element's order of summation, so the bits do not depend on the core
-count. max_rel_error is the float64 oracle the CLI checks every output
-against; when BLAS is pinned to one thread per call, it splits its
-256-column panel strips over the usable cores the same way, and its
+count, nor on whether B comes in k-slices added into one output.
+
+max_rel_error is the float64 oracle, add_reference into a zeroed
+reference; the CLI streams B's k-slices through both (cli.verified_output)
+with the same bits. When BLAS is pinned to one thread per call, the
+oracle splits its 256-column panel strips over the usable cores, and its
 result does not depend on the core count either. run_parts is the one
 thread helper behind the bands, the strips and the CLI's seeded matrix
 draw, and part_count the one rule for how many parts each gets; a
@@ -44,10 +47,12 @@ import numpy as np
 
 DTYPE = np.float32
 
-# Output rows, output columns and inner-dimension depth of one max_rel_error
-# step: its float64 copies of A and B hold 8 * 512 * (128 + 256) bytes
-# (1.5 MB) at most. 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6)
-# and smaller in peak RSS than 32x64 panels over the full depth.
+# Output rows, output columns and inner-dimension depth of one
+# add_reference step. Each thread holds a panel of A, a strip of B and a
+# scratch panel in float64, 1.8 MB at most, besides the m x n reference.
+# 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels
+# over the full depth; converting A's slice whole, not per panel, was
+# slower (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
 ORACLE_PANEL = (128, 256, 512)
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
@@ -99,6 +104,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
     return out
+
+
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float32 matrices (as_matrix) with a's columns as many as
+    b's rows."""
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -183,9 +198,10 @@ def _library():
     The library is built on first use into the per-user cache,
     $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name hashed from
     the source, the flags, the compiler (its resolved path, size and mtime)
-    and the machine type, so a cache hit starts no process. No cc, a failed
-    build, an unwritable cache or a library that will not load gives None,
-    and _k_loop runs its numpy loop.
+    and the machine type, so a cache hit starts no process. A cached file
+    that will not load (cut short, or not this kernel) is built again once.
+    No cc, a failed build, an unwritable cache or a library that will not
+    load after its build gives None, and _k_loop runs its numpy loop.
     """
     import hashlib
     cc = shutil.which("cc")
@@ -201,11 +217,13 @@ def _library():
                              or os.path.expanduser("~/.cache"), "masim")
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
         path = os.path.join(cache, f"kernel-{digest}.so")
-        if not os.path.exists(path):
+        try:
+            kernel = ctypes.CDLL(path).masim_k_loop
+        except (OSError, AttributeError):   # no such file, or not this kernel
             os.makedirs(cache, mode=0o700, exist_ok=True)
             _build(cc, path)
-        kernel = ctypes.CDLL(path).masim_k_loop
-    except OSError:
+            kernel = ctypes.CDLL(path).masim_k_loop
+    except (OSError, AttributeError):
         return None
     kernel.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
     kernel.restype = ctypes.c_int
@@ -280,7 +298,7 @@ def blas_pinned() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
-def reference_gemm(a, b) -> np.ndarray:
+def reference_gemm(a, b, out=None) -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
     This is the accelerator's numerics: each PE accumulates its output
@@ -289,6 +307,10 @@ def reference_gemm(a, b) -> np.ndarray:
     sum is built as a sequence of rank-1 updates, one per k, so the
     rounding sequence per output element is fully determined: every element
     gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ..., in float32.
+
+    Given out (float32, m x n, contiguous rows), the updates continue its
+    sums and it is returned: c is float32 between any two k, so k-slices
+    of a product added in ascending order give the whole product's bits.
 
     The updates run in _k_loop: the compiled kernel, which keeps each 4x64
     block of C in registers across k, or its numpy fallback, which applies
@@ -301,12 +323,12 @@ def reference_gemm(a, b) -> np.ndarray:
     updates in the same order, on one thread, as in a whole-matrix pass, so
     the bits depend on neither the path, the panel size nor the band count.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
+    a, b = _operands(a, b)
     m, n = a.shape[0], b.shape[1]
-    out = np.zeros((m, n), DTYPE)
+    if out is None:
+        out = np.zeros((m, n), DTYPE)
+    elif out.dtype != DTYPE or out.shape != (m, n) or out.strides[1] != out.itemsize:
+        raise ValueError(f"out must be a float32 {m}x{n} array with contiguous rows")
     _library()
     bands = min(m, part_count(m * n))
     edges = [m * i // bands for i in range(bands + 1)]
@@ -319,44 +341,70 @@ def reference_gemm(a, b) -> np.ndarray:
     return out
 
 
-def max_rel_error(a, b, out) -> float:
-    """Largest element-wise relative error of out against a float64 product.
+def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
+    """ref += A @ B in float64, and, given out, the largest element-wise
+    relative error of out against the updated ref.
 
-    The float64 reference is a matmul computed one ORACLE_PANEL output panel
-    at a time, each summed over depth slices of the inner dimension, so its
-    float64 working set is bounded per thread whatever the problem size. A
-    NaN anywhere in out makes the result NaN.
+    Each ORACLE_PANEL panel product (B's strip converted to float64 once
+    per 512-deep slice of k, A's panel per product) goes into a scratch
+    panel and is added into ref, k ascending. So k-slices of a product
+    that start at multiples of the panel depth, added into one ref, give
+    the whole product's bits. A NaN anywhere in out makes the error NaN.
 
-    When blas_pinned(), the panels' column strips are dealt round-robin to
-    part_count(m * n) threads (at most one per strip); otherwise BLAS runs
-    its own threads inside each matmul and one thread walks the strips. The
-    panels and their sums do not change, and the per-part maxima are
-    combined exactly, so the result does not depend on the part count.
+    When blas_pinned(), part_count(m * n) threads (at most one per strip)
+    each take the next untaken 256-column strip as they finish one, so a
+    thread that starts late takes fewer; otherwise BLAS runs its own
+    threads inside each matmul and one thread walks the strips. The sums
+    do not change and the per-part maxima are combined exactly, so the
+    result does not depend on the part count or on who took which strip.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
-    if out.shape != (a.shape[0], b.shape[1]):
-        raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
+    a, b = _operands(a, b)
+    m, n = a.shape[0], b.shape[1]
+    if ref.dtype != np.float64 or ref.shape != (m, n):
+        raise ValueError(f"ref must be a float64 {m}x{n} array")
+    if out is not None and out.shape != (m, n):
+        raise ValueError(f"out has shape {out.shape}, expected {(m, n)}")
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
-    strips = range(0, b.shape[1], panel_cols)
-    parts = min(len(strips), part_count(out.size)) if blas_pinned() else 1
+    depths = [slice(k0, k0 + panel_depth) for k0 in range(0, a.shape[1], panel_depth)]
+    strips = range(0, n, panel_cols)
+    parts = min(len(strips), part_count(m * n)) if blas_pinned() else 1
     worst = [np.float64(0.0)] * parts
+    untaken = iter(strips)
+    lock = threading.Lock()
 
     def strip_part(p: int) -> None:
-        for c0 in strips[p::parts]:
+        scratch = np.empty((min(panel_rows, m), min(panel_cols, n)))
+        while True:
+            with lock:
+                c0 = next(untaken, None)
+            if c0 is None:
+                return
             cols = slice(c0, c0 + panel_cols)
-            for r0 in range(0, a.shape[0], panel_rows):
-                rows = slice(r0, r0 + panel_rows)
-                ref = sum(a[rows, k0: k0 + panel_depth].astype(np.float64)
-                          @ b[k0: k0 + panel_depth, cols].astype(np.float64)
-                          for k0 in range(0, a.shape[1], panel_depth))
-                err = np.abs(out[rows, cols] - ref)
+            for ks in depths:
+                b64 = b[ks, cols].astype(np.float64)
+                for r0 in range(0, m, panel_rows):
+                    rows = slice(r0, r0 + panel_rows)
+                    panel = ref[rows, cols]
+                    product = scratch[: panel.shape[0], : panel.shape[1]]
+                    np.matmul(a[rows, ks].astype(np.float64), b64, out=product)
+                    np.add(panel, product, out=panel)
+            if out is None:
+                continue
+            for r0 in range(0, m, panel_rows):
+                panel = ref[r0: r0 + panel_rows, cols]
+                err = np.abs(out[r0: r0 + panel_rows, cols] - panel)
                 worst[p] = np.maximum(worst[p],
-                                      (err / np.maximum(np.abs(ref), tiny)).max())
+                                      (err / np.maximum(np.abs(panel), tiny)).max())
 
     run_parts(strip_part, parts)
     # np.maximum, not max(): a NaN from any part must survive
-    return float(np.maximum.reduce(worst))
+    return None if out is None else float(np.maximum.reduce(worst))
+
+
+def max_rel_error(a, b, out) -> float:
+    """Largest element-wise relative error of out against a float64 product:
+    add_reference into a zeroed m x n float64 reference (8 * m * n bytes).
+    A NaN anywhere in out makes the result NaN."""
+    a, b = _operands(a, b)
+    return add_reference(a, b, np.zeros((a.shape[0], b.shape[1])), out)

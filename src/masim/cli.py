@@ -11,27 +11,28 @@ Subcommands:
 
 The simulator only schedules: given the tile grid and the array count it
 rejects an infeasible point, deals the tiles and arbitrates steals itself,
-and it never reads matrix data. After the schedule, run builds the seeded
-matrices once, computes the arrays' output with the k-ordered float32
-kernel (a float32 matmul under --fast-numerics) and checks it against a
-float64 product; when the oracle is skipped nothing reads the output, so
-neither is built. explore builds no matrices. The matrix draw, the kernel
-and the oracle run on the cores the process may use (the oracle only when
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS pin BLAS to one
-thread; see blockmm.blas_pinned), and every output bit is the same on one
-core as on many; a process limited to one core (taskset -c 0) runs all
-three on the calling thread.
+and it never reads matrix data. After the schedule, run draws the seeded A
+and streams B in k-slices (verified_output) through the k-ordered float32
+kernel (a float32 matmul under --fast-numerics) and a float64 reference,
+holding A, the output, its reference (8 * m * n bytes) and one slice of B;
+the exact output and its error have the whole-matrix bits. When the
+oracle is skipped nothing reads the output, so nothing is drawn; explore
+draws nothing. The draw, the kernel and the oracle run on the cores the
+process may use (the oracle only when OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS pin BLAS to one thread; see
+blockmm.blas_pinned), and every exact output bit is the same on one core
+as on many; taskset -c 0 runs all three on the calling thread.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
 
 Exact-mode reports are deterministic for a fixed configuration and seed
 (only the created_at field varies); --fast-numerics reports also need a
-fixed BLAS thread setting, because the float32 matmul rounds differently
-when BLAS splits it over threads. Exit status is 0 on success, 1 when
-any check fails, 2 for infeasible or invalid configurations (a simulated
-time too long to count in cycles included) and for input or output files
-that cannot be opened.
+fixed BLAS thread setting, because the float32 matmul of each slice
+rounds differently when BLAS splits it over threads. Exit status is 0 on
+success, 1 when any check fails, 2 for infeasible or invalid
+configurations (a simulated time too long to count in cycles included)
+and for input or output files that cannot be opened.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import time
 
 import numpy as np
 
-from . import mac, model
-from .blockmm import max_rel_error, part_count, partition, reference_gemm, run_parts
+from . import blockmm, mac, model
+from .blockmm import add_reference, part_count, partition, reference_gemm, run_parts
 from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
 from .simulator import run_mpe
@@ -55,6 +56,15 @@ LOWER_BOUND_SLACK = 1e-3      # tolerated relative shortfall against the lower b
 UPPER_BOUND_GUARD = 1e-9      # absorbs addition-order ULPs when a run has no overlap
                               # at all and lands exactly on the upper bound
 ORACLE_RTOL = 1e-4
+# Bytes in one k-slice of B (build_matrices): its depth is the largest
+# multiple of the oracle's 512-deep panel that fits, one panel at least, so
+# fc-6 and fc-7 take 1024-deep slices and the other presets one slice.
+# Each slice costs a hand-off to the draw's, the kernel's and the oracle's
+# threads: on 2 vCPUs fc-8's check took 0.048 s in 512-deep slices and
+# 0.039 s in one, and fc-6's 0.240 s in 512-deep, 0.235 s in 1024-deep
+# and 0.267 s in one (medians of 12). Each doubling of the slice adds
+# 16 MB to fc-6's 71 MB peak.
+B_SLICE_BYTES = 16 << 20
 
 
 class CliError(Exception):
@@ -158,9 +168,11 @@ def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.De
     return model.DesignPoint(args.np, args.si, args.sj)
 
 
-def draw_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
-    part_count(rows * cols) contiguous chunks at once; rng (a PCG64
+    part_count(rows * cols) contiguous chunks at once, into out (a
+    C-contiguous float32 rows x cols array) when given; rng (a PCG64
     generator) is left in the state the serial draw leaves it in.
 
     A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
@@ -168,7 +180,11 @@ def draw_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     from a copy of the state advanced by o // 2. A half left buffered by an
     odd-sized earlier draw is the first element, drawn here on the caller.
     """
-    out = np.empty((rows, cols), np.float32)
+    if out is None:
+        out = np.empty((rows, cols), np.float32)
+    elif out.shape != (rows, cols) or out.dtype != np.float32 \
+            or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float32 {rows}x{cols} array")
     flat = out.reshape(-1)
     bitgen = rng.bit_generator
     if bitgen.state["has_uint32"]:
@@ -195,10 +211,45 @@ def draw_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def build_matrices(shape: model.ProblemShape, seed: int):
+    """The seeded A, and an iterator of (ks, B[ks]) over B's k-slices (see
+    B_SLICE_BYTES), each drawn into one reused buffer, so valid until the
+    next is drawn. B's rows are contiguous in the generator's stream, so
+    these are the serial draws of A and B, bit for bit."""
     rng = np.random.default_rng(seed)
     a = draw_matrix(rng, shape.m, shape.depth)
-    b = draw_matrix(rng, shape.depth, shape.n)
-    return a, b
+    panel = blockmm.ORACLE_PANEL[2]
+    step = max(panel, B_SLICE_BYTES // (4 * shape.n) // panel * panel)
+
+    def b_slices():
+        buffer = np.empty((min(step, shape.depth), shape.n), np.float32)
+        for k0 in range(0, shape.depth, step):
+            ks = slice(k0, min(k0 + step, shape.depth))
+            depth = ks.stop - k0
+            yield ks, draw_matrix(rng, depth, shape.n, out=buffer[:depth])
+
+    return a, b_slices()
+
+
+def verified_output(shape: model.ProblemShape, seed: int, fast_numerics: bool):
+    """The run's output on the seeded matrices and its largest relative
+    error: each k-slice of B is added into the output (reference_gemm, or
+    a float32 matmul under fast_numerics) and into the float64 reference
+    (add_reference), which takes the error on the last slice. The slices
+    start at multiples of the oracle's panel depth, so the exact output and
+    the error are the whole-matrix reference_gemm's and max_rel_error's."""
+    a, b_slices = build_matrices(shape, seed)
+    out = np.zeros((shape.m, shape.n), np.float32)
+    ref = np.zeros((shape.m, shape.n))
+    product = np.empty_like(out) if fast_numerics else None
+    rel = None
+    for ks, b in b_slices:
+        a_slice = np.ascontiguousarray(a[:, ks])
+        if fast_numerics:
+            out += np.matmul(a_slice, b, out=product)
+        else:
+            reference_gemm(a_slice, b, out)
+        rel = add_reference(a_slice, b, ref, out if ks.stop == shape.depth else None)
+    return out, rel
 
 
 def simulate_point(shape, point, machine, args, *, trace_path=None):
@@ -269,9 +320,7 @@ def cmd_run(args) -> int:
         checks["max_rel_error"] = None
         checks["oracle_skipped"] = skipped
     else:
-        a, b = build_matrices(shape, args.seed)
-        out = a @ b if args.fast_numerics else reference_gemm(a, b)
-        rel = max_rel_error(a, b, out)
+        _, rel = verified_output(shape, args.seed, args.fast_numerics)
         checks["max_rel_error"] = rel
         checks["oracle_ok"] = bool(rel <= ORACLE_RTOL)
     checks["tiles_ok"] = bool(
@@ -304,8 +353,6 @@ def cmd_explore(args) -> int:
             "n_arrays": entry.point.n_arrays,
             "block_rows": entry.point.block_rows,
             "block_cols": entry.point.block_cols,
-            "feasible": entry.point.n_arrays in machine.array_counts(
-                entry.point.block_rows, entry.point.block_cols),
             **dataclasses.asdict(entry.estimate),
         }
         if args.simulate:

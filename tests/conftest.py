@@ -37,17 +37,26 @@ def session_kernel_cache(tmp_path_factory):
     blockmm._library.cache_clear()
 
 
+def seeded_matrices(shape, seed):
+    """A and B as the CLI's seed makes them, drawn whole and serially."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((shape.m, shape.depth), dtype=np.float32),
+            rng.random((shape.depth, shape.n), dtype=np.float32))
+
+
 @pytest.fixture
 def cli_output(monkeypatch):
-    """Record (a, b, out) each time the CLI hands an output to the oracle."""
+    """Record (a, b, out) each time the CLI's verify loop returns an output,
+    with a and b drawn whole from the run's seed."""
     seen = []
-    check = cli.max_rel_error
+    verify = cli.verified_output
 
-    def recording(a, b, out):
-        seen.append((a, b, out))
-        return check(a, b, out)
+    def recording(shape, seed, fast_numerics):
+        out, rel = verify(shape, seed, fast_numerics)
+        seen.append((*seeded_matrices(shape, seed), out))
+        return out, rel
 
-    monkeypatch.setattr(cli, "max_rel_error", recording)
+    monkeypatch.setattr(cli, "verified_output", recording)
     return seen
 
 

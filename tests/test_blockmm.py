@@ -385,7 +385,9 @@ class TestKernelCache:
     @pytest.mark.parametrize("fault", ["no compiler", "failing build", "unwritable cache",
                                        pytest.param("truncated library", marks=needs_cc)])
     def test_fault_falls_back_to_the_same_bits(self, monkeypatch, tmp_path,
-                                               cold_kernel_cache, fault):
+                                               cold_kernel_cache, builds, fault):
+        # every fault gives the numpy loop's bits, except a cached library
+        # cut short, which is built again once and then loads
         cache_home = cold_kernel_cache.parent
         if fault == "no compiler":
             monkeypatch.setattr(blockmm.shutil, "which", lambda name: None)
@@ -407,14 +409,69 @@ class TestKernelCache:
             (cache_home / "masim" / built.name).write_bytes(built.read_bytes()[:512])
             monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
             blockmm._library.cache_clear()
+            builds.clear()
         rng = np.random.default_rng(23)
         a, b = signed(rng, 7, 50), signed(rng, 50, 90)
         got = masim.reference_gemm(a, b)
-        assert blockmm._library() is None
         assert same_bits(got, k_loop(a, b))
         cache = cache_home / "masim"
         left = sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
-        assert left == ([built.name] if fault == "truncated library" else [])
+        if fault == "truncated library":
+            assert blockmm._library() is not None
+            assert builds == [str(cache / built.name)]
+            assert left == [built.name]
+            assert (cache / built.name).stat().st_size == built.stat().st_size
+        else:
+            assert blockmm._library() is None
+            assert len(builds) == (fault == "failing build")
+            assert left == []
+
+
+class TestSlicesOfK:
+    """Products added k-slice by k-slice into one output (reference_gemm)
+    or one float64 reference (add_reference) give the whole product's bits."""
+
+    # cut inside and across the compiled kernel's 1024-deep slices
+    CUTS = (0, 3, 700, 1030, 2048, 2100)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_kernel_slices_add_up_to_the_whole_product(self, monkeypatch, compiled):
+        if compiled and blockmm._library() is None:
+            pytest.skip("no compiled kernel")
+        if not compiled:
+            monkeypatch.setattr(blockmm, "_library", lambda: None)
+        rng = np.random.default_rng(24)
+        a, b = signed(rng, 9, 2100), signed(rng, 2100, 129)
+        out = np.zeros((9, 129), np.float32)
+        for k0, k1 in zip(self.CUTS, self.CUTS[1:]):
+            assert masim.reference_gemm(a[:, k0:k1], b[k0:k1], out) is out
+        assert same_bits(out, k_loop(a, b))
+
+    def test_reference_slices_give_the_whole_error(self, monkeypatch, pinned_blas):
+        # 32-deep panels: slices cut at multiples of 32, the last one ragged
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 8, 32))
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        rng = np.random.default_rng(25)
+        a, b = signed(rng, 40, 150), signed(rng, 150, 30)
+        out = k_loop(a, b)
+        out[17, 3] *= 1.001
+        ref = np.zeros((40, 30))
+        cuts = (0, 32, 96, 128, 150)
+        for k0, k1 in zip(cuts, cuts[1:]):
+            last = k1 == cuts[-1]
+            rel = blockmm.add_reference(a[:, k0:k1], b[k0:k1], ref, out if last else None)
+            assert (rel is None) != last
+        assert rel == masim.max_rel_error(a, b, out)
+
+    def test_outputs_of_the_wrong_kind_are_rejected(self):
+        a, b = np.ones((4, 3), np.float32), np.ones((3, 5), np.float32)
+        for out in (np.zeros((4, 5)), np.zeros((5, 4), np.float32),
+                    np.zeros((4, 10), np.float32)[:, ::2]):
+            with pytest.raises(ValueError, match="float32 4x5"):
+                masim.reference_gemm(a, b, out)
+        for ref in (np.zeros((4, 5), np.float32), np.zeros((4, 4))):
+            with pytest.raises(ValueError, match="float64 4x5"):
+                blockmm.add_reference(a, b, ref)
 
 
 def tile_of(a, b, grid, tile_id):

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assemble_run
+from conftest import assemble_run, seeded_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,12 +314,15 @@ class TestOutputAndOracle:
 
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):
         # 136 rows, 262 columns and depth 520 leave the last 128x256x512
-        # oracle panel 8x6x8
+        # oracle panel 8x6x8; the error is planted once all 520 k are in
         kernel = cli.reference_gemm
+        depths = []
 
-        def planted(a, b):
-            out = kernel(a, b)
-            out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
+        def planted(a, b, out):
+            kernel(a, b, out)
+            depths.append(b.shape[0])
+            if sum(depths) == 520:
+                out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
             return out
 
         monkeypatch.setattr(cli, "reference_gemm", planted)
@@ -342,7 +346,8 @@ class TestOutputAndOracle:
     ])
     def test_skipped_oracle_gives_reason_and_builds_nothing(
             self, tmp_path, monkeypatch, flags, reason):
-        monkeypatch.setattr(cli, "build_matrices", None)
+        monkeypatch.setattr(cli, "verified_output", None)
+        monkeypatch.setattr(cli, "draw_matrix", None)
         out_path = tmp_path / "r.json"
         assert run_cli("run", "--shape", "16x16x8", "--np", "1", "--si", "8",
                        *flags, "--out", str(out_path)) == 0
@@ -418,17 +423,26 @@ class TestDeterminism:
 
 
 class TestMatrixDraw:
-    """The seeded matrices, drawn in chunks on threads, are the serial draw."""
+    """The seeded matrices, drawn in chunks on threads and B in k-slices,
+    are the serial draw."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
                                            (96, 363, 64)])
     def test_chunked_draw_is_the_serial_draw(self, monkeypatch, fine_switching,
                                              cores, m, depth, n):
-        # odd m*depth leaves a buffered half for the first element of B
+        # odd m*depth leaves a buffered half for the first element of B, and
+        # 2-deep slices of odd n leave one for the first element of B's last
+        # slice
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
-        a, b = cli.build_matrices(model.ProblemShape(m, depth, n), 5)
+        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (4, 4, 2))
+        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)
+        a, b_slices = cli.build_matrices(model.ProblemShape(m, depth, n), 5)
+        slices = [(ks, s.copy()) for ks, s in b_slices]
+        assert [(ks.start, ks.stop) for ks, _ in slices] \
+            == [(k0, min(k0 + 2, depth)) for k0 in range(0, depth, 2)]
+        b = np.vstack([s for _, s in slices])
         # A, B and a third draw from the same generator, each continuing
         # from the state the serial draw before it ends in
         serial, rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -441,10 +455,89 @@ class TestMatrixDraw:
 
     def test_small_matrices_start_no_thread(self, monkeypatch, started_threads):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
-        cli.build_matrices(model.ProblemShape(128, 255, 256), 5)
+        _, b_slices = cli.build_matrices(model.ProblemShape(128, 255, 256), 5)
+        for _ in b_slices:
+            pass
         assert started_threads == []
         cli.draw_matrix(np.random.default_rng(5), 2, blockmm.KERNEL_BAND_MIN_ELEMS)
         assert len(started_threads) == 1
+
+    def test_b_slices_hold_16_mb(self):
+        # fc-6 and fc-7's B in 1024-deep slices, fc-8's in one
+        for n, depth, starts in ((4096, 2049, [0, 1024, 2048]), (1000, 4096, [0])):
+            _, b_slices = cli.build_matrices(model.ProblemShape(1, depth, n), 5)
+            assert [ks.start for ks, _ in b_slices] == starts
+
+    def test_out_must_be_a_contiguous_float32_matrix(self):
+        rng = np.random.default_rng(5)
+        for out in (np.empty((4, 6), np.float32)[:, :3], np.empty((4, 3)),
+                    np.empty((3, 4), np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float32 4x3"):
+                cli.draw_matrix(rng, 4, 3, out=out)
+
+
+class TestStreamedCheck:
+    """The verify loop's output and error, B streamed in k-slices, are the
+    whole-matrix reference_gemm and max_rel_error."""
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("m,depth,n", [
+        (3, 1, 5),          # depth 1
+        (130, 511, 300),    # one slice short of 512; two row panels, ragged strip
+        (129, 512, 257),    # exactly one slice
+        (7, 513, 260),      # one row past it; odd m*depth
+        (131, 1101, 70),    # three slices, the last ragged; odd m*depth
+    ])
+    def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas,
+                                           fast, m, depth, n):
+        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)       # 512-deep slices
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
+        shape = model.ProblemShape(m, depth, n)
+        out, rel = cli.verified_output(shape, 9, fast)
+        a, b = seeded_matrices(shape, 9)
+        if fast:
+            np.testing.assert_allclose(out, a.astype(np.float64) @ b, rtol=1e-4)
+        else:
+            assert np.array_equal(out.view(np.uint32),
+                                  masim.reference_gemm(a, b).view(np.uint32))
+        assert rel == masim.max_rel_error(a, b, out)
+
+    def test_one_slice_equals_the_whole_matrix_check(self):
+        shape = model.ProblemShape(96, 363, 3025)          # conv-1
+        out, rel = cli.verified_output(shape, 7, False)
+        a, b = seeded_matrices(shape, 7)
+        assert np.array_equal(out.view(np.uint32),
+                              masim.reference_gemm(a, b).view(np.uint32))
+        assert rel == masim.max_rel_error(a, b, out)
+
+    def test_nan_in_an_early_slice_is_reported(self, monkeypatch):
+        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)
+        kernel = cli.reference_gemm
+        calls = []
+
+        def first_nan(a, b, out):
+            kernel(a, b, out)
+            if not calls:
+                out[5, 7] = np.nan
+            calls.append(b.shape[0])
+            return out
+
+        monkeypatch.setattr(cli, "reference_gemm", first_nan)
+        out, rel = cli.verified_output(model.ProblemShape(9, 1100, 20), 3, False)
+        assert calls == [512, 512, 76]
+        assert np.isnan(out[5, 7]) and np.isnan(rel)
+
+    def test_never_holds_b(self):
+        # B is 64 MB; the loop holds one 16 MB slice of it at a time
+        shape = model.ProblemShape(64, 4096, 4096)
+        tracemalloc.start()
+        try:
+            _, rel = cli.verified_output(shape, 1, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel <= cli.ORACLE_RTOL
+        assert peak < 4 * shape.depth * shape.n / 2
 
 
 class TestModuleEntryPoint:
@@ -489,7 +582,8 @@ class TestExplore:
         assert rows[0]["n_arrays"] == "1"
 
     def test_simulate_builds_no_matrices(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "build_matrices", None)
+        monkeypatch.setattr(cli, "verified_output", None)
+        monkeypatch.setattr(cli, "draw_matrix", None)
         out = tmp_path / "sweep.json"
         assert run_cli("explore", "--shape", "64x48x64", "--simulate",
                        "--fast-numerics", "--candidates", "8,16",
@@ -528,7 +622,7 @@ class TestPresets:
             assert run_cli("explore", "--preset", name, "--out", str(out)) == 0
             with open(out) as fh:
                 best = next(csv.DictReader(fh))
-            assert best["rank"] == "0" and best["feasible"] == "True"
+            assert best["rank"] == "0"
             assert float(best["lower_seconds"]) <= float(best["upper_seconds"])
 
 
