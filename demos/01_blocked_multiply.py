@@ -16,31 +16,34 @@ m, k, n = 130, 50, 100
 a = rng.random((m, k), dtype=np.float32)
 b = rng.random((k, n), dtype=np.float32)
 
-grid = masim.partition(m, n, k, block_rows=64, block_cols=64)
-print(f"problem {m}x{k}x{n}, blocks 64x64")
-print(f"  grid: {grid.grid_rows} x {grid.grid_cols} tiles "
-      f"({grid.tile_count} total)")
-print(f"  padded to {grid.padded_rows} x {grid.padded_cols} "
+si = sj = 64
+shape = masim.ProblemShape(m, k, n)
+grid_rows, grid_cols = -(-m // si), -(-n // sj)
+# tile ids run row-major over the grid; edge tiles are cut short
+tiles = [(slice(r0, r0 + si), slice(c0, c0 + sj))
+         for r0 in range(0, m, si) for c0 in range(0, n, sj)]
+assert len(tiles) == shape.tile_count(si, sj)
+print(f"problem {m}x{k}x{n}, blocks {si}x{sj}")
+print(f"  grid: {grid_rows} x {grid_cols} tiles ({len(tiles)} total)")
+print(f"  padded to {grid_rows * si} x {grid_cols * sj} "
       f"(charged in transfers, never copied)")
 
 
 def tile(tile_id):
     """One tile: the k-ordered kernel on its slices of A and B."""
-    i, j = grid.tile_coords(tile_id)
-    rows = slice(i * grid.block_rows, (i + 1) * grid.block_rows)
-    cols = slice(j * grid.block_cols, (j + 1) * grid.block_cols)
+    rows, cols = tiles[tile_id]
     return rows, cols, masim.reference_gemm(a[rows], b[:, cols])
 
 
 # the last tile sits on the ragged edge: its slices are cut short, and
 # padding them with zeros would only add rows and columns that are cropped
-rows, cols, edge = tile(grid.tile_count - 1)
-print(f"  edge tile live region: {edge.shape[0]}x{edge.shape[1]} of 64x64")
+rows, cols, edge = tile(len(tiles) - 1)
+print(f"  edge tile live region: {edge.shape[0]}x{edge.shape[1]} of {si}x{sj}")
 
 # one k-ordered kernel serves the tile and the whole matrix: the tiles,
 # assembled, and the whole-matrix product agree bit for bit
 blocked = np.empty((m, n), np.float32)
-for tile_id in range(grid.tile_count):
+for tile_id in range(len(tiles)):
     rows, cols, block = tile(tile_id)
     blocked[rows, cols] = block
 reference = masim.reference_gemm(a, b)
@@ -54,6 +57,6 @@ print(f"  max relative error vs float64 product: {rel:.2e}")
 
 # every tile, edge tiles included, moves the same padded bytes: both
 # operand slices in, the result tile out
-in_bytes, out_bytes = masim.block_bytes(grid.block_rows, grid.block_cols, grid.depth)
+in_bytes, out_bytes = masim.block_bytes(si, sj, k)
 print(f"  each tile moves {in_bytes} bytes in and {out_bytes} bytes out, "
       f"{in_bytes + out_bytes} bytes in total")

@@ -53,10 +53,10 @@ for si in (64, 100, 192):
 
 # the values never change with the layout, only the timing does, so the
 # run needs no data
-grid = masim.partition(48, 48, 20, 16, 16)
+shape = masim.ProblemShape(48, 20, 48)
 print("\nindependent vs cooperating arrays on the same 9-tile workload")
 for n_arrays in (4, 1):
-    rep = masim.run_mpe(machine, grid, n_arrays)
+    rep = masim.run_mpe(shape, masim.DesignPoint(n_arrays, 16), machine)
     label = f"{n_arrays} array(s)"
     print(f"  {label:<12} {rep.total_cycles:>8} cycles, "
           f"{rep.gflops:6.2f} GFLOPS, "

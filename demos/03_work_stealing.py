@@ -10,15 +10,15 @@ rates this keeps every array busy and cuts the makespan.
 import masim
 
 m, k, n = 32, 8, 32                       # 8x8 grid of 4x4 tiles
-grid = masim.partition(m, n, k, 4, 4)
+shape, point = masim.ProblemShape(m, k, n), masim.DesignPoint(4, 4)
 machine = masim.Machine(bw_model=masim.IdealBandwidth())
 
 slow = {0: 2.0}                            # array 0 runs at half speed
-print(f"{grid.tile_count} tiles over 4 arrays, array 0 clocked 2x slower\n")
+print(f"{shape.tile_count(4, 4)} tiles over 4 arrays, array 0 clocked 2x slower\n")
 
 results = {}
 for steal_on in (False, True):
-    rep = masim.run_mpe(machine, grid, 4, steal=steal_on, slowdowns=slow)
+    rep = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow)
     results[steal_on] = rep
     mode = "stealing" if steal_on else "static  "
     print(f"{mode}: makespan {rep.total_cycles} cycles, "
@@ -41,5 +41,5 @@ for ev in results[True].steal_events:
 # same output: the k-ordered product of the whole problem
 for rep in results.values():
     done = sorted(t for s in rep.arrays for t in s.tiles)
-    assert done == list(range(grid.tile_count))
+    assert done == list(range(rep.tile_count))
 print("\nexactly-once execution confirmed for both schedules")

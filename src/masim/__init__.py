@@ -1,8 +1,7 @@
 """Simulator and performance model for a multi-array linear systolic
 GEMM accelerator."""
 
-from .blockmm import (DTYPE, TileGrid, as_matrix, max_rel_error, partition,
-                      reference_gemm)
+from .blockmm import DTYPE, as_matrix, max_rel_error, reference_gemm
 from .mac import (CalibrationError, CalibrationMissingError, IdealBandwidth,
                   ParametricBandwidth, TableBandwidth, block_bytes,
                   effective_bandwidth)

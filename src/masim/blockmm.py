@@ -1,4 +1,4 @@
-"""Tiling arithmetic, the k-ordered GEMM kernel and the float64 oracle.
+"""The k-ordered GEMM kernel and the float64 oracle.
 
 Element data and accumulation are float32 throughout. reference_gemm is
 the one k-ordered accumulation kernel: the inner dimension is summed in
@@ -25,11 +25,6 @@ thread helper behind the bands, the strips and the CLI's seeded matrix
 draw, and part_count the one rule for how many parts each gets; a
 process limited to one core (taskset -c 0) runs all of them on the
 calling thread.
-
-Padding exists only in the traffic accounting: mac charges every tile
-full padded blocks, which is exactly what the transfer model assumes. A
-tile's numerics are the kernel on its slices A[r0:r1] and B[:, c0:c1];
-padding would only add output rows and columns that are cropped.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ import platform
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +54,9 @@ ORACLE_PANEL = (128, 256, 512)
 # max(1, KERNEL_PANEL_ELEMS // n) full rows of C. A float32 panel and its
 # scratch take 1 MB together and stay in a 2 MB per-core L2 across all k;
 # the whole fc-6 output and its scratch (4 MB) did not, so every k went to
-# L3 (fc-6 2.8 s -> 1.5 s). 2**16 and 2**18 measured no faster. Rows, not
+# L3 (fc-6 2.8 s -> 1.5 s). On one core of a 2-vCPU Xeon (2 MB L2 per
+# core) one whole-matrix loop took 1.07x (fc-8) to 2.11x (fc-7) the panels'
+# time, medians of 5. 2**16 and 2**18 measured no faster. Rows, not
 # columns: a row panel is one contiguous block and reads each row of B
 # whole, while column panels made every per-k operation strided and slower.
 KERNEL_PANEL_ELEMS = 1 << 17
@@ -114,57 +110,6 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}")
     return a, b
-
-
-@dataclass(frozen=True)
-class TileGrid:
-    """Partition of an m x n result into block_rows x block_cols tiles.
-
-    The inner dimension (depth) is never split: each tile covers the full
-    reduction. Padded dimensions are the smallest multiples of the block
-    sizes covering the problem.
-    """
-
-    m: int
-    n: int
-    depth: int
-    block_rows: int
-    block_cols: int
-    grid_rows: int
-    grid_cols: int
-    padded_rows: int
-    padded_cols: int
-
-    @property
-    def tile_count(self) -> int:
-        return self.grid_rows * self.grid_cols
-
-    def tile_coords(self, tile_id: int) -> tuple[int, int]:
-        """Map a row-major tile id back to (tile_row, tile_col)."""
-        return divmod(tile_id, self.grid_cols)
-
-    def tile_id(self, tile_row: int, tile_col: int) -> int:
-        return tile_row * self.grid_cols + tile_col
-
-
-def partition(m: int, n: int, depth: int, block_rows: int, block_cols: int) -> TileGrid:
-    """Split an (m, depth) x (depth, n) product into a tile grid.
-
-    Raises ValueError for non-positive dimensions or block sizes.
-    """
-    for name, v in (("m", m), ("n", n), ("depth", depth),
-                    ("block_rows", block_rows), ("block_cols", block_cols)):
-        if int(v) != v or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    grid_rows = -(-m // block_rows)
-    grid_cols = -(-n // block_cols)
-    return TileGrid(
-        m=m, n=n, depth=depth,
-        block_rows=block_rows, block_cols=block_cols,
-        grid_rows=grid_rows, grid_cols=grid_cols,
-        padded_rows=grid_rows * block_rows,
-        padded_cols=grid_cols * block_cols,
-    )
 
 
 def usable_cores() -> int:

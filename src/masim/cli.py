@@ -9,19 +9,20 @@ Subcommands:
              simulate each point and compare against the bounds
   calibrate  validate a measured bandwidth table and store it for reuse
 
-The simulator only schedules: given the tile grid and the array count it
-rejects an infeasible point, deals the tiles and arbitrates steals itself,
-and it never reads matrix data. After the schedule, run draws the seeded A
-and streams B in k-slices (verified_output) through the k-ordered float32
-kernel (a float32 matmul under --fast-numerics) and a float64 reference,
-holding A, the output, its reference (8 * m * n bytes) and one slice of B;
-the exact output and its error have the whole-matrix bits. When the
-oracle is skipped nothing reads the output, so nothing is drawn; explore
-draws nothing. The draw, the kernel and the oracle run on the cores the
-process may use (the oracle only when OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS or MKL_NUM_THREADS pin BLAS to one thread; see
-blockmm.blas_pinned), and every exact output bit is the same on one core
-as on many; taskset -c 0 runs all three on the calling thread.
+The simulator only schedules: given the problem shape, the design point
+and the machine, as the model is, it rejects an infeasible point, deals
+the tiles and arbitrates steals itself, and it never reads matrix data.
+After the schedule, run draws the seeded A and streams B in k-slices
+(verified_output) through the k-ordered float32 kernel (a float32 matmul
+under --fast-numerics) and a float64 reference, holding A, the output,
+its reference (8 * m * n bytes) and one slice of B; the exact output and
+its error have the whole-matrix bits. When the oracle is skipped nothing
+reads the output, so nothing is drawn; explore draws nothing. The draw,
+the kernel and the oracle run on the cores the process may use (the
+oracle only when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS pin BLAS to one thread; see blockmm.blas_pinned), and
+every exact output bit is the same on one core as on many; taskset -c 0
+runs all three on the calling thread.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
@@ -31,8 +32,9 @@ Exact-mode reports are deterministic for a fixed configuration and seed
 fixed BLAS thread setting, because the float32 matmul of each slice
 rounds differently when BLAS splits it over threads. Exit status is 0 on
 success, 1 when any check fails, 2 for infeasible or invalid
-configurations (a simulated time too long to count in cycles included)
-and for input or output files that cannot be opened.
+configurations (a simulated time too long to count in cycles included),
+for input or output files that cannot be opened and for a problem too
+large for memory.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import time
 import numpy as np
 
 from . import blockmm, mac, model
-from .blockmm import add_reference, part_count, partition, reference_gemm, run_parts
+from .blockmm import add_reference, part_count, reference_gemm, run_parts
 from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
 from .simulator import run_mpe
@@ -252,13 +254,6 @@ def verified_output(shape: model.ProblemShape, seed: int, fast_numerics: bool):
     return out, rel
 
 
-def simulate_point(shape, point, machine, args, *, trace_path=None):
-    grid = partition(shape.m, shape.n, shape.depth,
-                     point.block_rows, point.block_cols)
-    return run_mpe(machine, grid, point.n_arrays, steal=not args.no_steal,
-                   trace_path=trace_path)
-
-
 def oracle_skip_reason(args, shape: model.ProblemShape) -> str | None:
     """The flag that turns the oracle check off for this run, if any."""
     if args.no_verify:
@@ -308,7 +303,8 @@ def cmd_run(args) -> int:
     machine = resolve_machine(args)
     point = resolve_point(args, shape, machine)
 
-    sim = simulate_point(shape, point, machine, args, trace_path=args.trace)
+    sim = run_mpe(shape, point, machine, steal=not args.no_steal,
+                  trace_path=args.trace)
     estimate = model.bounds(shape, point, machine)
 
     checks: dict = {}
@@ -356,7 +352,7 @@ def cmd_explore(args) -> int:
             **dataclasses.asdict(entry.estimate),
         }
         if args.simulate:
-            sim = simulate_point(shape, entry.point, machine, args)
+            sim = run_mpe(shape, entry.point, machine, steal=not args.no_steal)
             row["measured_seconds"] = sim.time_seconds
             row["measured_gflops"] = sim.gflops
             row["in_bounds"] = bounds_ok(entry.estimate, sim.time_seconds)
@@ -463,9 +459,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, InfeasibleBlockError, mac.CalibrationMissingError,
-            OSError, OverflowError) as exc:
+            OSError, OverflowError, MemoryError) as exc:
         # OSError: e.g. an --out or --trace path in a missing directory;
-        # OverflowError: a makespan too long to count in cycles
+        # OverflowError: a makespan too long to count in cycles;
+        # MemoryError: e.g. no room for the output or its reference
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

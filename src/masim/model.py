@@ -1,15 +1,19 @@
 """Analytical performance model and design-space exploration.
 
-For a problem of shape (m, depth) x (depth, n) running on n_arrays arrays
-with block sizes (block_rows, block_cols):
+For a problem of shape (m, depth) x (depth, n) (a ProblemShape) running
+at a DesignPoint of n_arrays arrays with block sizes (block_rows,
+block_cols):
 
-  work_per_array   = ceil(ceil(m / block_rows) * ceil(n / block_cols) / n_arrays)
+  tiles            = ceil(m / block_rows) * ceil(n / block_cols)
+  work_per_array   = ceil(tiles / n_arrays)
   load_seconds     = (in_bytes + out_bytes) / effective bandwidth
   transfer_seconds = work_per_array * load_seconds
   compute_seconds  = work_per_array * charged cycles / clock
 
-with one block's bytes from mac.block_bytes and its charged cycles from
-mpe.block_charges, the same two rules the simulator charges.
+with the tile count from ProblemShape.tile_count, one block's bytes from
+mac.block_bytes and its charged cycles from mpe.block_charges, the same
+three rules the simulator (simulator.run_mpe, which takes the same shape,
+point and machine as bounds) deals and charges by.
 
 The true run time is bracketed by compute_seconds from below (transfers
 overlap compute) and transfer_seconds + compute_seconds from above (no
@@ -39,6 +43,13 @@ from . import mac
 from .mpe import Machine, block_charges
 
 
+def _check_positive(obj) -> None:
+    """Raise ValueError unless every field of obj is a positive integer."""
+    for name, v in vars(obj).items():
+        if int(v) != v or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ProblemShape:
     m: int
@@ -46,14 +57,16 @@ class ProblemShape:
     n: int
 
     def __post_init__(self):
-        for name in ("m", "depth", "n"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        _check_positive(self)
 
     @property
     def flops(self) -> int:
         return 2 * self.m * self.depth * self.n
+
+    def tile_count(self, block_rows: int, block_cols: int) -> int:
+        """Tiles of block_rows x block_cols covering the m x n output; the
+        depth is never split. Tile ids run row-major over them, 0 first."""
+        return -(-self.m // block_rows) * -(-self.n // block_cols)
 
 
 @dataclass(frozen=True)
@@ -65,8 +78,7 @@ class DesignPoint:
     def __post_init__(self):
         if self.block_cols is None:
             object.__setattr__(self, "block_cols", self.block_rows)
-        if self.n_arrays < 1 or self.block_rows < 1 or self.block_cols < 1:
-            raise ValueError("design point entries must be >= 1")
+        _check_positive(self)
 
 
 @dataclass(frozen=True)
@@ -83,9 +95,9 @@ class ModelEstimate:
 
 def n_work(shape: ProblemShape, block_rows: int, block_cols: int,
            n_arrays: int) -> int:
-    """Block multiplications assigned to each array (nested ceilings)."""
-    tiles = (-(-shape.m // block_rows)) * (-(-shape.n // block_cols))
-    return -(-tiles // n_arrays)
+    """Block multiplications assigned to the busiest array: the problem's
+    tiles dealt evenly over n_arrays."""
+    return -(-shape.tile_count(block_rows, block_cols) // n_arrays)
 
 
 def bounds(shape: ProblemShape, point: DesignPoint, machine: Machine) -> ModelEstimate:

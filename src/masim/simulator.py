@@ -1,15 +1,17 @@
 """Event-driven simulation of the full accelerator.
 
-The simulator is a pure timing engine: the schedule depends only on the
-machine (mpe.Machine: clock, pipeline, bandwidth model, transfer regime),
-the tile grid and the array count, never on the matrix values, so run_mpe
-takes no matrix data. The machine's feasibility rule is checked for that
-array count before anything runs. The output the modelled arrays
-produce is the k-ordered kernel blockmm.reference_gemm applied to the
-whole problem (mpe.trace_block ties each block's numerics to that
-kernel); callers compute it once, after the schedule.
+The simulator is a pure timing engine: run_mpe takes the same problem
+shape, design point and machine as model.bounds, and the schedule depends
+only on them (mpe.Machine: clock, pipeline, bandwidth model, transfer
+regime), never on the matrix values, so it takes no matrix data. The
+machine's feasibility rule is checked for the point before anything
+runs. The output the modelled arrays produce is the k-ordered kernel
+blockmm.reference_gemm applied to the whole problem (mpe.trace_block ties
+each block's numerics to that kernel); callers compute it once, after the
+schedule.
 
-One run deals the tiles round-robin onto one work queue per active array
+One run deals the problem's tiles (model.ProblemShape.tile_count, with
+row-major ids) round-robin onto one work queue per active array
 (wqm.partition_workload) and drives the arrays over them with overlapped
 transfers: each array holds at most two resident blocks (one computing
 from the active buffer, one prefetching into the shadow buffer), its
@@ -52,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import mac, wqm
-from .blockmm import TileGrid
+from .model import DesignPoint, ProblemShape
 from .mpe import Machine, block_charges
 
 
@@ -103,18 +105,18 @@ class _ArrayState:
         self.last_compute_end = 0.0
 
 
-def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
+def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
             steal: bool = True, slowdowns=None, trace_path=None) -> SimReport:
-    """Schedule the tiles of grid on n_arrays arrays of the machine and
+    """Schedule the tiles of shape at the design point on the machine and
     report the timing.
 
-    The machine must be able to field n_arrays arrays for the grid's
-    blocks (InfeasibleBlockError otherwise). With steal=False each array
-    runs only the tiles dealt to it. slowdowns optionally maps array ids
-    to factors that scale those arrays' clock periods (testing aid for
+    The machine must be able to field point.n_arrays arrays for the
+    point's blocks (InfeasibleBlockError otherwise). With steal=False each
+    array runs only the tiles dealt to it. slowdowns optionally maps array
+    ids to factors that scale those arrays' clock periods (testing aid for
     load-imbalance scenarios; charged cycle stats stay nominal); an id
-    outside range(n_arrays) or a factor that is not positive and finite
-    raises ValueError. After every arbitration round the no-starvation
+    outside range(point.n_arrays) or a factor that is not positive and
+    finite raises ValueError. After every arbitration round the no-starvation
     rule is checked; a violation raises SimulationError. A makespan too
     long to count in cycles at the machine's clock raises OverflowError.
 
@@ -124,7 +126,8 @@ def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
     OSError before anything is scheduled; a run that then fails removes
     the file again.
     """
-    machine.check(n_arrays, grid.block_rows, grid.block_cols)
+    n_arrays = point.n_arrays
+    machine.check(n_arrays, point.block_rows, point.block_cols)
     slow = [1.0] * n_arrays
     for idx, factor in (slowdowns or {}).items():
         if idx not in range(n_arrays):
@@ -135,11 +138,11 @@ def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
         slow[idx] = float(factor)
 
     if trace_path is None:
-        return _schedule(machine, grid, slow, steal, None)
+        return _schedule(shape, point, machine, slow, steal, None)
     with open(trace_path, "w", newline="") as fh:
         trace: list[tuple[float, int, str, int]] = []
         try:
-            report = _schedule(machine, grid, slow, steal, trace)
+            report = _schedule(shape, point, machine, slow, steal, trace)
         except BaseException:
             fh.close()
             os.remove(trace_path)
@@ -153,21 +156,22 @@ def run_mpe(machine: Machine, grid: TileGrid, n_arrays: int, *,
     return report
 
 
-def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
-              trace) -> SimReport:
+def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
+              slow: list[float], steal: bool, trace) -> SimReport:
     """The event loop of run_mpe over one array per slow entry; appends
     (seconds, array, event, tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
+    si, sj, depth = point.block_rows, point.block_cols, shape.depth
     # the shared port moves every array's data at the single-array rate
-    bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active,
-                                 grid.block_rows)
-    in_bytes, out_bytes = mac.block_bytes(grid.block_rows, grid.block_cols, grid.depth)
-    charges = block_charges(grid.block_rows, grid.block_cols, grid.depth, machine)
+    bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active, si)
+    in_bytes, out_bytes = mac.block_bytes(si, sj, depth)
+    charges = block_charges(si, sj, depth, machine)
     block_seconds = charges.cycles / f_acc
 
-    queues = wqm.partition_workload(grid.tile_count, n_active)
+    tile_count = shape.tile_count(si, sj)
+    queues = wqm.partition_workload(tile_count, n_active)
     port = [0.0]                   # the one port all arrays share under shared_port
     states = [_ArrayState(i, queues[i], slow[i], port if shared else [0.0])
               for i in range(n_active)]
@@ -247,9 +251,9 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
         if any(s.resident == 0 and not s.queue for s in states) and any(queues):
             raise SimulationError("array starved while another queue holds work")
 
-    if len(executed) != grid.tile_count or any(queues):
+    if len(executed) != tile_count or any(queues):
         raise SimulationError(
-            f"run ended with {len(executed)}/{grid.tile_count} tiles executed")
+            f"run ended with {len(executed)}/{tile_count} tiles executed")
 
     time_seconds = t               # the last event: the latest write-back end
     # Every event, and so every trace row, lies within the makespan: one
@@ -271,14 +275,13 @@ def _schedule(machine: Machine, grid: TileGrid, slow: list[float], steal: bool,
             drain_end = max(drain_end, st.last_compute_end
                             + charges.drain_cycles / f_acc * st.slowdown)
 
-    m, k, n = grid.m, grid.depth, grid.n
     return SimReport(
-        shape=(m, k, n),
+        shape=(shape.m, depth, shape.n),
         total_cycles=round(time_seconds * f_acc),
         time_seconds=time_seconds,
         time_with_drain_seconds=max(time_seconds, drain_end),
-        gflops=2.0 * m * k * n / time_seconds / 1e9 if time_seconds > 0 else 0.0,
+        gflops=shape.flops / time_seconds / 1e9 if time_seconds > 0 else 0.0,
         arrays=[st.stats for st in states],
         steal_events=steal_log,
-        tile_count=grid.tile_count,
+        tile_count=tile_count,
     )

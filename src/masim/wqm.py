@@ -1,7 +1,7 @@
 """Workload queue management: the round-robin deal and work stealing.
 
 Each array owns a FIFO of pending tasks, the row-major tile ids of a
-blockmm.TileGrid, dealt round-robin. When an array runs dry it steals a
+problem (model.ProblemShape.tile_count), dealt round-robin. When an array runs dry it steals a
 single task from the queue holding the most work; concurrent steal
 requests at the same instant are granted in round-robin order. Stealing
 always takes the victim's tail (its last-to-run task) so the victim's

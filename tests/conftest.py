@@ -8,19 +8,26 @@ import masim
 from masim import blockmm, cli
 
 
-def assemble_run(rep, grid, a, b):
+def tile_slices(m, n, block_rows, block_cols):
+    """The (rows, cols) slices of every tile of an m x n output cut into
+    block_rows x block_cols blocks, listed by row-major tile id."""
+    return [(slice(r0, r0 + block_rows), slice(c0, c0 + block_cols))
+            for r0 in range(0, m, block_rows) for c0 in range(0, n, block_cols)]
+
+
+def assemble_run(rep, point, a, b):
     """Output of the k-ordered kernel run on every tile the run executed.
 
     Each executed tile is reference_gemm on its slices A[r0:r1] and
     B[:, c0:c1]: padding would only add rows and columns that are cropped.
     The assembled result is what the accelerator writes back.
     """
-    out = np.full((grid.m, grid.n), np.nan, np.float32)
+    m, n = a.shape[0], b.shape[1]
+    tiles = tile_slices(m, n, point.block_rows, point.block_cols)
+    out = np.full((m, n), np.nan, np.float32)
     for stats in rep.arrays:
         for tid in stats.tiles:
-            i, j = grid.tile_coords(tid)
-            rows = slice(i * grid.block_rows, (i + 1) * grid.block_rows)
-            cols = slice(j * grid.block_cols, (j + 1) * grid.block_cols)
+            rows, cols = tiles[tid]
             out[rows, cols] = masim.reference_gemm(a[rows], b[:, cols])
     return out
 

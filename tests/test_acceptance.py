@@ -35,11 +35,10 @@ MACHINE = masim.Machine()
 
 def simulate(shape, n_arrays, si, sj, bw_model, **kwargs):
     """Schedule an (m, k, n) problem; the timing needs no matrix data."""
-    m, k, n = shape
-    grid = masim.partition(m, n, k, si, sj)
+    point = masim.DesignPoint(n_arrays, si, sj)
     machine = masim.Machine(bw_model=bw_model)
-    rep = masim.run_mpe(machine, grid, n_arrays, **kwargs)
-    return rep, machine, grid
+    rep = masim.run_mpe(masim.ProblemShape(*shape), point, machine, **kwargs)
+    return rep, machine, point
 
 
 @criterion(1, "simulated output matches the reference product at 1e-4 "
@@ -62,13 +61,13 @@ def test_oracle_equivalence():
         n_arrays = int(rng.choice(MACHINE.array_counts(si, sj)))
         rect_cases += si != sj
         padded_cases += (m % si != 0) or (n % sj != 0)
-        rep, _, grid = simulate((m, k, n), n_arrays, si, sj,
-                                      masim.ParametricBandwidth())
+        rep, _, point = simulate((m, k, n), n_arrays, si, sj,
+                                 masim.ParametricBandwidth())
         data = np.random.default_rng(int(rng.integers(2**31)))
         a, b = rand(data, m, k), rand(data, k, n)
         # the tiles the run executed, each through the kernel on its
         # slices, equal the whole-matrix kernel the CLI computes
-        out = assemble_run(rep, grid, a, b)
+        out = assemble_run(rep, point, a, b)
         assert np.array_equal(out, masim.reference_gemm(a, b))
         ref = a.astype(np.float64) @ b.astype(np.float64)
         rel = np.abs(out - ref) / np.maximum(np.abs(ref), tiny)

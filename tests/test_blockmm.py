@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import tile_slices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,43 +19,36 @@ def rand(rng, r, c):
 
 
 class TestPartition:
+    """The one tile rule, ProblemShape.tile_count, which the model's work
+    per array and the simulator's deal both use, and the checks on the
+    shape and the design point it cuts by."""
+
     def test_conv1_shape(self):
-        g = masim.partition(96, 3025, 363, 128, 128)
-        assert (g.grid_rows, g.grid_cols) == (1, 24)
-        assert (g.padded_rows, g.padded_cols) == (128, 3072)
+        # one row of 24 tiles over conv-1's 96 x 3025 output
+        assert masim.ProblemShape(96, 363, 3025).tile_count(128, 128) == 24
+        assert tile_slices(96, 3025, 128, 128)[23] == (slice(0, 128), slice(2944, 3072))
 
     def test_exact_fit(self):
-        g = masim.partition(128, 128, 128, 128, 128)
-        assert (g.grid_rows, g.grid_cols) == (1, 1)
-        assert (g.padded_rows, g.padded_cols) == (128, 128)
+        assert masim.ProblemShape(128, 128, 128).tile_count(128, 128) == 1
 
     def test_ragged(self):
-        g = masim.partition(130, 100, 50, 64, 64)
-        assert (g.grid_rows, g.grid_cols) == (3, 2)
-        assert (g.padded_rows, g.padded_cols) == (192, 128)
+        # 3 x 2 tiles, row-major; the last one is cut short to 2 x 36
+        assert masim.ProblemShape(130, 50, 100).tile_count(64, 64) == 6
+        rows, cols = tile_slices(130, 100, 64, 64)[5]
+        assert np.empty((130, 100))[rows, cols].shape == (2, 36)
 
     @pytest.mark.parametrize("bad", [
         dict(m=0), dict(n=-1), dict(depth=0), dict(block_rows=0), dict(block_cols=-2),
     ])
     def test_rejects_nonpositive(self, bad):
-        kwargs = dict(m=4, n=4, depth=4, block_rows=2, block_cols=2) | bad
-        with pytest.raises(ValueError):
-            masim.partition(**kwargs)
-
-    @given(m=st.integers(1, 300), n=st.integers(1, 300),
-           si=st.integers(1, 200), sj=st.integers(1, 200))
-    @settings(max_examples=200, deadline=None)
-    def test_padding_invariants(self, m, n, si, sj):
-        g = masim.partition(m, n, 7, si, sj)
-        assert g.padded_rows >= m and g.padded_rows - m < si
-        assert g.padded_cols >= n and g.padded_cols - n < sj
-        assert g.padded_rows == g.grid_rows * si
-        assert g.padded_cols == g.grid_cols * sj
-
-    def test_tile_id_round_trip(self):
-        g = masim.partition(130, 100, 50, 64, 64)
-        for tid in range(g.tile_count):
-            assert g.tile_id(*g.tile_coords(tid)) == tid
+        # such a problem or point cannot be built, so it never reaches run_mpe
+        kw = dict(m=4, n=4, depth=4, block_rows=2, block_cols=2) | bad
+        [(name, value)] = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, "
+                                             f"got {value}$"):
+            masim.run_mpe(masim.ProblemShape(kw["m"], kw["depth"], kw["n"]),
+                          masim.DesignPoint(1, kw["block_rows"], kw["block_cols"]),
+                          masim.Machine())
 
 
 class TestReferenceGemm:
@@ -474,54 +468,51 @@ class TestSlicesOfK:
                 blockmm.add_reference(a, b, ref)
 
 
-def tile_of(a, b, grid, tile_id):
-    """The tile with id tile_id: the k-ordered kernel on its slices of a and b."""
-    i, j = grid.tile_coords(tile_id)
-    rows = slice(i * grid.block_rows, (i + 1) * grid.block_rows)
-    cols = slice(j * grid.block_cols, (j + 1) * grid.block_cols)
-    return masim.reference_gemm(np.asarray(a, np.float32)[rows],
-                                np.asarray(b, np.float32)[:, cols])
+def tile_of(a, b, block_rows, block_cols, tile_id):
+    """The tile with id tile_id of block_rows x block_cols blocks: the
+    k-ordered kernel on its slices of a and b."""
+    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    rows, cols = tile_slices(a.shape[0], b.shape[1], block_rows, block_cols)[tile_id]
+    return masim.reference_gemm(a[rows], b[:, cols])
 
 
-def blocked(a, b, grid):
-    """Every tile of the grid by tile_of, assembled into the m x n product."""
-    rows = [np.hstack([tile_of(a, b, grid, grid.tile_id(i, j))
-                       for j in range(grid.grid_cols)])
-            for i in range(grid.grid_rows)]
-    return np.vstack(rows)
+def blocked(a, b, block_rows, block_cols):
+    """Every tile by tile_of, assembled into the m x n product."""
+    out = np.full((a.shape[0], b.shape[1]), np.nan, np.float32)
+    tiles = tile_slices(a.shape[0], b.shape[1], block_rows, block_cols)
+    for tile_id, (rows, cols) in enumerate(tiles):
+        out[rows, cols] = tile_of(a, b, block_rows, block_cols, tile_id)
+    return out
 
 
 class TestTileOuterAccumulate:
     """A tile accumulated by the k-ordered kernel on its slices of A and B."""
 
     def test_single_outer_product(self):
-        g = masim.partition(2, 2, 1, 2, 2)
-        assert tile_of([[1], [2]], [[3, 4]], g, 0).tolist() == [[3, 4], [6, 8]]
+        assert tile_of([[1], [2]], [[3, 4]], 2, 2, 0).tolist() == [[3, 4], [6, 8]]
 
     def test_zero_columns(self):
-        g = masim.partition(4, 4, 3, 4, 4)
         rng = np.random.default_rng(4)
-        assert not tile_of(np.zeros((4, 3), np.float32), rand(rng, 3, 4), g, 0).any()
+        assert not tile_of(np.zeros((4, 3), np.float32), rand(rng, 3, 4), 4, 4, 0).any()
 
     def test_matches_reference_subblock(self):
         rng = np.random.default_rng(5)
         a, b = rand(rng, 8, 16), rand(rng, 16, 8)
-        g = masim.partition(8, 8, 16, 8, 8)
-        np.testing.assert_allclose(tile_of(a, b, g, 0), f64_product(a, b), rtol=1e-5)
+        np.testing.assert_allclose(tile_of(a, b, 8, 8, 0), f64_product(a, b), rtol=1e-5)
 
     def test_padded_tail_is_zero(self):
         # the padded block the transfers charge gives the slice's tile
         # bit for bit, plus zero rows past m and zero cols past n
         rng = np.random.default_rng(6)
         a, b = rand(rng, 5, 3), rand(rng, 3, 6)
-        g = masim.partition(5, 6, 3, 4, 4)
         sa = np.zeros((4, 3), np.float32)
         sb = np.zeros((3, 4), np.float32)
         sa[:1], sb[:, :2] = a[4:], b[:, 4:]
         padded = masim.reference_gemm(sa, sb)
         assert not padded[1:, :].any()
         assert not padded[:, 2:].any()
-        assert np.array_equal(padded[:1, :2], tile_of(a, b, g, g.tile_id(1, 1)))
+        # tile (1, 1) of the 2 x 2 grid has id 3
+        assert np.array_equal(padded[:1, :2], tile_of(a, b, 4, 4, 3))
 
 
 class TestBlockedMultiply:
@@ -532,7 +523,7 @@ class TestBlockedMultiply:
     def test_oracle_equivalence(self, m, n, k, si, sj, seed):
         rng = np.random.default_rng(seed)
         a, b = rand(rng, m, k), rand(rng, k, n)
-        got = blocked(a, b, masim.partition(m, n, k, si, sj))
+        got = blocked(a, b, si, sj)
         # identical k-ascending order makes the paths bitwise equal
         assert np.array_equal(got, masim.reference_gemm(a, b))
         np.testing.assert_allclose(got, f64_product(a, b), rtol=1e-4)
@@ -540,8 +531,8 @@ class TestBlockedMultiply:
     def test_padding_neutrality(self):
         rng = np.random.default_rng(7)
         a, b = rand(rng, 5, 3), rand(rng, 3, 7)
-        exact = blocked(a, b, masim.partition(5, 7, 3, 5, 7))
-        padded = blocked(a, b, masim.partition(5, 7, 3, 8, 8))
+        exact = blocked(a, b, 5, 7)
+        padded = blocked(a, b, 8, 8)
         assert np.array_equal(exact, padded)
 
 

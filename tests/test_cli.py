@@ -159,6 +159,23 @@ class TestInvalidFlags:
         table.write_text("n_p,s_i,bytes_per_second\n" + rows)
         self.assert_config_error(capsys, ("calibrate", str(table)))
 
+    def test_problem_too_large_for_memory(self):
+        # a child whose own address space is capped at 3 GiB cannot hold the
+        # 20000 x 20000 output and its float64 reference (4.5 GiB)
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.RLIM_INFINITY)); "
+                "sys.path.insert(0, sys.argv[1]); from masim.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        done = subprocess.run([sys.executable, "-c", code, str(SRC), "run", "--shape",
+                               "20000x1x20000", "--np", "1", "--si", "256"],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert [line for line in done.stderr.splitlines() if "error:" in line] \
+            == [line for line in done.stderr.splitlines() if line]
+        assert "Unable to allocate" in done.stderr
+
     @staticmethod
     def assert_config_error(capsys, argv):
         try:
@@ -306,10 +323,9 @@ class TestOutputAndOracle:
         assert run_cli("run", "--shape", "50x32x43", "--np", "2", "--si", "16",
                        "--sj", "8", "--seed", "4", "--out", str(out_path)) == 0
         [(a, b, out)] = cli_output
-        grid = masim.partition(50, 43, 32, 16, 8)
-        machine = masim.Machine()
-        rep = masim.run_mpe(machine, grid, 2)
-        tiles = assemble_run(rep, grid, a, b)
+        point = masim.DesignPoint(2, 16, 8)
+        rep = masim.run_mpe(masim.ProblemShape(50, 32, 43), point, masim.Machine())
+        tiles = assemble_run(rep, point, a, b)
         assert np.array_equal(out.view(np.uint32), tiles.view(np.uint32))
 
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):

@@ -155,9 +155,9 @@ class TestTransferTime:
         machine = masim.Machine(bw_model=Stalled())
         with pytest.raises(ValueError, match="positive"):
             masim.bounds(masim.ProblemShape(1, 1, 1), masim.DesignPoint(1, 1), machine)
-        grid = masim.partition(1, 1, 1, 1, 1)
         with pytest.raises(ValueError, match="positive"):
-            masim.run_mpe(machine, grid, 1, trace_path=tmp_path / "t.csv")
+            masim.run_mpe(masim.ProblemShape(1, 1, 1), masim.DesignPoint(1, 1), machine,
+                          trace_path=tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
     def test_ideal_bandwidth_is_instant(self):

@@ -34,6 +34,23 @@ class TestWorkPerArray:
             works = [masim.n_work(shape, s, s, n) for n in (1, 2, 3, 4)]
             assert works == sorted(works, reverse=True)
 
+    def test_simulator_deals_the_model_tiles(self):
+        # at every explored point of every preset, a static run executes
+        # the shape's tiles and its busiest array the model's work per array
+        machine = masim.Machine(bw_model=masim.IdealBandwidth())
+        points = 0
+        for m, depth, n in masim.LAYER_PRESETS.values():
+            shape = masim.ProblemShape(m, depth, n)
+            for entry in masim.explore(shape, machine):
+                point = entry.point
+                rep = masim.run_mpe(shape, point, machine, steal=False)
+                assert rep.tile_count == shape.tile_count(point.block_rows,
+                                                          point.block_cols), point
+                assert max(s.blocks_executed for s in rep.arrays) \
+                    == entry.estimate.work_per_array, point
+                points += 1
+        assert points == 176
+
 
 class TestComputeTime:
     """The busiest array's compute time, the model's compute_seconds."""
@@ -238,3 +255,13 @@ class TestShapeValidation:
     def test_point_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             masim.DesignPoint(0, 64)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: masim.DesignPoint(1, 1.5), "block_rows"),
+        (lambda: masim.DesignPoint(2.5, 4), "n_arrays"),
+        (lambda: masim.DesignPoint(1, 4, 0.5), "block_cols"),
+        (lambda: masim.ProblemShape(4, 1.5, 4), "depth"),
+    ])
+    def test_rejects_non_integer_entries(self, make, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got "):
+            make()

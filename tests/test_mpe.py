@@ -166,12 +166,12 @@ class TestModeEquivalence:
         rng = np.random.default_rng(13)
         m, n, k = 32, 48, 20
         a, b = rand(rng, m, k), rand(rng, k, n)
-        grid = masim.partition(m, n, k, 16, 16)
         outputs = []
         times = []
         for n_arrays in (4, 1):
-            rep = masim.run_mpe(MACHINE, grid, n_arrays)
-            outputs.append(assemble_run(rep, grid, a, b))
+            point = masim.DesignPoint(n_arrays, 16)
+            rep = masim.run_mpe(masim.ProblemShape(m, k, n), point, MACHINE)
+            outputs.append(assemble_run(rep, point, a, b))
             times.append(rep.time_seconds)
         assert np.array_equal(outputs[0], outputs[1])
         assert times[0] != times[1]
@@ -228,10 +228,8 @@ class TestOneRule:
                 assert self.accepts(masim.trace_block, sa, sb, m) == one
                 for n_arrays in range(1, m.max_arrays + 2):
                     ok = n_arrays in m.array_counts(block_rows, block_cols)
-                    point = (n_arrays, block_rows, block_cols)
-                    grid = masim.partition(shape.m, shape.n, shape.depth,
-                                           block_rows, block_cols)
-                    assert self.accepts(masim.run_mpe, m, grid, n_arrays) == ok, point
+                    point = masim.DesignPoint(n_arrays, block_rows, block_cols)
+                    assert self.accepts(masim.run_mpe, shape, point, m) == ok, point
                     if block_rows == block_cols:
                         try:
                             ranked = masim.explore(shape, m, [block_rows])

@@ -19,15 +19,11 @@ def run_problem(m, n, k, si, sj, n_arrays, bw_model, seed=0, slowdowns=None,
     """Schedule an m x k x n problem; return the report and its per-tile output."""
     rng = np.random.default_rng(seed)
     a, b = rand(rng, m, k), rand(rng, k, n)
-    grid = masim.partition(m, n, k, si, sj)
+    point = masim.DesignPoint(n_arrays, si, sj)
     machine = masim.Machine(bw_model=bw_model, **machine_fields)
-    rep = masim.run_mpe(machine, grid, n_arrays, slowdowns=slowdowns)
-    return rep, a, b, assemble_run(rep, grid, a, b)
-
-
-def square_grid(shape, si):
-    """Tile grid of si x si blocks; no matrix data."""
-    return masim.partition(shape.m, shape.n, shape.depth, si, si)
+    rep = masim.run_mpe(masim.ProblemShape(m, k, n), point, machine,
+                        slowdowns=slowdowns)
+    return rep, a, b, assemble_run(rep, point, a, b)
 
 
 class TestSingleBlock:
@@ -110,7 +106,7 @@ class TestBracketing:
         point = masim.DesignPoint(2, 128)
         machine = masim.Machine()
         est = masim.bounds(shape, point, machine)
-        rep = masim.run_mpe(machine, square_grid(shape, 128), 2)
+        rep = masim.run_mpe(shape, point, machine)
         assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds <= est.upper_seconds
 
     def test_bounds_hold_across_points(self):
@@ -119,7 +115,7 @@ class TestBracketing:
         for n_arrays, si in [(1, 16), (2, 16), (4, 16), (1, 48), (2, 48), (1, 96)]:
             point = masim.DesignPoint(n_arrays, si)
             est = masim.bounds(shape, point, machine)
-            rep = masim.run_mpe(machine, square_grid(shape, si), n_arrays)
+            rep = masim.run_mpe(shape, point, machine)
             assert est.lower_seconds * (1 - 1e-3) <= rep.time_seconds \
                 <= est.upper_seconds, (n_arrays, si)
 
@@ -127,9 +123,8 @@ class TestBracketing:
 def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **fields):
     """Schedule a square-block problem with its trace written to path;
     return the report and the trace rows as read back from the CSV."""
-    grid = masim.partition(m, n, k, si, si)
-    rep = masim.run_mpe(masim.Machine(**fields), grid, n_arrays,
-                        slowdowns=slowdowns, trace_path=path)
+    rep = masim.run_mpe(masim.ProblemShape(m, k, n), masim.DesignPoint(n_arrays, si),
+                        masim.Machine(**fields), slowdowns=slowdowns, trace_path=path)
     with open(path, newline="") as fh:
         return rep, list(csv.reader(fh))
 
@@ -145,8 +140,8 @@ class TestDeterminism:
             == [dataclasses.asdict(s) for s in r1.arrays]
         rng = np.random.default_rng(7)
         a, b = rand(rng, 24, 12), rand(rng, 12, 24)
-        grid = masim.partition(24, 24, 12, 4, 4)
-        assert np.array_equal(assemble_run(r0, grid, a, b), assemble_run(r1, grid, a, b))
+        point = masim.DesignPoint(3, 4)
+        assert np.array_equal(assemble_run(r0, point, a, b), assemble_run(r1, point, a, b))
 
     def test_trace_path_changes_no_report_field(self, tmp_path):
         # recording the trace is all that trace_path turns on, with or
@@ -154,8 +149,8 @@ class TestDeterminism:
         steals = 0
         for fields in ({"bw_model": masim.IdealBandwidth()}, {},
                        {"contention": "shared_port"}):
-            grid = masim.partition(40, 36, 12, 4, 4)
-            plain = masim.run_mpe(masim.Machine(**fields), grid, 3, slowdowns={1: 2.0})
+            plain = masim.run_mpe(masim.ProblemShape(40, 12, 36), masim.DesignPoint(3, 4),
+                                  masim.Machine(**fields), slowdowns={1: 2.0})
             traced, _ = traced_run(tmp_path / "t.csv", 40, 36, 12, 4, 3,
                                    slowdowns={1: 2.0}, **fields)
             for f in dataclasses.fields(masim.SimReport):
@@ -182,13 +177,14 @@ class TestDeterminism:
                         n_arrays = int(rng.integers(1, 5))
                         si, sj = (int(rng.choice([3, 4, 8])) for _ in range(2))
                         m, n, k = (int(rng.integers(1, hi)) for hi in (65, 65, 33))
-                        grid = masim.partition(m, n, k, si, sj)
+                        shape = masim.ProblemShape(m, k, n)
+                        point = masim.DesignPoint(n_arrays, si, sj)
                         slow = None
                         if rng.random() < 0.75:
                             slow = {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
                                     for i in range(n_arrays)}
                         for steal_on in (False, True):
-                            rep = masim.run_mpe(machine, grid, n_arrays, steal=steal_on,
+                            rep = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                 slowdowns=slow, trace_path=path)
                             runs += 1
                             steals += len(rep.steal_events)
@@ -236,20 +232,20 @@ class TestErrorPaths:
         # four arrays of 64 PEs cannot hold 128-row blocks, and no array
         # holds 257-column blocks
         for si, sj, n_arrays in ((128, 16, 4), (16, 257, 1)):
-            grid = masim.partition(128, 300, 8, si, sj)
+            point = masim.DesignPoint(n_arrays, si, sj)
             with pytest.raises(masim.InfeasibleBlockError, match="block rows"):
-                masim.run_mpe(masim.Machine(), grid, n_arrays)
+                masim.run_mpe(masim.ProblemShape(128, 8, 300), point, masim.Machine())
 
     def test_rejects_bad_slowdowns(self):
-        grid = masim.partition(8, 8, 4, 4, 4)
+        shape, point = masim.ProblemShape(8, 4, 8), masim.DesignPoint(2, 4)
         for slow in ({7: 3.0}, {-1: 2.0}, {0: -1.0}, {1: 0.0},
                      {0: float("nan")}, {1: float("inf")}):
             with pytest.raises(ValueError, match="slowdown"):
-                masim.run_mpe(masim.Machine(), grid, 2, slowdowns=slow)
+                masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
 
     def test_more_queues_than_the_machine_can_field(self):
-        grid = masim.partition(8, 8, 4, 4, 4)
+        shape = masim.ProblemShape(8, 4, 8)
         machine = masim.Machine(max_arrays=2)
-        masim.run_mpe(machine, grid, 2)
+        masim.run_mpe(shape, masim.DesignPoint(2, 4), machine)
         with pytest.raises(masim.InfeasibleBlockError):
-            masim.run_mpe(machine, grid, 3)
+            masim.run_mpe(shape, masim.DesignPoint(3, 4), machine)

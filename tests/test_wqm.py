@@ -25,8 +25,8 @@ def victim(lengths, thief, pointer=0):
 
 class TestPartitionWorkload:
     def test_conv1_split_two_ways(self):
-        grid = masim.partition(96, 3025, 363, 128, 128)   # 24 tiles
-        queues = masim.partition_workload(grid.tile_count, 2)
+        tiles = masim.ProblemShape(96, 363, 3025).tile_count(128, 128)   # 24 tiles
+        queues = masim.partition_workload(tiles, 2)
         assert [len(q) for q in queues] == [12, 12]
 
     def test_single_tile_four_queues(self):
@@ -34,8 +34,8 @@ class TestPartitionWorkload:
         assert [len(q) for q in queues] == [1, 0, 0, 0]
 
     def test_seven_tiles_three_queues(self):
-        grid = masim.partition(7, 4, 4, 1, 4)
-        queues = masim.partition_workload(grid.tile_count, 3)
+        tiles = masim.ProblemShape(7, 4, 4).tile_count(1, 4)
+        queues = masim.partition_workload(tiles, 3)
         assert [len(q) for q in queues] == [3, 2, 2]
 
     def test_every_tile_exactly_once(self):
@@ -96,11 +96,11 @@ class TestSteal:
         # static round-robin keeps 4 tasks on the slow array (4 * 40 = 160
         # cycles); with stealing the fast array takes one of them and the
         # slow array finishes 3 (3 * 40 = 120 cycles).
-        grid = masim.partition(8, 16, 4, 4, 4)
+        shape, point = masim.ProblemShape(8, 4, 16), masim.DesignPoint(2, 4)
         machine = masim.Machine(fmac_stages=0, bw_model=masim.IdealBandwidth())
         results = {}
         for steal_on in (False, True):
-            results[steal_on] = masim.run_mpe(machine, grid, 2, steal=steal_on,
+            results[steal_on] = masim.run_mpe(shape, point, machine, steal=steal_on,
                                               slowdowns={0: 2.0})
         assert results[False].total_cycles == 160
         assert results[True].total_cycles == 120
@@ -124,15 +124,16 @@ class TestStealInsideRuns:
         for trial in range(25):
             m = int(rng.integers(2, 6)) * 4
             n = int(rng.integers(2, 6)) * 4
-            grid = masim.partition(m, n, 4, 4, 4)
             a = rng.random((m, 4), dtype=np.float32)
             b = rng.random((4, n), dtype=np.float32)
             n_arrays = int(rng.integers(2, 5))
+            point = masim.DesignPoint(n_arrays, 4)
             slow = {i: float(rng.choice([1.0, 2.0, 4.0])) for i in range(n_arrays)}
-            rep = masim.run_mpe(machine, grid, n_arrays, steal=True, slowdowns=slow)
+            rep = masim.run_mpe(masim.ProblemShape(m, 4, n), point, machine,
+                                steal=True, slowdowns=slow)
             executed = sorted(t for s in rep.arrays for t in s.tiles)
-            assert executed == list(range(grid.tile_count))
-            out = assemble_run(rep, grid, a, b)
+            assert executed == list(range(rep.tile_count))
+            out = assemble_run(rep, point, a, b)
             assert np.array_equal(out, masim.reference_gemm(a, b))
 
     def test_makespan_dominance(self):
@@ -140,11 +141,11 @@ class TestStealInsideRuns:
         machine = masim.Machine(bw_model=masim.IdealBandwidth())
         for trial in range(10):
             m, n = 16, int(rng.integers(3, 8)) * 4
-            grid = masim.partition(m, n, 8, 4, 4)
+            shape, point = masim.ProblemShape(m, 8, n), masim.DesignPoint(4, 4)
             slow = {i: float(rng.choice([1.0, 1.5, 3.0])) for i in range(4)}
             times = {}
             for steal_on in (False, True):
-                rep = masim.run_mpe(machine, grid, 4, steal=steal_on, slowdowns=slow)
+                rep = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow)
                 times[steal_on] = rep.time_seconds
             assert times[True] <= times[False] * (1 + 1e-12)
 
@@ -163,11 +164,12 @@ class TestStealInsideRuns:
                 for _ in range(38):
                     n_arrays = int(rng.integers(3, 5))
                     m, n, k = (int(rng.integers(2, hi)) * 4 for hi in (7, 7, 9))
-                    grid = masim.partition(m, n, k, 4, 4)
+                    shape = masim.ProblemShape(m, k, n)
+                    point = masim.DesignPoint(n_arrays, 4)
                     slow = {i: float(rng.choice([1.0, 1.25, 2.0, 3.0]))
                             for i in range(n_arrays)}
                     for steal_on in (False, True):
-                        rep = masim.run_mpe(machine, grid, n_arrays,
+                        rep = masim.run_mpe(shape, point, machine,
                                             steal=steal_on, slowdowns=slow)
                         runs += 1
                         steals += len(rep.steal_events)
