@@ -18,7 +18,8 @@ from the active buffer, one prefetching into the shadow buffer), its
 transfer engine serialises fetches and write-backs, and compute starts
 only once a block's data is fully resident. Work stealing
 (wqm.arbitrate) is evaluated at block boundaries, i.e. whenever the event
-loop finishes a batch of same-time events.
+loop finishes a batch of same-time events, once some queue has run dry
+(only an array with no queued work asks for more).
 
 Two transfer regimes are available. In the default per-array regime every
 active array sees the effective bandwidth the bandwidth model assigns to
@@ -46,12 +47,11 @@ same-instant steal requests are resolved in round-robin order.
 from __future__ import annotations
 
 import csv
-import heapq
-import itertools
 import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from . import mac, wqm
 from .model import DesignPoint, ProblemShape
@@ -88,21 +88,6 @@ class SimReport:
     arrays: list[ArrayRunStats]
     steal_events: list[wqm.StealEvent]
     tile_count: int
-
-
-class _ArrayState:
-    """Per-array run state: queue, transfer port, buffers."""
-
-    def __init__(self, idx, queue, slowdown, port):
-        self.idx = idx
-        self.queue = queue
-        self.slowdown = slowdown
-        self.port = port               # [time its transfer engine is free]
-        self.stats = ArrayRunStats(array_id=idx)
-        self.resident = 0              # fetched (or fetching) but compute unfinished
-        self.compute_busy = False
-        self.ready: deque = deque()    # fetched tile ids awaiting compute
-        self.last_compute_end = 0.0
 
 
 def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
@@ -167,74 +152,90 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     # the shared port moves every array's data at the single-array rate
     bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active, si)
     in_bytes, out_bytes = mac.block_bytes(si, sj, depth)
+    in_s, out_s = in_bytes / bw, out_bytes / bw
     charges = block_charges(si, sj, depth, machine)
-    block_seconds = charges.cycles / f_acc
+    compute_s = [charges.cycles / f_acc * factor for factor in slow]  # one block, slowed
 
     tile_count = shape.tile_count(si, sj)
     queues = wqm.partition_workload(tile_count, n_active)
-    port = [0.0]                   # the one port all arrays share under shared_port
-    states = [_ArrayState(i, queues[i], slow[i], port if shared else [0.0])
-              for i in range(n_active)]
+    # [time the transfer port is free]; all arrays share one under shared_port
+    ports = [[0.0]] * n_active if shared else [[0.0] for _ in range(n_active)]
+    stats = [ArrayRunStats(array_id=i) for i in range(n_active)]
+    last_end = [0.0] * n_active    # each array's last compute completion
+    resident = [0] * n_active      # fetched (or fetching) but compute unfinished
+    fetched = [deque() for _ in range(n_active)]  # not yet computed; the head computes
+    executed = bytearray(tile_count)
     pointer = 0                    # round-robin pointer of the steal arbitration
     steal_log: list[wqm.StealEvent] = []
-    executed: set[int] = set()
+    tracing = trace is not None
+    heap: list = []                # (time, insertion sequence, kind, array, tile id)
+    seq = 0                        # same-time events pop in insertion order
+    FETCH_DONE, COMPUTE_DONE, WB_DONE = 0, 1, 2    # each kind indexes its trace name
+    done_events = ("fetch_done", "compute_done", "wb_done")
 
-    heap: list = []
-    order = itertools.count()      # same-time events pop in insertion order
+    def fetch(i: int, t: float, tile: int):
+        # the first fetches and stolen tiles; the loop inlines its refills
+        nonlocal seq
+        resident[i] += 1
+        start = ports[i][0] if ports[i][0] > t else t
+        ports[i][0] = end = start + in_s
+        if tracing:
+            trace.append((start, i, "fetch_start", tile))
+        seq += 1
+        heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    def transfer(st: _ArrayState, t: float, nbytes: int, tile: int,
-                 start_kind: str, done_kind: str):
-        """Queue nbytes on the array's transfer port from t on."""
-        start = max(t, st.port[0])
-        st.port[0] = end = start + nbytes / bw
-        if trace is not None:
-            trace.append((start, st.idx, start_kind, tile))
-        heapq.heappush(heap, (end, next(order), done_kind, st, tile))
-
-    def issue_fetches(st: _ArrayState, t: float):
-        while st.resident < 2 and st.queue:
-            st.resident += 1
-            transfer(st, t, in_bytes, st.queue.popleft(), "fetch_start", "fetch_done")
-
-    def start_compute(st: _ArrayState, t: float):
-        if st.compute_busy or not st.ready:
-            return
-        tile = st.ready.popleft()
-        st.compute_busy = True
-        if trace is not None:
-            trace.append((t, st.idx, "compute_start", tile))
-        heapq.heappush(heap, (t + block_seconds * st.slowdown, next(order),
-                              "compute_done", st, tile))
-
-    def finish_compute(st: _ArrayState, tile: int, t: float):
-        st.stats.tiles.append(tile)
-        st.stats.busy_seconds += block_seconds * st.slowdown
-        st.last_compute_end = t
-        if tile in executed:
-            raise SimulationError(f"tile {tile} executed twice")
-        executed.add(tile)
-        transfer(st, t, out_bytes, tile, "wb_start", "wb_done")
-        st.resident -= 1
-        st.compute_busy = False
-        issue_fetches(st, t)
-        start_compute(st, t)
-
-    for st in states:
-        issue_fetches(st, 0.0)
+    for i, q in enumerate(queues):
+        for _ in range(min(2, len(q))):
+            fetch(i, 0.0, q.popleft())
+    arbitrating = steal and not all(queues)     # stealing on and some queue dry
 
     t = 0.0
     while heap:
-        t, _, kind, st, tile = heapq.heappop(heap)
-        if trace is not None:
-            trace.append((t, st.idx, kind, tile))
-        if kind == "fetch_done":
-            st.ready.append(tile)
-            start_compute(st, t)
-        elif kind == "compute_done":
-            finish_compute(st, tile, t)
-        if not steal or heap and heap[0][0] <= t:
+        t, _, kind, i, tile = heappop(heap)
+        if tracing:
+            trace.append((t, i, done_events[kind], tile))
+        if kind == COMPUTE_DONE:
+            stats[i].tiles.append(tile)
+            last_end[i] = t
+            if executed[tile]:
+                raise SimulationError(f"tile {tile} executed twice")
+            executed[tile] = 1
+            p = ports[i]
+            start = p[0] if p[0] > t else t
+            p[0] = end = start + out_s
+            if tracing:
+                trace.append((start, i, "wb_start", tile))
+            seq += 1
+            heappush(heap, (end, seq, WB_DONE, i, tile))
+            resident[i] -= 1
+            q = queues[i]
+            while resident[i] < 2 and q:
+                resident[i] += 1
+                nxt = q.popleft()
+                start = p[0] if p[0] > t else t
+                p[0] = end = start + in_s
+                if tracing:
+                    trace.append((start, i, "fetch_start", nxt))
+                seq += 1
+                heappush(heap, (end, seq, FETCH_DONE, i, nxt))
+                if not q:
+                    arbitrating = steal
+            fetched[i].popleft()
+            tile = fetched[i][0] if fetched[i] else -1
+        elif kind == FETCH_DONE:
+            fetched[i].append(tile)
+            if len(fetched[i]) > 1:
+                tile = -1
+        else:
+            tile = -1
+        if tile >= 0:              # array i starts computing tile now
+            if tracing:
+                trace.append((t, i, "compute_start", tile))
+            seq += 1
+            heappush(heap, (t + compute_s[i], seq, COMPUTE_DONE, i, tile))
+        if not arbitrating or heap and heap[0][0] <= t:
             continue
-        needy = [s.idx for s in states if not s.queue and s.resident < 2]
+        needy = [j for j in range(n_active) if not queues[j] and resident[j] < 2]
         if not needy:
             continue
         before = len(steal_log)
@@ -242,18 +243,16 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         # each thief fetches its tile at once, in grant order, so the
         # shared port serves the stolen tiles in that order
         for ev in steal_log[before:]:
-            thief = states[ev.thief]
-            thief.stats.steals_taken += 1
-            thief.resident += 1
-            transfer(thief, t, in_bytes, ev.item_id, "fetch_start", "fetch_done")
-            if trace is not None:
+            stats[ev.thief].steals_taken += 1
+            fetch(ev.thief, t, ev.item_id)
+            if tracing:
                 trace.append((t, ev.thief, "steal", ev.item_id))
-        if any(s.resident == 0 and not s.queue for s in states) and any(queues):
+        if any(r == 0 and not q for r, q in zip(resident, queues)) and any(queues):
             raise SimulationError("array starved while another queue holds work")
 
-    if len(executed) != tile_count or any(queues):
+    if executed.count(1) != tile_count or any(queues):
         raise SimulationError(
-            f"run ended with {len(executed)}/{tile_count} tiles executed")
+            f"run ended with {executed.count(1)}/{tile_count} tiles executed")
 
     time_seconds = t               # the last event: the latest write-back end
     # Every event, and so every trace row, lies within the makespan: one
@@ -262,9 +261,10 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         raise OverflowError(f"simulated time of {time_seconds:g} s is too long to "
                             f"count in cycles at {f_acc:g} Hz")
     drain_end = 0.0
-    for st in states:
-        s = st.stats
+    for i, s in enumerate(stats):
         n = s.blocks_executed = len(s.tiles)
+        for _ in s.tiles:          # block by block: n * compute_s[i] rounds otherwise
+            s.busy_seconds += compute_s[i]
         s.prefetch_cycles = n * charges.prefetch_cycles
         s.compute_cycles = n * charges.compute_cycles
         s.stall_cycles = n * charges.stall_cycles
@@ -272,8 +272,8 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         s.idle_cycles = max(0, round((time_seconds - s.busy_seconds) * f_acc))
         if n:
             s.drain_cycles = charges.drain_cycles
-            drain_end = max(drain_end, st.last_compute_end
-                            + charges.drain_cycles / f_acc * st.slowdown)
+            drain_end = max(drain_end, last_end[i]
+                            + charges.drain_cycles / f_acc * slow[i])
 
     return SimReport(
         shape=(shape.m, depth, shape.n),
@@ -281,7 +281,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         time_seconds=time_seconds,
         time_with_drain_seconds=max(time_seconds, drain_end),
         gflops=shape.flops / time_seconds / 1e9 if time_seconds > 0 else 0.0,
-        arrays=[st.stats for st in states],
+        arrays=stats,
         steal_events=steal_log,
         tile_count=tile_count,
     )

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masim
-from masim import blockmm, cli, model, simulator
+from masim import blockmm, cli, model, wqm
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -189,13 +189,19 @@ class TestInvalidFlags:
 
     def test_unwritable_trace_fails_before_scheduling(self, tmp_path, capsys,
                                                       monkeypatch):
-        pushed = []
-        monkeypatch.setattr(simulator.heapq, "heappush",
-                            lambda heap, entry: pushed.append(entry))
+        # every schedule starts by dealing the tiles onto the queues; a
+        # writable trace path (the control) gets that far, an unwritable
+        # one does not
+        dealt = []
+        deal = wqm.partition_workload
+        monkeypatch.setattr(wqm, "partition_workload",
+                            lambda *args: dealt.append(args) or deal(*args))
+        argv = ("run", "--preset", "conv-3", "--np", "1", "--si", "64", "--no-verify")
         self.assert_config_error(capsys, (
-            "run", "--preset", "conv-3", "--np", "1", "--si", "64", "--no-verify",
-            "--trace", str(tmp_path / "no-such-dir" / "x.csv")))
-        assert pushed == []
+            *argv, "--trace", str(tmp_path / "no-such-dir" / "x.csv")))
+        assert dealt == []
+        assert run_cli(*argv, "--trace", str(tmp_path / "x.csv")) == 0
+        assert len(dealt) == 1
 
     def test_failed_run_leaves_no_trace(self, tmp_path, capsys):
         # the trace file is opened before the schedule, and removed again

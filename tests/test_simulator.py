@@ -7,7 +7,7 @@ import pytest
 from conftest import assemble_run
 
 import masim
-from masim import cli
+from masim import cli, wqm
 
 
 def rand(rng, r, c):
@@ -194,6 +194,25 @@ class TestDeterminism:
         assert digest.hexdigest() == \
             "8e3d5d1d3c761061a51c875296e74ad32507d0d8647e123146a6e3fbb3cf4b94"
 
+    def test_explorer_points_pinned(self):
+        # The traffic explore --simulate serves: every explored point of
+        # the 8 presets, in both transfer regimes, with stealing on (the
+        # CLI default). The digest covers every report field.
+        digest = hashlib.sha256()
+        runs = steals = 0
+        for contention in ("per_array", "shared_port"):
+            machine = masim.Machine(contention=contention)
+            for m, depth, n in masim.LAYER_PRESETS.values():
+                shape = masim.ProblemShape(m, depth, n)
+                for entry in masim.explore(shape, machine):
+                    rep = masim.run_mpe(shape, entry.point, machine)
+                    runs += 1
+                    steals += len(rep.steal_events)
+                    digest.update(repr(dataclasses.asdict(rep)).encode())
+        assert (runs, steals) == (352, 45)
+        assert digest.hexdigest() == \
+            "af3faa1173a82031adfbcc0f97a2e65f82862780df74e7552870aeed51c4884c"
+
 
 class TestSharedPort:
     def test_same_values_slower_or_equal_time(self):
@@ -242,6 +261,42 @@ class TestErrorPaths:
                      {0: float("nan")}, {1: float("inf")}):
             with pytest.raises(ValueError, match="slowdown"):
                 masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
+
+    # The loop's consistency guards, each tripped by a queue manager that
+    # breaks its contract.
+    def test_tile_executed_twice(self, monkeypatch):
+        def regrant(queues, needy, pointer, time_s, log):
+            if not log:            # once, so a run without the guard ends
+                log.append(wqm.StealEvent(time_s, needy[0], needy[0], 0))
+            return pointer
+        monkeypatch.setattr(wqm, "arbitrate", regrant)
+        # one array, three tiles: it asks for work after tile 0 has run
+        with pytest.raises(masim.SimulationError, match="tile 0 executed twice"):
+            masim.run_mpe(masim.ProblemShape(12, 4, 4), masim.DesignPoint(1, 4),
+                          masim.Machine())
+
+    def test_lost_tile(self, monkeypatch):
+        deal = wqm.partition_workload
+
+        def drop_last(tile_count, n_queues):
+            queues = deal(tile_count, n_queues)
+            queues[0].pop()
+            return queues
+        monkeypatch.setattr(wqm, "partition_workload", drop_last)
+        with pytest.raises(masim.SimulationError,
+                           match="run ended with 5/6 tiles executed"):
+            masim.run_mpe(masim.ProblemShape(24, 4, 4), masim.DesignPoint(1, 4),
+                          masim.Machine())
+
+    def test_starved_array(self, monkeypatch):
+        monkeypatch.setattr(wqm, "arbitrate",
+                            lambda queues, needy, pointer, time_s, log: pointer)
+        # array 1 runs its two tiles while the slow array 0 still queues a
+        # third; denied a steal, array 1 runs dry with work left
+        with pytest.raises(masim.SimulationError, match="array starved"):
+            masim.run_mpe(masim.ProblemShape(20, 4, 4), masim.DesignPoint(2, 4),
+                          masim.Machine(bw_model=masim.IdealBandwidth()),
+                          slowdowns={0: 3.0})
 
     def test_more_queues_than_the_machine_can_field(self):
         shape = masim.ProblemShape(8, 4, 8)
