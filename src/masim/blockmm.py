@@ -1,14 +1,16 @@
-"""The k-ordered GEMM kernel and the float64 oracle.
+"""The numerics, the one module that touches matrix data or imports numpy:
+the k-ordered GEMM kernel, the float64 oracle, the seeded draw and verify
+loop of `masim run`, and the cycle-level PE walk.
 
 Element data and accumulation are float32 throughout. reference_gemm is
 the one k-ordered accumulation kernel: the inner dimension is summed in
 strictly ascending k order, so the whole-matrix product, the kernel on
-one tile's slices of A and B, and the cycle-level PE walk
-(mpe.trace_block) all round identically and agree bit for bit. Its inner
-loop is a small C kernel shipped beside this module (_kernel.c), compiled
-on first use into a per-user cache and called through ctypes; it packs a
-panel of B and keeps a block of C in registers across k, in the manner of
-Goto and van de Geijn's GEMM, without changing any element's order of
+one tile's slices of A and B, and the cycle-level PE walk (trace_block)
+all round identically and agree bit for bit. Its inner loop is a small C
+kernel shipped beside this module (_kernel.c), compiled on first use
+into a per-user cache and called through ctypes; it packs a panel of B
+and keeps a block of C in registers across k, in the manner of Goto and
+van de Geijn's GEMM, without changing any element's order of
 summation. Where it cannot be built or loaded, the same loop runs in
 numpy, one row panel of the output at a time, and gives the same bits.
 A large output is split into row bands, one per core the process may run
@@ -17,14 +19,20 @@ any element's order of summation, so the bits do not depend on the core
 count, nor on whether B comes in k-slices added into one output.
 
 max_rel_error is the float64 oracle, add_reference into a zeroed
-reference; the CLI streams B's k-slices through both (cli.verified_output)
-with the same bits. When BLAS is pinned to one thread per call, the
-oracle splits its 256-column panel strips over the usable cores, and its
-result does not depend on the core count either. run_parts is the one
-thread helper behind the bands, the strips and the CLI's seeded matrix
-draw, and part_count the one rule for how many parts each gets; a
-process limited to one core (taskset -c 0) runs all of them on the
-calling thread.
+reference; verified_output streams B's k-slices through both with the
+same bits. When BLAS is pinned to one thread per call, the oracle splits
+its 256-column panel strips over the usable cores, and its result does
+not depend on the core count either. run_parts is the one thread helper
+behind the bands, the strips and the seeded matrix draw (draw_matrix),
+and part_count the one rule for how many parts each gets; a process
+limited to one core (taskset -c 0) runs all of them on the calling
+thread.
+
+trace_block ties the timing to the numerics: it walks one block cycle by
+cycle on one array of an mpe.Machine, checks the walk against
+mpe.block_charges, and returns the same bits as reference_gemm on the
+block, because both apply the same float32 multiply-add sequence per
+output element.
 """
 
 from __future__ import annotations
@@ -36,8 +44,12 @@ import platform
 import shutil
 import tempfile
 import threading
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .model import ProblemShape
+from .mpe import Machine, block_charges
 
 DTYPE = np.float32
 
@@ -48,6 +60,16 @@ DTYPE = np.float32
 # over the full depth; converting A's slice whole, not per panel, was
 # slower (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
 ORACLE_PANEL = (128, 256, 512)
+
+# Bytes in one k-slice of B (build_matrices): its depth is the largest
+# multiple of the oracle's 512-deep panel that fits, one panel at least, so
+# fc-6 and fc-7 take 1024-deep slices and the other presets one slice.
+# Each slice costs a hand-off to the draw's, the kernel's and the oracle's
+# threads: on 2 vCPUs fc-8's check took 0.048 s in 512-deep slices and
+# 0.039 s in one, and fc-6's 0.240 s in 512-deep, 0.235 s in 1024-deep
+# and 0.267 s in one (medians of 12). Each doubling of the slice adds
+# 16 MB to fc-6's 71 MB peak.
+B_SLICE_BYTES = 16 << 20
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
 # where the compiled kernel cannot be had, which is
@@ -353,3 +375,249 @@ def max_rel_error(a, b, out) -> float:
     A NaN anywhere in out makes the result NaN."""
     a, b = _operands(a, b)
     return add_reference(a, b, np.zeros((a.shape[0], b.shape[1])), out)
+
+
+def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
+    part_count(rows * cols) contiguous chunks at once, into out (a
+    C-contiguous float32 rows x cols array) when given; rng (a PCG64
+    generator) is left in the state the serial draw leaves it in.
+
+    A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
+    half first, so a chunk that starts at an even element offset o is drawn
+    from a copy of the state advanced by o // 2. A half left buffered by an
+    odd-sized earlier draw is the first element, drawn here on the caller.
+    """
+    if out is None:
+        out = np.empty((rows, cols), np.float32)
+    elif out.shape != (rows, cols) or out.dtype != np.float32 \
+            or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float32 {rows}x{cols} array")
+    flat = out.reshape(-1)
+    bitgen = rng.bit_generator
+    if bitgen.state["has_uint32"]:
+        rng.random(out=flat[:1], dtype=np.float32)
+        flat = flat[1:]
+        if flat.size == 0:
+            return out
+    start = bitgen.state
+    parts = part_count(flat.size)
+    edges = [flat.size * i // parts // 2 * 2 for i in range(parts)] + [flat.size]
+    chunk_gens = [np.random.PCG64() for _ in range(parts)]
+
+    def chunk(i: int) -> None:
+        gen = chunk_gens[i]
+        gen.state = start
+        gen.advance(edges[i] // 2)
+        np.random.Generator(gen).random(out=flat[edges[i]: edges[i + 1]],
+                                        dtype=np.float32)
+
+    run_parts(chunk, parts)
+    # the last chunk is never empty, and ends where the serial draw ends
+    bitgen.state = chunk_gens[-1].state
+    return out
+
+
+def build_matrices(shape: ProblemShape, seed: int):
+    """The seeded A, and an iterator of (ks, B[ks]) over B's k-slices (see
+    B_SLICE_BYTES), each drawn into one reused buffer, so valid until the
+    next is drawn. B's rows are contiguous in the generator's stream, so
+    these are the serial draws of A and B, bit for bit."""
+    rng = np.random.default_rng(seed)
+    a = draw_matrix(rng, shape.m, shape.depth)
+    panel = ORACLE_PANEL[2]
+    step = max(panel, B_SLICE_BYTES // (4 * shape.n) // panel * panel)
+
+    def b_slices():
+        buffer = np.empty((min(step, shape.depth), shape.n), np.float32)
+        for k0 in range(0, shape.depth, step):
+            ks = slice(k0, min(k0 + step, shape.depth))
+            depth = ks.stop - k0
+            yield ks, draw_matrix(rng, depth, shape.n, out=buffer[:depth])
+
+    return a, b_slices()
+
+
+def verified_output(shape: ProblemShape, seed: int, fast_numerics: bool):
+    """The run's output on the seeded matrices and its largest relative
+    error: each k-slice of B is added into the output (reference_gemm, or
+    a float32 matmul under fast_numerics) and into the float64 reference
+    (add_reference), which takes the error on the last slice. The slices
+    start at multiples of the oracle's panel depth, so the exact output and
+    the error are the whole-matrix reference_gemm's and max_rel_error's.
+    It holds A, the output, its reference (8 * m * n bytes) and one slice."""
+    a, b_slices = build_matrices(shape, seed)
+    out = np.zeros((shape.m, shape.n), np.float32)
+    ref = np.zeros((shape.m, shape.n))
+    product = np.empty_like(out) if fast_numerics else None
+    rel = None
+    for ks, b in b_slices:
+        a_slice = np.ascontiguousarray(a[:, ks])
+        if fast_numerics:
+            out += np.matmul(a_slice, b, out=product)
+        else:
+            reference_gemm(a_slice, b, out)
+        rel = add_reference(a_slice, b, ref, out if ks.stop == shape.depth else None)
+    return out, rel
+
+
+@dataclass
+class PeState:
+    """Architectural state of one PE in the cycle-accurate walk."""
+
+    pid: int
+    ra_active: tuple[float, int] | None = None   # (value, column index)
+    ra_shadow: tuple[float, int] | None = None
+    mc: np.ndarray | None = None
+    fifo_a: list = field(default_factory=list)   # A element in transit here
+    reuse_this_iter: int = 0
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    cycle: int
+    kind: str
+    block: int
+    pe: int = -1
+    k: int = -1
+
+
+class _AFlight:
+    """An A element travelling down the chain to its target PE."""
+
+    __slots__ = ("value", "target", "col", "entered_at")
+
+    def __init__(self, value, target, col, entered_at):
+        self.value = value
+        self.target = target
+        self.col = col
+        self.entered_at = entered_at
+
+
+def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
+                ) -> tuple[np.ndarray, list[TraceEvent], list[PeState]]:
+    """Cycle-by-cycle walk of one block sa @ sb on one array of the machine.
+
+    Returns the block's tile, the events of the walk and the final PE
+    states. The geometry comes from the operand shapes: sa is block_rows x
+    depth and sb depth x block_cols. Raises InfeasibleBlockError unless the
+    machine can run the block on one array.
+
+    Independent of the kernel's whole-iteration updates: A elements
+    hop PE to PE through fifo_a one stage per cycle (the column enters the
+    chain in reverse element order, so every PE latches its element on the
+    same cycle), the shadow register is checked against overwrite while
+    the active value is still in use, and per-iteration reuse of the
+    latched value is counted. Raises AssertionError if any architectural
+    invariant breaks, among them a walk whose cycles or stalls disagree
+    with block_charges. The B-row stream is modelled at its issue cycle;
+    the per-PE skew of that stream is part of the pipeline constant.
+    """
+    sa, sb = _operands(sa, sb)
+    (si, k_depth), sj = sa.shape, sb.shape[1]
+    machine.check(1, si, sj)
+
+    pes = [PeState(pid=p, mc=np.zeros(sj, DTYPE)) for p in range(si)]
+    events: list[TraceEvent] = []
+    cycle = 0
+    stalls = 0
+
+    def latch(pe: PeState, flight: _AFlight, into: str, at_cycle: int):
+        if into == "active":
+            pe.ra_active = (flight.value, flight.col)
+        else:
+            if pe.ra_shadow is not None:
+                raise AssertionError(f"PE {pe.pid} shadow overwritten before swap")
+            pe.ra_shadow = (flight.value, flight.col)
+        events.append(TraceEvent(at_cycle, "a_latch", block_id, pe.pid, flight.col))
+
+    def column_stream(col_idx: int, into: str):
+        """Per-cycle advance function for one column entering the chain."""
+        flights: list[_AFlight] = []
+        entered = 0
+
+        def advance(local_c: int, global_c: int):
+            nonlocal entered
+            if entered < si:
+                entered += 1
+                flights.append(_AFlight(sa[si - entered, col_idx],
+                                        si - entered, col_idx, entered))
+            for pe in pes:
+                pe.fifo_a = []
+            for f in list(flights):
+                pos = local_c - f.entered_at
+                if not 0 <= pos < si:
+                    raise AssertionError("A element fell off the chain")
+                if pos == f.target:
+                    latch(pes[pos], f, into, global_c)
+                    flights.remove(f)
+                else:
+                    pes[pos].fifo_a.append(f)
+
+        return advance
+
+    # Prefetch: column 0 into the active registers.
+    advance = column_stream(0, "active")
+    for c in range(1, si + 1):
+        cycle += 1
+        advance(c, cycle)
+    for pe in pes:
+        if pe.ra_active is None or pe.ra_active[1] != 0:
+            raise AssertionError(f"PE {pe.pid} missed its prefetch latch")
+        if pe.ra_active[0] != sa[pe.pid, 0]:
+            raise AssertionError(f"PE {pe.pid} latched the wrong element")
+    events.append(TraceEvent(cycle, "prefetch_done", block_id))
+
+    iter_len = max(si, sj)
+    ra_vec = np.empty(si, DTYPE)
+    col = np.empty(si, DTYPE)
+    for k in range(k_depth):
+        advance = column_stream(k + 1, "shadow") if k + 1 < k_depth else None
+        for p, pe in enumerate(pes):
+            if pe.ra_active[1] != k:
+                raise AssertionError(
+                    f"PE {p} entered iteration {k} holding column {pe.ra_active[1]}")
+            ra_vec[p] = pe.ra_active[0]
+            pe.reuse_this_iter = 0
+        for c in range(1, iter_len + 1):
+            cycle += 1
+            if c <= sj:
+                bval = sb[k, c - 1]
+                events.append(TraceEvent(cycle, "b_issue", block_id, -1, k))
+                np.multiply(ra_vec, bval, out=col)
+                for pe in pes:
+                    pe.mc[c - 1] += col[pe.pid]
+                    pe.reuse_this_iter += 1
+            else:
+                stalls += 1
+                events.append(TraceEvent(cycle, "psu_stall", block_id, -1, k))
+            if advance is not None and c <= si:
+                advance(c, cycle)
+        for pe in pes:
+            if pe.reuse_this_iter != sj:
+                raise AssertionError(
+                    f"PE {pe.pid} reused its register {pe.reuse_this_iter} "
+                    f"times in iteration {k}, expected {sj}")
+            if k + 1 < k_depth:
+                if pe.ra_shadow is None or pe.ra_shadow[1] != k + 1:
+                    raise AssertionError(f"PE {pe.pid} shadow not ready at swap")
+                pe.ra_active = pe.ra_shadow
+                pe.ra_shadow = None
+        if k + 1 < k_depth:
+            events.append(TraceEvent(cycle, "swap", block_id, -1, k + 1))
+
+    for _ in range(machine.fmac_stages):
+        cycle += 1
+        events.append(TraceEvent(cycle, "flush", block_id))
+
+    charges = block_charges(si, sj, k_depth, machine)
+    if cycle != charges.cycles:
+        raise AssertionError(f"trace walked {cycle} cycles, contract says {charges.cycles}")
+    if stalls != charges.stall_cycles:
+        raise AssertionError(
+            f"trace stalled {stalls} cycles, contract says {charges.stall_cycles}")
+
+    events.append(TraceEvent(cycle + charges.drain_cycles, "drain_done", block_id))
+
+    return np.stack([pe.mc for pe in pes]), events, pes

@@ -12,17 +12,10 @@ Subcommands:
 The simulator only schedules: given the problem shape, the design point
 and the machine, as the model is, it rejects an infeasible point, deals
 the tiles and arbitrates steals itself, and it never reads matrix data.
-After the schedule, run draws the seeded A and streams B in k-slices
-(verified_output) through the k-ordered float32 kernel (a float32 matmul
-under --fast-numerics) and a float64 reference, holding A, the output,
-its reference (8 * m * n bytes) and one slice of B; the exact output and
-its error have the whole-matrix bits. When the oracle is skipped nothing
-reads the output, so nothing is drawn; explore draws nothing. The draw,
-the kernel and the oracle run on the cores the process may use (the
-oracle only when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS pin BLAS to one thread; see blockmm.blas_pinned), and
-every exact output bit is the same on one core as on many; taskset -c 0
-runs all three on the calling thread.
+After the schedule, run checks the output on the seeded matrices against
+a float64 reference (blockmm.verified_output). When the oracle is
+skipped nothing reads the output, so nothing is drawn; explore draws
+nothing.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
@@ -46,10 +39,7 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import blockmm, mac, model
-from .blockmm import add_reference, part_count, reference_gemm, run_parts
 from .mpe import CONTENTION_MODES, InfeasibleBlockError, Machine
 from .presets import LAYER_PRESETS
 from .simulator import run_mpe
@@ -58,15 +48,6 @@ LOWER_BOUND_SLACK = 1e-3      # tolerated relative shortfall against the lower b
 UPPER_BOUND_GUARD = 1e-9      # absorbs addition-order ULPs when a run has no overlap
                               # at all and lands exactly on the upper bound
 ORACLE_RTOL = 1e-4
-# Bytes in one k-slice of B (build_matrices): its depth is the largest
-# multiple of the oracle's 512-deep panel that fits, one panel at least, so
-# fc-6 and fc-7 take 1024-deep slices and the other presets one slice.
-# Each slice costs a hand-off to the draw's, the kernel's and the oracle's
-# threads: on 2 vCPUs fc-8's check took 0.048 s in 512-deep slices and
-# 0.039 s in one, and fc-6's 0.240 s in 512-deep, 0.235 s in 1024-deep
-# and 0.267 s in one (medians of 12). Each doubling of the slice adds
-# 16 MB to fc-6's 71 MB peak.
-B_SLICE_BYTES = 16 << 20
 
 
 class CliError(Exception):
@@ -170,90 +151,6 @@ def resolve_point(args, shape: model.ProblemShape, machine: Machine) -> model.De
     return model.DesignPoint(args.np, args.si, args.sj)
 
 
-def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
-    part_count(rows * cols) contiguous chunks at once, into out (a
-    C-contiguous float32 rows x cols array) when given; rng (a PCG64
-    generator) is left in the state the serial draw leaves it in.
-
-    A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
-    half first, so a chunk that starts at an even element offset o is drawn
-    from a copy of the state advanced by o // 2. A half left buffered by an
-    odd-sized earlier draw is the first element, drawn here on the caller.
-    """
-    if out is None:
-        out = np.empty((rows, cols), np.float32)
-    elif out.shape != (rows, cols) or out.dtype != np.float32 \
-            or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float32 {rows}x{cols} array")
-    flat = out.reshape(-1)
-    bitgen = rng.bit_generator
-    if bitgen.state["has_uint32"]:
-        rng.random(out=flat[:1], dtype=np.float32)
-        flat = flat[1:]
-        if flat.size == 0:
-            return out
-    start = bitgen.state
-    parts = part_count(flat.size)
-    edges = [flat.size * i // parts // 2 * 2 for i in range(parts)] + [flat.size]
-    chunk_gens = [np.random.PCG64() for _ in range(parts)]
-
-    def chunk(i: int) -> None:
-        gen = chunk_gens[i]
-        gen.state = start
-        gen.advance(edges[i] // 2)
-        np.random.Generator(gen).random(out=flat[edges[i]: edges[i + 1]],
-                                        dtype=np.float32)
-
-    run_parts(chunk, parts)
-    # the last chunk is never empty, and ends where the serial draw ends
-    bitgen.state = chunk_gens[-1].state
-    return out
-
-
-def build_matrices(shape: model.ProblemShape, seed: int):
-    """The seeded A, and an iterator of (ks, B[ks]) over B's k-slices (see
-    B_SLICE_BYTES), each drawn into one reused buffer, so valid until the
-    next is drawn. B's rows are contiguous in the generator's stream, so
-    these are the serial draws of A and B, bit for bit."""
-    rng = np.random.default_rng(seed)
-    a = draw_matrix(rng, shape.m, shape.depth)
-    panel = blockmm.ORACLE_PANEL[2]
-    step = max(panel, B_SLICE_BYTES // (4 * shape.n) // panel * panel)
-
-    def b_slices():
-        buffer = np.empty((min(step, shape.depth), shape.n), np.float32)
-        for k0 in range(0, shape.depth, step):
-            ks = slice(k0, min(k0 + step, shape.depth))
-            depth = ks.stop - k0
-            yield ks, draw_matrix(rng, depth, shape.n, out=buffer[:depth])
-
-    return a, b_slices()
-
-
-def verified_output(shape: model.ProblemShape, seed: int, fast_numerics: bool):
-    """The run's output on the seeded matrices and its largest relative
-    error: each k-slice of B is added into the output (reference_gemm, or
-    a float32 matmul under fast_numerics) and into the float64 reference
-    (add_reference), which takes the error on the last slice. The slices
-    start at multiples of the oracle's panel depth, so the exact output and
-    the error are the whole-matrix reference_gemm's and max_rel_error's."""
-    a, b_slices = build_matrices(shape, seed)
-    out = np.zeros((shape.m, shape.n), np.float32)
-    ref = np.zeros((shape.m, shape.n))
-    product = np.empty_like(out) if fast_numerics else None
-    rel = None
-    for ks, b in b_slices:
-        a_slice = np.ascontiguousarray(a[:, ks])
-        if fast_numerics:
-            out += np.matmul(a_slice, b, out=product)
-        else:
-            reference_gemm(a_slice, b, out)
-        rel = add_reference(a_slice, b, ref, out if ks.stop == shape.depth else None)
-    return out, rel
-
-
 def oracle_skip_reason(args, shape: model.ProblemShape) -> str | None:
     """The flag that turns the oracle check off for this run, if any."""
     if args.no_verify:
@@ -316,7 +213,7 @@ def cmd_run(args) -> int:
         checks["max_rel_error"] = None
         checks["oracle_skipped"] = skipped
     else:
-        _, rel = verified_output(shape, args.seed, args.fast_numerics)
+        _, rel = blockmm.verified_output(shape, args.seed, args.fast_numerics)
         checks["max_rel_error"] = rel
         checks["oracle_ok"] = bool(rel <= ORACLE_RTOL)
     checks["tiles_ok"] = bool(

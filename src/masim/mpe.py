@@ -1,8 +1,9 @@
 """Matrix processing engine: the machine and its configurable linear PE arrays.
 
 Machine is the one validated configuration every other module takes, and
-Machine.array_counts the one feasibility rule that trace_block, the
-simulator and the explorer all apply.
+Machine.array_counts the one feasibility rule that the PE walk
+(blockmm.trace_block), the simulator and the explorer all apply. This
+module holds no matrix data and imports no numpy.
 
 Adjacent base arrays can be chained through multiplexers into longer
 effective arrays (cooperation mode): a block of block_rows runs on a chain
@@ -27,24 +28,16 @@ Per-block charged cycles are therefore
 exactly. block_charges is the one place this is written: it gives the
 total and its breakdown, the run loop in the simulator charges it without
 touching matrix data, and model.bounds takes its compute time from it.
-trace_block ties the timing to the numerics: it walks one block's
-dataflow cycle by cycle with explicit PE state and FIFO hops, checks the
-walk against block_charges and the register-reuse invariants, and returns
-the same bits as the k-ordered kernel blockmm.reference_gemm on the
-block, because both apply the same float32 multiply-add sequence per
-output element. That is also why the whole-matrix kernel equals the
-tiles a run assembles.
+blockmm.trace_block walks one block's dataflow cycle by cycle and checks
+the walk against block_charges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .blockmm import DTYPE, as_matrix
 from .mac import BandwidthModel, ParametricBandwidth
 
 
@@ -169,167 +162,3 @@ def block_charges(block_rows: int, block_cols: int, depth: int,
         stall_cycles=(max(block_rows, block_cols) - block_cols) * depth,
         drain_cycles=block_rows * block_cols,
     )
-
-
-@dataclass
-class PeState:
-    """Architectural state of one PE in the cycle-accurate walk."""
-
-    pid: int
-    ra_active: tuple[float, int] | None = None   # (value, column index)
-    ra_shadow: tuple[float, int] | None = None
-    mc: np.ndarray | None = None
-    fifo_a: list = field(default_factory=list)   # A element in transit here
-    reuse_this_iter: int = 0
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    cycle: int
-    kind: str
-    block: int
-    pe: int = -1
-    k: int = -1
-
-
-class _AFlight:
-    """An A element travelling down the chain to its target PE."""
-
-    __slots__ = ("value", "target", "col", "entered_at")
-
-    def __init__(self, value, target, col, entered_at):
-        self.value = value
-        self.target = target
-        self.col = col
-        self.entered_at = entered_at
-
-
-def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
-                ) -> tuple[np.ndarray, list[TraceEvent], list[PeState]]:
-    """Cycle-by-cycle walk of one block sa @ sb on one array of the machine.
-
-    Returns the block's tile, the events of the walk and the final PE
-    states. The geometry comes from the operand shapes: sa is block_rows x
-    depth and sb depth x block_cols. Raises InfeasibleBlockError unless the
-    machine can run the block on one array.
-
-    Independent of the kernel's whole-iteration updates: A elements
-    hop PE to PE through fifo_a one stage per cycle (the column enters the
-    chain in reverse element order, so every PE latches its element on the
-    same cycle), the shadow register is checked against overwrite while
-    the active value is still in use, and per-iteration reuse of the
-    latched value is counted. Raises AssertionError if any architectural
-    invariant breaks, among them a walk whose cycles or stalls disagree
-    with block_charges. The B-row stream is modelled at its issue cycle;
-    the per-PE skew of that stream is part of the pipeline constant.
-    """
-    sa = as_matrix(sa, "sa")
-    sb = as_matrix(sb, "sb")
-    (si, k_depth), sj = sa.shape, sb.shape[1]
-    if sb.shape[0] != k_depth:
-        raise ValueError(f"inner dimensions differ: {k_depth} vs {sb.shape[0]}")
-    machine.check(1, si, sj)
-
-    pes = [PeState(pid=p, mc=np.zeros(sj, DTYPE)) for p in range(si)]
-    events: list[TraceEvent] = []
-    cycle = 0
-    stalls = 0
-
-    def latch(pe: PeState, flight: _AFlight, into: str, at_cycle: int):
-        if into == "active":
-            pe.ra_active = (flight.value, flight.col)
-        else:
-            if pe.ra_shadow is not None:
-                raise AssertionError(f"PE {pe.pid} shadow overwritten before swap")
-            pe.ra_shadow = (flight.value, flight.col)
-        events.append(TraceEvent(at_cycle, "a_latch", block_id, pe.pid, flight.col))
-
-    def column_stream(col_idx: int, into: str):
-        """Per-cycle advance function for one column entering the chain."""
-        flights: list[_AFlight] = []
-        entered = 0
-
-        def advance(local_c: int, global_c: int):
-            nonlocal entered
-            if entered < si:
-                entered += 1
-                flights.append(_AFlight(sa[si - entered, col_idx],
-                                        si - entered, col_idx, entered))
-            for pe in pes:
-                pe.fifo_a = []
-            for f in list(flights):
-                pos = local_c - f.entered_at
-                if not 0 <= pos < si:
-                    raise AssertionError("A element fell off the chain")
-                if pos == f.target:
-                    latch(pes[pos], f, into, global_c)
-                    flights.remove(f)
-                else:
-                    pes[pos].fifo_a.append(f)
-
-        return advance
-
-    # Prefetch: column 0 into the active registers.
-    advance = column_stream(0, "active")
-    for c in range(1, si + 1):
-        cycle += 1
-        advance(c, cycle)
-    for pe in pes:
-        if pe.ra_active is None or pe.ra_active[1] != 0:
-            raise AssertionError(f"PE {pe.pid} missed its prefetch latch")
-        if pe.ra_active[0] != sa[pe.pid, 0]:
-            raise AssertionError(f"PE {pe.pid} latched the wrong element")
-    events.append(TraceEvent(cycle, "prefetch_done", block_id))
-
-    iter_len = max(si, sj)
-    ra_vec = np.empty(si, DTYPE)
-    col = np.empty(si, DTYPE)
-    for k in range(k_depth):
-        advance = column_stream(k + 1, "shadow") if k + 1 < k_depth else None
-        for p, pe in enumerate(pes):
-            if pe.ra_active[1] != k:
-                raise AssertionError(
-                    f"PE {p} entered iteration {k} holding column {pe.ra_active[1]}")
-            ra_vec[p] = pe.ra_active[0]
-            pe.reuse_this_iter = 0
-        for c in range(1, iter_len + 1):
-            cycle += 1
-            if c <= sj:
-                bval = sb[k, c - 1]
-                events.append(TraceEvent(cycle, "b_issue", block_id, -1, k))
-                np.multiply(ra_vec, bval, out=col)
-                for pe in pes:
-                    pe.mc[c - 1] += col[pe.pid]
-                    pe.reuse_this_iter += 1
-            else:
-                stalls += 1
-                events.append(TraceEvent(cycle, "psu_stall", block_id, -1, k))
-            if advance is not None and c <= si:
-                advance(c, cycle)
-        for pe in pes:
-            if pe.reuse_this_iter != sj:
-                raise AssertionError(
-                    f"PE {pe.pid} reused its register {pe.reuse_this_iter} "
-                    f"times in iteration {k}, expected {sj}")
-            if k + 1 < k_depth:
-                if pe.ra_shadow is None or pe.ra_shadow[1] != k + 1:
-                    raise AssertionError(f"PE {pe.pid} shadow not ready at swap")
-                pe.ra_active = pe.ra_shadow
-                pe.ra_shadow = None
-        if k + 1 < k_depth:
-            events.append(TraceEvent(cycle, "swap", block_id, -1, k + 1))
-
-    for _ in range(machine.fmac_stages):
-        cycle += 1
-        events.append(TraceEvent(cycle, "flush", block_id))
-
-    charges = block_charges(si, sj, k_depth, machine)
-    if cycle != charges.cycles:
-        raise AssertionError(f"trace walked {cycle} cycles, contract says {charges.cycles}")
-    if stalls != charges.stall_cycles:
-        raise AssertionError(
-            f"trace stalled {stalls} cycles, contract says {charges.stall_cycles}")
-
-    events.append(TraceEvent(cycle + charges.drain_cycles, "drain_done", block_id))
-
-    return np.stack([pe.mc for pe in pes]), events, pes

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import masim
-from masim import blockmm, cli
+from masim import blockmm
 
 
 def tile_slices(m, n, block_rows, block_cols):
@@ -56,14 +56,14 @@ def cli_output(monkeypatch):
     """Record (a, b, out) each time the CLI's verify loop returns an output,
     with a and b drawn whole from the run's seed."""
     seen = []
-    verify = cli.verified_output
+    verify = blockmm.verified_output
 
     def recording(shape, seed, fast_numerics):
         out, rel = verify(shape, seed, fast_numerics)
         seen.append((*seeded_matrices(shape, seed), out))
         return out, rel
 
-    monkeypatch.setattr(cli, "verified_output", recording)
+    monkeypatch.setattr(blockmm, "verified_output", recording)
     return seen
 
 

@@ -311,6 +311,51 @@ def test_cli_import_loads_no_pool_module():
     assert done.stdout.strip() == "[]"
 
 
+# Every public name of masim; the numerics ones load numpy on first access.
+MASIM_NAMES = (
+    "DTYPE", "as_matrix", "max_rel_error", "reference_gemm", "CalibrationError",
+    "CalibrationMissingError", "IdealBandwidth", "ParametricBandwidth",
+    "TableBandwidth", "block_bytes", "effective_bandwidth", "DesignPoint",
+    "ExploreEntry", "ModelEstimate", "ProblemShape", "bounds",
+    "default_block_candidates", "explore", "feasible_points", "n_work",
+    "BlockCharges", "InfeasibleBlockError", "Machine", "PeState", "block_charges",
+    "trace_block", "LAYER_PRESETS", "ArrayRunStats", "SimReport", "SimulationError",
+    "run_mpe", "StealEvent", "arbitrate", "partition_workload", "__version__")
+
+TIMING_CORE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import masim, masim.mpe
+from masim import mac, model, presets, simulator, wqm
+shape = model.ProblemShape(*presets.LAYER_PRESETS["conv-3"])
+for contention in masim.mpe.CONTENTION_MODES:
+    machine = masim.mpe.Machine(contention=contention)
+    for entry in model.explore(shape, machine):
+        simulator.run_mpe(shape, entry.point, machine)
+simulator.run_mpe(shape, entry.point, machine, trace_path=sys.argv[2])
+print("numpy" in sys.modules)
+for name in sys.argv[3:]:
+    getattr(masim, name)
+print("numpy" in sys.modules, hasattr(masim, "no_such_name"))
+"""
+
+
+def test_timing_core_loads_no_numpy(tmp_path):
+    trace = tmp_path / "t.csv"
+    done = subprocess.run([sys.executable, "-c", TIMING_CORE, str(SRC), str(trace),
+                           *MASIM_NAMES],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["False", "True", "False"]
+    assert trace.stat().st_size > 0
+    # perfbench/op.py reads sys.modules["numpy"] right after importing
+    # masim.cli, so the CLI must keep loading it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import masim.cli; "
+            "print('numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "True"
+
+
 def test_cli_import_builds_no_kernel(tmp_path):
     # the compiled kernel is built on the first exact product, not on import
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import masim.cli; "
@@ -337,7 +382,7 @@ class TestOutputAndOracle:
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):
         # 136 rows, 262 columns and depth 520 leave the last 128x256x512
         # oracle panel 8x6x8; the error is planted once all 520 k are in
-        kernel = cli.reference_gemm
+        kernel = blockmm.reference_gemm
         depths = []
 
         def planted(a, b, out):
@@ -347,7 +392,7 @@ class TestOutputAndOracle:
                 out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
             return out
 
-        monkeypatch.setattr(cli, "reference_gemm", planted)
+        monkeypatch.setattr(blockmm, "reference_gemm", planted)
         out_path = tmp_path / "r.json"
         assert run_cli("run", "--shape", "136x520x262", "--np", "1", "--si", "64",
                        "--out", str(out_path)) == 1
@@ -368,8 +413,8 @@ class TestOutputAndOracle:
     ])
     def test_skipped_oracle_gives_reason_and_builds_nothing(
             self, tmp_path, monkeypatch, flags, reason):
-        monkeypatch.setattr(cli, "verified_output", None)
-        monkeypatch.setattr(cli, "draw_matrix", None)
+        monkeypatch.setattr(blockmm, "verified_output", None)
+        monkeypatch.setattr(blockmm, "draw_matrix", None)
         out_path = tmp_path / "r.json"
         assert run_cli("run", "--shape", "16x16x8", "--np", "1", "--si", "8",
                        *flags, "--out", str(out_path)) == 0
@@ -459,8 +504,8 @@ class TestMatrixDraw:
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
         monkeypatch.setattr(blockmm, "ORACLE_PANEL", (4, 4, 2))
-        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)
-        a, b_slices = cli.build_matrices(model.ProblemShape(m, depth, n), 5)
+        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)
+        a, b_slices = blockmm.build_matrices(model.ProblemShape(m, depth, n), 5)
         slices = [(ks, s.copy()) for ks, s in b_slices]
         assert [(ks.start, ks.stop) for ks, _ in slices] \
             == [(k0, min(k0 + 2, depth)) for k0 in range(0, depth, 2)]
@@ -470,24 +515,24 @@ class TestMatrixDraw:
         serial, rng = np.random.default_rng(5), np.random.default_rng(5)
         for shape, built in (((m, depth), a), ((depth, n), b), ((5, 3), None)):
             want = serial.random(shape, dtype=np.float32).view(np.uint32)
-            assert np.array_equal(cli.draw_matrix(rng, *shape).view(np.uint32), want)
+            assert np.array_equal(blockmm.draw_matrix(rng, *shape).view(np.uint32), want)
             assert rng.bit_generator.state == serial.bit_generator.state
             if built is not None:
                 assert np.array_equal(built.view(np.uint32), want)
 
     def test_small_matrices_start_no_thread(self, monkeypatch, started_threads):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
-        _, b_slices = cli.build_matrices(model.ProblemShape(128, 255, 256), 5)
+        _, b_slices = blockmm.build_matrices(model.ProblemShape(128, 255, 256), 5)
         for _ in b_slices:
             pass
         assert started_threads == []
-        cli.draw_matrix(np.random.default_rng(5), 2, blockmm.KERNEL_BAND_MIN_ELEMS)
+        blockmm.draw_matrix(np.random.default_rng(5), 2, blockmm.KERNEL_BAND_MIN_ELEMS)
         assert len(started_threads) == 1
 
     def test_b_slices_hold_16_mb(self):
         # fc-6 and fc-7's B in 1024-deep slices, fc-8's in one
         for n, depth, starts in ((4096, 2049, [0, 1024, 2048]), (1000, 4096, [0])):
-            _, b_slices = cli.build_matrices(model.ProblemShape(1, depth, n), 5)
+            _, b_slices = blockmm.build_matrices(model.ProblemShape(1, depth, n), 5)
             assert [ks.start for ks, _ in b_slices] == starts
 
     def test_out_must_be_a_contiguous_float32_matrix(self):
@@ -495,7 +540,7 @@ class TestMatrixDraw:
         for out in (np.empty((4, 6), np.float32)[:, :3], np.empty((4, 3)),
                     np.empty((3, 4), np.float32)):
             with pytest.raises(ValueError, match="C-contiguous float32 4x3"):
-                cli.draw_matrix(rng, 4, 3, out=out)
+                blockmm.draw_matrix(rng, 4, 3, out=out)
 
 
 class TestStreamedCheck:
@@ -512,10 +557,10 @@ class TestStreamedCheck:
     ])
     def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas,
                                            fast, m, depth, n):
-        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)       # 512-deep slices
+        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)   # 512-deep slices
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
-        out, rel = cli.verified_output(shape, 9, fast)
+        out, rel = blockmm.verified_output(shape, 9, fast)
         a, b = seeded_matrices(shape, 9)
         if fast:
             np.testing.assert_allclose(out, a.astype(np.float64) @ b, rtol=1e-4)
@@ -526,15 +571,15 @@ class TestStreamedCheck:
 
     def test_one_slice_equals_the_whole_matrix_check(self):
         shape = model.ProblemShape(96, 363, 3025)          # conv-1
-        out, rel = cli.verified_output(shape, 7, False)
+        out, rel = blockmm.verified_output(shape, 7, False)
         a, b = seeded_matrices(shape, 7)
         assert np.array_equal(out.view(np.uint32),
                               masim.reference_gemm(a, b).view(np.uint32))
         assert rel == masim.max_rel_error(a, b, out)
 
     def test_nan_in_an_early_slice_is_reported(self, monkeypatch):
-        monkeypatch.setattr(cli, "B_SLICE_BYTES", 1)
-        kernel = cli.reference_gemm
+        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)
+        kernel = blockmm.reference_gemm
         calls = []
 
         def first_nan(a, b, out):
@@ -544,8 +589,8 @@ class TestStreamedCheck:
             calls.append(b.shape[0])
             return out
 
-        monkeypatch.setattr(cli, "reference_gemm", first_nan)
-        out, rel = cli.verified_output(model.ProblemShape(9, 1100, 20), 3, False)
+        monkeypatch.setattr(blockmm, "reference_gemm", first_nan)
+        out, rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3, False)
         assert calls == [512, 512, 76]
         assert np.isnan(out[5, 7]) and np.isnan(rel)
 
@@ -554,7 +599,7 @@ class TestStreamedCheck:
         shape = model.ProblemShape(64, 4096, 4096)
         tracemalloc.start()
         try:
-            _, rel = cli.verified_output(shape, 1, False)
+            _, rel = blockmm.verified_output(shape, 1, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -604,8 +649,8 @@ class TestExplore:
         assert rows[0]["n_arrays"] == "1"
 
     def test_simulate_builds_no_matrices(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "verified_output", None)
-        monkeypatch.setattr(cli, "draw_matrix", None)
+        monkeypatch.setattr(blockmm, "verified_output", None)
+        monkeypatch.setattr(blockmm, "draw_matrix", None)
         out = tmp_path / "sweep.json"
         assert run_cli("explore", "--shape", "64x48x64", "--simulate",
                        "--fast-numerics", "--candidates", "8,16",
