@@ -8,7 +8,7 @@ A block of (block_rows x depth) x (depth x block_cols) costs
   + pipeline stages                 multiply-accumulate flush
 
 cycles, which block_charges gives. The cycle-by-cycle walk of the array
-(trace_block: explicit PE registers and FIFO hops) lands on the same
+(trace_block: explicit PE registers and PE-to-PE hops) lands on the same
 count and on the same bits as the k-ordered kernel.
 """
 

@@ -44,7 +44,7 @@ import platform
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,8 +92,7 @@ KERNEL_PANEL_ELEMS = 1 << 17
 # nine of eleven shapes tried (256x363x256 broke even, 256x1200x256 ran
 # 11-28% slower); bands of 8k-11k elements ran 24-72% slower, because
 # handing the GIL round the per-k ufunc calls cost more than the second core
-# saved. Outputs under 2**16 elements stay serial: conv-3..5, and a single
-# 128x128 or 192x192 tile (the blocks --auto picks).
+# saved. Outputs under 2**16 elements stay serial, conv-3..5 among them.
 KERNEL_BAND_MIN_ELEMS = 1 << 15
 
 # The variables that set how many threads OpenBLAS, OpenMP and MKL run per
@@ -470,7 +469,6 @@ class PeState:
     ra_active: tuple[float, int] | None = None   # (value, column index)
     ra_shadow: tuple[float, int] | None = None
     mc: np.ndarray | None = None
-    fifo_a: list = field(default_factory=list)   # A element in transit here
     reuse_this_iter: int = 0
 
 
@@ -483,18 +481,6 @@ class TraceEvent:
     k: int = -1
 
 
-class _AFlight:
-    """An A element travelling down the chain to its target PE."""
-
-    __slots__ = ("value", "target", "col", "entered_at")
-
-    def __init__(self, value, target, col, entered_at):
-        self.value = value
-        self.target = target
-        self.col = col
-        self.entered_at = entered_at
-
-
 def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
                 ) -> tuple[np.ndarray, list[TraceEvent], list[PeState]]:
     """Cycle-by-cycle walk of one block sa @ sb on one array of the machine.
@@ -505,7 +491,7 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
     machine can run the block on one array.
 
     Independent of the kernel's whole-iteration updates: A elements
-    hop PE to PE through fifo_a one stage per cycle (the column enters the
+    hop PE to PE down the chain one stage per cycle (the column enters the
     chain in reverse element order, so every PE latches its element on the
     same cycle), the shadow register is checked against overwrite while
     the active value is still in use, and per-iteration reuse of the
@@ -522,46 +508,31 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
     events: list[TraceEvent] = []
     cycle = 0
     stalls = 0
+    flights: list[tuple[int, int]] = []   # (target PE, entry cycle) in the chain
 
-    def latch(pe: PeState, flight: _AFlight, into: str, at_cycle: int):
-        if into == "active":
-            pe.ra_active = (flight.value, flight.col)
-        else:
-            if pe.ra_shadow is not None:
-                raise AssertionError(f"PE {pe.pid} shadow overwritten before swap")
-            pe.ra_shadow = (flight.value, flight.col)
-        events.append(TraceEvent(at_cycle, "a_latch", block_id, pe.pid, flight.col))
-
-    def column_stream(col_idx: int, into: str):
-        """Per-cycle advance function for one column entering the chain."""
-        flights: list[_AFlight] = []
-        entered = 0
-
-        def advance(local_c: int, global_c: int):
-            nonlocal entered
-            if entered < si:
-                entered += 1
-                flights.append(_AFlight(sa[si - entered, col_idx],
-                                        si - entered, col_idx, entered))
-            for pe in pes:
-                pe.fifo_a = []
-            for f in list(flights):
-                pos = local_c - f.entered_at
-                if not 0 <= pos < si:
-                    raise AssertionError("A element fell off the chain")
-                if pos == f.target:
-                    latch(pes[pos], f, into, global_c)
-                    flights.remove(f)
+    def hop(col: int, into: str, c: int):
+        """Load cycle c of column col: element si - c enters the chain, each
+        element moves one PE, and one that reaches its target latches there."""
+        flights.append((si - c, c))
+        for target, entered in list(flights):
+            pos = c - entered
+            if not 0 <= pos < si:
+                raise AssertionError("A element fell off the chain")
+            if pos == target:
+                pe = pes[pos]
+                if into == "active":
+                    pe.ra_active = (sa[pos, col], col)
                 else:
-                    pes[pos].fifo_a.append(f)
-
-        return advance
+                    if pe.ra_shadow is not None:
+                        raise AssertionError(f"PE {pe.pid} shadow overwritten before swap")
+                    pe.ra_shadow = (sa[pos, col], col)
+                events.append(TraceEvent(cycle, "a_latch", block_id, pos, col))
+                flights.remove((target, entered))
 
     # Prefetch: column 0 into the active registers.
-    advance = column_stream(0, "active")
     for c in range(1, si + 1):
         cycle += 1
-        advance(c, cycle)
+        hop(0, "active", c)
     for pe in pes:
         if pe.ra_active is None or pe.ra_active[1] != 0:
             raise AssertionError(f"PE {pe.pid} missed its prefetch latch")
@@ -571,9 +542,7 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
 
     iter_len = max(si, sj)
     ra_vec = np.empty(si, DTYPE)
-    col = np.empty(si, DTYPE)
     for k in range(k_depth):
-        advance = column_stream(k + 1, "shadow") if k + 1 < k_depth else None
         for p, pe in enumerate(pes):
             if pe.ra_active[1] != k:
                 raise AssertionError(
@@ -585,15 +554,14 @@ def trace_block(sa, sb, machine: Machine, *, block_id: int = 0
             if c <= sj:
                 bval = sb[k, c - 1]
                 events.append(TraceEvent(cycle, "b_issue", block_id, -1, k))
-                np.multiply(ra_vec, bval, out=col)
                 for pe in pes:
-                    pe.mc[c - 1] += col[pe.pid]
+                    pe.mc[c - 1] += ra_vec[pe.pid] * bval
                     pe.reuse_this_iter += 1
             else:
                 stalls += 1
                 events.append(TraceEvent(cycle, "psu_stall", block_id, -1, k))
-            if advance is not None and c <= si:
-                advance(c, cycle)
+            if k + 1 < k_depth and c <= si:
+                hop(k + 1, "shadow", c)
         for pe in pes:
             if pe.reuse_this_iter != sj:
                 raise AssertionError(

@@ -281,7 +281,7 @@ def cmd_calibrate(args) -> int:
         table = mac.TableBandwidth.from_csv(args.csv)
     except mac.CalibrationError as exc:
         raise CliError(f"calibration rejected: {exc}") from exc
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read calibration: {exc}") from exc
     out = args.out or args.csv
     table.to_csv(out)

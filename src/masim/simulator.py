@@ -80,7 +80,6 @@ class ArrayRunStats:
 
 @dataclass
 class SimReport:
-    shape: tuple[int, int, int]          # (m, depth, n)
     total_cycles: int
     time_seconds: float
     time_with_drain_seconds: float
@@ -276,7 +275,6 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
                             + charges.drain_cycles / f_acc * slow[i])
 
     return SimReport(
-        shape=(shape.m, depth, shape.n),
         total_cycles=round(time_seconds * f_acc),
         time_seconds=time_seconds,
         time_with_drain_seconds=max(time_seconds, drain_end),

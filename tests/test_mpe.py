@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -159,6 +160,27 @@ class TestTraceBlock:
     def test_rejects_mismatched_operands(self):
         with pytest.raises(ValueError, match="inner dimensions"):
             masim.trace_block(np.ones((2, 3)), np.ones((4, 2)), M128)
+
+    def test_walk_digest(self):
+        # pins the whole walk over a sweep of block shapes: every event, the
+        # tile's bits and each PE's final registers, reuse count and
+        # accumulator bits
+        rng = np.random.default_rng(17)
+        digest = hashlib.sha256()
+        for si in (1, 2, 3, 5, 8, 16, 31, 64):
+            for sj in (1, 2, 4, 7, 16, 33, 64):
+                for k in (1, 2, 3, 9):
+                    tile, events, pes = masim.trace_block(
+                        *block_of(rng, si, sj, k), M128, block_id=si)
+                    digest.update(repr(events).encode())
+                    digest.update(tile.view(np.uint32).tobytes())
+                    for pe in pes:
+                        regs = [None if r is None else (float(r[0]), r[1])
+                                for r in (pe.ra_active, pe.ra_shadow)]
+                        digest.update(repr((pe.pid, regs, pe.reuse_this_iter)).encode())
+                        digest.update(pe.mc.view(np.uint32).tobytes())
+        assert digest.hexdigest() == (
+            "3d9c0c7a0fdcadf5d7a7adfdac22ff18dfe6808b9a997771a526883a5b4b31bd")
 
 
 class TestModeEquivalence:

@@ -192,7 +192,7 @@ class TestDeterminism:
                             digest.update(path.read_bytes())
         assert (runs, steals) == (160, 218)
         assert digest.hexdigest() == \
-            "8e3d5d1d3c761061a51c875296e74ad32507d0d8647e123146a6e3fbb3cf4b94"
+            "f2b7872b307385d0b2b15acf411b06e15d1f286fcba10bf54d04b6b0c0d85613"
 
     def test_explorer_points_pinned(self):
         # The traffic explore --simulate serves: every explored point of
@@ -211,7 +211,7 @@ class TestDeterminism:
                     digest.update(repr(dataclasses.asdict(rep)).encode())
         assert (runs, steals) == (352, 45)
         assert digest.hexdigest() == \
-            "af3faa1173a82031adfbcc0f97a2e65f82862780df74e7552870aeed51c4884c"
+            "067e9193c5bd1d801829ad5bef93a56870d6b5b0fea590acd0bb125539a9459d"
 
 
 class TestSharedPort:
