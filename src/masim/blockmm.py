@@ -438,25 +438,21 @@ def build_matrices(shape: ProblemShape, seed: int):
     return a, b_slices()
 
 
-def verified_output(shape: ProblemShape, seed: int, fast_numerics: bool):
+def verified_output(shape: ProblemShape, seed: int):
     """The run's output on the seeded matrices and its largest relative
-    error: each k-slice of B is added into the output (reference_gemm, or
-    a float32 matmul under fast_numerics) and into the float64 reference
-    (add_reference), which takes the error on the last slice. The slices
-    start at multiples of the oracle's panel depth, so the exact output and
-    the error are the whole-matrix reference_gemm's and max_rel_error's.
-    It holds A, the output, its reference (8 * m * n bytes) and one slice."""
+    error: each k-slice of B is added into the output by reference_gemm
+    and into the float64 reference by add_reference, which takes the error
+    on the last slice. The slices start at multiples of the oracle's panel
+    depth, so the output and the error are the whole-matrix reference_gemm's
+    and max_rel_error's. It holds A, the output, its reference
+    (8 * m * n bytes) and one slice."""
     a, b_slices = build_matrices(shape, seed)
     out = np.zeros((shape.m, shape.n), np.float32)
     ref = np.zeros((shape.m, shape.n))
-    product = np.empty_like(out) if fast_numerics else None
     rel = None
     for ks, b in b_slices:
         a_slice = np.ascontiguousarray(a[:, ks])
-        if fast_numerics:
-            out += np.matmul(a_slice, b, out=product)
-        else:
-            reference_gemm(a_slice, b, out)
+        reference_gemm(a_slice, b, out)
         rel = add_reference(a_slice, b, ref, out if ks.stop == shape.depth else None)
     return out, rel
 

@@ -20,10 +20,10 @@ nothing.
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
 
-Exact-mode reports are deterministic for a fixed configuration and seed
-(only the created_at field varies); --fast-numerics reports also need a
-fixed BLAS thread setting, because the float32 matmul of each slice
-rounds differently when BLAS splits it over threads. Exit status is 0 on
+Reports are deterministic for a fixed configuration and seed (only the
+created_at field varies): every run computes its output with the one
+k-ordered kernel, whatever the core count or BLAS thread setting, and
+--fast-numerics is accepted but changes nothing. Exit status is 0 on
 success, 1 when any check fails, 2 for infeasible or invalid
 configurations (a simulated time too long to count in cycles included),
 for input or output files that cannot be opened and for a problem too
@@ -178,7 +178,7 @@ def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> di
             "seed": args.seed,
             "steal": not args.no_steal,
             "contention": machine.contention,
-            "numerics": "fast" if args.fast_numerics else "exact",
+            "numerics": "exact",
         },
         "estimate": dataclasses.asdict(estimate)
         | {"peak_gflops": machine.peak_gflops},
@@ -213,7 +213,7 @@ def cmd_run(args) -> int:
         checks["max_rel_error"] = None
         checks["oracle_skipped"] = skipped
     else:
-        _, rel = blockmm.verified_output(shape, args.seed, args.fast_numerics)
+        _, rel = blockmm.verified_output(shape, args.seed)
         checks["max_rel_error"] = rel
         checks["oracle_ok"] = bool(rel <= ORACLE_RTOL)
     checks["tiles_ok"] = bool(
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear systolic GEMM accelerator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fast_help):
+    def add_common(p):
         p.add_argument("--shape", help="problem as MxKxN, e.g. 128x1200x729")
         p.add_argument("--preset", help=f"layer preset: {', '.join(LAYER_PRESETS)}")
         p.add_argument("--p", type=positive_int, default=64, help="PEs per base array")
@@ -309,15 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "| calibration CSV path")
         p.add_argument("--seed", type=nonnegative_int, default=0,
                        help="seed for matrix data")
-        p.add_argument("--fast-numerics", action="store_true", help=fast_help)
+        p.add_argument("--fast-numerics", action="store_true",
+                       help="accepted, no effect: run always computes the "
+                            "bit-exact k-ordered product, explore none")
         p.add_argument("--no-steal", action="store_true",
                        help="disable work stealing (static partition)")
         p.add_argument("--contention", choices=CONTENTION_MODES,
                        default="per_array", help="transfer serialisation regime")
 
     p_run = sub.add_parser("run", help="simulate one problem at one design point")
-    add_common(p_run, "compute the output with a float32 matmul instead of "
-                      "the bit-exact k-ordered accumulation")
+    add_common(p_run)
     p_run.add_argument("--np", type=positive_int, help="number of active arrays")
     p_run.add_argument("--si", type=positive_int, help="block rows (A sub-block)")
     p_run.add_argument("--sj", type=positive_int,
@@ -334,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser("explore", help="rank all feasible design points")
-    add_common(p_exp, "no effect: explore computes timing only, never the "
-                      "product (accepted for symmetry with run)")
+    add_common(p_exp)
     p_exp.add_argument("--candidates", type=candidate_list,
                        help="comma-separated block-size candidates")
     p_exp.add_argument("--simulate", action="store_true",

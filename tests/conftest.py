@@ -58,8 +58,8 @@ def cli_output(monkeypatch):
     seen = []
     verify = blockmm.verified_output
 
-    def recording(shape, seed, fast_numerics):
-        out, rel = verify(shape, seed, fast_numerics)
+    def recording(shape, seed):
+        out, rel = verify(shape, seed)
         seen.append((*seeded_matrices(shape, seed), out))
         return out, rel
 

@@ -547,31 +547,30 @@ class TestStreamedCheck:
     """The verify loop's output and error, B streamed in k-slices, are the
     whole-matrix reference_gemm and max_rel_error."""
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    # the ids name the one numerics path, "exact", as the report's
+    # config.numerics does
     @pytest.mark.parametrize("m,depth,n", [
-        (3, 1, 5),          # depth 1
-        (130, 511, 300),    # one slice short of 512; two row panels, ragged strip
-        (129, 512, 257),    # exactly one slice
-        (7, 513, 260),      # one row past it; odd m*depth
-        (131, 1101, 70),    # three slices, the last ragged; odd m*depth
+        pytest.param(3, 1, 5, id="3-1-5-exact"),            # depth 1
+        # one slice short of 512; two row panels, ragged strip
+        pytest.param(130, 511, 300, id="130-511-300-exact"),
+        pytest.param(129, 512, 257, id="129-512-257-exact"),    # exactly one slice
+        pytest.param(7, 513, 260, id="7-513-260-exact"),    # one row past it; odd m*depth
+        # three slices, the last ragged; odd m*depth
+        pytest.param(131, 1101, 70, id="131-1101-70-exact"),
     ])
-    def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas,
-                                           fast, m, depth, n):
+    def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas, m, depth, n):
         monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)   # 512-deep slices
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
-        out, rel = blockmm.verified_output(shape, 9, fast)
+        out, rel = blockmm.verified_output(shape, 9)
         a, b = seeded_matrices(shape, 9)
-        if fast:
-            np.testing.assert_allclose(out, a.astype(np.float64) @ b, rtol=1e-4)
-        else:
-            assert np.array_equal(out.view(np.uint32),
-                                  masim.reference_gemm(a, b).view(np.uint32))
+        assert np.array_equal(out.view(np.uint32),
+                              masim.reference_gemm(a, b).view(np.uint32))
         assert rel == masim.max_rel_error(a, b, out)
 
     def test_one_slice_equals_the_whole_matrix_check(self):
         shape = model.ProblemShape(96, 363, 3025)          # conv-1
-        out, rel = blockmm.verified_output(shape, 7, False)
+        out, rel = blockmm.verified_output(shape, 7)
         a, b = seeded_matrices(shape, 7)
         assert np.array_equal(out.view(np.uint32),
                               masim.reference_gemm(a, b).view(np.uint32))
@@ -590,7 +589,7 @@ class TestStreamedCheck:
             return out
 
         monkeypatch.setattr(blockmm, "reference_gemm", first_nan)
-        out, rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3, False)
+        out, rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3)
         assert calls == [512, 512, 76]
         assert np.isnan(out[5, 7]) and np.isnan(rel)
 
@@ -599,7 +598,7 @@ class TestStreamedCheck:
         shape = model.ProblemShape(64, 4096, 4096)
         tracemalloc.start()
         try:
-            _, rel = blockmm.verified_output(shape, 1, False)
+            _, rel = blockmm.verified_output(shape, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -626,6 +625,24 @@ class TestModuleEntryPoint:
         done = self.run_module("run", "--shape", "8x8x8", "--no-such-flag")
         assert done.returncode == 2
         assert "unrecognized arguments: --no-such-flag" in done.stderr
+
+    def test_report_does_not_depend_on_the_blas_threads(self, monkeypatch):
+        # BLAS reads its thread count once, at load, so each setting gets a
+        # fresh process; --fast-numerics, too, takes the one exact path
+        argv = ("run", "--preset", "conv-2", "--auto", "--seed", "7", "--fast-numerics")
+        reports = []
+        for pinned in (True, False):
+            for var in blockmm.BLAS_THREAD_VARS:
+                if pinned:
+                    monkeypatch.setenv(var, "1")
+                else:
+                    monkeypatch.delenv(var, raising=False)
+            done = self.run_module(*argv)
+            assert done.returncode == 0, done.stderr
+            reports.append([line for line in done.stdout.splitlines()
+                            if '"created_at"' not in line])
+        assert reports[0] == reports[1]
+        assert '    "numerics": "exact",' in reports[0]
 
 
 class TestExplore:

@@ -92,12 +92,15 @@ class TestNumericalExactness:
             # the whole-matrix kernel
             assert np.array_equal(out, masim.reference_gemm(a, b))
 
-    def test_fast_numerics_within_tolerance(self, cli_output, tmp_path):
+    def test_fast_numerics_flag_gives_the_kernel_bits(self, cli_output, tmp_path):
+        # --fast-numerics is accepted and changes nothing: one numerics path
+        report = tmp_path / "r.json"
         assert cli.main(["run", "--shape", "33x41x29", "--np", "2", "--si", "8",
-                         "--fast-numerics", "--out", str(tmp_path / "r.json")]) == 0
+                         "--fast-numerics", "--out", str(report)]) == 0
         [(a, b, out)] = cli_output
-        ref = a.astype(np.float64) @ b.astype(np.float64)
-        np.testing.assert_allclose(out, ref, rtol=1e-4)
+        assert np.array_equal(out.view(np.uint32),
+                              masim.reference_gemm(a, b).view(np.uint32))
+        assert '"numerics": "exact"' in report.read_text()
 
 
 class TestBracketing:
