@@ -22,11 +22,12 @@ max_rel_error is the float64 oracle, add_reference into a zeroed
 reference; verified_output streams B's k-slices through both with the
 same bits. When BLAS is pinned to one thread per call, the oracle splits
 its 256-column panel strips over the usable cores, and its result does
-not depend on the core count either. run_parts is the one thread helper
-behind the bands, the strips and the seeded matrix draw (draw_matrix),
-and part_count the one rule for how many parts each gets; a process
-limited to one core (taskset -c 0) runs all of them on the calling
-thread.
+not depend on the core count either. Every threaded stage (the kernel's
+row bands, the oracle's runs of strips and the seeded matrix draw,
+draw_matrix) cuts its work with the one rule, split, and hands the parts
+to the one runner, run_parts, which returns their results in part order;
+a process limited to one core (taskset -c 0) runs all of them on the
+calling thread.
 
 trace_block ties the timing to the numerics: it walks one block cycle by
 cycle on one array of an mpe.Machine, checks the walk against
@@ -54,8 +55,11 @@ from .mpe import Machine, block_charges
 DTYPE = np.float32
 
 # Output rows, output columns and inner-dimension depth of one
-# add_reference step. Each thread holds a panel of A, a strip of B and a
-# scratch panel in float64, 1.8 MB at most, besides the m x n reference.
+# add_reference step. The panel shapes and the strip starts (multiples of
+# 256 columns) fix the reference's bits: each panel product is one dgemm
+# call, whose rounding depends on its shape, so no split of the work over
+# threads may move them. Each thread holds a panel of A, a strip of B and
+# a scratch panel in float64, 1.8 MB at most, besides the m x n reference.
 # 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels
 # over the full depth; converting A's slice whole, not per panel, was
 # slower (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
@@ -83,16 +87,16 @@ B_SLICE_BYTES = 16 << 20
 # whole, while column panels made every per-k operation strided and slower.
 KERNEL_PANEL_ELEMS = 1 << 17
 
-# Elements each part of a threaded stage must have (part_count): the
-# kernel's row bands, the oracle's column strips and the seeded matrix
-# draw all split work over E elements into min(usable_cores(),
-# E // KERNEL_BAND_MIN_ELEMS) parts, at least one, and with one part the
-# caller runs it all on its own thread. The floor was set on the kernel: on
-# two cores, two bands of 32k-47k elements ran 13-42% faster than one on
-# nine of eleven shapes tried (256x363x256 broke even, 256x1200x256 ran
-# 11-28% slower); bands of 8k-11k elements ran 24-72% slower, because
-# handing the GIL round the per-k ufunc calls cost more than the second core
-# saved. Outputs under 2**16 elements stay serial, conv-3..5 among them.
+# Elements each part of a threaded stage must have (split): the kernel's
+# row bands, the oracle's runs of column strips and the seeded matrix draw
+# all cut work over E elements into contiguous parts, at most
+# min(usable_cores(), E // KERNEL_BAND_MIN_ELEMS), at least one, and with
+# one part the caller runs it all on its own thread. The floor was set on
+# the kernel: on two cores, two bands of 32k-47k elements ran 13-42% faster
+# than one on nine of eleven shapes tried (256x363x256 broke even,
+# 256x1200x256 ran 11-28% slower); bands of 8k-11k elements ran 24-72%
+# slower, because handing the GIL round the per-k ufunc calls cost more
+# than the second core saved. Outputs under 2**16 elements stay serial, conv-3..5 among them.
 KERNEL_BAND_MIN_ELEMS = 1 << 15
 
 # The variables that set how many threads OpenBLAS, OpenMP and MKL run per
@@ -225,36 +229,44 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
             np.add(panel, t, out=panel)
 
 
-def part_count(elements: int) -> int:
-    """Parts to split work over `elements` elements into: one per usable
-    core, each of at least KERNEL_BAND_MIN_ELEMS elements, and at least one."""
-    return max(1, min(usable_cores(), elements // KERNEL_BAND_MIN_ELEMS))
+def split(length: int, elements: int, align: int = 1) -> list[int]:
+    """Cut points 0, ..., length, strictly increasing, that split work over
+    `length` rows, columns or elements touching `elements` elements into
+    parts: one per usable core, each of at least KERNEL_BAND_MIN_ELEMS
+    elements, at most ceil(length / align), and at least one. Every inner
+    cut is a multiple of align."""
+    units = -(-length // align)
+    parts = max(1, min(units, usable_cores(), elements // KERNEL_BAND_MIN_ELEMS))
+    return [align * (units * i // parts) for i in range(parts)] + [length]
 
 
-def run_parts(work, parts: int) -> None:
-    """work(0), ..., work(parts - 1) at once: the caller runs part 0 and one
-    thread each the rest. A worker's exception is re-raised here, and every
-    started thread is joined before return."""
+def run_parts(work, edges: list[int]) -> list:
+    """[work(lo, hi) for each pair of neighbouring cut points], at once: the
+    caller runs the first part and one thread each the rest. A worker's
+    exception is re-raised here, and every started thread is joined before
+    return."""
+    results = [None] * (len(edges) - 1)
     errors = []
 
     def part(i: int) -> None:
         try:
-            work(i)
+            results[i] = work(edges[i], edges[i + 1])
         except BaseException as exc:    # re-raised in the caller below
             errors.append(exc)
 
     started = []
     try:
-        for i in range(1, parts):
+        for i in range(1, len(results)):
             worker = threading.Thread(target=part, args=(i,))
             worker.start()
             started.append(worker)
-        work(0)
+        results[0] = work(edges[0], edges[1])
     finally:
         for worker in started:
             worker.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def blas_pinned() -> bool:
@@ -281,8 +293,8 @@ def reference_gemm(a, b, out=None) -> np.ndarray:
     The updates run in _k_loop: the compiled kernel, which keeps each 4x64
     block of C in registers across k, or its numpy fallback, which applies
     them one row panel of C at a time (see KERNEL_PANEL_ELEMS). An output
-    of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first split into
-    min(m, part_count(m * n)) contiguous row bands, each on its own thread
+    of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first cut into the
+    contiguous row bands of split(m, m * n), each on its own thread
     (ctypes and the numpy ufuncs release the GIL). The library is resolved
     here, on the calling thread, so bands never race to build it. Each
     element belongs to one block (or panel) of one band and sees the same
@@ -296,14 +308,7 @@ def reference_gemm(a, b, out=None) -> np.ndarray:
     elif out.dtype != DTYPE or out.shape != (m, n) or out.strides[1] != out.itemsize:
         raise ValueError(f"out must be a float32 {m}x{n} array with contiguous rows")
     _library()
-    bands = min(m, part_count(m * n))
-    edges = [m * i // bands for i in range(bands + 1)]
-
-    def band(i: int) -> None:
-        rows = slice(edges[i], edges[i + 1])
-        _k_loop(a[rows], b, out[rows])
-
-    run_parts(band, bands)
+    run_parts(lambda lo, hi: _k_loop(a[lo:hi], b, out[lo:hi]), split(m, m * n))
     return out
 
 
@@ -317,12 +322,13 @@ def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
     that start at multiples of the panel depth, added into one ref, give
     the whole product's bits. A NaN anywhere in out makes the error NaN.
 
-    When blas_pinned(), part_count(m * n) threads (at most one per strip)
-    each take the next untaken 256-column strip as they finish one, so a
-    thread that starts late takes fewer; otherwise BLAS runs its own
-    threads inside each matmul and one thread walks the strips. The sums
-    do not change and the per-part maxima are combined exactly, so the
-    result does not depend on the part count or on who took which strip.
+    When blas_pinned(), the columns are cut by split(n, m * n, 256) into
+    contiguous runs of whole strips, and each part walks its own run on
+    its own thread; otherwise BLAS runs its own threads inside each matmul
+    and one part walks all the strips. The panels and their sums do not
+    change and the per-part maxima are combined exactly, so the result
+    does not depend on the part count. It can depend on BLAS's own thread
+    count, which may change a panel product's last bits.
     """
     a, b = _operands(a, b)
     m, n = a.shape[0], b.shape[1]
@@ -333,19 +339,12 @@ def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
     depths = [slice(k0, k0 + panel_depth) for k0 in range(0, a.shape[1], panel_depth)]
-    strips = range(0, n, panel_cols)
-    parts = min(len(strips), part_count(m * n)) if blas_pinned() else 1
-    worst = [np.float64(0.0)] * parts
-    untaken = iter(strips)
-    lock = threading.Lock()
+    edges = split(n, m * n, panel_cols) if blas_pinned() else [0, n]
 
-    def strip_part(p: int) -> None:
+    def strips(lo: int, hi: int) -> np.float64:
+        worst = np.float64(0.0)
         scratch = np.empty((min(panel_rows, m), min(panel_cols, n)))
-        while True:
-            with lock:
-                c0 = next(untaken, None)
-            if c0 is None:
-                return
+        for c0 in range(lo, hi, panel_cols):
             cols = slice(c0, c0 + panel_cols)
             for ks in depths:
                 b64 = b[ks, cols].astype(np.float64)
@@ -360,10 +359,10 @@ def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
             for r0 in range(0, m, panel_rows):
                 panel = ref[r0: r0 + panel_rows, cols]
                 err = np.abs(out[r0: r0 + panel_rows, cols] - panel)
-                worst[p] = np.maximum(worst[p],
-                                      (err / np.maximum(np.abs(panel), tiny)).max())
+                worst = np.maximum(worst, (err / np.maximum(np.abs(panel), tiny)).max())
+        return worst
 
-    run_parts(strip_part, parts)
+    worst = run_parts(strips, edges)
     # np.maximum, not max(): a NaN from any part must survive
     return None if out is None else float(np.maximum.reduce(worst))
 
@@ -379,8 +378,8 @@ def max_rel_error(a, b, out) -> float:
 def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
-    part_count(rows * cols) contiguous chunks at once, into out (a
-    C-contiguous float32 rows x cols array) when given; rng (a PCG64
+    the contiguous chunks of split(rows * cols, rows * cols, 2) at once,
+    into out (a C-contiguous float32 rows x cols array) when given; rng (a PCG64
     generator) is left in the state the serial draw leaves it in.
 
     A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
@@ -401,20 +400,16 @@ def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
         if flat.size == 0:
             return out
     start = bitgen.state
-    parts = part_count(flat.size)
-    edges = [flat.size * i // parts // 2 * 2 for i in range(parts)] + [flat.size]
-    chunk_gens = [np.random.PCG64() for _ in range(parts)]
 
-    def chunk(i: int) -> None:
-        gen = chunk_gens[i]
+    def chunk(lo: int, hi: int) -> np.random.PCG64:
+        gen = np.random.PCG64()
         gen.state = start
-        gen.advance(edges[i] // 2)
-        np.random.Generator(gen).random(out=flat[edges[i]: edges[i + 1]],
-                                        dtype=np.float32)
+        gen.advance(lo // 2)
+        np.random.Generator(gen).random(out=flat[lo:hi], dtype=np.float32)
+        return gen
 
-    run_parts(chunk, parts)
-    # the last chunk is never empty, and ends where the serial draw ends
-    bitgen.state = chunk_gens[-1].state
+    # the last chunk ends where the serial draw ends
+    bitgen.state = run_parts(chunk, split(flat.size, flat.size, 2))[-1].state
     return out
 
 

@@ -203,7 +203,41 @@ class TestKernelBands:
         assert len(started_threads) == 1
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestSplitAndRunParts:
+    """The one cut rule of every threaded stage, and the one runner."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("align", [1, 2, 256])
+    def test_split(self, monkeypatch, cores, align):
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
+        floor = blockmm.KERNEL_BAND_MIN_ELEMS
+        for length in range(1, 601):
+            units = -(-length // align)
+            for elements in (length, length * 100, length * floor):
+                cuts = blockmm.split(length, elements, align)
+                parts = len(cuts) - 1
+                assert cuts[0] == 0 and cuts[-1] == length
+                assert all(x < y for x, y in zip(cuts, cuts[1:]))
+                assert all(c % align == 0 for c in cuts[1:-1])
+                assert 1 <= parts <= cores and parts <= units
+                assert parts <= max(1, elements // floor)
+                assert parts == max(1, min(units, cores, elements // floor))
+
+    def test_run_parts_returns_in_part_order(self, started_threads, fine_switching):
+        # earlier parts sleep longer, so the parts finish in reverse order
+        edges = [0, 3, 5, 9, 10]
+        caller = threading.current_thread()
+
+        def work(lo, hi):
+            time.sleep(0.01 * (10 - lo))
+            return lo, hi, threading.current_thread() is caller
+
+        assert blockmm.run_parts(work, edges) == [
+            (0, 3, True), (3, 5, False), (5, 9, False), (9, 10, False)]
+        assert len(started_threads) == len(edges) - 2
+
+
+needs_cc =pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 @pytest.fixture
