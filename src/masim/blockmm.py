@@ -7,10 +7,10 @@ the one k-ordered accumulation kernel: the inner dimension is summed in
 strictly ascending k order, so the whole-matrix product, the kernel on
 one tile's slices of A and B, and the cycle-level PE walk (trace_block)
 all round identically and agree bit for bit. Its inner loop is a small C
-kernel shipped beside this module (_kernel.c), compiled on first use
-into a per-user cache and called through ctypes; it packs a panel of B
-and keeps a block of C in registers across k, in the manner of Goto and
-van de Geijn's GEMM, without changing any element's order of
+kernel in the library shipped beside this module (_kernel.c), compiled
+on first use into a per-user cache and called through ctypes; it packs a
+panel of B and keeps a block of C in registers across k, in the manner of
+Goto and van de Geijn's GEMM, without changing any element's order of
 summation. Where it cannot be built or loaded, the same loop runs in
 numpy, one row panel of the output at a time, and gives the same bits.
 A large output is split into row bands, one per core the process may run
@@ -29,6 +29,13 @@ to the one runner, run_parts, which returns their results in part order;
 a process limited to one core (taskset -c 0) runs all of them on the
 calling thread.
 
+The seeded draw reproduces np.random.default_rng(seed)'s float32 draws
+bit for bit without numpy's generator: pcg64_seed is numpy's SeedSequence
+hash and PCG64 seeding, _advance is PCG64's jump-ahead, and a Stream is
+the position in the seed's stream. Each chunk of a draw is filled by the
+library's masim_draw or, where the library cannot be had, by numpy's
+PCG64 set to the chunk's state; only that path imports numpy.random.
+
 trace_block ties the timing to the numerics: it walks one block cycle by
 cycle on one array of an mpe.Machine, checks the walk against
 mpe.block_charges, and returns the same bits as reference_gemm on the
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import os
 import platform
 import shutil
@@ -161,17 +169,31 @@ def _build(cc: str, path: str) -> None:
             os.unlink(tmp)
 
 
+def _load(path: str) -> ctypes.CDLL:
+    """The library at path with both entry points typed; OSError if it will
+    not load, AttributeError if it lacks either."""
+    lib = ctypes.CDLL(path)
+    lib.masim_k_loop.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
+    lib.masim_k_loop.restype = ctypes.c_int
+    lib.masim_draw.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+    lib.masim_draw.restype = None
+    return lib
+
+
 @functools.cache
 def _library():
-    """The compiled kernel's entry point, or None where it cannot be had.
+    """The compiled library, whose entry points are masim_k_loop (the
+    kernel) and masim_draw (the seeded draw's fill), or None where it
+    cannot be had.
 
     The library is built on first use into the per-user cache,
     $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name hashed from
     the source, the flags, the compiler (its resolved path, size and mtime)
     and the machine type, so a cache hit starts no process. A cached file
-    that will not load (cut short, or not this kernel) is built again once.
-    No cc, a failed build, an unwritable cache or a library that will not
-    load after its build gives None, and _k_loop runs its numpy loop.
+    that will not load (cut short, or not this library: either entry point
+    missing) is built again once. No cc, a failed build, an unwritable
+    cache or a library that will not load after its build gives None, and
+    _k_loop and _fill run their numpy paths.
     """
     import hashlib
     cc = shutil.which("cc")
@@ -188,16 +210,13 @@ def _library():
         digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
         path = os.path.join(cache, f"kernel-{digest}.so")
         try:
-            kernel = ctypes.CDLL(path).masim_k_loop
-        except (OSError, AttributeError):   # no such file, or not this kernel
+            return _load(path)
+        except (OSError, AttributeError):   # no such file, or not this library
             os.makedirs(cache, mode=0o700, exist_ok=True)
             _build(cc, path)
-            kernel = ctypes.CDLL(path).masim_k_loop
+            return _load(path)
     except (OSError, AttributeError):
         return None
-    kernel.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
-    kernel.restype = ctypes.c_int
-    return kernel
 
 
 def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
@@ -206,15 +225,15 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
     rank-1 update per ascending k, one row panel of KERNEL_PANEL_ELEMS
     elements at a time, with a scratch of its own. Both paths give every
     element c = fl(c + fl(a * b)) per k, so they agree bit for bit."""
-    kernel = _library()
-    if kernel is not None:
+    lib = _library()
+    if lib is not None:
         if (any(x.dtype != DTYPE or x.strides[1] != x.itemsize for x in (aa, bb, out))
                 or out.shape != (aa.shape[0], bb.shape[1]) or aa.shape[1] != bb.shape[0]):
             raise ValueError("the kernel needs conforming float32 matrices "
                              "with contiguous rows")
         strides = (x.strides[0] // x.itemsize for x in (aa, bb, out))
-        if kernel(aa.ctypes.data, bb.ctypes.data, out.ctypes.data,
-                  *aa.shape, bb.shape[1], *strides):
+        if lib.masim_k_loop(aa.ctypes.data, bb.ctypes.data, out.ctypes.data,
+                            *aa.shape, bb.shape[1], *strides):
             raise MemoryError("no memory for the kernel's packed panel of B")
         return
     n = out.shape[1]
@@ -375,17 +394,119 @@ def max_rel_error(a, b, out) -> float:
     return add_reference(a, b, np.zeros((a.shape[0], b.shape[1])), out)
 
 
-def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """rng.random((rows, cols), dtype=np.float32), bit for bit, drawn in
-    the contiguous chunks of split(rows * cols, rows * cols, 2) at once,
-    into out (a C-contiguous float32 rows x cols array) when given; rng (a PCG64
-    generator) is left in the state the serial draw leaves it in.
+# PCG64, the generator behind np.random.default_rng: a 128-bit LCG,
+# state = state * PCG64_MULT + inc, whose XSL-RR output is 64 bits (O'Neill,
+# "PCG", HMC-CS-2014-0905, 2014), seeded by numpy's SeedSequence hash.
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
-    A float32 draw takes one 32-bit half of each 64-bit PCG64 output, low
-    half first, so a chunk that starts at an even element offset o is drawn
-    from a copy of the state advanced by o // 2. A half left buffered by an
-    odd-sized earlier draw is the first element, drawn here on the caller.
+
+def pcg64_seed(seed: int) -> tuple[int, int]:
+    """(state, inc) of np.random.default_rng(seed)'s PCG64, for an int seed
+    of at least 0: the seed's little-endian 32-bit words hashed into a
+    4-word pool by numpy's SeedSequence, generate_state(4, uint64) of the
+    pool, then PCG64's seeding from its (initstate, initseq) words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> s & M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & M32
+        value = value * hash_const & M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & M32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & M32
+        value = value * hash_const & M32
+        halves.append(value ^ value >> 16)
+    u64 = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+    initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+    inc = (initseq << 1 | 1) & M128
+    state = (_advance(0, inc, 1) + initstate) & M128
+    return _advance(state, inc, 1), inc
+
+
+def _advance(state: int, inc: int, delta: int) -> int:
+    """The PCG64 state delta steps on, as PCG64.advance(delta) leaves it:
+    the LCG's delta-th power by square and multiply (Brown, "Random number
+    generation with arbitrary strides", 1994)."""
+    mult, plus, acc_mult, acc_plus = PCG64_MULT, inc, 1, 0
+    while delta:
+        if delta & 1:
+            acc_mult = acc_mult * mult & M128
+            acc_plus = (acc_plus * mult + plus) & M128
+        plus = (mult + 1) * plus & M128
+        mult = mult * mult & M128
+        delta >>= 1
+    return (acc_mult * state + acc_plus) & M128
+
+
+@dataclass
+class Stream:
+    """Where np.random.default_rng(seed) stands in its float32 draws: the
+    PCG64 state and increment, and the high 32-bit half of the last 64-bit
+    output when a draw of odd size left it for the next (numpy's uinteger
+    while has_uint32), else None."""
+
+    state: int
+    inc: int
+    half: int | None = None
+
+
+def _fill(out: np.ndarray, state: int, inc: int) -> tuple[int, int | None]:
+    """Draw out (a contiguous float32 vector) from PCG64 state as
+    Generator.random(dtype=np.float32) does, each 64-bit output giving
+    two floats (its 32-bit halves, low first, as (half >> 8) * 2**-24);
+    returns the state after the last output and, for an odd size, that
+    output's undrawn high half, else None. By the compiled masim_draw
+    when _library() has one, else by numpy's PCG64 set to the state, the
+    one place a run imports numpy.random."""
+    lib = _library()
+    if lib is not None:
+        st = (ctypes.c_uint64 * 5)(state & M64, state >> 64, inc & M64, inc >> 64, 0)
+        lib.masim_draw(out.ctypes.data, out.size, st)
+        return st[1] << 64 | st[0], st[4] if out.size % 2 else None
+    from numpy.random import PCG64, Generator
+    gen = PCG64(0)
+    gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0}
+    Generator(gen).random(out=out, dtype=np.float32)
+    after = gen.state
+    return after["state"]["state"], after["uinteger"] if after["has_uint32"] else None
+
+
+def draw_matrix(stream: Stream, rows: int, cols: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The next rows x cols float32 draw of stream, bit for bit
+    np.random.default_rng(seed).random((rows, cols), dtype=np.float32) at
+    the same point of the seed's stream, into out (a C-contiguous float32
+    rows x cols array) when given; stream is left where the serial draw
+    leaves numpy's generator.
+
+    A half left buffered by an odd-sized earlier draw is the first
+    element. The rest is drawn in the contiguous chunks of
+    split(size, size, 2) at once, each by _fill from the state advanced by
+    its even element offset over two; the last chunk ends where the serial
+    draw ends, and buffers its last output's high half if its size is odd.
     """
     if out is None:
         out = np.empty((rows, cols), np.float32)
@@ -393,33 +514,26 @@ def draw_matrix(rng: np.random.Generator, rows: int, cols: int,
             or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float32 {rows}x{cols} array")
     flat = out.reshape(-1)
-    bitgen = rng.bit_generator
-    if bitgen.state["has_uint32"]:
-        rng.random(out=flat[:1], dtype=np.float32)
+    if stream.half is not None:
+        flat[0] = (stream.half >> 8) * 2.0 ** -24
+        stream.half = None
         flat = flat[1:]
-        if flat.size == 0:
-            return out
-    start = bitgen.state
-
-    def chunk(lo: int, hi: int) -> np.random.PCG64:
-        gen = np.random.PCG64()
-        gen.state = start
-        gen.advance(lo // 2)
-        np.random.Generator(gen).random(out=flat[lo:hi], dtype=np.float32)
-        return gen
-
-    # the last chunk ends where the serial draw ends
-    bitgen.state = run_parts(chunk, split(flat.size, flat.size, 2))[-1].state
+    start, inc = stream.state, stream.inc
+    _library()      # resolved here, so chunks never race to build it
+    stream.state, stream.half = run_parts(
+        lambda lo, hi: _fill(flat[lo:hi], _advance(start, inc, lo // 2), inc),
+        split(flat.size, flat.size, 2))[-1]
     return out
 
 
 def build_matrices(shape: ProblemShape, seed: int):
     """The seeded A, and an iterator of (ks, B[ks]) over B's k-slices (see
     B_SLICE_BYTES), each drawn into one reused buffer, so valid until the
-    next is drawn. B's rows are contiguous in the generator's stream, so
-    these are the serial draws of A and B, bit for bit."""
-    rng = np.random.default_rng(seed)
-    a = draw_matrix(rng, shape.m, shape.depth)
+    next is drawn. B's rows are contiguous in the seed's stream, so
+    these are np.random.default_rng(seed)'s serial draws of A and B, bit
+    for bit."""
+    stream = Stream(*pcg64_seed(seed))
+    a = draw_matrix(stream, shape.m, shape.depth)
     panel = ORACLE_PANEL[2]
     step = max(panel, B_SLICE_BYTES // (4 * shape.n) // panel * panel)
 
@@ -428,7 +542,7 @@ def build_matrices(shape: ProblemShape, seed: int):
         for k0 in range(0, shape.depth, step):
             ks = slice(k0, min(k0 + step, shape.depth))
             depth = ks.stop - k0
-            yield ks, draw_matrix(rng, depth, shape.n, out=buffer[:depth])
+            yield ks, draw_matrix(stream, depth, shape.n, out=buffer[:depth])
 
     return a, b_slices()
 

@@ -156,6 +156,9 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     compute_s = [charges.cycles / f_acc * factor for factor in slow]  # one block, slowed
 
     tile_count = shape.tile_count(si, sj)
+    # one byte per tile, allocated before the deal builds its queues of every
+    # tile id, so a tile count too large for memory raises MemoryError first
+    executed = bytearray(tile_count)
     queues = wqm.partition_workload(tile_count, n_active)
     # [time the transfer port is free]; all arrays share one under shared_port
     ports = [[0.0]] * n_active if shared else [[0.0] for _ in range(n_active)]
@@ -163,7 +166,6 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     last_end = [0.0] * n_active    # each array's last compute completion
     resident = [0] * n_active      # fetched (or fetching) but compute unfinished
     fetched = [deque() for _ in range(n_active)]  # not yet computed; the head computes
-    executed = bytearray(tile_count)
     pointer = 0                    # round-robin pointer of the steal arbitration
     steal_log: list[wqm.StealEvent] = []
     tracing = trace is not None

@@ -1,3 +1,4 @@
+import shutil
 import sys
 import threading
 
@@ -6,6 +7,9 @@ import pytest
 
 import masim
 from masim import blockmm
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def tile_slices(m, n, block_rows, block_cols):

@@ -1,12 +1,11 @@
 import hashlib
-import shutil
 import subprocess
 import threading
 import time
 
 import numpy as np
 import pytest
-from conftest import tile_slices
+from conftest import needs_cc, tile_slices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,7 +236,29 @@ class TestSplitAndRunParts:
         assert len(started_threads) == len(edges) - 2
 
 
-needs_cc =pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestPcg64Stream:
+    """The seeded draw's PCG64 seeding and jump-ahead are numpy's."""
+
+    # 2**200 + 1 has seven 32-bit words, three past SeedSequence's pool
+    SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**200 + 1)
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "7", "2^32-1", "2^32",
+                                                 "2^64+5", "2^127+3", "2^200+1"])
+    def test_seed_is_default_rngs(self, seed):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert blockmm.pcg64_seed(seed) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("delta", [0, 1, 3, 2**64 + 3])
+    def test_advance_is_pcg64_advance(self, delta):
+        for seed in self.SEEDS:
+            gen = np.random.PCG64(seed)
+            gen.advance(delta)
+            assert blockmm._advance(*blockmm.pcg64_seed(seed), delta) \
+                == gen.state["state"]["state"]
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            blockmm.pcg64_seed(-1)
 
 
 @pytest.fixture

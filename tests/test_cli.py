@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assemble_run, seeded_matrices
+from conftest import assemble_run, needs_cc, seeded_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,6 +176,28 @@ class TestInvalidFlags:
         assert [line for line in done.stderr.splitlines() if "error:" in line] \
             == [line for line in done.stderr.splitlines() if line]
         assert "Unable to allocate" in done.stderr
+
+    def test_tile_count_too_large_for_memory(self):
+        # about 2.4e12 tiles; the child's address space is capped at 1 GiB, so
+        # the schedule's per-tile bytes fail to allocate, and a deal started
+        # before that allocation would exit 3. Never run this argv uncapped:
+        # with overcommit on, the zero-fill would exhaust the host's memory.
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                "from masim import wqm; "
+                "wqm.partition_workload = lambda *args: os._exit(3); "
+                "from masim.cli import main; sys.exit(main(sys.argv[2:]))")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+
+        done = subprocess.run([sys.executable, "-c", code, str(SRC), "run", "--shape",
+                               "100000000x1x100000000", "--np", "1", "--si", "64",
+                               "--no-verify"],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                              preexec_fn=cap, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
 
     @staticmethod
     def assert_config_error(capsys, argv):
@@ -367,6 +390,40 @@ def test_cli_import_builds_no_kernel(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+RUN_LOADS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import masim.cli
+loaded = ["numpy.random" in sys.modules]
+code = masim.cli.main(["run", "--preset", "conv-3", "--auto", "--seed", "7",
+                       "--out", sys.argv[2]])
+print(json.dumps([code, *loaded, "numpy.random" in sys.modules]))
+"""
+
+
+@needs_cc
+def test_run_with_the_compiled_library_loads_no_numpy_rng(tmp_path):
+    # numpy 1.24-1.26 load numpy.random with numpy itself, so the run must
+    # leave it loaded or not as the import did; with no cc on PATH the numpy
+    # fill loads it, and the report is the same
+    reports, loads = [], []
+    interpreter_only = os.path.dirname(sys.executable)
+    for path in (os.environ["PATH"], interpreter_only):
+        out = tmp_path / f"r{len(reports)}.json"
+        done = subprocess.run([sys.executable, "-c", RUN_LOADS, str(SRC), str(out)],
+                              env={**os.environ, "PATH": path},
+                              capture_output=True, text=True, check=True, timeout=120)
+        code, before, after = json.loads(done.stdout)
+        assert code == 0
+        loads.append((before, after))
+        report = load_report(out)
+        del report["created_at"]
+        reports.append(report)
+    assert loads[0][1] == loads[0][0]
+    assert loads[1][1] is True
+    assert reports[0] == reports[1]
+
+
 class TestOutputAndOracle:
     def test_exact_output_equals_per_tile_blocks(self, tmp_path, cli_output):
         # a ragged 4x6 grid of 16x8 blocks (50 rows, 43 columns), two arrays
@@ -489,15 +546,38 @@ class TestDeterminism:
         assert json.loads(texts[1])["checks"]["oracle_ok"] is True
 
 
+def numpy_position(rng):
+    """Where a numpy PCG64 generator stands, as (state, inc, half) of a
+    blockmm.Stream: a uinteger left stale (has_uint32 0), which no draw
+    observes, reads None."""
+    state = rng.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
 class TestMatrixDraw:
     """The seeded matrices, drawn in chunks on threads and B in k-slices,
-    are the serial draw."""
+    are numpy's serial draw."""
 
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
-                                           (96, 363, 64)])
+    CORES = pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
+    SHAPES = pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
+                                                   (96, 363, 64)])
+
+    @CORES
+    @SHAPES
     def test_chunked_draw_is_the_serial_draw(self, monkeypatch, fine_switching,
                                              cores, m, depth, n):
+        self.check_chunked_draw(monkeypatch, cores, m, depth, n)
+
+    @CORES
+    @SHAPES
+    def test_chunked_numpy_fill_is_the_serial_draw(self, monkeypatch, fine_switching,
+                                                   cores, m, depth, n):
+        monkeypatch.setattr(blockmm, "_library", lambda: None)
+        self.check_chunked_draw(monkeypatch, cores, m, depth, n)
+
+    @staticmethod
+    def check_chunked_draw(monkeypatch, cores, m, depth, n):
         # odd m*depth leaves a buffered half for the first element of B, and
         # 2-deep slices of odd n leave one for the first element of B's last
         # slice
@@ -510,13 +590,13 @@ class TestMatrixDraw:
         assert [(ks.start, ks.stop) for ks, _ in slices] \
             == [(k0, min(k0 + 2, depth)) for k0 in range(0, depth, 2)]
         b = np.vstack([s for _, s in slices])
-        # A, B and a third draw from the same generator, each continuing
-        # from the state the serial draw before it ends in
-        serial, rng = np.random.default_rng(5), np.random.default_rng(5)
+        # A, B and a third draw from the same seed, each continuing from
+        # where the serial draw before it ends
+        serial, stream = np.random.default_rng(5), blockmm.Stream(*blockmm.pcg64_seed(5))
         for shape, built in (((m, depth), a), ((depth, n), b), ((5, 3), None)):
             want = serial.random(shape, dtype=np.float32).view(np.uint32)
-            assert np.array_equal(blockmm.draw_matrix(rng, *shape).view(np.uint32), want)
-            assert rng.bit_generator.state == serial.bit_generator.state
+            assert np.array_equal(blockmm.draw_matrix(stream, *shape).view(np.uint32), want)
+            assert (stream.state, stream.inc, stream.half) == numpy_position(serial)
             if built is not None:
                 assert np.array_equal(built.view(np.uint32), want)
 
@@ -526,7 +606,8 @@ class TestMatrixDraw:
         for _ in b_slices:
             pass
         assert started_threads == []
-        blockmm.draw_matrix(np.random.default_rng(5), 2, blockmm.KERNEL_BAND_MIN_ELEMS)
+        stream = blockmm.Stream(*blockmm.pcg64_seed(5))
+        blockmm.draw_matrix(stream, 2, blockmm.KERNEL_BAND_MIN_ELEMS)
         assert len(started_threads) == 1
 
     def test_b_slices_hold_16_mb(self):
@@ -536,11 +617,11 @@ class TestMatrixDraw:
             assert [ks.start for ks, _ in b_slices] == starts
 
     def test_out_must_be_a_contiguous_float32_matrix(self):
-        rng = np.random.default_rng(5)
+        stream = blockmm.Stream(*blockmm.pcg64_seed(5))
         for out in (np.empty((4, 6), np.float32)[:, :3], np.empty((4, 3)),
                     np.empty((3, 4), np.float32)):
             with pytest.raises(ValueError, match="C-contiguous float32 4x3"):
-                blockmm.draw_matrix(rng, 4, 3, out=out)
+                blockmm.draw_matrix(stream, 4, 3, out=out)
 
 
 class TestStreamedCheck:
