@@ -153,17 +153,24 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _build(cc: str, path: str) -> None:
-    """Compile KERNEL_SOURCE into path: into a temporary file beside it, then
-    renamed into place, so no process loads a partly written library. A
-    failed build leaves no file behind."""
+def _build(cc: str, path: str) -> ctypes.CDLL:
+    """Compile KERNEL_SOURCE into a temporary file beside path, load the
+    library from there and rename the file into place; returns the library.
+    No process loads a partly written file, and this one gets the fresh
+    build even after loading a stale file of path's name (loading a name
+    again gives back the library already loaded under it). A build or load
+    that fails raises OSError or AttributeError, as _load, and leaves no
+    file behind."""
     import subprocess
     fd, tmp = tempfile.mkstemp(".so", dir=os.path.dirname(path))
     os.close(fd)
     try:
         if subprocess.run([cc, *KERNEL_FLAGS, "-o", tmp, KERNEL_SOURCE],
-                          stdin=subprocess.DEVNULL, capture_output=True).returncode == 0:
-            os.replace(tmp, path)
+                          stdin=subprocess.DEVNULL, capture_output=True).returncode:
+            raise OSError(f"{cc} could not build {KERNEL_SOURCE}")
+        lib = _load(tmp)
+        os.replace(tmp, path)
+        return lib
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -213,8 +220,7 @@ def _library():
             return _load(path)
         except (OSError, AttributeError):   # no such file, or not this library
             os.makedirs(cache, mode=0o700, exist_ok=True)
-            _build(cc, path)
-            return _load(path)
+            return _build(cc, path)
     except (OSError, AttributeError):
         return None
 

@@ -35,9 +35,29 @@ the final block (which the per-block cycle contract excludes, because
 every earlier drain overlaps the next block's compute) is reported
 separately in the per-array stats and in time_with_drain_seconds.
 
+A run has two phases. In the per-array regime the arrays share no state
+until stealing can start, at h, the first compute end at which a queue
+runs dry (never, with stealing off). Up to h each array's schedule is a
+recurrence over its own tiles (_alone): its first two fetches at t = 0;
+each compute starts at the later of its fetch end and the previous
+compute end; each compute end puts its write-back and then the next
+fetch onto the array's port. The recurrence applies the loop's own float
+operations in the loop's order, so its times are the loop's bit for bit.
+At h each array's port, queue, fetched tiles, statistics and pending
+events go to the event loop, which runs unchanged from there. Pending
+events keep the loop's push order within each array; their order across
+arrays does not matter, because same-time events of different arrays
+touch different state, and arbitration waits until every event of an
+instant has been handled. h is t = 0, so the loop runs the whole
+schedule, under shared_port (one port from the start), when stealing is
+on and some array is dealt fewer than three tiles (its queue is dry after
+its first fetches), and when the trace is recorded.
+
 The event trace (one row per fetch, compute, write-back and steal) is
-recorded only when the run is asked to write it; otherwise the loop keeps
-nothing but the per-array statistics and the steal log.
+recorded only when the run is asked to write it; otherwise the run keeps
+nothing but the per-array statistics and the steal log. A traced run
+thus takes the event loop from t = 0 throughout, the reference its
+untraced twin is tested against: every report field agrees.
 
 A run is strictly deterministic: identical inputs produce an identical
 report, event order is fixed by (time, insertion sequence), and
@@ -48,10 +68,12 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 
 from . import mac, wqm
 from .model import DesignPoint, ProblemShape
@@ -114,9 +136,9 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
     machine.check(n_arrays, point.block_rows, point.block_cols)
     slow = [1.0] * n_arrays
     for idx, factor in (slowdowns or {}).items():
-        if idx not in range(n_arrays):
+        if not isinstance(idx, numbers.Integral) or idx not in range(n_arrays):
             raise ValueError(f"slowdowns names array {idx!r}; the run has {n_arrays}")
-        if not 0 < factor < math.inf:
+        if not isinstance(factor, numbers.Real) or not 0 < factor < math.inf:
             raise ValueError(f"slowdown of array {idx} must be positive and finite, "
                              f"got {factor!r}")
         slow[idx] = float(factor)
@@ -142,7 +164,8 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
-    """The event loop of run_mpe over one array per slow entry; appends
+    """The schedule of run_mpe over one array per slow entry: each array
+    alone up to h, then the event loop (from t = 0 when h is); appends
     (seconds, array, event, tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
@@ -185,12 +208,60 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         seq += 1
         heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    for i, q in enumerate(queues):
-        for _ in range(min(2, len(q))):
-            fetch(i, 0.0, q.popleft())
-    arbitrating = steal and not all(queues)     # stealing on and some queue dry
-
     t = 0.0
+    if shared or tracing or steal and min(map(len, queues)) < 3:
+        # the arrays can interact from the start, or the trace is kept
+        for i, q in enumerate(queues):
+            for _ in range(min(2, len(q))):
+                fetch(i, 0.0, q.popleft())
+        arbitrating = steal and not all(queues)     # stealing on and some queue dry
+    else:
+        # No array can touch another before h, the first compute end at
+        # which a queue runs dry (never, with stealing off): each runs alone
+        # up to h, and the loop takes over there with their pending events.
+        h = math.inf
+        alone = [None] * n_active
+        # the deal gives the last arrays the fewest tiles, so at equal
+        # clocks the first walk finds h and no later one goes past it
+        for i in reversed(range(n_active)):
+            alone[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
+            h = min(h, alone[i][-1])
+        for i, q in enumerate(queues):
+            k, port, last, f0, f1, w0, w1, _ = alone[i]
+            if k and last >= h:                 # went past h: walk again
+                k, port, last, f0, f1, w0, w1, _ = _alone(len(q), in_s, out_s,
+                                                          compute_s[i], h, steal)
+            ports[i][0], last_end[i] = port, last
+            t = max(t, port)                    # the run's end if nothing is pending
+            tiles = stats[i].tiles
+            tiles.extend(islice(q, k))
+            for tile in tiles:
+                executed[tile] = 1
+            queues[i] = q = deque(islice(q, k, None))
+            ahead = [q.popleft() for _ in range(min(2, len(q)))]
+            resident[i] = len(ahead)
+            # the events still pending at h, in the order the loop pushed them
+            pending = [(w0, WB_DONE, tiles[-2])] if k > 1 else []
+            if ahead:
+                pending.append((f0, FETCH_DONE, ahead[0]))
+            if k:
+                pending.append((w1, WB_DONE, tiles[-1]))
+            if ahead[1:]:
+                pending.append((f1, FETCH_DONE, ahead[1]))
+            for end, kind, tile in pending:
+                if end >= h:
+                    seq += 1
+                    heappush(heap, (end, seq, kind, i, tile))
+                elif kind == FETCH_DONE:
+                    fetched[i].append(tile)
+            if fetched[i]:                      # computing since before h
+                seq += 1
+                heappush(heap, ((f0 if f0 > last else last) + compute_s[i],
+                                seq, COMPUTE_DONE, i, ahead[0]))
+        if executed.count(1) != sum(len(s.tiles) for s in stats):
+            raise SimulationError("the deal gave a tile twice")
+        arbitrating = False
+
     while heap:
         t, _, kind, i, tile = heappop(heap)
         if tracing:
@@ -264,8 +335,10 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     drain_end = 0.0
     for i, s in enumerate(stats):
         n = s.blocks_executed = len(s.tiles)
-        for _ in s.tiles:          # block by block: n * compute_s[i] rounds otherwise
-            s.busy_seconds += compute_s[i]
+        busy, block = 0.0, compute_s[i]
+        for _ in range(n):         # block by block: n * block rounds otherwise
+            busy += block
+        s.busy_seconds = busy
         s.prefetch_cycles = n * charges.prefetch_cycles
         s.compute_cycles = n * charges.compute_cycles
         s.stall_cycles = n * charges.stall_cycles
@@ -285,3 +358,51 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         steal_events=steal_log,
         tile_count=tile_count,
     )
+
+
+def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
+           dry: bool):
+    """The compute ends of one array over count tiles, taken in the order
+    the event loop reaches them while no other array can touch it, with
+    the loop's own float operations: the first two fetches at t = 0; each
+    compute starts at the later of its fetch end and the previous compute
+    end; each compute end puts its write-back and then the next fetch onto
+    the array's port (which the write-back leaves free no earlier than the
+    compute end).
+
+    Takes every compute end before h; with dry set it stops at the one
+    whose fetch empties the queue (count >= 3), the array's first chance
+    to steal. Returns (compute ends taken, which are the first tiles'; the
+    time the port is free; the last compute end taken, or 0.0; the fetch
+    ends of the next two tiles; the write-back ends of the last two tiles
+    taken, older first; the compute end that empties the queue, or inf).
+    The times of tiles that do not exist mean nothing.
+    """
+    p = last = f0 = f1 = w0 = w1 = 0.0
+    if count:
+        p = f0 = in_s
+    if count > 1:
+        p = f1 = p + in_s
+    fetching = max(0, count - 3 if dry else count - 2)
+    for k in range(fetching):
+        end = (f0 if f0 > last else last) + compute_s
+        if end >= h:
+            return k, p, last, f0, f1, w0, w1, math.inf
+        last = end
+        w0 = w1
+        p = w1 = (p if p > end else end) + out_s
+        p = p + in_s
+        f0, f1 = f1, p
+    if dry:
+        return fetching, p, last, f0, f1, w0, w1, (f0 if f0 > last else last) + compute_s
+    k = fetching
+    while k < count:               # the last two fetch nothing
+        end = (f0 if f0 > last else last) + compute_s
+        if end >= h:
+            break
+        last = end
+        w0 = w1
+        p = w1 = (p if p > end else end) + out_s
+        f0 = f1
+        k += 1
+    return k, p, last, f0, f1, w0, w1, math.inf

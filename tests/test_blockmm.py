@@ -400,7 +400,7 @@ class TestKernelCache:
 
         def counted(cc, path):
             calls.append(path)
-            build(cc, path)
+            return build(cc, path)
 
         monkeypatch.setattr(blockmm, "_build", counted)
         return calls
@@ -435,11 +435,13 @@ class TestKernelCache:
     # library be cut short; "no compiler" covers that host
     @pytest.mark.parametrize("fault", [
         "no compiler", pytest.param("failing build", marks=needs_cc), "unwritable cache",
-        pytest.param("truncated library", marks=needs_cc)])
+        pytest.param("truncated library", marks=needs_cc),
+        pytest.param("stale library", marks=needs_cc)])
     def test_fault_falls_back_to_the_same_bits(self, monkeypatch, tmp_path,
                                                cold_kernel_cache, builds, fault):
         # every fault gives the numpy loop's bits, except a cached library
-        # cut short, which is built again once and then loads
+        # cut short or lacking an entry point, which is built again once
+        # and then loads
         cache_home = cold_kernel_cache.parent
         if fault == "no compiler":
             monkeypatch.setattr(blockmm.shutil, "which", lambda name: None)
@@ -452,13 +454,21 @@ class TestKernelCache:
             # for whom permission bits forbid nothing)
             cache_home.write_text("")
         else:
-            # the library cut short, under its own name in a second cache: a
-            # path this process has not loaded
+            # the library cut short, or one that loads but lacks the draw,
+            # under its own name in a second cache: a path this process has
+            # not loaded
             blockmm._library()
             [built] = cold_kernel_cache.iterdir()
             cache_home = tmp_path / "second-cache"
             (cache_home / "masim").mkdir(parents=True)
-            (cache_home / "masim" / built.name).write_bytes(built.read_bytes()[:512])
+            stale = cache_home / "masim" / built.name
+            if fault == "truncated library":
+                stale.write_bytes(built.read_bytes()[:512])
+            else:
+                source = tmp_path / "kernel_only.c"
+                source.write_text("int masim_k_loop(void) { return 1; }\n")
+                subprocess.run(["cc", "-shared", "-fPIC", "-o", str(stale), str(source)],
+                               check=True)
             monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
             blockmm._library.cache_clear()
             builds.clear()
@@ -468,7 +478,7 @@ class TestKernelCache:
         assert same_bits(got, k_loop(a, b))
         cache = cache_home / "masim"
         left = sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
-        if fault == "truncated library":
+        if fault in ("truncated library", "stale library"):
             assert blockmm._library() is not None
             assert builds == [str(cache / built.name)]
             assert left == [built.name]

@@ -7,7 +7,7 @@ import pytest
 from conftest import assemble_run
 
 import masim
-from masim import cli, wqm
+from masim import cli, simulator, wqm
 
 
 def rand(rng, r, c):
@@ -146,20 +146,51 @@ class TestDeterminism:
         point = masim.DesignPoint(3, 4)
         assert np.array_equal(assemble_run(r0, point, a, b), assemble_run(r1, point, a, b))
 
-    def test_trace_path_changes_no_report_field(self, tmp_path):
-        # recording the trace is all that trace_path turns on, with or
-        # without steals and in either transfer regime
-        steals = 0
-        for fields in ({"bw_model": masim.IdealBandwidth()}, {},
-                       {"contention": "shared_port"}):
-            plain = masim.run_mpe(masim.ProblemShape(40, 12, 36), masim.DesignPoint(3, 4),
-                                  masim.Machine(**fields), slowdowns={1: 2.0})
-            traced, _ = traced_run(tmp_path / "t.csv", 40, 36, 12, 4, 3,
-                                   slowdowns={1: 2.0}, **fields)
-            for f in dataclasses.fields(masim.SimReport):
-                assert getattr(plain, f.name) == getattr(traced, f.name), f.name
-            steals += len(plain.steal_events)
-        assert steals > 0
+    def test_trace_path_changes_no_report_field(self, tmp_path, monkeypatch):
+        # A traced run keeps the event loop from t = 0; an untraced one runs
+        # each array alone until the arrays can interact, then the loop.
+        # Every report field agrees, in both transfer regimes, with ideal
+        # and finite bandwidth, pipelines of 0 and 8 stages, ragged grids on
+        # 1-4 arrays, arrays of 1-2 tiles, slowdowns, and stealing on and off.
+        alone = []
+        walk = simulator._alone
+        monkeypatch.setattr(simulator, "_alone",
+                            lambda *args: alone.append(1) or walk(*args))
+        rng = np.random.default_rng(29)
+        path = tmp_path / "t.csv"
+        runs = few = split = steals = 0
+        for contention in ("per_array", "shared_port"):
+            for bw in (masim.IdealBandwidth(), masim.ParametricBandwidth(4e8, 8, 0.3)):
+                for stages in (0, 8):
+                    machine = masim.Machine(bw_model=bw, contention=contention,
+                                            fmac_stages=stages)
+                    for _ in range(12):
+                        n_arrays = int(rng.integers(1, 5))
+                        si, sj = (int(rng.choice([3, 4, 8])) for _ in range(2))
+                        hi = int(rng.choice([13, 65]))
+                        m, n, k = (int(rng.integers(1, hi)) for _ in range(3))
+                        shape = masim.ProblemShape(m, k, n)
+                        point = masim.DesignPoint(n_arrays, si, sj)
+                        few += shape.tile_count(si, sj) < 3 * n_arrays
+                        slow = None
+                        if rng.random() < 0.75:
+                            slow = {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+                                    for i in range(n_arrays)}
+                        for steal_on in (False, True):
+                            walks = len(alone)
+                            plain = masim.run_mpe(shape, point, machine, steal=steal_on,
+                                                  slowdowns=slow)
+                            traced = masim.run_mpe(shape, point, machine, steal=steal_on,
+                                                   slowdowns=slow, trace_path=path)
+                            for f in dataclasses.fields(masim.SimReport):
+                                assert getattr(plain, f.name) == getattr(traced, f.name), \
+                                    (f.name, shape, point, contention, bw, slow, steal_on)
+                            runs += 1
+                            split += len(alone) > walks
+                            steals += len(plain.steal_events) * (len(alone) > walks)
+        # runs, runs with an array of 1-2 tiles, runs split into the two
+        # phases, and the steals of those
+        assert (runs, few, split, steals) == (192, 29, 80, 70)
 
     def test_reports_and_traces_pinned(self, tmp_path):
         # A seeded sweep over both transfer regimes, ideal and finite
@@ -261,7 +292,7 @@ class TestErrorPaths:
     def test_rejects_bad_slowdowns(self):
         shape, point = masim.ProblemShape(8, 4, 8), masim.DesignPoint(2, 4)
         for slow in ({7: 3.0}, {-1: 2.0}, {0: -1.0}, {1: 0.0},
-                     {0: float("nan")}, {1: float("inf")}):
+                     {0: float("nan")}, {1: float("inf")}, {1.0: 2.0}, {0: "2"}):
             with pytest.raises(ValueError, match="slowdown"):
                 masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
 
