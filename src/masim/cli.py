@@ -358,8 +358,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InfeasibleBlockError, mac.CalibrationMissingError,
-            OSError, OverflowError, MemoryError) as exc:
+    except (CliError, InfeasibleBlockError, mac.CalibrationError,
+            mac.CalibrationMissingError, OSError, OverflowError, MemoryError) as exc:
+        # CalibrationError: a bandwidth model whose rate is not positive;
         # OSError: e.g. an --out or --trace path in a missing directory;
         # OverflowError: a makespan too long to count in cycles;
         # MemoryError: e.g. no room for the output or its reference

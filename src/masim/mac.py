@@ -26,7 +26,7 @@ ELEMENT_BYTES = 4
 
 
 class CalibrationError(ValueError):
-    """A bandwidth calibration violates a required property."""
+    """A bandwidth calibration or model violates a required property."""
 
 
 class CalibrationMissingError(LookupError):
@@ -169,7 +169,8 @@ def effective_bandwidth(model: BandwidthModel, n_arrays: int, block_rows: int) -
     """Achieved bytes/second for one array in the given configuration.
 
     The one lookup the model and the simulator both make; a rate that is
-    not positive (zero, negative or NaN) raises ValueError.
+    not positive (zero, negative or NaN, e.g. a parametric rate that
+    underflows at many arrays) raises CalibrationError.
     """
     if n_arrays < 1:
         raise ValueError("n_arrays must be >= 1")
@@ -177,5 +178,6 @@ def effective_bandwidth(model: BandwidthModel, n_arrays: int, block_rows: int) -
         raise ValueError("block_rows must be >= 1")
     bw = model.rate(n_arrays, block_rows)
     if not bw > 0:
-        raise ValueError(f"bandwidth must be positive, got {bw!r}")
+        raise CalibrationError(f"bandwidth at n_arrays={n_arrays}, "
+                               f"block_rows={block_rows} must be positive, got {bw!r}")
     return bw

@@ -30,28 +30,37 @@ rate, so contention emerges from the schedule instead of the model.
 Every padded tile moves the same bytes and is charged the same cycles
 (mac.block_bytes, mpe.block_charges), so each array's totals are its block
 count times one block's values; only busy_seconds is summed block by block.
-Reported time runs to the last write-back completion. The chain-drain of
-the final block (which the per-block cycle contract excludes, because
-every earlier drain overlaps the next block's compute) is reported
-separately in the per-array stats and in time_with_drain_seconds.
+Reported time runs to the last write-back completion, the latest time a
+port is free. The chain-drain of the final block (which the per-block
+cycle contract excludes, because every earlier drain overlaps the next
+block's compute) is reported separately in the per-array stats and in
+time_with_drain_seconds.
+
+The event loop's heap holds fetch ends and compute ends only. A
+write-back holds its port, but its end changes no state: an array can
+steal only once a compute end frees a buffer with its queue dry (or from
+the start, if dealt 0 or 1 tiles, and again at the next instant if one
+steal left a buffer free), and a refused steal stays refused, as queues
+only shrink. A traced run writes wb_done rows as it schedules write-backs.
 
 A run has two phases. In the per-array regime the arrays share no state
-until stealing can start, at h, the first compute end at which a queue
-runs dry (never, with stealing off). Up to h each array's schedule is a
-recurrence over its own tiles (_alone): its first two fetches at t = 0;
-each compute starts at the later of its fetch end and the previous
-compute end; each compute end puts its write-back and then the next
-fetch onto the array's port. The recurrence applies the loop's own float
-operations in the loop's order, so its times are the loop's bit for bit.
-At h each array's port, queue, fetched tiles, statistics and pending
-events go to the event loop, which runs unchanged from there. Pending
-events keep the loop's push order within each array; their order across
-arrays does not matter, because same-time events of different arrays
-touch different state, and arbitration waits until every event of an
-instant has been handled. h is t = 0, so the loop runs the whole
-schedule, under shared_port (one port from the start), when stealing is
-on and some array is dealt fewer than three tiles (its queue is dry after
-its first fetches), and when the trace is recorded.
+until stealing can start, at h, the first instant at which some array can
+steal (never, with stealing off): for an array dealt 0 or 1 tiles the
+run's first fetch end, the first instant the loop handles; for any other
+the compute end whose fetch empties its queue (the first, for 2 tiles).
+Up to h each array's schedule is a recurrence over its own tiles
+(_alone): its first two fetches at t = 0; each compute starts at the
+later of its fetch end and the previous compute end; each compute end
+puts its write-back and then the next fetch onto the array's port. The
+recurrence applies the loop's own float operations in the loop's order,
+so its times are the loop's bit for bit. At h each array's port, queue,
+fetched tiles, statistics, pending fetches and running compute go to the
+event loop, which runs unchanged from there. Pending events keep the
+loop's push order within each array; their order across arrays does not
+matter, because same-time events of different arrays touch different
+state, and arbitration waits until every event of an instant has been
+handled. The loop runs the whole schedule from t = 0 only under
+shared_port (one port from the start) and when the trace is recorded.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
@@ -165,8 +174,9 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
     """The schedule of run_mpe over one array per slow entry: each array
-    alone up to h, then the event loop (from t = 0 when h is); appends
-    (seconds, array, event, tile id) rows to trace unless it is None."""
+    alone up to h, then the event loop (from t = 0 under shared_port or
+    with a trace); appends (seconds, array, event, tile id) rows to trace
+    unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
@@ -194,8 +204,8 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     tracing = trace is not None
     heap: list = []                # (time, insertion sequence, kind, array, tile id)
     seq = 0                        # same-time events pop in insertion order
-    FETCH_DONE, COMPUTE_DONE, WB_DONE = 0, 1, 2    # each kind indexes its trace name
-    done_events = ("fetch_done", "compute_done", "wb_done")
+    FETCH_DONE, COMPUTE_DONE = 0, 1                # each kind indexes its trace name
+    done_events = ("fetch_done", "compute_done")
 
     def fetch(i: int, t: float, tile: int):
         # the first fetches and stolen tiles; the loop inlines its refills
@@ -208,16 +218,14 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         seq += 1
         heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    t = 0.0
-    if shared or tracing or steal and min(map(len, queues)) < 3:
-        # the arrays can interact from the start, or the trace is kept
+    if shared or tracing:
+        # the arrays share a port from the start, or the trace is kept
         for i, q in enumerate(queues):
             for _ in range(min(2, len(q))):
                 fetch(i, 0.0, q.popleft())
-        arbitrating = steal and not all(queues)     # stealing on and some queue dry
     else:
-        # No array can touch another before h, the first compute end at
-        # which a queue runs dry (never, with stealing off): each runs alone
+        # No array can touch another before h, the first instant at which
+        # an array can steal (never, with stealing off): each runs alone
         # up to h, and the loop takes over there with their pending events.
         h = math.inf
         alone = [None] * n_active
@@ -227,40 +235,33 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             alone[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
             h = min(h, alone[i][-1])
         for i, q in enumerate(queues):
-            k, port, last, f0, f1, w0, w1, _ = alone[i]
+            k, port, last, f0, f1, _ = alone[i]
             if k and last >= h:                 # went past h: walk again
-                k, port, last, f0, f1, w0, w1, _ = _alone(len(q), in_s, out_s,
-                                                          compute_s[i], h, steal)
+                k, port, last, f0, f1, _ = _alone(len(q), in_s, out_s, compute_s[i],
+                                                  h, steal)
             ports[i][0], last_end[i] = port, last
-            t = max(t, port)                    # the run's end if nothing is pending
             tiles = stats[i].tiles
             tiles.extend(islice(q, k))
             for tile in tiles:
                 executed[tile] = 1
             queues[i] = q = deque(islice(q, k, None))
-            ahead = [q.popleft() for _ in range(min(2, len(q)))]
-            resident[i] = len(ahead)
-            # the events still pending at h, in the order the loop pushed them
-            pending = [(w0, WB_DONE, tiles[-2])] if k > 1 else []
-            if ahead:
-                pending.append((f0, FETCH_DONE, ahead[0]))
-            if k:
-                pending.append((w1, WB_DONE, tiles[-1]))
-            if ahead[1:]:
-                pending.append((f1, FETCH_DONE, ahead[1]))
-            for end, kind, tile in pending:
+            # the fetches still pending at h, in the order the loop pushed
+            # them, then the compute running there
+            for end in (f0, f1)[:len(q)]:
+                resident[i] += 1
+                tile = q.popleft()
                 if end >= h:
                     seq += 1
-                    heappush(heap, (end, seq, kind, i, tile))
-                elif kind == FETCH_DONE:
+                    heappush(heap, (end, seq, FETCH_DONE, i, tile))
+                else:
                     fetched[i].append(tile)
             if fetched[i]:                      # computing since before h
                 seq += 1
                 heappush(heap, ((f0 if f0 > last else last) + compute_s[i],
-                                seq, COMPUTE_DONE, i, ahead[0]))
+                                seq, COMPUTE_DONE, i, fetched[i][0]))
         if executed.count(1) != sum(len(s.tiles) for s in stats):
             raise SimulationError("the deal gave a tile twice")
-        arbitrating = False
+    arbitrating = steal and not all(queues)     # stealing on and some queue dry
 
     while heap:
         t, _, kind, i, tile = heappop(heap)
@@ -274,11 +275,10 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             executed[tile] = 1
             p = ports[i]
             start = p[0] if p[0] > t else t
-            p[0] = end = start + out_s
+            p[0] = end = start + out_s     # no event: its end changes no state
             if tracing:
                 trace.append((start, i, "wb_start", tile))
-            seq += 1
-            heappush(heap, (end, seq, WB_DONE, i, tile))
+                trace.append((end, i, "wb_done", tile))
             resident[i] -= 1
             q = queues[i]
             while resident[i] < 2 and q:
@@ -294,12 +294,10 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
                     arbitrating = steal
             fetched[i].popleft()
             tile = fetched[i][0] if fetched[i] else -1
-        elif kind == FETCH_DONE:
+        else:
             fetched[i].append(tile)
             if len(fetched[i]) > 1:
                 tile = -1
-        else:
-            tile = -1
         if tile >= 0:              # array i starts computing tile now
             if tracing:
                 trace.append((t, i, "compute_start", tile))
@@ -326,7 +324,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         raise SimulationError(
             f"run ended with {executed.count(1)}/{tile_count} tiles executed")
 
-    time_seconds = t               # the last event: the latest write-back end
+    time_seconds = max(p[0] for p in ports)    # the latest write-back end
     # Every event, and so every trace row, lies within the makespan: one
     # check covers every seconds-to-cycles conversion of the run.
     if not math.isfinite(time_seconds * f_acc):
@@ -370,39 +368,33 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
     the array's port (which the write-back leaves free no earlier than the
     compute end).
 
-    Takes every compute end before h; with dry set it stops at the one
-    whose fetch empties the queue (count >= 3), the array's first chance
-    to steal. Returns (compute ends taken, which are the first tiles'; the
-    time the port is free; the last compute end taken, or 0.0; the fetch
-    ends of the next two tiles; the write-back ends of the last two tiles
-    taken, older first; the compute end that empties the queue, or inf).
-    The times of tiles that do not exist mean nothing.
+    Takes every compute end before h. With dry set it stops at the array's
+    first chance to steal: the run's first fetch end (in_s) if it was dealt
+    fewer than two tiles, else the compute end whose fetch empties its
+    queue (the first, for two tiles). Returns (compute ends taken, which
+    are the first tiles'; the time the port is free; the last compute end
+    taken, or 0.0; the fetch ends of the next two tiles; the first chance
+    to steal, or inf). The times of tiles that do not exist mean nothing.
     """
-    p = last = f0 = f1 = w0 = w1 = 0.0
+    p = last = f0 = f1 = 0.0
     if count:
         p = f0 = in_s
     if count > 1:
         p = f1 = p + in_s
-    fetching = max(0, count - 3 if dry else count - 2)
-    for k in range(fetching):
+    if dry and count < 2:
+        return 0, p, last, f0, f1, in_s
+    stop = max(count - 3, 0) if dry else count
+    for k in range(count):
         end = (f0 if f0 > last else last) + compute_s
+        if k == stop:
+            return k, p, last, f0, f1, end
         if end >= h:
-            return k, p, last, f0, f1, w0, w1, math.inf
+            return k, p, last, f0, f1, math.inf
         last = end
-        w0 = w1
-        p = w1 = (p if p > end else end) + out_s
-        p = p + in_s
-        f0, f1 = f1, p
-    if dry:
-        return fetching, p, last, f0, f1, w0, w1, (f0 if f0 > last else last) + compute_s
-    k = fetching
-    while k < count:               # the last two fetch nothing
-        end = (f0 if f0 > last else last) + compute_s
-        if end >= h:
-            break
-        last = end
-        w0 = w1
-        p = w1 = (p if p > end else end) + out_s
-        f0 = f1
-        k += 1
-    return k, p, last, f0, f1, w0, w1, math.inf
+        p = (p if p > end else end) + out_s
+        if k + 2 < count:          # the next fetch, once the write-back is on
+            p = p + in_s
+            f0, f1 = f1, p
+        else:                      # the last two fetch nothing
+            f0 = f1
+    return count, p, last, f0, f1, math.inf

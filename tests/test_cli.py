@@ -137,6 +137,10 @@ class TestInvalidFlags:
          "--bw-model", "parametric:1e-300,0,0", "--no-verify"),
         ("explore", "--preset", "conv-1", "--simulate",
          "--bw-model", "parametric:1e-300,0,0"),
+        # rates that underflow to zero at three or more arrays
+        ("run", "--shape", "2x2x2", "--np", "3", "--si", "1",
+         "--bw-model", "parametric:1,1,1e308", "--no-verify"),
+        ("explore", "--shape", "2x2x2", "--bw-model", "parametric:1,1,1e308"),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "table.csv").write_text("n_p,s_i,bytes_per_second\n1,64,1e9\n")
