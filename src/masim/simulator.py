@@ -43,24 +43,32 @@ the start, if dealt 0 or 1 tiles, and again at the next instant if one
 steal left a buffer free), and a refused steal stays refused, as queues
 only shrink. A traced run writes wb_done rows as it schedules write-backs.
 
-A run has two phases. In the per-array regime the arrays share no state
-until stealing can start, at h, the first instant at which some array can
-steal (never, with stealing off): for an array dealt 0 or 1 tiles the
-run's first fetch end, the first instant the loop handles; for any other
-the compute end whose fetch empties its queue (the first, for 2 tiles).
-Up to h each array's schedule is a recurrence over its own tiles
-(_alone): its first two fetches at t = 0; each compute starts at the
-later of its fetch end and the previous compute end; each compute end
-puts its write-back and then the next fetch onto the array's port. The
-recurrence applies the loop's own float operations in the loop's order,
-so its times are the loop's bit for bit. At h each array's port, queue,
-fetched tiles, statistics, pending fetches and running compute go to the
-event loop, which runs unchanged from there. Pending events keep the
-loop's push order within each array; their order across arrays does not
-matter, because same-time events of different arrays touch different
-state, and arbitration waits until every event of an instant has been
-handled. The loop runs the whole schedule from t = 0 only under
-shared_port (one port from the start) and when the trace is recorded.
+A run has two phases. Up to h, the first instant at which some array
+can steal (never, with stealing off), the schedule is a recurrence that
+applies the loop's own float operations in the loop's order, so its
+times are the loop's bit for bit: the first two fetches of each array at
+t = 0; each compute starts at the later of its fetch end and the
+previous compute end; each compute end puts its write-back and then the
+next fetch onto the port. h is, for an array dealt 0 or 1 tiles, the
+run's first fetch end; for any other, the compute end whose fetch
+empties its queue (the first, for 2 tiles). In the per-array regime the
+arrays share no state before h, so each walks its own tiles (_alone).
+Under shared_port one walk takes every array's compute ends in time
+order on the one port (_shared). At h each array's port, queue, fetched
+tiles, statistics, pending fetches and running compute go to the event
+loop, which runs unchanged from there.
+
+Pending events keep the loop's push order within each array. In the
+per-array regime their order across arrays does not matter: same-time
+events of different arrays touch different state, and arbitration waits
+until every event of an instant has been handled. On one port it does:
+the loop orders same-time events by insertion, and that order decides
+whose transfer the port serves first. So a shared-port walk that meets
+two arrays' compute ends at one instant, or hands over two pending events
+of one instant, is discarded; with distinct times any push order gives
+the loop's pop order. The loop runs the whole schedule from t = 0 only
+when the trace is recorded, on such a tie, and under shared_port when an
+array dealt 0 or 1 tiles can steal at once.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
@@ -81,7 +89,7 @@ import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 
 from . import mac, wqm
@@ -173,10 +181,11 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
-    """The schedule of run_mpe over one array per slow entry: each array
-    alone up to h, then the event loop (from t = 0 under shared_port or
-    with a trace); appends (seconds, array, event, tile id) rows to trace
-    unless it is None."""
+    """The schedule of run_mpe over one array per slow entry: a recurrence
+    up to h (_alone per array, or _shared on one port), then the event
+    loop. The loop runs from t = 0 with a trace, on a shared-port tie, or
+    when a shared-port array can steal at once. Appends (seconds, array,
+    event, tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
@@ -218,25 +227,34 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         seq += 1
         heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    if shared or tracing:
-        # the arrays share a port from the start, or the trace is kept
+    # Up to h, the first instant at which an array can steal (never, with
+    # stealing off), the schedule is a recurrence: each array's alone, or
+    # one merged walk of the shared port. The loop takes over at h with the
+    # walks' pending events.
+    h = math.inf
+    if tracing:
+        walks = None
+    elif shared:
+        walks = _shared([len(q) for q in queues], in_s, out_s, compute_s, steal)
+        if walks:
+            h = walks[0][-1]
+    else:
+        walks = [None] * n_active
+        # the deal gives the last arrays the fewest tiles, so at equal
+        # clocks the first walk finds h and no later one goes past it
+        for i in reversed(range(n_active)):
+            walks[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
+            h = min(h, walks[i][-1])
+    if walks is None:
+        # the trace is kept, a shared-port walk tied, or an array can steal
+        # at once: the loop runs from t = 0
         for i, q in enumerate(queues):
             for _ in range(min(2, len(q))):
                 fetch(i, 0.0, q.popleft())
     else:
-        # No array can touch another before h, the first instant at which
-        # an array can steal (never, with stealing off): each runs alone
-        # up to h, and the loop takes over there with their pending events.
-        h = math.inf
-        alone = [None] * n_active
-        # the deal gives the last arrays the fewest tiles, so at equal
-        # clocks the first walk finds h and no later one goes past it
-        for i in reversed(range(n_active)):
-            alone[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
-            h = min(h, alone[i][-1])
         for i, q in enumerate(queues):
-            k, port, last, f0, f1, _ = alone[i]
-            if k and last >= h:                 # went past h: walk again
+            k, port, last, f0, f1, _ = walks[i]
+            if k and last >= h:                 # _alone went past h: walk again
                 k, port, last, f0, f1, _ = _alone(len(q), in_s, out_s, compute_s[i],
                                                   h, steal)
             ports[i][0], last_end[i] = port, last
@@ -398,3 +416,66 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
         else:                      # the last two fetch nothing
             f0 = f1
     return count, p, last, f0, f1, math.inf
+
+
+def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float],
+            dry: bool):
+    """_alone for arrays of counts tiles on one shared port: every array's
+    compute ends in time order, with the loop's own float operations. The
+    first two fetches of each array in array order at t = 0; each compute
+    starts at the later of its fetch end and the previous compute end;
+    each compute end puts its write-back and then its refill fetch onto
+    the port.
+
+    With dry set it stops at h, the first compute end whose refill empties
+    a queue (or finds it empty, for two tiles). Returns one _alone tuple
+    per array, each ending in h (inf with dry unset), or None when the loop
+    must run from t = 0: an array dealt fewer than two tiles can steal at
+    once, two arrays' next compute ends tie, or two events pending at h
+    share a time. The loop orders same-time events by insertion, and on
+    one port that order sets the port's order; distinct times fix it.
+    """
+    n = len(counts)
+    if dry and min(counts) < 2:
+        return None
+    p = 0.0
+    f0, f1, last, taken = [0.0] * n, [0.0] * n, [0.0] * n, [0] * n
+    for i, count in enumerate(counts):     # the first fetches, in array order
+        if count:
+            p = f0[i] = p + in_s
+        if count > 1:
+            p = f1[i] = p + in_s
+    stop = [max(count - 3, 0) if dry else count for count in counts]
+    heap = [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
+    heapify(heap)
+    h = math.inf
+    while heap:
+        end, i = heap[0]
+        # another end equal to the least one makes a child of the root equal
+        if len(heap) > 1 and (heap[1][0] == end or len(heap) > 2 and heap[2][0] == end):
+            return None
+        k = taken[i]
+        if k == stop[i]:
+            h = end
+            break
+        last[i] = end
+        p = (p if p > end else end) + out_s
+        if k + 2 < counts[i]:      # the refill, once the write-back is on
+            p = p + in_s
+            f0[i], f1[i] = f1[i], p
+        else:
+            f0[i] = f1[i]
+        taken[i] = k = k + 1
+        if k < counts[i]:
+            heapreplace(heap, ((f0[i] if f0[i] > end else end) + compute_s[i], i))
+        else:
+            heappop(heap)
+    pending = []
+    for i, count in enumerate(counts):
+        fetches = (f0[i], f1[i])[:count - taken[i]]
+        pending += [f for f in fetches if f >= h]
+        if fetches and f0[i] < h:  # computing at h
+            pending.append((f0[i] if f0[i] > last[i] else last[i]) + compute_s[i])
+    if len(set(pending)) < len(pending):
+        return None
+    return [(taken[i], p, last[i], f0[i], f1[i], h) for i in range(n)]

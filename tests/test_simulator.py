@@ -132,6 +132,17 @@ def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **field
         return rep, list(csv.reader(fh))
 
 
+def logged_calls(monkeypatch, name):
+    """Wrap simulator.<name>; return the list its results are appended to."""
+    results, walk = [], getattr(simulator, name)
+
+    def logged(*args):
+        results.append(walk(*args))
+        return results[-1]
+    monkeypatch.setattr(simulator, name, logged)
+    return results
+
+
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path):
         (r0, t0), (r1, t1) = [traced_run(tmp_path / f"{i}.csv", slowdowns={1: 2.0})
@@ -147,25 +158,30 @@ class TestDeterminism:
         assert np.array_equal(assemble_run(r0, point, a, b), assemble_run(r1, point, a, b))
 
     def test_trace_path_changes_no_report_field(self, tmp_path, monkeypatch):
-        # A traced run keeps the event loop from t = 0; an untraced one runs
-        # each array alone until the arrays can interact, then the loop.
-        # Every report field agrees, in both transfer regimes, with ideal
-        # and finite bandwidth, pipelines of 0 and 8 stages, ragged grids on
-        # 1-4 arrays, arrays of 1-2 tiles, slowdowns, and stealing on and off.
-        # Every untraced per_array run walks the recurrence; no shared_port
-        # run and no traced run does.
-        alone = []
-        walk = simulator._alone
-        monkeypatch.setattr(simulator, "_alone",
-                            lambda *args: alone.append(1) or walk(*args))
+        # A traced run keeps the event loop from t = 0; an untraced one walks
+        # the recurrence until the arrays can interact, then the loop. Every
+        # report field agrees, in both transfer regimes, with ideal and
+        # finite bandwidth, a bandwidth at which a fetch adds less than half
+        # an ulp, a 1 Hz clock and 4 B/s port on which every time is a whole
+        # number of seconds (so compute ends tie while transfers take time,
+        # and the port's order matters), pipelines of 0 and 8 stages, ragged
+        # grids on 1-4 arrays, arrays of 1-2 tiles, no, equal and unequal
+        # slowdowns, and stealing on and off. Every untraced per_array run
+        # walks _alone; every untraced shared_port run walks _shared, which
+        # falls back on the loop from t = 0 only on a tie or when an array
+        # dealt fewer than two tiles can steal at once. No traced run walks.
+        walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
         rng = np.random.default_rng(29)
         path = tmp_path / "t.csv"
-        runs = few = 0
+        runs = few = walked = ties = 0
         for contention in ("per_array", "shared_port"):
-            for bw in (masim.IdealBandwidth(), masim.ParametricBandwidth(4e8, 8, 0.3)):
+            for bw, f_acc in ((masim.IdealBandwidth(), 2e8),
+                              (masim.ParametricBandwidth(4e8, 8, 0.3), 2e8),
+                              (masim.ParametricBandwidth(1e300, 0, 0), 2e8),
+                              (masim.ParametricBandwidth(4, 0, 0), 1.0)):
                 for stages in (0, 8):
                     machine = masim.Machine(bw_model=bw, contention=contention,
-                                            fmac_stages=stages)
+                                            fmac_stages=stages, f_acc=f_acc)
                     for _ in range(12):
                         n_arrays = int(rng.integers(1, 5))
                         si, sj = (int(rng.choice([3, 4, 8])) for _ in range(2))
@@ -173,26 +189,34 @@ class TestDeterminism:
                         m, n, k = (int(rng.integers(1, hi)) for _ in range(3))
                         shape = masim.ProblemShape(m, k, n)
                         point = masim.DesignPoint(n_arrays, si, sj)
+                        small = shape.tile_count(si, sj) < 2 * n_arrays
                         few += shape.tile_count(si, sj) < 3 * n_arrays
-                        slow = None
-                        if rng.random() < 0.75:
-                            slow = {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-                                    for i in range(n_arrays)}
+                        slow = [None, {i: 2.0 for i in range(n_arrays)},
+                                {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+                                 for i in range(n_arrays)}][int(rng.integers(3))]
                         for steal_on in (False, True):
-                            walks = len(alone)
+                            before = [len(log) for log in walks.values()]
                             plain = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                   slowdowns=slow)
-                            assert (len(alone) > walks) == (contention == "per_array")
-                            walks = len(alone)
+                            alone, shared = (log[n:] for log, n in
+                                             zip(walks.values(), before))
+                            if contention == "per_array":
+                                assert alone and not shared
+                            else:
+                                assert not alone and len(shared) == 1
+                                walked += shared[0] is not None
+                                ties += shared[0] is None and not (steal_on and small)
+                            before = [len(log) for log in walks.values()]
                             traced = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                    slowdowns=slow, trace_path=path)
-                            assert len(alone) == walks
+                            assert [len(log) for log in walks.values()] == before
                             for f in dataclasses.fields(masim.SimReport):
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
-        # runs, and runs with an array of 1-2 tiles
-        assert (runs, few) == (192, 29)
+        # runs, runs with an array of 1-2 tiles, and the untraced shared_port
+        # runs that walked _shared and that fell back on a tie
+        assert (runs, few, walked, ties) == (384, 92, 100, 50)
 
     def test_reports_and_traces_pinned(self, tmp_path):
         # A seeded sweep over both transfer regimes, ideal and finite
@@ -273,7 +297,45 @@ class TestSharedPort:
                                                masim.ParametricBandwidth(),
                                                contention="shared_port", **kwargs)
         assert np.array_equal(per_out, shared_out)
-        assert shared.time_seconds > 0
+        assert shared.time_seconds >= per.time_seconds > 0
+
+    @pytest.mark.parametrize("shape, point, slowdowns, stages, seconds", [
+        ((10, 2, 2), (2, 4, 1), None, 8, 94.0),
+        ((5, 2, 5), (3, 4, 1), {2: 3.0}, 0, 162.0),   # the tie is not the heap's first child
+    ])
+    def test_tie_falls_back_on_the_loop(self, tmp_path, monkeypatch, shape, point,
+                                        slowdowns, stages, seconds):
+        # On a 1 Hz clock and a 4 B/s port every time is a whole number of
+        # seconds, and here two arrays' compute ends meet at one instant.
+        # The loop serves them in the order it queued them, not in array
+        # order, so the walk gives way to the loop from t = 0.
+        results = logged_calls(monkeypatch, "_shared")
+        shape, point = masim.ProblemShape(*shape), masim.DesignPoint(*point)
+        machine = masim.Machine(bw_model=masim.ParametricBandwidth(4, 0, 0), f_acc=1.0,
+                                fmac_stages=stages, contention="shared_port")
+        plain = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns)
+        assert results == [None]
+        traced = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns,
+                               trace_path=tmp_path / "t.csv")
+        assert plain == traced and plain.time_seconds == seconds
+
+    def test_one_array_same_report(self):
+        # one array's port is the shared port: every report field agrees at
+        # the one-array explorer points of the 8 presets, stealing on and off
+        runs = 0
+        for m, depth, n in masim.LAYER_PRESETS.values():
+            shape = masim.ProblemShape(m, depth, n)
+            for entry in masim.explore(shape, masim.Machine()):
+                if entry.point.n_arrays > 1:
+                    continue
+                for steal_on in (False, True):
+                    per, shared = (masim.run_mpe(shape, entry.point,
+                                                 masim.Machine(contention=contention),
+                                                 steal=steal_on)
+                                   for contention in ("per_array", "shared_port"))
+                    assert per == shared, (shape, entry.point, steal_on)
+                    runs += 1
+        assert runs == 128
 
 
 class TestTraceOutput:
@@ -312,7 +374,8 @@ class TestErrorPaths:
                 masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
 
     # The loop's consistency guards, each tripped by a queue manager that
-    # breaks its contract.
+    # breaks its contract, in both transfer regimes (each hands the loop a
+    # walk's state at h).
     def test_tile_executed_twice(self, monkeypatch):
         def regrant(queues, needy, pointer, time_s, log):
             if not log:            # once, so a run without the guard ends
@@ -320,9 +383,10 @@ class TestErrorPaths:
             return pointer
         monkeypatch.setattr(wqm, "arbitrate", regrant)
         # one array, three tiles: it asks for work after tile 0 has run
-        with pytest.raises(masim.SimulationError, match="tile 0 executed twice"):
-            masim.run_mpe(masim.ProblemShape(12, 4, 4), masim.DesignPoint(1, 4),
-                          masim.Machine())
+        for contention in masim.mpe.CONTENTION_MODES:
+            with pytest.raises(masim.SimulationError, match="tile 0 executed twice"):
+                masim.run_mpe(masim.ProblemShape(12, 4, 4), masim.DesignPoint(1, 4),
+                              masim.Machine(contention=contention))
 
     def test_lost_tile(self, monkeypatch):
         deal = wqm.partition_workload
@@ -332,20 +396,23 @@ class TestErrorPaths:
             queues[0].pop()
             return queues
         monkeypatch.setattr(wqm, "partition_workload", drop_last)
-        with pytest.raises(masim.SimulationError,
-                           match="run ended with 5/6 tiles executed"):
-            masim.run_mpe(masim.ProblemShape(24, 4, 4), masim.DesignPoint(1, 4),
-                          masim.Machine())
+        for contention in masim.mpe.CONTENTION_MODES:
+            with pytest.raises(masim.SimulationError,
+                               match="run ended with 5/6 tiles executed"):
+                masim.run_mpe(masim.ProblemShape(24, 4, 4), masim.DesignPoint(1, 4),
+                              masim.Machine(contention=contention))
 
     def test_starved_array(self, monkeypatch):
         monkeypatch.setattr(wqm, "arbitrate",
                             lambda queues, needy, pointer, time_s, log: pointer)
         # array 1 runs its two tiles while the slow array 0 still queues a
         # third; denied a steal, array 1 runs dry with work left
-        with pytest.raises(masim.SimulationError, match="array starved"):
-            masim.run_mpe(masim.ProblemShape(20, 4, 4), masim.DesignPoint(2, 4),
-                          masim.Machine(bw_model=masim.IdealBandwidth()),
-                          slowdowns={0: 3.0})
+        for contention in masim.mpe.CONTENTION_MODES:
+            with pytest.raises(masim.SimulationError, match="array starved"):
+                masim.run_mpe(masim.ProblemShape(20, 4, 4), masim.DesignPoint(2, 4),
+                              masim.Machine(bw_model=masim.IdealBandwidth(),
+                                            contention=contention),
+                              slowdowns={0: 3.0})
 
     def test_more_queues_than_the_machine_can_field(self):
         shape = masim.ProblemShape(8, 4, 8)
