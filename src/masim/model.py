@@ -37,6 +37,7 @@ accumulator depth. For the default four base arrays of 64 PEs this yields
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import mac
@@ -145,13 +146,15 @@ def explore(shape: ProblemShape, machine: Machine,
             candidates=None) -> list[ExploreEntry]:
     """Rank all feasible design points for a problem shape, best first.
 
-    Only the points the bandwidth model can rate are ranked: a calibration
-    table may cover some array counts and not others, and a parametric
-    rate may underflow to zero at many arrays. Primary key: minimise the
+    Only the points the bandwidth model can rate, with finite bounds, are
+    ranked: a calibration table may cover some array counts and not others,
+    and a parametric rate may underflow to zero, or be so small that a
+    block's load is inf, at many arrays. Primary key: minimise the
     worst-case bound. Ties fall back to the best-case bound, then to fewer
     arrays, then to the smaller block. Raises InfeasibleBlockError when no
-    candidate is feasible, and the first point's mac.CalibrationMissingError
-    or mac.CalibrationError when it can rate no feasible point.
+    candidate is feasible, and the first point's mac.CalibrationMissingError,
+    mac.CalibrationError or OverflowError (bounds not finite) when it ranks
+    no feasible point.
     """
     points = feasible_points(machine, candidates)
     if not points:
@@ -160,8 +163,11 @@ def explore(shape: ProblemShape, machine: Machine,
     entries, unrated = [], None
     for p in points:
         try:
-            entries.append(ExploreEntry(p, bounds(shape, p, machine)))
-        except (mac.CalibrationMissingError, mac.CalibrationError) as exc:
+            estimate = bounds(shape, p, machine)
+            if not math.isfinite(estimate.upper_seconds):
+                raise OverflowError(f"the bounds at {p} are not finite")
+            entries.append(ExploreEntry(p, estimate))
+        except (mac.CalibrationMissingError, mac.CalibrationError, OverflowError) as exc:
             unrated = unrated or exc
     if not entries:
         raise unrated

@@ -49,14 +49,16 @@ applies the loop's own float operations in the loop's order, so its
 times are the loop's bit for bit: the first two fetches of each array at
 t = 0; each compute starts at the later of its fetch end and the
 previous compute end; each compute end puts its write-back and then the
-next fetch onto the port. h is, for an array dealt 0 or 1 tiles, the
-run's first fetch end; for any other, the compute end whose fetch
-empties its queue (the first, for 2 tiles). In the per-array regime the
-arrays share no state before h, so each walks its own tiles (_alone).
-Under shared_port one walk takes every array's compute ends in time
-order on the one port (_shared). At h each array's port, queue, fetched
-tiles, statistics, pending fetches and running compute go to the event
-loop, which runs unchanged from there.
+next fetch onto the port. h is the run's first fetch end if some array
+is dealt 0 or 1 tiles, else the first compute end after which an array
+holds one tile and queues none: its compute end count - 2, for count
+tiles dealt. In the per-array regime the arrays share no state before
+h, so each walks its own tiles (_alone). Under shared_port one walk
+takes every array's compute ends in time order on the one port
+(_shared). Either walk leaves each array's tiles computed before h, its
+port, its last compute end and the fetch ends of the (at most two) tiles
+it holds at h; one rule (_pending) turns those into the events pending
+at h, and the event loop runs unchanged from there.
 
 Pending events keep the loop's push order within each array. In the
 per-array regime their order across arrays does not matter: same-time
@@ -67,8 +69,7 @@ whose transfer the port serves first. So a shared-port walk that meets
 two arrays' compute ends at one instant, or hands over two pending events
 of one instant, is discarded; with distinct times any push order gives
 the loop's pop order. The loop runs the whole schedule from t = 0 only
-when the trace is recorded, on such a tie, and under shared_port when an
-array dealt 0 or 1 tiles can steal at once.
+when the trace is recorded or on such a tie.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
@@ -99,6 +100,9 @@ from .mpe import Machine, block_charges
 
 class SimulationError(RuntimeError):
     """Internal inconsistency: the event loop wedged or lost work."""
+
+
+FETCH_DONE, COMPUTE_DONE = 0, 1    # the event loop's kinds of event
 
 
 @dataclass
@@ -183,9 +187,9 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
     """The schedule of run_mpe over one array per slow entry: a recurrence
     up to h (_alone per array, or _shared on one port), then the event
-    loop. The loop runs from t = 0 with a trace, on a shared-port tie, or
-    when a shared-port array can steal at once. Appends (seconds, array,
-    event, tile id) rows to trace unless it is None."""
+    loop from the events _pending derives at h. The loop runs from t = 0
+    with a trace or on a shared-port tie. Appends (seconds, array, event,
+    tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
@@ -213,8 +217,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     tracing = trace is not None
     heap: list = []                # (time, insertion sequence, kind, array, tile id)
     seq = 0                        # same-time events pop in insertion order
-    FETCH_DONE, COMPUTE_DONE = 0, 1                # each kind indexes its trace name
-    done_events = ("fetch_done", "compute_done")
+    done_events = ("fetch_done", "compute_done")   # indexed by kind
 
     def fetch(i: int, t: float, tile: int):
         # the first fetches and stolen tiles; the loop inlines its refills
@@ -227,56 +230,43 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         seq += 1
         heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    # Up to h, the first instant at which an array can steal (never, with
-    # stealing off), the schedule is a recurrence: each array's alone, or
-    # one merged walk of the shared port. The loop takes over at h with the
-    # walks' pending events.
-    h = math.inf
-    if tracing:
-        walks = None
-    elif shared:
-        walks = _shared([len(q) for q in queues], in_s, out_s, compute_s, steal)
-        if walks:
-            h = walks[0][-1]
-    else:
+    # up to h, the first instant at which an array can steal, each array's
+    # recurrence or one merged walk of the shared port; the loop from there
+    h, walks = math.inf, None
+    if shared and not tracing:
+        h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s,
+                           steal) or (h, None)
+    elif not tracing:
         walks = [None] * n_active
         # the deal gives the last arrays the fewest tiles, so at equal
         # clocks the first walk finds h and no later one goes past it
         for i in reversed(range(n_active)):
             walks[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
             h = min(h, walks[i][-1])
+        for i, walk in enumerate(walks):
+            if walk[0] and walk[2] >= h:        # went past h: walk again
+                walk = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
+            k, port, last, ends, _ = walk
+            walks[i] = k, port, last, ends, _pending(ends, last, compute_s[i], h)
     if walks is None:
-        # the trace is kept, a shared-port walk tied, or an array can steal
-        # at once: the loop runs from t = 0
+        # the trace is kept or a shared-port walk tied: the loop runs from t = 0
         for i, q in enumerate(queues):
             for _ in range(min(2, len(q))):
                 fetch(i, 0.0, q.popleft())
     else:
-        for i, q in enumerate(queues):
-            k, port, last, f0, f1, _ = walks[i]
-            if k and last >= h:                 # _alone went past h: walk again
-                k, port, last, f0, f1, _ = _alone(len(q), in_s, out_s, compute_s[i],
-                                                  h, steal)
+        for i, (k, port, last, ends, events) in enumerate(walks):
             ports[i][0], last_end[i] = port, last
             tiles = stats[i].tiles
-            tiles.extend(islice(q, k))
+            tiles.extend(islice(queues[i], k))
             for tile in tiles:
                 executed[tile] = 1
-            queues[i] = q = deque(islice(q, k, None))
-            # the fetches still pending at h, in the order the loop pushed
-            # them, then the compute running there
-            for end in (f0, f1)[:len(q)]:
-                resident[i] += 1
-                tile = q.popleft()
-                if end >= h:
-                    seq += 1
-                    heappush(heap, (end, seq, FETCH_DONE, i, tile))
-                else:
-                    fetched[i].append(tile)
-            if fetched[i]:                      # computing since before h
+            queues[i] = q = deque(islice(queues[i], k, None))
+            held = [q.popleft() for _ in ends]
+            resident[i] = len(held)
+            fetched[i].extend(tile for tile, end in zip(held, ends) if end < h)
+            for end, kind, j in events:
                 seq += 1
-                heappush(heap, ((f0 if f0 > last else last) + compute_s[i],
-                                seq, COMPUTE_DONE, i, fetched[i][0]))
+                heappush(heap, (end, seq, kind, i, held[j]))
         if executed.count(1) != sum(len(s.tiles) for s in stats):
             raise SimulationError("the deal gave a tile twice")
     arbitrating = steal and not all(queues)     # stealing on and some queue dry
@@ -388,11 +378,11 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
 
     Takes every compute end before h. With dry set it stops at the array's
     first chance to steal: the run's first fetch end (in_s) if it was dealt
-    fewer than two tiles, else the compute end whose fetch empties its
-    queue (the first, for two tiles). Returns (compute ends taken, which
-    are the first tiles'; the time the port is free; the last compute end
-    taken, or 0.0; the fetch ends of the next two tiles; the first chance
-    to steal, or inf). The times of tiles that do not exist mean nothing.
+    fewer than two tiles, else its compute end count - 2, after which it
+    holds one tile and queues none. Returns (compute ends taken, which are
+    the first tiles'; the time the port is free; the last compute end
+    taken, or 0.0; the fetch ends of the tiles held after them, at most
+    two; the first chance to steal, or inf).
     """
     p = last = f0 = f1 = 0.0
     if count:
@@ -400,14 +390,12 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
     if count > 1:
         p = f1 = p + in_s
     if dry and count < 2:
-        return 0, p, last, f0, f1, in_s
-    stop = max(count - 3, 0) if dry else count
+        return 0, p, last, (f0, f1)[:count], in_s
+    stop = count - 2 if dry else count
     for k in range(count):
         end = (f0 if f0 > last else last) + compute_s
-        if k == stop:
-            return k, p, last, f0, f1, end
-        if end >= h:
-            return k, p, last, f0, f1, math.inf
+        if k == stop or end >= h:
+            return k, p, last, (f0, f1)[:count - k], end if k == stop else math.inf
         last = end
         p = (p if p > end else end) + out_s
         if k + 2 < count:          # the next fetch, once the write-back is on
@@ -415,7 +403,7 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
             f0, f1 = f1, p
         else:                      # the last two fetch nothing
             f0 = f1
-    return count, p, last, f0, f1, math.inf
+    return count, p, last, (), math.inf
 
 
 def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float],
@@ -427,17 +415,16 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
     each compute end puts its write-back and then its refill fetch onto
     the port.
 
-    With dry set it stops at h, the first compute end whose refill empties
-    a queue (or finds it empty, for two tiles). Returns one _alone tuple
-    per array, each ending in h (inf with dry unset), or None when the loop
-    must run from t = 0: an array dealt fewer than two tiles can steal at
-    once, two arrays' next compute ends tie, or two events pending at h
+    With dry set it stops at h, as _alone does: the run's first fetch end
+    if an array was dealt fewer than two tiles, else the first compute end
+    count - 2 of any array. Returns h (inf with dry unset) and one
+    (compute ends taken, port free, last compute end, held fetch ends,
+    _pending events) tuple per array, or None when the loop must run from
+    t = 0: two arrays' next compute ends tie, or two events pending at h
     share a time. The loop orders same-time events by insertion, and on
     one port that order sets the port's order; distinct times fix it.
     """
     n = len(counts)
-    if dry and min(counts) < 2:
-        return None
     p = 0.0
     f0, f1, last, taken = [0.0] * n, [0.0] * n, [0.0] * n, [0] * n
     for i, count in enumerate(counts):     # the first fetches, in array order
@@ -445,10 +432,11 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             p = f0[i] = p + in_s
         if count > 1:
             p = f1[i] = p + in_s
-    stop = [max(count - 3, 0) if dry else count for count in counts]
-    heap = [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
+    stop = [count - 2 if dry else count for count in counts]
+    few = dry and min(counts) < 2          # an array can steal at the first fetch end
+    h = in_s if few else math.inf
+    heap = [] if few else [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
     heapify(heap)
-    h = math.inf
     while heap:
         end, i = heap[0]
         # another end equal to the least one makes a child of the root equal
@@ -470,12 +458,21 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             heapreplace(heap, ((f0[i] if f0[i] > end else end) + compute_s[i], i))
         else:
             heappop(heap)
-    pending = []
-    for i, count in enumerate(counts):
-        fetches = (f0[i], f1[i])[:count - taken[i]]
-        pending += [f for f in fetches if f >= h]
-        if fetches and f0[i] < h:  # computing at h
-            pending.append((f0[i] if f0[i] > last[i] else last[i]) + compute_s[i])
-    if len(set(pending)) < len(pending):
+    ends = [(f0[i], f1[i])[:count - taken[i]] for i, count in enumerate(counts)]
+    walks = [(taken[i], p, last[i], ends[i], _pending(ends[i], last[i], compute_s[i], h))
+             for i in range(n)]
+    times = [t for walk in walks for t, _, _ in walk[-1]]
+    if len(set(times)) < len(times):
         return None
-    return [(taken[i], p, last[i], f0[i], f1[i], h) for i in range(n)]
+    return h, walks
+
+
+def _pending(ends: tuple, last: float, compute_s: float, h: float) -> list:
+    """The events of one walked array pending at h, given the fetch ends of
+    the tiles it holds and its last compute end, in the order the loop
+    pushed them, as (time, kind, j) for its j-th held tile: the fetches
+    that end at or after h, then the compute running at h."""
+    events = [(end, FETCH_DONE, j) for j, end in enumerate(ends) if end >= h]
+    if ends and ends[0] < h:
+        events.append(((ends[0] if ends[0] > last else last) + compute_s, COMPUTE_DONE, 0))
+    return events

@@ -140,6 +140,8 @@ class TestInvalidFlags:
         # a rate that underflows to zero at three or more arrays
         ("run", "--shape", "2x2x2", "--np", "3", "--si", "1",
          "--bw-model", "parametric:1,1,1e308", "--no-verify"),
+        # no point has finite bounds
+        ("explore", "--shape", "8x8x8", "--freq", "5e-324"),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         (tmp_path / "table.csv").write_text("n_p,s_i,bytes_per_second\n1,64,1e9\n")
@@ -147,13 +149,14 @@ class TestInvalidFlags:
 
     def test_explore_ranks_only_the_points_it_can_rate(self, tmp_path):
         # the rate underflows to zero at three or more arrays, as in the run
-        # above; the 1- and 2-array points are still ranked
+        # above, and at two a block's load is inf; the 1-array points are
+        # still ranked and simulated
         out = tmp_path / "t.csv"
         assert run_cli("explore", "--shape", "2x2x2", "--bw-model",
-                       "parametric:1,1,1e308", "--out", str(out)) == 0
+                       "parametric:1,1,1e308", "--simulate", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             counts = {int(row["n_arrays"]) for row in csv.DictReader(fh)}
-        assert counts == {1, 2}
+        assert counts == {1}
 
     @pytest.mark.parametrize("rows", [
         "1,64,1e9\n1,128,2e9\n",      # no row for the 2 arrays asked for

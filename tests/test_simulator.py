@@ -1,10 +1,14 @@
 import csv
 import dataclasses
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assemble_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import masim
 from masim import cli, simulator, wqm
@@ -168,8 +172,9 @@ class TestDeterminism:
         # grids on 1-4 arrays, arrays of 1-2 tiles, no, equal and unequal
         # slowdowns, and stealing on and off. Every untraced per_array run
         # walks _alone; every untraced shared_port run walks _shared, which
-        # falls back on the loop from t = 0 only on a tie or when an array
-        # dealt fewer than two tiles can steal at once. No traced run walks.
+        # falls back on the loop from t = 0 only on a tie: two done events
+        # at one instant, which the traced twin's trace then shows in one
+        # cycle. No traced run walks: each runs the loop from t = 0.
         walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
         rng = np.random.default_rng(29)
         path = tmp_path / "t.csv"
@@ -189,7 +194,6 @@ class TestDeterminism:
                         m, n, k = (int(rng.integers(1, hi)) for _ in range(3))
                         shape = masim.ProblemShape(m, k, n)
                         point = masim.DesignPoint(n_arrays, si, sj)
-                        small = shape.tile_count(si, sj) < 2 * n_arrays
                         few += shape.tile_count(si, sj) < 3 * n_arrays
                         slow = [None, {i: 2.0 for i in range(n_arrays)},
                                 {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
@@ -205,18 +209,51 @@ class TestDeterminism:
                             else:
                                 assert not alone and len(shared) == 1
                                 walked += shared[0] is not None
-                                ties += shared[0] is None and not (steal_on and small)
+                                ties += shared[0] is None
                             before = [len(log) for log in walks.values()]
                             traced = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                    slowdowns=slow, trace_path=path)
                             assert [len(log) for log in walks.values()] == before
+                            if contention == "shared_port" and shared[0] is None:
+                                with open(path, newline="") as fh:
+                                    done = [row[0] for row in csv.reader(fh)
+                                            if row[2] in ("fetch_done", "compute_done")]
+                                assert len(set(done)) < len(done)
                             for f in dataclasses.fields(masim.SimReport):
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
         # runs, runs with an array of 1-2 tiles, and the untraced shared_port
         # runs that walked _shared and that fell back on a tie
-        assert (runs, few, walked, ties) == (384, 92, 100, 50)
+        assert (runs, few, walked, ties) == (384, 92, 137, 55)
+
+    # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
+    # and a 4 B/s port) on which compute ends and transfers tie; ragged
+    # grids on 1-4 arrays, slowdowns (all 1.0 among them) and stealing on
+    # and off
+    @given(contention=st.sampled_from(masim.mpe.CONTENTION_MODES),
+           machine=st.sampled_from([(masim.IdealBandwidth(), 2e8),
+                                    (masim.ParametricBandwidth(4e8, 8, 0.3), 2e8),
+                                    (masim.ParametricBandwidth(4, 0, 0), 1.0)]),
+           stages=st.sampled_from([0, 8]), n_arrays=st.integers(1, 4),
+           block=st.tuples(*[st.sampled_from([1, 3, 4, 8])] * 2),
+           mkn=st.tuples(st.integers(1, 48), st.integers(1, 16), st.integers(1, 48)),
+           factors=st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=4, max_size=4),
+           steal_on=st.booleans())
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_untraced_report_equals_traced(self, contention, machine, stages, n_arrays,
+                                           block, mkn, factors, steal_on):
+        bw, f_acc = machine
+        machine = masim.Machine(bw_model=bw, contention=contention, fmac_stages=stages,
+                                f_acc=f_acc)
+        m, k, n = mkn
+        shape, point = masim.ProblemShape(m, k, n), masim.DesignPoint(n_arrays, *block)
+        slow = dict(enumerate(factors[:n_arrays]))
+        plain = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow)
+        with tempfile.TemporaryDirectory() as tmp:
+            traced = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow,
+                                   trace_path=Path(tmp) / "t.csv")
+        assert plain == traced
 
     def test_reports_and_traces_pinned(self, tmp_path):
         # A seeded sweep over both transfer regimes, ideal and finite
@@ -318,6 +355,28 @@ class TestSharedPort:
         traced = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns,
                                trace_path=tmp_path / "t.csv")
         assert plain == traced and plain.time_seconds == seconds
+
+    def test_few_tile_arrays_hand_over(self, tmp_path, monkeypatch):
+        # An explorer point can deal an array fewer than two tiles; it can
+        # steal at the run's first fetch end. The untraced run still walks
+        # _shared up to there, taking no compute end, and hands over to the
+        # loop; every report field agrees with the traced twin's.
+        results = logged_calls(monkeypatch, "_shared")
+        machine = masim.Machine(contention="shared_port")
+        runs = 0
+        for m, depth, n in masim.LAYER_PRESETS.values():
+            shape = masim.ProblemShape(m, depth, n)
+            for entry in masim.explore(shape, machine):
+                point = entry.point
+                if shape.tile_count(point.block_rows, point.block_cols) >= 2 * point.n_arrays:
+                    continue
+                plain = masim.run_mpe(shape, point, machine)
+                assert results[-1] is not None, (shape, point)
+                assert [walk[0] for walk in results[-1][1]] == [0] * point.n_arrays
+                traced = masim.run_mpe(shape, point, machine, trace_path=tmp_path / "t.csv")
+                assert plain == traced, (shape, point)
+                runs += 1
+        assert runs == 6
 
     def test_one_array_same_report(self):
         # one array's port is the shared port: every report field agrees at
