@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -165,6 +164,7 @@ def oracle_skip_reason(args, shape: model.ProblemShape) -> str | None:
 
 
 def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> dict:
+    # vars: a dataclass's fields in order, shallow (dataclasses.asdict deep-copies)
     return {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": {
@@ -183,7 +183,7 @@ def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> di
             "contention": machine.contention,
             "numerics": "exact",
         },
-        "estimate": dataclasses.asdict(estimate)
+        "estimate": vars(estimate)
         | {"peak_gflops": machine.peak_gflops},
         "sim": {
             "time_seconds": sim.time_seconds,
@@ -192,8 +192,8 @@ def report_dict(args, machine, label, shape, point, estimate, sim, checks) -> di
             "gflops": sim.gflops,
             "tile_count": sim.tile_count,
         },
-        "arrays": [dataclasses.asdict(s) for s in sim.arrays],
-        "steal_events": [dataclasses.asdict(e) for e in sim.steal_events],
+        "arrays": [vars(s) for s in sim.arrays],
+        "steal_events": [vars(e) for e in sim.steal_events],
         "checks": checks,
     }
 
@@ -249,7 +249,7 @@ def cmd_explore(args) -> int:
             "n_arrays": entry.point.n_arrays,
             "block_rows": entry.point.block_rows,
             "block_cols": entry.point.block_cols,
-            **dataclasses.asdict(entry.estimate),
+            **vars(entry.estimate),
         }
         if args.simulate:
             sim = run_mpe(shape, entry.point, machine, steal=not args.no_steal)

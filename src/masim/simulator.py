@@ -37,39 +37,38 @@ block's compute) is reported separately in the per-array stats and in
 time_with_drain_seconds.
 
 The event loop's heap holds fetch ends and compute ends only. A
-write-back holds its port, but its end changes no state: an array can
-steal only once a compute end frees a buffer with its queue dry (or from
-the start, if dealt 0 or 1 tiles, and again at the next instant if one
-steal left a buffer free), and a refused steal stays refused, as queues
-only shrink. A traced run writes wb_done rows as it schedules write-backs.
+write-back holds its port, but its end changes no state: an array asks
+for work only while its queue is dry and it holds fewer than two tiles,
+and a refused steal stays refused, as queues only shrink. A traced run
+writes wb_done rows as it schedules write-backs.
 
-A run has two phases. Up to h, the first instant at which some array
-can steal (never, with stealing off), the schedule is a recurrence that
-applies the loop's own float operations in the loop's order, so its
-times are the loop's bit for bit: the first two fetches of each array at
-t = 0; each compute starts at the later of its fetch end and the
-previous compute end; each compute end puts its write-back and then the
-next fetch onto the port. h is the run's first fetch end if some array
-is dealt 0 or 1 tiles, else the first compute end after which an array
-holds one tile and queues none: its compute end count - 2, for count
-tiles dealt. In the per-array regime the arrays share no state before
-h, so each walks its own tiles (_alone). Under shared_port one walk
-takes every array's compute ends in time order on the one port
-(_shared). Either walk leaves each array's tiles computed before h, its
-port, its last compute end and the fetch ends of the (at most two) tiles
-it holds at h; one rule (_pending) turns those into the events pending
-at h, and the event loop runs unchanged from there.
+The walks schedule a run up to its first steal (all of it, if it never
+steals) by a recurrence that applies the loop's own float operations in
+the loop's order, so its times are the loop's bit for bit: the first two
+fetches of each array at t = 0; each compute starts at the later of its
+fetch end and the previous compute end; each compute end puts its
+write-back and then the next fetch onto the port. An array dealt count
+tiles takes its last queued tile at its compute end count - 3 and asks
+for work from its compute end count - 2. The deal's counts differ by at
+most one, so if it deals an array fewer than two tiles, every queue is
+dry after the first fetches and the run never steals.
 
-Pending events keep the loop's push order within each array. In the
-per-array regime their order across arrays does not matter: same-time
-events of different arrays touch different state, and arbitration waits
-until every event of an instant has been handled. On one port it does:
-the loop orders same-time events by insertion, and that order decides
-whose transfer the port serves first. So a shared-port walk that meets
-two arrays' compute ends at one instant, or hands over two pending events
-of one instant, is discarded; with distinct times any push order gives
-the loop's pop order. The loop runs the whole schedule from t = 0 only
-when the trace is recorded or on such a tie.
+In the per-array regime each array walks its whole run alone (_alone),
+and the run steals exactly when the least compute end count - 2 is
+earlier than the greatest compute end count - 3; only unequal clocks
+(slowdowns) bring that about, and such a run takes the loop from t = 0.
+Under shared_port one walk takes every array's compute ends in time
+order on the one port (_shared) and stops at the first compute end
+count - 2 that finds a tile still queued: the first steal. The fetches
+and the compute running there become the loop's pending events, in the
+loop's push order within each array, and the loop runs unchanged from
+there. Across arrays the order matters on one port: the loop orders
+same-time events by insertion, and that order decides whose transfer the
+port serves first. So a walk that meets two arrays' compute ends at one
+instant, or hands over two pending events of one instant, is discarded;
+with distinct times any push order gives the loop's pop order. The loop
+runs the whole schedule from t = 0 only when the trace is recorded, on
+such a tie, or when a per-array run steals.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
@@ -186,10 +185,11 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
     """The schedule of run_mpe over one array per slow entry: a recurrence
-    up to h (_alone per array, or _shared on one port), then the event
-    loop from the events _pending derives at h. The loop runs from t = 0
-    with a trace or on a shared-port tie. Appends (seconds, array, event,
-    tile id) rows to trace unless it is None."""
+    up to the run's first steal (_alone per array, or _shared on one
+    port), then the event loop from the events pending there. The loop
+    runs from t = 0 with a trace, on a shared-port tie, or when a
+    per-array run steals. Appends (seconds, array, event, tile id) rows to
+    trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     shared = machine.contention == "shared_port"
@@ -230,26 +230,21 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         seq += 1
         heappush(heap, (end, seq, FETCH_DONE, i, tile))
 
-    # up to h, the first instant at which an array can steal, each array's
-    # recurrence or one merged walk of the shared port; the loop from there
+    # the walks up to the run's first steal, the loop from there
     h, walks = math.inf, None
     if shared and not tracing:
         h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s,
                            steal) or (h, None)
     elif not tracing:
-        walks = [None] * n_active
-        # the deal gives the last arrays the fewest tiles, so at equal
-        # clocks the first walk finds h and no later one goes past it
-        for i in reversed(range(n_active)):
-            walks[i] = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
-            h = min(h, walks[i][-1])
-        for i, walk in enumerate(walks):
-            if walk[0] and walk[2] >= h:        # went past h: walk again
-                walk = _alone(len(queues[i]), in_s, out_s, compute_s[i], h, steal)
-            k, port, last, ends, _ = walk
-            walks[i] = k, port, last, ends, _pending(ends, last, compute_s[i], h)
+        alone = [_alone(len(q), in_s, out_s, c) for q, c in zip(queues, compute_s)]
+        # a run steals if an array asks for work (from its compute end
+        # count - 2) before another's queue is dry (at its compute end
+        # count - 3); it then runs the loop from t = 0
+        if not steal or min(a[3] for a in alone) >= max(a[2] for a in alone):
+            walks = [(len(q), port, last, (), ())
+                     for q, (port, last, _, _) in zip(queues, alone)]
     if walks is None:
-        # the trace is kept or a shared-port walk tied: the loop runs from t = 0
+        # a kept trace, a shared-port tie or a per-array steal: the loop from t = 0
         for i, q in enumerate(queues):
             for _ in range(min(2, len(q))):
                 fetch(i, 0.0, q.popleft())
@@ -366,63 +361,55 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     )
 
 
-def _alone(count: int, in_s: float, out_s: float, compute_s: float, h: float,
-           dry: bool):
-    """The compute ends of one array over count tiles, taken in the order
-    the event loop reaches them while no other array can touch it, with
-    the loop's own float operations: the first two fetches at t = 0; each
-    compute starts at the later of its fetch end and the previous compute
-    end; each compute end puts its write-back and then the next fetch onto
-    the array's port (which the write-back leaves free no earlier than the
-    compute end).
+def _alone(count: int, in_s: float, out_s: float, compute_s: float):
+    """The schedule of one array over count tiles while no other array
+    touches it, with the event loop's own float operations: the first two
+    fetches at t = 0; each compute starts at the later of its fetch end and
+    the previous compute end; each compute end puts its write-back and then
+    the next fetch onto the array's port (which the write-back leaves free
+    no earlier than the compute end).
 
-    Takes every compute end before h. With dry set it stops at the array's
-    first chance to steal: the run's first fetch end (in_s) if it was dealt
-    fewer than two tiles, else its compute end count - 2, after which it
-    holds one tile and queues none. Returns (compute ends taken, which are
-    the first tiles'; the time the port is free; the last compute end
-    taken, or 0.0; the fetch ends of the tiles held after them, at most
-    two; the first chance to steal, or inf).
+    Returns (port, last, dry, needy): the time the port is free, the last
+    compute end, the compute end count - 3, whose refill takes the last
+    queued tile, and the compute end count - 2, from which the array asks
+    for work. dry and needy are 0.0 for an array dealt too few tiles to
+    have them: its queue is dry from the start.
     """
-    p = last = f0 = f1 = 0.0
+    p = last = f0 = f1 = dry = needy = 0.0
     if count:
         p = f0 = in_s
     if count > 1:
         p = f1 = p + in_s
-    if dry and count < 2:
-        return 0, p, last, (f0, f1)[:count], in_s
-    stop = count - 2 if dry else count
     for k in range(count):
-        end = (f0 if f0 > last else last) + compute_s
-        if k == stop or end >= h:
-            return k, p, last, (f0, f1)[:count - k], end if k == stop else math.inf
-        last = end
-        p = (p if p > end else end) + out_s
+        dry, needy = needy, last   # at the end: the compute ends count - 3 and count - 2
+        last = (f0 if f0 > last else last) + compute_s
+        p = (p if p > last else last) + out_s
         if k + 2 < count:          # the next fetch, once the write-back is on
             p = p + in_s
             f0, f1 = f1, p
         else:                      # the last two fetch nothing
             f0 = f1
-    return count, p, last, (), math.inf
+    return p, last, dry, needy
 
 
 def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float],
-            dry: bool):
-    """_alone for arrays of counts tiles on one shared port: every array's
-    compute ends in time order, with the loop's own float operations. The
-    first two fetches of each array in array order at t = 0; each compute
-    starts at the later of its fetch end and the previous compute end;
-    each compute end puts its write-back and then its refill fetch onto
-    the port.
+            steal: bool):
+    """_alone for arrays of counts tiles on one shared port, up to the
+    run's first steal: every array's compute ends in time order, with the
+    loop's own float operations. The first two fetches of each array in
+    array order at t = 0; each compute starts at the later of its fetch
+    end and the previous compute end; each compute end puts its write-back
+    and then its refill fetch onto the port.
 
-    With dry set it stops at h, as _alone does: the run's first fetch end
-    if an array was dealt fewer than two tiles, else the first compute end
-    count - 2 of any array. Returns h (inf with dry unset) and one
-    (compute ends taken, port free, last compute end, held fetch ends,
-    _pending events) tuple per array, or None when the loop must run from
-    t = 0: two arrays' next compute ends tie, or two events pending at h
-    share a time. The loop orders same-time events by insertion, and on
-    one port that order sets the port's order; distinct times fix it.
+    The walk stops at the first compute end count - 2 of an array (from
+    which it asks for work) while some tile is still queued, and otherwise
+    walks to the end. Returns that instant h (inf if the run never
+    steals) and one (compute ends taken, port free, last compute end, held
+    fetch ends, pending events) tuple per array, or None when the loop
+    must run from t = 0: two arrays' next compute ends tie, or two events
+    pending at h share a time. The loop orders same-time events by
+    insertion, and on one port that order sets the port's order; distinct
+    times fix it.
     """
     n = len(counts)
     p = 0.0
@@ -432,10 +419,10 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             p = f0[i] = p + in_s
         if count > 1:
             p = f1[i] = p + in_s
-    stop = [count - 2 if dry else count for count in counts]
-    few = dry and min(counts) < 2          # an array can steal at the first fetch end
-    h = in_s if few else math.inf
-    heap = [] if few else [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
+    # the tiles still queued; counted from zero with stealing off, so never positive
+    queued = sum(max(count - 2, 0) for count in counts) if steal else 0
+    h = math.inf
+    heap = [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
     heapify(heap)
     while heap:
         end, i = heap[0]
@@ -443,7 +430,7 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
         if len(heap) > 1 and (heap[1][0] == end or len(heap) > 2 and heap[2][0] == end):
             return None
         k = taken[i]
-        if k == stop[i]:
+        if queued > 0 and k == counts[i] - 2:
             h = end
             break
         last[i] = end
@@ -451,6 +438,7 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
         if k + 2 < counts[i]:      # the refill, once the write-back is on
             p = p + in_s
             f0[i], f1[i] = f1[i], p
+            queued -= 1
         else:
             f0[i] = f1[i]
         taken[i] = k = k + 1
@@ -458,21 +446,17 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             heapreplace(heap, ((f0[i] if f0[i] > end else end) + compute_s[i], i))
         else:
             heappop(heap)
-    ends = [(f0[i], f1[i])[:count - taken[i]] for i, count in enumerate(counts)]
-    walks = [(taken[i], p, last[i], ends[i], _pending(ends[i], last[i], compute_s[i], h))
-             for i in range(n)]
-    times = [t for walk in walks for t, _, _ in walk[-1]]
+    walks, times = [], []
+    for i, count in enumerate(counts):
+        # the events pending at h in the loop's push order: the fetches that
+        # end at or after h, then the compute running at h
+        ends = (f0[i], f1[i])[:count - taken[i]]
+        events = [(end, FETCH_DONE, j) for j, end in enumerate(ends) if end >= h]
+        if ends and ends[0] < h:
+            events.append(((ends[0] if ends[0] > last[i] else last[i]) + compute_s[i],
+                           COMPUTE_DONE, 0))
+        walks.append((taken[i], p, last[i], ends, events))
+        times += [t for t, _, _ in events]
     if len(set(times)) < len(times):
         return None
     return h, walks
-
-
-def _pending(ends: tuple, last: float, compute_s: float, h: float) -> list:
-    """The events of one walked array pending at h, given the fetch ends of
-    the tiles it holds and its last compute end, in the order the loop
-    pushed them, as (time, kind, j) for its j-th held tile: the fetches
-    that end at or after h, then the compute running at h."""
-    events = [(end, FETCH_DONE, j) for j, end in enumerate(ends) if end >= h]
-    if ends and ends[0] < h:
-        events.append(((ends[0] if ends[0] > last else last) + compute_s, COMPUTE_DONE, 0))
-    return events

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import math
 import tempfile
 from pathlib import Path
 
@@ -163,7 +164,7 @@ class TestDeterminism:
 
     def test_trace_path_changes_no_report_field(self, tmp_path, monkeypatch):
         # A traced run keeps the event loop from t = 0; an untraced one walks
-        # the recurrence until the arrays can interact, then the loop. Every
+        # the recurrence up to the run's first steal, then the loop. Every
         # report field agrees, in both transfer regimes, with ideal and
         # finite bandwidth, a bandwidth at which a fetch adds less than half
         # an ulp, a 1 Hz clock and 4 B/s port on which every time is a whole
@@ -174,8 +175,11 @@ class TestDeterminism:
         # walks _alone; every untraced shared_port run walks _shared, which
         # falls back on the loop from t = 0 only on a tie: two done events
         # at one instant, which the traced twin's trace then shows in one
-        # cycle. No traced run walks: each runs the loop from t = 0.
+        # cycle. A walked run pushes a loop event exactly when it steals,
+        # and _shared stops at the first steal. No traced run walks: each
+        # runs the loop from t = 0.
         walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
+        pushes = logged_calls(monkeypatch, "heappush")
         rng = np.random.default_rng(29)
         path = tmp_path / "t.csv"
         runs = few = walked = ties = 0
@@ -200,16 +204,22 @@ class TestDeterminism:
                                  for i in range(n_arrays)}][int(rng.integers(3))]
                         for steal_on in (False, True):
                             before = [len(log) for log in walks.values()]
+                            del pushes[:]
                             plain = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                   slowdowns=slow)
                             alone, shared = (log[n:] for log, n in
                                              zip(walks.values(), before))
+                            steals = plain.steal_events
                             if contention == "per_array":
                                 assert alone and not shared
                             else:
                                 assert not alone and len(shared) == 1
                                 walked += shared[0] is not None
                                 ties += shared[0] is None
+                            if contention == "per_array" or shared[0] is not None:
+                                assert bool(pushes) == bool(steals)
+                            if contention == "shared_port" and shared[0] is not None:
+                                assert shared[0][0] == (steals[0].time_s if steals else math.inf)
                             before = [len(log) for log in walks.values()]
                             traced = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                    slowdowns=slow, trace_path=path)
@@ -225,7 +235,7 @@ class TestDeterminism:
                             runs += 1
         # runs, runs with an array of 1-2 tiles, and the untraced shared_port
         # runs that walked _shared and that fell back on a tie
-        assert (runs, few, walked, ties) == (384, 92, 137, 55)
+        assert (runs, few, walked, ties) == (384, 92, 128, 64)
 
     # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
     # and a 4 B/s port) on which compute ends and transfers tie; ragged
@@ -304,10 +314,13 @@ class TestDeterminism:
         assert digest.hexdigest() == \
             "f2b7872b307385d0b2b15acf411b06e15d1f286fcba10bf54d04b6b0c0d85613"
 
-    def test_explorer_points_pinned(self):
+    def test_explorer_points_pinned(self, monkeypatch):
         # The traffic explore --simulate serves: every explored point of
         # the 8 presets, in both transfer regimes, with stealing on (the
-        # CLI default). The digest covers every report field.
+        # CLI default). The digest covers every report field. At equal
+        # clocks no per_array run steals, so none enters the event loop,
+        # and a run that records no steal equals its steal=False twin.
+        pushes = logged_calls(monkeypatch, "heappush")
         digest = hashlib.sha256()
         runs = steals = 0
         for contention in ("per_array", "shared_port"):
@@ -316,6 +329,9 @@ class TestDeterminism:
                 shape = masim.ProblemShape(m, depth, n)
                 for entry in masim.explore(shape, machine):
                     rep = masim.run_mpe(shape, entry.point, machine)
+                    assert contention == "shared_port" or not pushes
+                    if not rep.steal_events:
+                        assert rep == masim.run_mpe(shape, entry.point, machine, steal=False)
                     runs += 1
                     steals += len(rep.steal_events)
                     digest.update(repr(dataclasses.asdict(rep)).encode())
@@ -356,27 +372,48 @@ class TestSharedPort:
                                trace_path=tmp_path / "t.csv")
         assert plain == traced and plain.time_seconds == seconds
 
-    def test_few_tile_arrays_hand_over(self, tmp_path, monkeypatch):
-        # An explorer point can deal an array fewer than two tiles; it can
-        # steal at the run's first fetch end. The untraced run still walks
-        # _shared up to there, taking no compute end, and hands over to the
-        # loop; every report field agrees with the traced twin's.
+    def test_few_tile_runs_walk_whole(self, tmp_path, monkeypatch):
+        # An explorer point can deal an array fewer than two tiles. The deal's
+        # counts differ by at most one, so every queue is dry after the first
+        # fetches and the run never steals: the untraced run walks all of it
+        # and enters no event loop, and every report field agrees with the
+        # traced twin's.
         results = logged_calls(monkeypatch, "_shared")
-        machine = masim.Machine(contention="shared_port")
+        pushes = logged_calls(monkeypatch, "heappush")
         runs = 0
-        for m, depth, n in masim.LAYER_PRESETS.values():
-            shape = masim.ProblemShape(m, depth, n)
-            for entry in masim.explore(shape, machine):
-                point = entry.point
-                if shape.tile_count(point.block_rows, point.block_cols) >= 2 * point.n_arrays:
-                    continue
-                plain = masim.run_mpe(shape, point, machine)
-                assert results[-1] is not None, (shape, point)
-                assert [walk[0] for walk in results[-1][1]] == [0] * point.n_arrays
-                traced = masim.run_mpe(shape, point, machine, trace_path=tmp_path / "t.csv")
-                assert plain == traced, (shape, point)
-                runs += 1
-        assert runs == 6
+        for contention in masim.mpe.CONTENTION_MODES:
+            machine = masim.Machine(contention=contention)
+            for m, depth, n in masim.LAYER_PRESETS.values():
+                shape = masim.ProblemShape(m, depth, n)
+                for entry in masim.explore(shape, machine):
+                    point = entry.point
+                    tiles = shape.tile_count(point.block_rows, point.block_cols)
+                    if tiles >= 2 * point.n_arrays:
+                        continue
+                    del pushes[:]
+                    plain = masim.run_mpe(shape, point, machine)
+                    assert not pushes and not plain.steal_events, (shape, point)
+                    if contention == "shared_port":
+                        h, walks = results[-1]
+                        assert h == math.inf
+                        assert sum(walk[0] for walk in walks) == tiles
+                    traced = masim.run_mpe(shape, point, machine, trace_path=tmp_path / "t.csv")
+                    assert plain == traced, (shape, point)
+                    runs += 1
+        assert runs == 12
+
+    def test_few_tiles_on_many_arrays_never_arbitrate(self, monkeypatch):
+        # 5,000 tiles on 3,000 arrays: every queue is dry after the first
+        # fetches, so the run completes without one arbitration round (each
+        # would cost time quadratic in the array count, and none can grant)
+        def refuse(*args):
+            raise AssertionError("arbitration round in a run that cannot steal")
+        monkeypatch.setattr(wqm, "arbitrate", refuse)
+        shape, point = masim.ProblemShape(5000, 1, 1), masim.DesignPoint(3000, 1)
+        for contention in masim.mpe.CONTENTION_MODES:
+            machine = masim.Machine(pes_per_base=1, max_arrays=3000, contention=contention)
+            rep = masim.run_mpe(shape, point, machine)
+            assert sorted(s.blocks_executed for s in rep.arrays) == [1] * 1000 + [2] * 2000
 
     def test_one_array_same_report(self):
         # one array's port is the shared port: every report field agrees at
@@ -436,16 +473,23 @@ class TestErrorPaths:
     # breaks its contract, in both transfer regimes (each hands the loop a
     # walk's state at h).
     def test_tile_executed_twice(self, monkeypatch):
+        # two arrays of three tiles: array 0 asks for work while the slowed
+        # array 1 still queues a tile, a real steal, and the arbiter grants
+        # array 0 its own tile 0 again
+        shape, point = masim.ProblemShape(24, 4, 4), masim.DesignPoint(2, 4)
+        machines = [masim.Machine(bw_model=masim.IdealBandwidth(), contention=c)
+                    for c in masim.mpe.CONTENTION_MODES]
+        for machine in machines:
+            assert masim.run_mpe(shape, point, machine, slowdowns={1: 3.0}).steal_events
+
         def regrant(queues, needy, pointer, time_s, log):
             if not log:            # once, so a run without the guard ends
-                log.append(wqm.StealEvent(time_s, needy[0], needy[0], 0))
+                log.append(wqm.StealEvent(time_s, needy[0], 1, 0))
             return pointer
         monkeypatch.setattr(wqm, "arbitrate", regrant)
-        # one array, three tiles: it asks for work after tile 0 has run
-        for contention in masim.mpe.CONTENTION_MODES:
+        for machine in machines:
             with pytest.raises(masim.SimulationError, match="tile 0 executed twice"):
-                masim.run_mpe(masim.ProblemShape(12, 4, 4), masim.DesignPoint(1, 4),
-                              masim.Machine(contention=contention))
+                masim.run_mpe(shape, point, machine, slowdowns={1: 3.0})
 
     def test_lost_tile(self, monkeypatch):
         deal = wqm.partition_workload
