@@ -12,7 +12,8 @@ after the schedule.
 
 One run deals the problem's tiles (model.ProblemShape.tile_count, with
 row-major ids) round-robin onto one work queue per active array
-(wqm.partition_workload) and drives the arrays over them with overlapped
+(wqm.partition_workload; each queue is a range of the ids of one residue
+modulo the array count) and drives the arrays over them with overlapped
 transfers: each array holds at most two resident blocks (one computing
 from the active buffer, one prefetching into the shadow buffer), its
 transfer engine serialises fetches and write-backs, and compute starts
@@ -25,11 +26,14 @@ Two transfer regimes are available. In the default per-array regime every
 active array sees the effective bandwidth the bandwidth model assigns to
 the (array count, block size) configuration. The shared-port regime
 serialises all arrays' transfers through one port at the single-array
-rate, so contention emerges from the schedule instead of the model.
+rate, so contention emerges from the schedule instead of the model. One
+array's port is the shared port, so a one-array run takes the per-array
+regime under either name.
 
 Every padded tile moves the same bytes and is charged the same cycles
 (mac.block_bytes, mpe.block_charges), so each array's totals are its block
-count times one block's values; only busy_seconds is summed block by block.
+count times one block's values; only busy_seconds is summed block by block,
+once for each distinct (block count, slowdown).
 Reported time runs to the last write-back completion, the latest time a
 port is free. The chain-drain of the final block (which the per-block
 cycle contract excludes, because every earlier drain overlaps the next
@@ -57,6 +61,9 @@ In the per-array regime each array walks its whole run alone (_alone),
 and the run steals exactly when the least compute end count - 2 is
 earlier than the greatest compute end count - 3; only unequal clocks
 (slowdowns) bring that about, and such a run takes the loop from t = 0.
+Arrays dealt one count at one clock walk alike, so the run walks once
+per distinct (count, slowdown): at equal clocks at most twice, as the
+deal's counts differ by at most one.
 Under shared_port one walk takes every array's compute ends in time
 order on the one port (_shared) and stops at the first compute end
 count - 2 that finds a tile still queued: the first steal. The fetches
@@ -69,6 +76,14 @@ instant, or hands over two pending events of one instant, is discarded;
 with distinct times any push order gives the loop's pop order. The loop
 runs the whole schedule from t = 0 only when the trace is recorded, on
 such a tie, or when a per-array run steals.
+
+A walked array's tiles are a prefix of its queue, a range, so an
+untraced run lists them in C and touches no tile in Python. The tile
+check counts: walked ranges hold disjoint residues, and each tile the
+loop computes is checked against its residue's walked range and the
+loop's earlier tiles, so a tile computed twice or left undone is still
+named. The loop keeps a count of the tiles still queued and holds no
+arbitration round once it is 0, as such a round cannot grant.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
@@ -90,7 +105,6 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import islice
 
 from . import mac, wqm
 from .model import DesignPoint, ProblemShape
@@ -185,14 +199,15 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
     """The schedule of run_mpe over one array per slow entry: a recurrence
-    up to the run's first steal (_alone per array, or _shared on one
-    port), then the event loop from the events pending there. The loop
-    runs from t = 0 with a trace, on a shared-port tie, or when a
-    per-array run steals. Appends (seconds, array, event, tile id) rows to
-    trace unless it is None."""
+    up to the run's first steal (_alone once per distinct array, or _shared
+    for two or more arrays on one port), then the event loop from the
+    events pending there. The loop runs from t = 0 with a trace, on a
+    shared-port tie, or when a per-array run steals. Appends (seconds,
+    array, event, tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
-    shared = machine.contention == "shared_port"
+    # one array's port is the shared port: the regime needs two arrays
+    shared = machine.contention == "shared_port" and n_active > 1
     si, sj, depth = point.block_rows, point.block_cols, shape.depth
     # the shared port moves every array's data at the single-array rate
     bw = mac.effective_bandwidth(machine.bw_model, 1 if shared else n_active, si)
@@ -202,10 +217,14 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     compute_s = [charges.cycles / f_acc * factor for factor in slow]  # one block, slowed
 
     tile_count = shape.tile_count(si, sj)
-    # one byte per tile, allocated before the deal builds its queues of every
-    # tile id, so a tile count too large for memory raises MemoryError first
-    executed = bytearray(tile_count)
+    # one byte per tile the event loop executes, allocated before the walks
+    # (whose time grows with the tiles), so a tile count too large for
+    # memory raises MemoryError first
+    looped = bytearray(tile_count)
     queues = wqm.partition_workload(tile_count, n_active)
+    # the tiles each array's walk executed, a prefix of its queue: these
+    # ranges hold disjoint residues modulo n_active
+    walked = [range(0)] * n_active
     # [time the transfer port is free]; all arrays share one under shared_port
     ports = [[0.0]] * n_active if shared else [[0.0] for _ in range(n_active)]
     stats = [ArrayRunStats(array_id=i) for i in range(n_active)]
@@ -236,46 +255,46 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s,
                            steal) or (h, None)
     elif not tracing:
-        alone = [_alone(len(q), in_s, out_s, c) for q, c in zip(queues, compute_s)]
+        # arrays dealt one count at one clock walk alike: one walk for each
+        alone = {key: _alone(key[0], in_s, out_s, key[1])
+                 for key in dict.fromkeys(zip(map(len, queues), compute_s))}
         # a run steals if an array asks for work (from its compute end
         # count - 2) before another's queue is dry (at its compute end
         # count - 3); it then runs the loop from t = 0
-        if not steal or min(a[3] for a in alone) >= max(a[2] for a in alone):
-            walks = [(len(q), port, last, (), ())
-                     for q, (port, last, _, _) in zip(queues, alone)]
+        if not steal or min(a[3] for a in alone.values()) >= \
+                max(a[2] for a in alone.values()):
+            walks = [(len(q), *alone[len(q), c][:2], (), ())
+                     for q, c in zip(queues, compute_s)]
     if walks is None:
         # a kept trace, a shared-port tie or a per-array steal: the loop from t = 0
         for i, q in enumerate(queues):
-            for _ in range(min(2, len(q))):
-                fetch(i, 0.0, q.popleft())
+            queues[i] = q[2:]
+            for tile in q[:2]:
+                fetch(i, 0.0, tile)
     else:
         for i, (k, port, last, ends, events) in enumerate(walks):
             ports[i][0], last_end[i] = port, last
-            tiles = stats[i].tiles
-            tiles.extend(islice(queues[i], k))
-            for tile in tiles:
-                executed[tile] = 1
-            queues[i] = q = deque(islice(queues[i], k, None))
-            held = [q.popleft() for _ in ends]
+            q = queues[i]
+            walked[i], held, queues[i] = q[:k], q[k:k + len(ends)], q[k + len(ends):]
+            stats[i].tiles = list(walked[i])
             resident[i] = len(held)
             fetched[i].extend(tile for tile, end in zip(held, ends) if end < h)
             for end, kind, j in events:
                 seq += 1
                 heappush(heap, (end, seq, kind, i, held[j]))
-        if executed.count(1) != sum(len(s.tiles) for s in stats):
-            raise SimulationError("the deal gave a tile twice")
-    arbitrating = steal and not all(queues)     # stealing on and some queue dry
+    queued = sum(map(len, queues))                 # the tiles still queued
+    arbitrating = steal and not all(queues)        # stealing on and some queue dry
 
     while heap:
         t, _, kind, i, tile = heappop(heap)
         if tracing:
             trace.append((t, i, done_events[kind], tile))
         if kind == COMPUTE_DONE:
+            if tile in walked[tile % n_active] or looped[tile]:
+                raise SimulationError(f"tile {tile} executed twice")
+            looped[tile] = 1
             stats[i].tiles.append(tile)
             last_end[i] = t
-            if executed[tile]:
-                raise SimulationError(f"tile {tile} executed twice")
-            executed[tile] = 1
             p = ports[i]
             start = p[0] if p[0] > t else t
             p[0] = end = start + out_s     # no event: its end changes no state
@@ -286,7 +305,8 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             q = queues[i]
             while resident[i] < 2 and q:
                 resident[i] += 1
-                nxt = q.popleft()
+                nxt, q = q[0], q[1:]
+                queued -= 1
                 start = p[0] if p[0] > t else t
                 p[0] = end = start + in_s
                 if tracing:
@@ -295,6 +315,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
                 heappush(heap, (end, seq, FETCH_DONE, i, nxt))
                 if not q:
                     arbitrating = steal
+            queues[i] = q
             fetched[i].popleft()
             tile = fetched[i][0] if fetched[i] else -1
         else:
@@ -306,13 +327,16 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
                 trace.append((t, i, "compute_start", tile))
             seq += 1
             heappush(heap, (t + compute_s[i], seq, COMPUTE_DONE, i, tile))
-        if not arbitrating or heap and heap[0][0] <= t:
+        # no round while another event is due now, or once no queue holds
+        # a tile: such a round cannot grant
+        if not arbitrating or not queued or heap and heap[0][0] <= t:
             continue
         needy = [j for j in range(n_active) if not queues[j] and resident[j] < 2]
         if not needy:
             continue
         before = len(steal_log)
         pointer = wqm.arbitrate(queues, needy, pointer, t, steal_log)
+        queued = sum(map(len, queues))
         # each thief fetches its tile at once, in grant order, so the
         # shared port serves the stolen tiles in that order
         for ev in steal_log[before:]:
@@ -320,12 +344,14 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             fetch(ev.thief, t, ev.item_id)
             if tracing:
                 trace.append((t, ev.thief, "steal", ev.item_id))
-        if any(r == 0 and not q for r, q in zip(resident, queues)) and any(queues):
+        if queued and any(r == 0 and not q for r, q in zip(resident, queues)):
             raise SimulationError("array starved while another queue holds work")
 
-    if executed.count(1) != tile_count or any(queues):
-        raise SimulationError(
-            f"run ended with {executed.count(1)}/{tile_count} tiles executed")
+    # loop tiles are checked against every earlier one, and walks hold
+    # disjoint residues: the tiles listed are distinct
+    executed = sum(len(s.tiles) for s in stats)
+    if executed != tile_count or queued:
+        raise SimulationError(f"run ended with {executed}/{tile_count} tiles executed")
 
     time_seconds = max(p[0] for p in ports)    # the latest write-back end
     # Every event, and so every trace row, lies within the makespan: one
@@ -334,12 +360,16 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         raise OverflowError(f"simulated time of {time_seconds:g} s is too long to "
                             f"count in cycles at {f_acc:g} Hz")
     drain_end = 0.0
+    busy = {}                      # (blocks, one block's seconds): busy seconds
     for i, s in enumerate(stats):
         n = s.blocks_executed = len(s.tiles)
-        busy, block = 0.0, compute_s[i]
-        for _ in range(n):         # block by block: n * block rounds otherwise
-            busy += block
-        s.busy_seconds = busy
+        block = compute_s[i]
+        if (n, block) not in busy:
+            total = 0.0
+            for _ in range(n):     # block by block: n * block rounds otherwise
+                total += block
+            busy[n, block] = total
+        s.busy_seconds = busy[n, block]
         s.prefetch_cycles = n * charges.prefetch_cycles
         s.compute_cycles = n * charges.compute_cycles
         s.stall_cycles = n * charges.stall_cycles

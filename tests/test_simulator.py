@@ -172,12 +172,13 @@ class TestDeterminism:
         # and the port's order matters), pipelines of 0 and 8 stages, ragged
         # grids on 1-4 arrays, arrays of 1-2 tiles, no, equal and unequal
         # slowdowns, and stealing on and off. Every untraced per_array run
-        # walks _alone; every untraced shared_port run walks _shared, which
-        # falls back on the loop from t = 0 only on a tie: two done events
-        # at one instant, which the traced twin's trace then shows in one
-        # cycle. A walked run pushes a loop event exactly when it steals,
-        # and _shared stops at the first steal. No traced run walks: each
-        # runs the loop from t = 0.
+        # walks _alone, and so does every one-array run (its port is the
+        # shared port); every other untraced shared_port run walks _shared,
+        # which falls back on the loop from t = 0 only on a tie: two done
+        # events at one instant, which the traced twin's trace then shows in
+        # one cycle. A walked run pushes a loop event exactly when it
+        # steals, and _shared stops at the first steal. No traced run walks:
+        # each runs the loop from t = 0.
         walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
         pushes = logged_calls(monkeypatch, "heappush")
         rng = np.random.default_rng(29)
@@ -210,21 +211,22 @@ class TestDeterminism:
                             alone, shared = (log[n:] for log, n in
                                              zip(walks.values(), before))
                             steals = plain.steal_events
-                            if contention == "per_array":
+                            if contention == "per_array" or n_arrays == 1:
                                 assert alone and not shared
                             else:
                                 assert not alone and len(shared) == 1
                                 walked += shared[0] is not None
                                 ties += shared[0] is None
-                            if contention == "per_array" or shared[0] is not None:
+                            tie = shared and shared[0] is None
+                            if not tie:
                                 assert bool(pushes) == bool(steals)
-                            if contention == "shared_port" and shared[0] is not None:
+                            if shared and not tie:
                                 assert shared[0][0] == (steals[0].time_s if steals else math.inf)
                             before = [len(log) for log in walks.values()]
                             traced = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                    slowdowns=slow, trace_path=path)
                             assert [len(log) for log in walks.values()] == before
-                            if contention == "shared_port" and shared[0] is None:
+                            if tie:
                                 with open(path, newline="") as fh:
                                     done = [row[0] for row in csv.reader(fh)
                                             if row[2] in ("fetch_done", "compute_done")]
@@ -233,9 +235,10 @@ class TestDeterminism:
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
-        # runs, runs with an array of 1-2 tiles, and the untraced shared_port
-        # runs that walked _shared and that fell back on a tie
-        assert (runs, few, walked, ties) == (384, 92, 128, 64)
+        # runs, runs with an array of 1-2 tiles, and the untraced
+        # multi-array shared_port runs that walked _shared and that fell
+        # back on a tie
+        assert (runs, few, walked, ties) == (384, 92, 82, 64)
 
     # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
     # and a 4 B/s port) on which compute ends and transfers tie; ragged
@@ -320,7 +323,11 @@ class TestDeterminism:
         # CLI default). The digest covers every report field. At equal
         # clocks no per_array run steals, so none enters the event loop,
         # and a run that records no steal equals its steal=False twin.
+        # Arrays dealt one count walk alike, so a run walks _alone once per
+        # distinct dealt count (at most twice), or not at all when several
+        # arrays share the port.
         pushes = logged_calls(monkeypatch, "heappush")
+        walks = logged_calls(monkeypatch, "_alone")
         digest = hashlib.sha256()
         runs = steals = 0
         for contention in ("per_array", "shared_port"):
@@ -328,8 +335,14 @@ class TestDeterminism:
             for m, depth, n in masim.LAYER_PRESETS.values():
                 shape = masim.ProblemShape(m, depth, n)
                 for entry in masim.explore(shape, machine):
-                    rep = masim.run_mpe(shape, entry.point, machine)
+                    point = entry.point
+                    del walks[:]
+                    rep = masim.run_mpe(shape, point, machine)
                     assert contention == "shared_port" or not pushes
+                    tiles = shape.tile_count(point.block_rows, point.block_cols)
+                    dealt = {len(q) for q in masim.partition_workload(tiles, point.n_arrays)}
+                    alone = contention == "per_array" or point.n_arrays == 1
+                    assert len(walks) == (len(dealt) if alone else 0) <= 2
                     if not rep.steal_events:
                         assert rep == masim.run_mpe(shape, entry.point, machine, steal=False)
                     runs += 1
@@ -393,7 +406,7 @@ class TestSharedPort:
                     del pushes[:]
                     plain = masim.run_mpe(shape, point, machine)
                     assert not pushes and not plain.steal_events, (shape, point)
-                    if contention == "shared_port":
+                    if contention == "shared_port" and point.n_arrays > 1:
                         h, walks = results[-1]
                         assert h == math.inf
                         assert sum(walk[0] for walk in walks) == tiles
@@ -415,9 +428,32 @@ class TestSharedPort:
             rep = masim.run_mpe(shape, point, machine)
             assert sorted(s.blocks_executed for s in rep.arrays) == [1] * 1000 + [2] * 2000
 
-    def test_one_array_same_report(self):
-        # one array's port is the shared port: every report field agrees at
-        # the one-array explorer points of the 8 presets, stealing on and off
+    def test_no_arbitration_once_every_queue_is_empty(self, tmp_path, monkeypatch):
+        # A traced run takes the loop from t = 0. Once the last queue is
+        # empty no round can grant, so none is held: one tile on 1,000
+        # arrays holds none at all, and 300 arrays with slowed clocks steal
+        # while every round finds some tile still queued.
+        queued, arbitrate = [], wqm.arbitrate
+
+        def counted(queues, *args):
+            queued.append(sum(map(len, queues)))
+            return arbitrate(queues, *args)
+        monkeypatch.setattr(wqm, "arbitrate", counted)
+        for n_arrays, tiles, slow in ((1000, 1, None),
+                                      (300, 1500, {i: 3.0 for i in range(0, 300, 7)})):
+            del queued[:]
+            machine = masim.Machine(pes_per_base=1, max_arrays=n_arrays,
+                                    bw_model=masim.IdealBandwidth())
+            rep = masim.run_mpe(masim.ProblemShape(tiles, 1, 1),
+                                masim.DesignPoint(n_arrays, 1), machine,
+                                slowdowns=slow, trace_path=tmp_path / "t.csv")
+            assert bool(queued) == bool(rep.steal_events) == (slow is not None)
+            assert all(queued)
+
+    def test_one_array_same_report(self, tmp_path):
+        # one array's port is the shared port, so one array walks alone in
+        # both regimes: every report field agrees at the one-array explorer
+        # points of the 8 presets, traced and untraced, stealing on and off
         runs = 0
         for m, depth, n in masim.LAYER_PRESETS.values():
             shape = masim.ProblemShape(m, depth, n)
@@ -425,11 +461,13 @@ class TestSharedPort:
                 if entry.point.n_arrays > 1:
                     continue
                 for steal_on in (False, True):
-                    per, shared = (masim.run_mpe(shape, entry.point,
-                                                 masim.Machine(contention=contention),
-                                                 steal=steal_on)
-                                   for contention in ("per_array", "shared_port"))
-                    assert per == shared, (shape, entry.point, steal_on)
+                    per, *others = (masim.run_mpe(shape, entry.point,
+                                                  masim.Machine(contention=contention),
+                                                  steal=steal_on, trace_path=path)
+                                    for contention in ("per_array", "shared_port")
+                                    for path in (None, tmp_path / "t.csv"))
+                    for other in others:
+                        assert per == other, (shape, entry.point, steal_on)
                     runs += 1
         assert runs == 128
 
@@ -496,7 +534,7 @@ class TestErrorPaths:
 
         def drop_last(tile_count, n_queues):
             queues = deal(tile_count, n_queues)
-            queues[0].pop()
+            queues[0] = queues[0][:-1]
             return queues
         monkeypatch.setattr(wqm, "partition_workload", drop_last)
         for contention in masim.mpe.CONTENTION_MODES:

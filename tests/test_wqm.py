@@ -1,19 +1,21 @@
 import dataclasses
 import hashlib
-from collections import deque
 
 import numpy as np
 import pytest
 from conftest import assemble_run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import masim
 from masim import wqm
 
 
 def queues_of(*lengths):
-    """Queues holding the given numbers of distinct tile ids."""
-    ids = iter(range(sum(lengths)))
-    return [deque(next(ids) for _ in range(n)) for n in lengths]
+    """Queues holding the given numbers of distinct tile ids: queue i holds
+    ids of residue i, as a deal onto len(lengths) queues does."""
+    n = len(lengths)
+    return [range(i, i + n * length, n) for i, length in enumerate(lengths)]
 
 
 def victim(lengths, thief, pointer=0):
@@ -79,14 +81,14 @@ class TestSelectVictim:
 
 class TestSteal:
     def test_takes_victim_tail(self):
-        queues = masim.partition_workload(3, 1) + [deque()]
+        queues = masim.partition_workload(3, 1) + [range(0)]
         log = []
         assert wqm.arbitrate(queues, [1], 0, 1.5, log) == 0
         assert log == [masim.StealEvent(1.5, 1, 0, 2)]    # last-to-run task
         assert [list(q) for q in queues] == [[0, 1], []]
 
     def test_single_task_leaves_victim_empty(self):
-        queues = masim.partition_workload(1, 1) + [deque()]
+        queues = masim.partition_workload(1, 1) + [range(0)]
         log = []
         wqm.arbitrate(queues, [1], 0, 0.0, log)
         assert [e.item_id for e in log] == [0] and not any(queues)
@@ -115,6 +117,29 @@ class TestQueueInvariants:
         log = []
         wqm.arbitrate(queues_of(3, 7, 0, 0), [2, 3], 0, 0.0, log)
         assert sorted(e.thief for e in log) == [2, 3]
+
+    # each step either pops the head of one queue, as an array taking its
+    # next tile does, or holds an arbitration round for some dry queues
+    @given(tile_count=st.integers(0, 60), n=st.integers(1, 6),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                                    st.sets(st.integers(0, 5))), max_size=40))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_queues_stay_ranges_and_hold_each_tile_once(self, tile_count, n, steps):
+        queues = wqm.partition_workload(tile_count, n)
+        taken, log, pointer = [], [], 0
+        for pop, i, thieves in steps:
+            if pop and queues[i % n]:
+                q = queues[i % n]
+                taken.append(q[0])
+                queues[i % n] = q[1:]
+            elif not pop:
+                needy = [j for j in sorted(thieves) if j < n and not queues[j]]
+                pointer = wqm.arbitrate(queues, needy, pointer, 0.0, log)
+            for j, q in enumerate(queues):
+                assert isinstance(q, range) and q.step == n and q.start % n == j
+        stolen = [e.item_id for e in log]
+        assert sorted(taken + stolen + [t for q in queues for t in q]) \
+            == list(range(tile_count))
 
 
 class TestStealInsideRuns:
