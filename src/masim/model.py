@@ -38,6 +38,7 @@ accumulator depth. For the default four base arrays of 64 PEs this yields
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import mac
@@ -45,9 +46,10 @@ from .mpe import Machine, block_charges
 
 
 def _check_positive(obj) -> None:
-    """Raise ValueError unless every field of obj is a positive integer."""
+    """Raise ValueError unless every field of obj is a positive integer
+    (not a bool, nor a float of integral value)."""
     for name, v in vars(obj).items():
-        if int(v) != v or v < 1:
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 

@@ -64,18 +64,16 @@ earlier than the greatest compute end count - 3; only unequal clocks
 Arrays dealt one count at one clock walk alike, so the run walks once
 per distinct (count, slowdown): at equal clocks at most twice, as the
 deal's counts differ by at most one.
-Under shared_port one walk takes every array's compute ends in time
-order on the one port (_shared) and stops at the first compute end
+Under shared_port one walk takes every array's compute ends in (time,
+array) order on the one port (_shared) and stops at the first compute end
 count - 2 that finds a tile still queued: the first steal. The fetches
 and the compute running there become the loop's pending events, in the
 loop's push order within each array, and the loop runs unchanged from
-there. Across arrays the order matters on one port: the loop orders
-same-time events by insertion, and that order decides whose transfer the
-port serves first. So a walk that meets two arrays' compute ends at one
-instant, or hands over two pending events of one instant, is discarded;
-with distinct times any push order gives the loop's pop order. The loop
-runs the whole schedule from t = 0 only when the trace is recorded, on
-such a tie, or when a per-array run steals.
+there. On one port the order of same-instant events decides whose
+transfer the port serves first; the loop serves them in array order, as
+a fixed-priority arbiter does, and so does the walk, so the walk never
+falls back on the loop. The loop runs the whole schedule from t = 0 only
+when the trace is recorded or when a per-array run steals.
 
 A walked array's tiles are a prefix of its queue, a range, so an
 untraced run lists them in C and touches no tile in Python. The tile
@@ -92,8 +90,10 @@ thus takes the event loop from t = 0 throughout, the reference its
 untraced twin is tested against: every report field agrees.
 
 A run is strictly deterministic: identical inputs produce an identical
-report, event order is fixed by (time, insertion sequence), and
-same-instant steal requests are resolved in round-robin order.
+report, event order is fixed by (time, array, insertion sequence), so
+same-instant events go in array order and each array's in the order they
+were queued, and same-instant steal requests are resolved in round-robin
+order.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
     array runs only the tiles dealt to it. slowdowns optionally maps array
     ids to factors that scale those arrays' clock periods (testing aid for
     load-imbalance scenarios; charged cycle stats stay nominal); an id
-    outside range(point.n_arrays) or a factor that is not positive and
-    finite raises ValueError. After every arbitration round the no-starvation
+    that is not an int in range(point.n_arrays) (a bool is not) or a
+    factor that is not positive and finite raises ValueError. After every arbitration round the no-starvation
     rule is checked; a violation raises SimulationError. A makespan too
     long to count in cycles at the machine's clock raises OverflowError.
 
@@ -170,7 +170,8 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
     machine.check(n_arrays, point.block_rows, point.block_cols)
     slow = [1.0] * n_arrays
     for idx, factor in (slowdowns or {}).items():
-        if not isinstance(idx, numbers.Integral) or idx not in range(n_arrays):
+        if not isinstance(idx, numbers.Integral) or isinstance(idx, bool) \
+                or idx not in range(n_arrays):
             raise ValueError(f"slowdowns names array {idx!r}; the run has {n_arrays}")
         if not isinstance(factor, numbers.Real) or not 0 < factor < math.inf:
             raise ValueError(f"slowdown of array {idx} must be positive and finite, "
@@ -201,9 +202,9 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     """The schedule of run_mpe over one array per slow entry: a recurrence
     up to the run's first steal (_alone once per distinct array, or _shared
     for two or more arrays on one port), then the event loop from the
-    events pending there. The loop runs from t = 0 with a trace, on a
-    shared-port tie, or when a per-array run steals. Appends (seconds,
-    array, event, tile id) rows to trace unless it is None."""
+    events pending there. The loop runs from t = 0 with a trace or when a
+    per-array run steals. Appends (seconds, array, event, tile id) rows to
+    trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     # one array's port is the shared port: the regime needs two arrays
@@ -234,12 +235,11 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     pointer = 0                    # round-robin pointer of the steal arbitration
     steal_log: list[wqm.StealEvent] = []
     tracing = trace is not None
-    heap: list = []                # (time, insertion sequence, kind, array, tile id)
-    seq = 0                        # same-time events pop in insertion order
+    heap: list = []                # (time, array, insertion sequence, kind, tile id)
+    seq = 0                        # same-time events pop in array, then insertion order
     done_events = ("fetch_done", "compute_done")   # indexed by kind
 
     def fetch(i: int, t: float, tile: int):
-        # the first fetches and stolen tiles; the loop inlines its refills
         nonlocal seq
         resident[i] += 1
         start = ports[i][0] if ports[i][0] > t else t
@@ -247,13 +247,12 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
         if tracing:
             trace.append((start, i, "fetch_start", tile))
         seq += 1
-        heappush(heap, (end, seq, FETCH_DONE, i, tile))
+        heappush(heap, (end, i, seq, FETCH_DONE, tile))
 
     # the walks up to the run's first steal, the loop from there
     h, walks = math.inf, None
     if shared and not tracing:
-        h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s,
-                           steal) or (h, None)
+        h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s, steal)
     elif not tracing:
         # arrays dealt one count at one clock walk alike: one walk for each
         alone = {key: _alone(key[0], in_s, out_s, key[1])
@@ -266,7 +265,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             walks = [(len(q), *alone[len(q), c][:2], (), ())
                      for q, c in zip(queues, compute_s)]
     if walks is None:
-        # a kept trace, a shared-port tie or a per-array steal: the loop from t = 0
+        # a kept trace or a per-array steal: the loop from t = 0
         for i, q in enumerate(queues):
             queues[i] = q[2:]
             for tile in q[:2]:
@@ -281,12 +280,12 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             fetched[i].extend(tile for tile, end in zip(held, ends) if end < h)
             for end, kind, j in events:
                 seq += 1
-                heappush(heap, (end, seq, kind, i, held[j]))
+                heappush(heap, (end, i, seq, kind, held[j]))
     queued = sum(map(len, queues))                 # the tiles still queued
     arbitrating = steal and not all(queues)        # stealing on and some queue dry
 
     while heap:
-        t, _, kind, i, tile = heappop(heap)
+        t, i, _, kind, tile = heappop(heap)
         if tracing:
             trace.append((t, i, done_events[kind], tile))
         if kind == COMPUTE_DONE:
@@ -304,15 +303,9 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             resident[i] -= 1
             q = queues[i]
             while resident[i] < 2 and q:
-                resident[i] += 1
                 nxt, q = q[0], q[1:]
                 queued -= 1
-                start = p[0] if p[0] > t else t
-                p[0] = end = start + in_s
-                if tracing:
-                    trace.append((start, i, "fetch_start", nxt))
-                seq += 1
-                heappush(heap, (end, seq, FETCH_DONE, i, nxt))
+                fetch(i, t, nxt)
                 if not q:
                     arbitrating = steal
             queues[i] = q
@@ -326,7 +319,7 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
             if tracing:
                 trace.append((t, i, "compute_start", tile))
             seq += 1
-            heappush(heap, (t + compute_s[i], seq, COMPUTE_DONE, i, tile))
+            heappush(heap, (t + compute_s[i], i, seq, COMPUTE_DONE, tile))
         # no round while another event is due now, or once no queue holds
         # a tile: such a round cannot grant
         if not arbitrating or not queued or heap and heap[0][0] <= t:
@@ -431,15 +424,12 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
     end and the previous compute end; each compute end puts its write-back
     and then its refill fetch onto the port.
 
-    The walk stops at the first compute end count - 2 of an array (from
-    which it asks for work) while some tile is still queued, and otherwise
-    walks to the end. Returns that instant h (inf if the run never
-    steals) and one (compute ends taken, port free, last compute end, held
-    fetch ends, pending events) tuple per array, or None when the loop
-    must run from t = 0: two arrays' next compute ends tie, or two events
-    pending at h share a time. The loop orders same-time events by
-    insertion, and on one port that order sets the port's order; distinct
-    times fix it.
+    Compute ends at one instant go in array order, as the loop serves
+    them. The walk stops at the first compute end count - 2 of an array
+    (from which it asks for work) while some tile is still queued, and
+    otherwise walks to the end. Returns that instant h (inf if the run
+    never steals) and one (compute ends taken, port free, last compute
+    end, held fetch ends, pending events) tuple per array.
     """
     n = len(counts)
     p = 0.0
@@ -456,9 +446,6 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
     heapify(heap)
     while heap:
         end, i = heap[0]
-        # another end equal to the least one makes a child of the root equal
-        if len(heap) > 1 and (heap[1][0] == end or len(heap) > 2 and heap[2][0] == end):
-            return None
         k = taken[i]
         if queued > 0 and k == counts[i] - 2:
             h = end
@@ -476,7 +463,7 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             heapreplace(heap, ((f0[i] if f0[i] > end else end) + compute_s[i], i))
         else:
             heappop(heap)
-    walks, times = [], []
+    walks = []
     for i, count in enumerate(counts):
         # the events pending at h in the loop's push order: the fetches that
         # end at or after h, then the compute running at h
@@ -486,7 +473,4 @@ def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float]
             events.append(((ends[0] if ends[0] > last[i] else last[i]) + compute_s[i],
                            COMPUTE_DONE, 0))
         walks.append((taken[i], p, last[i], ends, events))
-        times += [t for t, _, _ in events]
-    if len(set(times)) < len(times):
-        return None
     return h, walks

@@ -38,9 +38,11 @@ class TestPartition:
 
     @pytest.mark.parametrize("bad", [
         dict(m=0), dict(n=-1), dict(depth=0), dict(block_rows=0), dict(block_cols=-2),
+        dict(m=2.0), dict(block_rows=True),
     ])
     def test_rejects_nonpositive(self, bad):
-        # such a problem or point cannot be built, so it never reaches run_mpe
+        # such a problem or point cannot be built, so it never reaches run_mpe;
+        # nor can one of a float or bool entry, though it equals an integer
         kw = dict(m=4, n=4, depth=4, block_rows=2, block_cols=2) | bad
         [(name, value)] = bad.items()
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer, "

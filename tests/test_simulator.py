@@ -174,11 +174,10 @@ class TestDeterminism:
         # slowdowns, and stealing on and off. Every untraced per_array run
         # walks _alone, and so does every one-array run (its port is the
         # shared port); every other untraced shared_port run walks _shared,
-        # which falls back on the loop from t = 0 only on a tie: two done
-        # events at one instant, which the traced twin's trace then shows in
-        # one cycle. A walked run pushes a loop event exactly when it
-        # steals, and _shared stops at the first steal. No traced run walks:
-        # each runs the loop from t = 0.
+        # which serves same-instant events in array order, as the loop
+        # does, and so never falls back on the loop. A walked run pushes a
+        # loop event exactly when it steals, and _shared stops at the first
+        # steal. No traced run walks: each runs the loop from t = 0.
         walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
         pushes = logged_calls(monkeypatch, "heappush")
         rng = np.random.default_rng(29)
@@ -217,28 +216,21 @@ class TestDeterminism:
                                 assert not alone and len(shared) == 1
                                 walked += shared[0] is not None
                                 ties += shared[0] is None
-                            tie = shared and shared[0] is None
-                            if not tie:
-                                assert bool(pushes) == bool(steals)
-                            if shared and not tie:
+                            assert bool(pushes) == bool(steals)
+                            if shared:
                                 assert shared[0][0] == (steals[0].time_s if steals else math.inf)
                             before = [len(log) for log in walks.values()]
                             traced = masim.run_mpe(shape, point, machine, steal=steal_on,
                                                    slowdowns=slow, trace_path=path)
                             assert [len(log) for log in walks.values()] == before
-                            if tie:
-                                with open(path, newline="") as fh:
-                                    done = [row[0] for row in csv.reader(fh)
-                                            if row[2] in ("fetch_done", "compute_done")]
-                                assert len(set(done)) < len(done)
                             for f in dataclasses.fields(masim.SimReport):
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
         # runs, runs with an array of 1-2 tiles, and the untraced
         # multi-array shared_port runs that walked _shared and that fell
-        # back on a tie
-        assert (runs, few, walked, ties) == (384, 92, 82, 64)
+        # back on the loop (none)
+        assert (runs, few, walked, ties) == (384, 92, 146, 0)
 
     # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
     # and a 4 B/s port) on which compute ends and transfers tie; ragged
@@ -366,24 +358,62 @@ class TestSharedPort:
         assert shared.time_seconds >= per.time_seconds > 0
 
     @pytest.mark.parametrize("shape, point, slowdowns, stages, seconds", [
-        ((10, 2, 2), (2, 4, 1), None, 8, 94.0),
-        ((5, 2, 5), (3, 4, 1), {2: 3.0}, 0, 162.0),   # the tie is not the heap's first child
+        ((10, 2, 2), (2, 4, 1), None, 8, 96.0),
+        ((5, 2, 5), (3, 4, 1), {2: 3.0}, 0, 164.0),   # the tie is not the heap's first child
     ])
-    def test_tie_falls_back_on_the_loop(self, tmp_path, monkeypatch, shape, point,
-                                        slowdowns, stages, seconds):
+    def test_tie_goes_in_array_order(self, tmp_path, monkeypatch, shape, point,
+                                     slowdowns, stages, seconds):
         # On a 1 Hz clock and a 4 B/s port every time is a whole number of
         # seconds, and here two arrays' compute ends meet at one instant.
-        # The loop serves them in the order it queued them, not in array
-        # order, so the walk gives way to the loop from t = 0.
+        # Both the walk and the loop serve them in array order, so the run
+        # walks whole and pushes no loop event; the port serves the lower
+        # array id's write-back first and the other's once it ends.
         results = logged_calls(monkeypatch, "_shared")
+        pushes = logged_calls(monkeypatch, "heappush")
         shape, point = masim.ProblemShape(*shape), masim.DesignPoint(*point)
         machine = masim.Machine(bw_model=masim.ParametricBandwidth(4, 0, 0), f_acc=1.0,
                                 fmac_stages=stages, contention="shared_port")
         plain = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns)
-        assert results == [None]
+        assert not pushes and len(results) == 1 and results[0][0] == math.inf
+        path = tmp_path / "t.csv"
         traced = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns,
-                               trace_path=tmp_path / "t.csv")
+                               trace_path=path)
         assert plain == traced and plain.time_seconds == seconds
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        done, starts, ends = ({(int(array), tile): int(cycle)
+                               for cycle, array, event, tile in rows if event == kind}
+                              for kind in ("compute_done", "wb_start", "wb_done"))
+        [(first, second)] = [(a, b) for a in done for b in done
+                             if a[0] < b[0] and done[a] == done[b]]
+        assert done[first] <= starts[first] < starts[second] == ends[first]
+
+    @given(n_arrays=st.integers(1, 4), stages=st.sampled_from([0, 8]),
+           block=st.tuples(*[st.sampled_from([1, 3, 4, 8])] * 2),
+           mkn=st.tuples(st.integers(1, 48), st.integers(1, 16), st.integers(1, 48)),
+           factors=st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=4, max_size=4),
+           steal_on=st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_ideal_bandwidth_port_changes_nothing(self, n_arrays, stages, block, mkn,
+                                                  factors, steal_on):
+        # Under IdealBandwidth a transfer takes no time, so sharing the
+        # port delays no array: both regimes give one report, slowdowns
+        # (all 1.0 among them) and steals included. The untraced
+        # shared_port run walks and pushes a loop event only to steal.
+        m, k, n = mkn
+        shape, point = masim.ProblemShape(m, k, n), masim.DesignPoint(n_arrays, *block)
+        slow = dict(enumerate(factors[:n_arrays]))
+        reports = []
+        for contention in masim.mpe.CONTENTION_MODES:
+            machine = masim.Machine(bw_model=masim.IdealBandwidth(), contention=contention,
+                                    fmac_stages=stages)
+            with pytest.MonkeyPatch.context() as mp:
+                pushes = logged_calls(mp, "heappush")
+                reports.append(masim.run_mpe(shape, point, machine, steal=steal_on,
+                                             slowdowns=slow))
+        per, shared = reports
+        assert per == shared
+        assert bool(pushes) == bool(shared.steal_events)
 
     def test_few_tile_runs_walk_whole(self, tmp_path, monkeypatch):
         # An explorer point can deal an array fewer than two tiles. The deal's
@@ -503,7 +533,8 @@ class TestErrorPaths:
     def test_rejects_bad_slowdowns(self):
         shape, point = masim.ProblemShape(8, 4, 8), masim.DesignPoint(2, 4)
         for slow in ({7: 3.0}, {-1: 2.0}, {0: -1.0}, {1: 0.0},
-                     {0: float("nan")}, {1: float("inf")}, {1.0: 2.0}, {0: "2"}):
+                     {0: float("nan")}, {1: float("inf")}, {1.0: 2.0}, {True: 2.0},
+                     {0: "2"}):
             with pytest.raises(ValueError, match="slowdown"):
                 masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
 
