@@ -1,5 +1,5 @@
 /* masim's compiled library: the k-ordered float32 kernel (masim_k_loop)
- * and the fill of the seeded matrix draw (masim_draw), loaded by blockmm
+ * and the seeded matrix draw (masim_draw_block), loaded by blockmm
  * through ctypes. Each has a numpy path in blockmm that gives the same bits.
  *
  * masim_k_loop: out[i][j] += sum_k a[i][k] * b[k][j], with k ascending, for
@@ -16,14 +16,17 @@
  * padding; neither is stored. Returns 0, or -1 if the pack cannot be
  * allocated.
  *
- * masim_draw: count float32 draws of numpy's PCG64, as
- * Generator.random(dtype=np.float32) makes them from a generator with no
- * half buffered. st holds the 128-bit state and increment as
- * {state low, state high, inc low, inc high, half}. Each LCG step,
- * state = state * MULT + inc, gives one 64-bit XSL-RR output, whose low
- * and then high 32-bit halves u give the floats (u >> 8) * 2**-24. The
- * state after the last step is written back, and for an odd count the last
- * output's high half goes to st[4]. */
+ * masim_draw_block: a rows x cols block of numpy's float32 draws, as
+ * Generator.random(dtype=np.float32) makes them, read as a row-major
+ * matrix of width columns: row r of the block, into out + r * ldo, is draws
+ * first + r * width, ..., first + r * width + cols - 1 of the stream whose
+ * start st holds as {state low, state high, inc low, inc high}. Each LCG
+ * step, state = state * MULT + inc, gives one 64-bit XSL-RR output, and
+ * draw e is its (e / 2)-th output's low (e even) or high (e odd) 32-bit
+ * half u, as the float (u >> 8) * 2**-24. Each row starts from its own
+ * state, one affine jump on from the last row's, so a block costs no step
+ * outside it; a row that starts at an odd draw takes the high half of its
+ * first output first. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -77,15 +80,34 @@ int masim_k_loop(const float *a, const float *b, float *out, long m, long depth,
     return 0;
 }
 
+typedef unsigned __int128 u128;
+
+static const u128 MULT = (u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
+
 /* One PCG64 step and its 64-bit XSL-RR output. */
-static uint64_t pcg64_next(unsigned __int128 *state, unsigned __int128 inc)
+static uint64_t pcg64_next(u128 *state, u128 inc)
 {
-    const unsigned __int128 mult =
-        (unsigned __int128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL;
-    *state = *state * mult + inc;
+    *state = *state * MULT + inc;
     uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
     unsigned rot = (unsigned)(*state >> 122);
     return (x >> rot) | (x << (-rot & 63));
+}
+
+/* The affine map of delta steps, state -> *mult * state + *plus, by square
+ * and multiply. */
+static void pcg64_jump(u128 inc, uint64_t delta, u128 *mult, u128 *plus)
+{
+    u128 m = MULT, p = inc, am = 1, ap = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            am = am * m;
+            ap = ap * m + p;
+        }
+        p = (m + 1) * p;
+        m = m * m;
+    }
+    *mult = am;
+    *plus = ap;
 }
 
 static float unit_float(uint32_t u)
@@ -93,21 +115,31 @@ static float unit_float(uint32_t u)
     return (float)(u >> 8) * (1.0f / 16777216.0f);
 }
 
-void masim_draw(float *out, long count, uint64_t *st)
+void masim_draw_block(float *out, long ldo, long rows, long cols, long width,
+                      long first, const uint64_t *st)
 {
-    unsigned __int128 state = (unsigned __int128)st[1] << 64 | st[0];
-    unsigned __int128 inc = (unsigned __int128)st[3] << 64 | st[2];
-    long i = 0;
-    for (; i + 1 < count; i += 2) {
-        uint64_t x = pcg64_next(&state, inc);
-        out[i] = unit_float((uint32_t)x);
-        out[i + 1] = unit_float((uint32_t)(x >> 32));
+    u128 inc = (u128)st[3] << 64 | st[2];
+    u128 mult, plus, row_mult[2], row_plus[2];
+    pcg64_jump(inc, (uint64_t)first / 2, &mult, &plus);
+    u128 state = mult * ((u128)st[1] << 64 | st[0]) + plus;
+    /* from a row that starts at draw e, the next starts width / 2 outputs
+     * on, one more when both e and width are odd */
+    for (int odd = 0; odd < 2; odd++)
+        pcg64_jump(inc, (uint64_t)width / 2 + odd, &row_mult[odd], &row_plus[odd]);
+    for (long r = 0, e = first; r < rows; r++, e += width) {
+        float *row = out + r * ldo;
+        u128 s = state;
+        long c = 0;
+        if (e & 1)
+            row[c++] = unit_float((uint32_t)(pcg64_next(&s, inc) >> 32));
+        for (; c + 1 < cols; c += 2) {
+            uint64_t x = pcg64_next(&s, inc);
+            row[c] = unit_float((uint32_t)x);
+            row[c + 1] = unit_float((uint32_t)(x >> 32));
+        }
+        if (c < cols)
+            row[c] = unit_float((uint32_t)pcg64_next(&s, inc));
+        int odd = e & width & 1;
+        state = row_mult[odd] * state + row_plus[odd];
     }
-    if (i < count) {
-        uint64_t x = pcg64_next(&state, inc);
-        out[i] = unit_float((uint32_t)x);
-        st[4] = x >> 32;
-    }
-    st[0] = (uint64_t)state;
-    st[1] = (uint64_t)(state >> 64);
 }

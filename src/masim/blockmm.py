@@ -18,23 +18,28 @@ on, each band on its own thread. Neither the panels nor the bands change
 any element's order of summation, so the bits do not depend on the core
 count, nor on whether B comes in k-slices added into one output.
 
-max_rel_error is the float64 oracle, add_reference into a zeroed
-reference; verified_output streams B's k-slices through both with the
-same bits. When BLAS is pinned to one thread per call, the oracle splits
-its 256-column panel strips over the usable cores, and its result does
-not depend on the core count either. Every threaded stage (the kernel's
-row bands, the oracle's runs of strips and the seeded matrix draw,
-draw_matrix) cuts its work with the one rule, split, and hands the parts
-to the one runner, run_parts, which returns their results in part order;
-a process limited to one core (taskset -c 0) runs all of them on the
-calling thread.
+max_rel_error is the float64 oracle (_oracle), which walks the output in
+256-column strips and B in 512-deep panels per strip; verified_output,
+the verify loop of `masim run`, walks the same strips with the seeded B,
+drawing each panel of B only when its strip needs it and adding it into
+the output with the kernel, so it holds neither B nor a whole float64
+reference and gives the same bits. When BLAS is pinned to one thread per
+call, the strips are split over the usable cores, one thread per part for
+the whole walk, and the result does not depend on the core count either.
+Every threaded stage (the kernel's row bands, the oracle's runs of strips
+and the seeded matrix draw, draw_matrix) cuts its work with the one rule,
+split, and hands the parts to the one runner, run_parts, which returns
+their results in part order; a process limited to one core (taskset -c 0)
+runs all of them on the calling thread.
 
 The seeded draw reproduces np.random.default_rng(seed)'s float32 draws
 bit for bit without numpy's generator: pcg64_seed is numpy's SeedSequence
-hash and PCG64 seeding, _advance is PCG64's jump-ahead, and a Stream is
-the position in the seed's stream. Each chunk of a draw is filled by the
-library's masim_draw or, where the library cannot be had, by numpy's
-PCG64 set to the chunk's state; only that path imports numpy.random.
+hash and PCG64 seeding, _jump is PCG64's jump-ahead, and a Stream is the
+start of the seed's stream. draw_block fills any block of the draws read
+as a row-major matrix, each row from a state one jump from the last's, by
+the library's masim_draw_block or, where the library cannot be had, by
+numpy's PCG64 set to each row's state; only that path imports
+numpy.random.
 
 trace_block ties the timing to the numerics: it walks one block cycle by
 cycle on one array of an mpe.Machine, checks the walk against
@@ -62,26 +67,18 @@ from .mpe import Machine, block_charges
 
 DTYPE = np.float32
 
-# Output rows, output columns and inner-dimension depth of one
-# add_reference step. The panel shapes and the strip starts (multiples of
-# 256 columns) fix the reference's bits: each panel product is one dgemm
-# call, whose rounding depends on its shape, so no split of the work over
-# threads may move them. Each thread holds a panel of A, a strip of B and
-# a scratch panel in float64, 1.8 MB at most, besides the m x n reference.
-# 128x256x512 measured faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels
-# over the full depth; converting A's slice whole, not per panel, was
-# slower (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
+# Output rows, output columns and inner-dimension depth of one panel
+# product of the oracle (_oracle), whose 256-column output strips are also
+# the verify loop's unit of work. The panel shapes and the strip starts
+# (multiples of 256 columns) fix the reference's bits: each panel product
+# is one dgemm call, whose rounding depends on its shape, so no split of
+# the work over threads may move them. Each part holds one panel of B in
+# float32 and float64, a panel of A and a scratch panel in float64 and its
+# strip's m x 256 float64 reference: 2.5 MB on fc-6. 128x256x512 measured
+# faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels over the full depth;
+# converting A's slice whole, not per panel, was slower (conv-3's oracle
+# 8 ms -> 13 ms, for its fresh pages).
 ORACLE_PANEL = (128, 256, 512)
-
-# Bytes in one k-slice of B (build_matrices): its depth is the largest
-# multiple of the oracle's 512-deep panel that fits, one panel at least, so
-# fc-6 and fc-7 take 1024-deep slices and the other presets one slice.
-# Each slice costs a hand-off to the draw's, the kernel's and the oracle's
-# threads: on 2 vCPUs fc-8's check took 0.048 s in 512-deep slices and
-# 0.039 s in one, and fc-6's 0.240 s in 512-deep, 0.235 s in 1024-deep
-# and 0.267 s in one (medians of 12). Each doubling of the slice adds
-# 16 MB to fc-6's 71 MB peak.
-B_SLICE_BYTES = 16 << 20
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
 # where the compiled kernel cannot be had, which is
@@ -182,15 +179,16 @@ def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     lib.masim_k_loop.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
     lib.masim_k_loop.restype = ctypes.c_int
-    lib.masim_draw.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
-    lib.masim_draw.restype = None
+    lib.masim_draw_block.argtypes = ((ctypes.c_void_p,) + (ctypes.c_long,) * 5
+                                     + (ctypes.c_void_p,))
+    lib.masim_draw_block.restype = None
     return lib
 
 
 @functools.cache
 def _library():
     """The compiled library, whose entry points are masim_k_loop (the
-    kernel) and masim_draw (the seeded draw's fill), or None where it
+    kernel) and masim_draw_block (the seeded draw), or None where it
     cannot be had.
 
     The library is built on first use into the per-user cache,
@@ -200,7 +198,7 @@ def _library():
     that will not load (cut short, or not this library: either entry point
     missing) is built again once. No cc, a failed build, an unwritable
     cache or a library that will not load after its build gives None, and
-    _k_loop and _fill run their numpy paths.
+    _k_loop and draw_block run their numpy paths.
     """
     import hashlib
     cc = shutil.which("cc")
@@ -229,7 +227,11 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
     """out += aa @ bb, k ascending, for float32 matrices whose rows are
     contiguous: by the compiled kernel when _library() has one, else as one
     rank-1 update per ascending k, one row panel of KERNEL_PANEL_ELEMS
-    elements at a time, with a scratch of its own. Both paths give every
+    elements at a time, with a scratch of its own. The numpy loop sums a
+    panel of out whose rows are apart (a strip of a wider output) in a
+    contiguous copy, and reads A's panel transposed: `masim run --preset
+    fc-6 --auto` without the library took 4.8-5.4 s on the strided panel
+    and columns and 3.9-4.1 s on these (2 vCPUs). Both paths give every
     element c = fl(c + fl(a * b)) per k, so they agree bit for bit."""
     lib = _library()
     if lib is not None:
@@ -246,12 +248,13 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
     rows = max(1, KERNEL_PANEL_ELEMS // n)
     scratch = np.empty((min(rows, out.shape[0]), n), out.dtype)
     for r0 in range(0, out.shape[0], rows):
-        panel = out[r0: r0 + rows]
+        panel = np.ascontiguousarray(out[r0: r0 + rows])
         t = scratch[: panel.shape[0]]
-        a_panel = aa[r0: r0 + rows]
+        a_cols = aa[r0: r0 + rows].T.copy()
         for k in range(aa.shape[1]):
-            np.multiply.outer(a_panel[:, k], bb[k], out=t)
+            np.multiply.outer(a_cols[k], bb[k], out=t)
             np.add(panel, t, out=panel)
+        out[r0: r0 + rows] = panel
 
 
 def split(length: int, elements: int, align: int = 1) -> list[int]:
@@ -337,15 +340,19 @@ def reference_gemm(a, b, out=None) -> np.ndarray:
     return out
 
 
-def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
-    """ref += A @ B in float64, and, given out, the largest element-wise
-    relative error of out against the updated ref.
+def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
+    """The largest element-wise relative error of out (m x n) against the
+    float64 product of a (m x depth) and B, whose panels b_panel(ks, cols,
+    buffer) gives: B[ks, cols] as float32 with contiguous rows, for which
+    it may fill buffer, a float32 array of that shape of the calling part's
+    own. A NaN anywhere in out makes the error NaN.
 
-    Each ORACLE_PANEL panel product (B's strip converted to float64 once
-    per 512-deep slice of k, A's panel per product) goes into a scratch
-    panel and is added into ref, k ascending. So k-slices of a product
-    that start at multiples of the panel depth, added into one ref, give
-    the whole product's bits. A NaN anywhere in out makes the error NaN.
+    Each 256-column strip of out is walked by itself. For each 512-deep
+    panel of B, k ascending, the strip's m x 256 float64 reference gets the
+    panel's ORACLE_PANEL products (B's panel converted to float64 once, A's
+    panel per product) through a scratch panel; once its last panel is in,
+    the strip's error is taken against out, which b_panel may still add
+    into until then.
 
     When blas_pinned(), the columns are cut by split(n, m * n, 256) into
     contiguous runs of whole strips, and each part walks its own run on
@@ -355,49 +362,50 @@ def add_reference(a, b, ref: np.ndarray, out=None) -> float | None:
     does not depend on the part count. It can depend on BLAS's own thread
     count, which may change a panel product's last bits.
     """
-    a, b = _operands(a, b)
-    m, n = a.shape[0], b.shape[1]
-    if ref.dtype != np.float64 or ref.shape != (m, n):
-        raise ValueError(f"ref must be a float64 {m}x{n} array")
-    if out is not None and out.shape != (m, n):
-        raise ValueError(f"out has shape {out.shape}, expected {(m, n)}")
+    m, depth = a.shape
+    n = out.shape[1]
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
-    depths = [slice(k0, k0 + panel_depth) for k0 in range(0, a.shape[1], panel_depth)]
     edges = split(n, m * n, panel_cols) if blas_pinned() else [0, n]
 
     def strips(lo: int, hi: int) -> np.float64:
         worst = np.float64(0.0)
+        ref = np.empty((m, min(panel_cols, n)))
         scratch = np.empty((min(panel_rows, m), min(panel_cols, n)))
+        buffer = np.empty((min(panel_depth, depth), min(panel_cols, n)), np.float32)
         for c0 in range(lo, hi, panel_cols):
-            cols = slice(c0, c0 + panel_cols)
-            for ks in depths:
-                b64 = b[ks, cols].astype(np.float64)
+            cols = slice(c0, min(c0 + panel_cols, hi))
+            strip = ref[:, : cols.stop - c0]
+            strip.fill(0.0)
+            for k0 in range(0, depth, panel_depth):
+                ks = slice(k0, min(k0 + panel_depth, depth))
+                b64 = b_panel(ks, cols, buffer[: ks.stop - k0, : cols.stop - c0]
+                              ).astype(np.float64)
                 for r0 in range(0, m, panel_rows):
                     rows = slice(r0, r0 + panel_rows)
-                    panel = ref[rows, cols]
+                    panel = strip[rows]
                     product = scratch[: panel.shape[0], : panel.shape[1]]
                     np.matmul(a[rows, ks].astype(np.float64), b64, out=product)
                     np.add(panel, product, out=panel)
-            if out is None:
-                continue
             for r0 in range(0, m, panel_rows):
-                panel = ref[r0: r0 + panel_rows, cols]
-                err = np.abs(out[r0: r0 + panel_rows, cols] - panel)
+                rows = slice(r0, r0 + panel_rows)
+                panel = strip[rows]
+                err = np.abs(out[rows, cols] - panel)
                 worst = np.maximum(worst, (err / np.maximum(np.abs(panel), tiny)).max())
         return worst
 
-    worst = run_parts(strips, edges)
     # np.maximum, not max(): a NaN from any part must survive
-    return None if out is None else float(np.maximum.reduce(worst))
+    return float(np.maximum.reduce(run_parts(strips, edges)))
 
 
 def max_rel_error(a, b, out) -> float:
-    """Largest element-wise relative error of out against a float64 product:
-    add_reference into a zeroed m x n float64 reference (8 * m * n bytes).
-    A NaN anywhere in out makes the result NaN."""
+    """Largest element-wise relative error of out against a float64
+    product: the oracle (_oracle) over the given B. A NaN anywhere in out
+    makes the result NaN."""
     a, b = _operands(a, b)
-    return add_reference(a, b, np.zeros((a.shape[0], b.shape[1])), out)
+    if out.shape != (a.shape[0], b.shape[1]):
+        raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
+    return _oracle(a, out, lambda ks, cols, _: b[ks, cols])
 
 
 # PCG64, the generator behind np.random.default_rng: a 128-bit LCG,
@@ -451,10 +459,10 @@ def pcg64_seed(seed: int) -> tuple[int, int]:
     return _advance(state, inc, 1), inc
 
 
-def _advance(state: int, inc: int, delta: int) -> int:
-    """The PCG64 state delta steps on, as PCG64.advance(delta) leaves it:
-    the LCG's delta-th power by square and multiply (Brown, "Random number
-    generation with arbitrary strides", 1994)."""
+def _jump(inc: int, delta: int) -> tuple[int, int]:
+    """(mult, plus) of PCG64's jump of delta steps, state -> mult * state +
+    plus: the LCG's delta-th power by square and multiply (Brown, "Random
+    number generation with arbitrary strides", 1994)."""
     mult, plus, acc_mult, acc_plus = PCG64_MULT, inc, 1, 0
     while delta:
         if delta & 1:
@@ -463,113 +471,103 @@ def _advance(state: int, inc: int, delta: int) -> int:
         plus = (mult + 1) * plus & M128
         mult = mult * mult & M128
         delta >>= 1
-    return (acc_mult * state + acc_plus) & M128
+    return acc_mult, acc_plus
 
 
-@dataclass
+def _advance(state: int, inc: int, delta: int) -> int:
+    """The PCG64 state delta steps on, as PCG64.advance(delta) leaves it."""
+    mult, plus = _jump(inc, delta)
+    return (mult * state + plus) & M128
+
+
+@dataclass(frozen=True)
 class Stream:
-    """Where np.random.default_rng(seed) stands in its float32 draws: the
-    PCG64 state and increment, and the high 32-bit half of the last 64-bit
-    output when a draw of odd size left it for the next (numpy's uinteger
-    while has_uint32), else None."""
+    """The start of np.random.default_rng(seed)'s float32 draws, as
+    pcg64_seed gives it: the PCG64 state and increment."""
 
     state: int
     inc: int
-    half: int | None = None
 
 
-def _fill(out: np.ndarray, state: int, inc: int) -> tuple[int, int | None]:
-    """Draw out (a contiguous float32 vector) from PCG64 state as
-    Generator.random(dtype=np.float32) does, each 64-bit output giving
-    two floats (its 32-bit halves, low first, as (half >> 8) * 2**-24);
-    returns the state after the last output and, for an odd size, that
-    output's undrawn high half, else None. By the compiled masim_draw
-    when _library() has one, else by numpy's PCG64 set to the state, the
-    one place a run imports numpy.random."""
+def draw_block(stream: Stream, first: int, width: int, out: np.ndarray) -> np.ndarray:
+    """Fill out (float32, rows x cols, its rows contiguous) with a block of
+    stream's float32 draws read as a row-major matrix of width columns, and
+    return it: row r is draws first + r * width, ..., first + r * width +
+    cols - 1, bit for bit those of np.random.default_rng(seed).random(...,
+    dtype=np.float32), which makes each 64-bit PCG64 output two draws, its
+    low 32-bit half and then its high one.
+
+    By the compiled masim_draw_block when _library() has one. Else each row
+    is drawn by numpy's PCG64 set to the row's state, from the row's first
+    output on (a row that starts at an odd draw draws one more and drops
+    the first), the one place a run imports numpy.random. Either way each
+    row's state is one affine jump from the last row's, so a block costs
+    no step outside it."""
+    if out.ndim != 2 or out.dtype != np.float32 or out.strides[1] != out.itemsize:
+        raise ValueError("out must be a float32 matrix with contiguous rows")
+    rows, cols = out.shape
     lib = _library()
     if lib is not None:
-        st = (ctypes.c_uint64 * 5)(state & M64, state >> 64, inc & M64, inc >> 64, 0)
-        lib.masim_draw(out.ctypes.data, out.size, st)
-        return st[1] << 64 | st[0], st[4] if out.size % 2 else None
+        st = (ctypes.c_uint64 * 4)(stream.state & M64, stream.state >> 64,
+                                   stream.inc & M64, stream.inc >> 64)
+        lib.masim_draw_block(out.ctypes.data, out.strides[0] // out.itemsize,
+                             rows, cols, width, first, st)
+        return out
     from numpy.random import PCG64, Generator
     gen = PCG64(0)
-    gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                 "has_uint32": 0, "uinteger": 0}
-    Generator(gen).random(out=out, dtype=np.float32)
-    after = gen.state
-    return after["state"]["state"], after["uinteger"] if after["has_uint32"] else None
-
-
-def draw_matrix(stream: Stream, rows: int, cols: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """The next rows x cols float32 draw of stream, bit for bit
-    np.random.default_rng(seed).random((rows, cols), dtype=np.float32) at
-    the same point of the seed's stream, into out (a C-contiguous float32
-    rows x cols array) when given; stream is left where the serial draw
-    leaves numpy's generator.
-
-    A half left buffered by an odd-sized earlier draw is the first
-    element. The rest is drawn in the contiguous chunks of
-    split(size, size, 2) at once, each by _fill from the state advanced by
-    its even element offset over two; the last chunk ends where the serial
-    draw ends, and buffers its last output's high half if its size is odd.
-    """
-    if out is None:
-        out = np.empty((rows, cols), np.float32)
-    elif out.shape != (rows, cols) or out.dtype != np.float32 \
-            or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float32 {rows}x{cols} array")
-    flat = out.reshape(-1)
-    if stream.half is not None:
-        flat[0] = (stream.half >> 8) * 2.0 ** -24
-        stream.half = None
-        flat = flat[1:]
-    start, inc = stream.state, stream.inc
-    _library()      # resolved here, so chunks never race to build it
-    stream.state, stream.half = run_parts(
-        lambda lo, hi: _fill(flat[lo:hi], _advance(start, inc, lo // 2), inc),
-        split(flat.size, flat.size, 2))[-1]
+    random = Generator(gen).random
+    row_jumps = [_jump(stream.inc, width // 2 + odd) for odd in (0, 1)]
+    state = _advance(stream.state, stream.inc, first // 2)
+    scratch = np.empty(cols + 1, np.float32)
+    for r, e in enumerate(range(first, first + rows * width, width)):
+        gen.state = {"bit_generator": "PCG64",
+                     "state": {"state": state, "inc": stream.inc},
+                     "has_uint32": 0, "uinteger": 0}
+        odd = e & 1
+        out[r] = random(out=scratch[: cols + odd], dtype=np.float32)[odd:]
+        mult, plus = row_jumps[e & width & 1]
+        state = (mult * state + plus) & M128
     return out
 
 
-def build_matrices(shape: ProblemShape, seed: int):
-    """The seeded A, and an iterator of (ks, B[ks]) over B's k-slices (see
-    B_SLICE_BYTES), each drawn into one reused buffer, so valid until the
-    next is drawn. B's rows are contiguous in the seed's stream, so
-    these are np.random.default_rng(seed)'s serial draws of A and B, bit
-    for bit."""
-    stream = Stream(*pcg64_seed(seed))
-    a = draw_matrix(stream, shape.m, shape.depth)
-    panel = ORACLE_PANEL[2]
-    step = max(panel, B_SLICE_BYTES // (4 * shape.n) // panel * panel)
-
-    def b_slices():
-        buffer = np.empty((min(step, shape.depth), shape.n), np.float32)
-        for k0 in range(0, shape.depth, step):
-            ks = slice(k0, min(k0 + step, shape.depth))
-            depth = ks.stop - k0
-            yield ks, draw_matrix(stream, depth, shape.n, out=buffer[:depth])
-
-    return a, b_slices()
+def draw_matrix(stream: Stream, rows: int, cols: int) -> np.ndarray:
+    """The stream's first rows x cols float32 draws as a matrix (the seeded
+    A), bit for bit np.random.default_rng(seed).random((rows, cols),
+    dtype=np.float32). Its rows are cut by split(rows, rows * cols) and
+    the parts are drawn (draw_block) at once."""
+    out = np.empty((rows, cols), np.float32)
+    _library()      # resolved here, so parts never race to build it
+    run_parts(lambda lo, hi: draw_block(stream, lo * cols, cols, out[lo:hi]),
+              split(rows, rows * cols))
+    return out
 
 
 def verified_output(shape: ProblemShape, seed: int):
     """The run's output on the seeded matrices and its largest relative
-    error: each k-slice of B is added into the output by reference_gemm
-    and into the float64 reference by add_reference, which takes the error
-    on the last slice. The slices start at multiples of the oracle's panel
-    depth, so the output and the error are the whole-matrix reference_gemm's
-    and max_rel_error's. It holds A, the output, its reference
-    (8 * m * n bytes) and one slice."""
-    a, b_slices = build_matrices(shape, seed)
-    out = np.zeros((shape.m, shape.n), np.float32)
-    ref = np.zeros((shape.m, shape.n))
-    rel = None
-    for ks, b in b_slices:
-        a_slice = np.ascontiguousarray(a[:, ks])
-        reference_gemm(a_slice, b, out)
-        rel = add_reference(a_slice, b, ref, out if ks.stop == shape.depth else None)
-    return out, rel
+    error, the whole-matrix reference_gemm's and max_rel_error's bit for
+    bit, without ever holding B or a whole float64 reference.
+
+    A, the seed's first m * depth draws, is drawn whole (draw_matrix); B
+    follows it in the stream. The oracle's walk (_oracle) fetches each
+    512 x 256 panel of B in turn, strip by strip and k ascending within a
+    strip: the part walking the strip draws the panel into its own buffer
+    (draw_block) and adds it into the output's strip with the kernel
+    (_k_loop), which continues each element's k-ordered sum as float32,
+    before the oracle adds the same panel into the strip's reference. It
+    holds A, the output and, per part, one panel of B and a 256-column
+    strip of the reference; with BLAS pinned the parts are the oracle's,
+    one thread each for the whole loop."""
+    stream = Stream(*pcg64_seed(seed))
+    m, depth, n = shape.m, shape.depth, shape.n
+    a = draw_matrix(stream, m, depth)
+    out = np.zeros((m, n), np.float32)
+
+    def b_panel(ks: slice, cols: slice, buffer: np.ndarray) -> np.ndarray:
+        draw_block(stream, m * depth + ks.start * n + cols.start, n, buffer)
+        _k_loop(a[:, ks], buffer, out[:, cols])
+        return buffer
+
+    return out, _oracle(a, out, b_panel)
 
 
 @dataclass

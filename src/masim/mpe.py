@@ -35,6 +35,7 @@ the walk against block_charges.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,7 +72,8 @@ class Machine:
     def __post_init__(self):
         for name, least in (("pes_per_base", 1), ("max_arrays", 1), ("fmac_stages", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0 < self.f_acc < math.inf:
             raise ValueError(f"f_acc must be a positive finite number, got {self.f_acc!r}")

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 from conftest import needs_cc, tile_slices
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import masim
@@ -263,6 +263,45 @@ class TestPcg64Stream:
             blockmm.pcg64_seed(-1)
 
 
+class TestBlockDraw:
+    """Any block of the seeded A or B, drawn by itself with the compiled or
+    the numpy fill, is that block of numpy's serial draw."""
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @given(seed=st.integers(0, 2**70), m=st.integers(1, 40), depth=st.integers(1, 40),
+           n=st.integers(1, 40), corners=st.lists(st.integers(0, 2**16), min_size=8,
+                                                  max_size=8))
+    # corners: A's first row and column and its extra rows and columns,
+    # then B's. Depth 1 and B's whole row after an odd m*depth, whose first
+    # element is the high half of an output; n = 1; odd n, so every other
+    # row of B's block starts at a high half
+    @example(seed=5, m=3, depth=1, n=4, corners=[0, 0, 2, 0, 0, 0, 0, 3])
+    @example(seed=5, m=2, depth=3, n=1, corners=[1, 0, 0, 0, 1, 0, 1, 0])
+    @example(seed=7, m=3, depth=5, n=7, corners=[0, 0, 2, 4, 1, 2, 3, 4])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_any_block_is_the_serial_draws(self, compiled, seed, m, depth, n, corners):
+        if compiled and blockmm._library() is None:
+            pytest.skip("no compiled library")
+        rng = np.random.default_rng(seed)
+        stream = blockmm.Stream(*blockmm.pcg64_seed(seed))
+        first = 0
+        corners = iter(corners)
+        for rows, cols in ((m, depth), (depth, n)):
+            want = rng.random((rows, cols), dtype=np.float32)
+            r0, c0 = next(corners) % rows, next(corners) % cols
+            r1 = r0 + 1 + next(corners) % (rows - r0)
+            c1 = c0 + 1 + next(corners) % (cols - c0)
+            # a block of a wider buffer, as the verify loop's ragged panels
+            out = np.full((r1 - r0, c1 - c0 + 2), np.nan, np.float32)[:, 1:-1]
+            with pytest.MonkeyPatch.context() as mp:
+                if not compiled:
+                    mp.setattr(blockmm, "_library", lambda: None)
+                got = blockmm.draw_block(stream, first + r0 * cols + c0, cols, out)
+            assert got is out
+            assert same_bits(out, want[r0:r1, c0:c1])
+            first += rows * cols
+
+
 @pytest.fixture
 def cold_kernel_cache(tmp_path, monkeypatch):
     """An empty kernel cache of the test's own, and no library resolved yet
@@ -493,7 +532,7 @@ class TestKernelCache:
 
 class TestSlicesOfK:
     """Products added k-slice by k-slice into one output (reference_gemm)
-    or one float64 reference (add_reference) give the whole product's bits."""
+    give the whole product's bits."""
 
     # cut inside and across the compiled kernel's 1024-deep slices
     CUTS = (0, 3, 700, 1030, 2048, 2100)
@@ -511,31 +550,12 @@ class TestSlicesOfK:
             assert masim.reference_gemm(a[:, k0:k1], b[k0:k1], out) is out
         assert same_bits(out, k_loop(a, b))
 
-    def test_reference_slices_give_the_whole_error(self, monkeypatch, pinned_blas):
-        # 32-deep panels: slices cut at multiples of 32, the last one ragged
-        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 8, 32))
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
-        rng = np.random.default_rng(25)
-        a, b = signed(rng, 40, 150), signed(rng, 150, 30)
-        out = k_loop(a, b)
-        out[17, 3] *= 1.001
-        ref = np.zeros((40, 30))
-        cuts = (0, 32, 96, 128, 150)
-        for k0, k1 in zip(cuts, cuts[1:]):
-            last = k1 == cuts[-1]
-            rel = blockmm.add_reference(a[:, k0:k1], b[k0:k1], ref, out if last else None)
-            assert (rel is None) != last
-        assert rel == masim.max_rel_error(a, b, out)
-
     def test_outputs_of_the_wrong_kind_are_rejected(self):
         a, b = np.ones((4, 3), np.float32), np.ones((3, 5), np.float32)
         for out in (np.zeros((4, 5)), np.zeros((5, 4), np.float32),
                     np.zeros((4, 10), np.float32)[:, ::2]):
             with pytest.raises(ValueError, match="float32 4x5"):
                 masim.reference_gemm(a, b, out)
-        for ref in (np.zeros((4, 5), np.float32), np.zeros((4, 4))):
-            with pytest.raises(ValueError, match="float64 4x5"):
-                blockmm.add_reference(a, b, ref)
 
 
 def tile_of(a, b, block_rows, block_cols, tile_id):

@@ -178,13 +178,13 @@ class TestInvalidFlags:
 
     def test_problem_too_large_for_memory(self):
         # a child whose own address space is capped at 3 GiB cannot hold the
-        # 20000 x 20000 output and its float64 reference (4.5 GiB)
+        # 30000 x 30000 float32 output (3.4 GiB)
         code = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.RLIM_INFINITY)); "
                 "sys.path.insert(0, sys.argv[1]); from masim.cli import main; "
                 "sys.exit(main(sys.argv[2:]))")
         done = subprocess.run([sys.executable, "-c", code, str(SRC), "run", "--shape",
-                               "20000x1x20000", "--np", "1", "--si", "256"],
+                               "30000x1x30000", "--np", "1", "--si", "256"],
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stderr
@@ -454,18 +454,19 @@ class TestOutputAndOracle:
 
     def test_planted_error_in_last_ragged_panel_fails(self, tmp_path, monkeypatch):
         # 136 rows, 262 columns and depth 520 leave the last 128x256x512
-        # oracle panel 8x6x8; the error is planted once all 520 k are in
-        kernel = blockmm.reference_gemm
+        # oracle panel 8x6x8; the error is planted once all 520 k of the
+        # last, 6-column strip are in
+        kernel = blockmm._k_loop
         depths = []
 
         def planted(a, b, out):
             kernel(a, b, out)
-            depths.append(b.shape[0])
-            if sum(depths) == 520:
-                out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
-            return out
+            if b.shape[1] == 6:
+                depths.append(b.shape[0])
+                if sum(depths) == 520:
+                    out[-1, -1] *= 1 + 10 * cli.ORACLE_RTOL
 
-        monkeypatch.setattr(blockmm, "reference_gemm", planted)
+        monkeypatch.setattr(blockmm, "_k_loop", planted)
         out_path = tmp_path / "r.json"
         assert run_cli("run", "--shape", "136x520x262", "--np", "1", "--si", "64",
                        "--out", str(out_path)) == 1
@@ -562,18 +563,9 @@ class TestDeterminism:
         assert json.loads(texts[1])["checks"]["oracle_ok"] is True
 
 
-def numpy_position(rng):
-    """Where a numpy PCG64 generator stands, as (state, inc, half) of a
-    blockmm.Stream: a uinteger left stale (has_uint32 0), which no draw
-    observes, reads None."""
-    state = rng.bit_generator.state
-    return (state["state"]["state"], state["state"]["inc"],
-            state["uinteger"] if state["has_uint32"] else None)
-
-
 class TestMatrixDraw:
-    """The seeded matrices, drawn in chunks on threads and B in k-slices,
-    are numpy's serial draw."""
+    """The seeded matrices, drawn whole in row parts on threads and B again
+    panel by panel, are numpy's serial draw."""
 
     CORES = pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
     SHAPES = pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
@@ -594,72 +586,100 @@ class TestMatrixDraw:
 
     @staticmethod
     def check_chunked_draw(monkeypatch, cores, m, depth, n):
-        # odd m*depth leaves a buffered half for the first element of B, and
-        # 2-deep slices of odd n leave one for the first element of B's last
-        # slice
+        # A drawn in row parts; then B and a third matrix, each starting
+        # where the serial draw before it ends, drawn whole and in 3 x 5
+        # panels, in the verify loop's strip-major order: odd m*depth makes
+        # B's first element the high half of an output, and odd n every
+        # other row's of B
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
-        monkeypatch.setattr(blockmm, "ORACLE_PANEL", (4, 4, 2))
-        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)
-        a, b_slices = blockmm.build_matrices(model.ProblemShape(m, depth, n), 5)
-        slices = [(ks, s.copy()) for ks, s in b_slices]
-        assert [(ks.start, ks.stop) for ks, _ in slices] \
-            == [(k0, min(k0 + 2, depth)) for k0 in range(0, depth, 2)]
-        b = np.vstack([s for _, s in slices])
-        # A, B and a third draw from the same seed, each continuing from
-        # where the serial draw before it ends
         serial, stream = np.random.default_rng(5), blockmm.Stream(*blockmm.pcg64_seed(5))
-        for shape, built in (((m, depth), a), ((depth, n), b), ((5, 3), None)):
-            want = serial.random(shape, dtype=np.float32).view(np.uint32)
-            assert np.array_equal(blockmm.draw_matrix(stream, *shape).view(np.uint32), want)
-            assert (stream.state, stream.inc, stream.half) == numpy_position(serial)
-            if built is not None:
-                assert np.array_equal(built.view(np.uint32), want)
+        want = serial.random((m, depth), dtype=np.float32).view(np.uint32)
+        assert np.array_equal(blockmm.draw_matrix(stream, m, depth).view(np.uint32), want)
+        first = m * depth
+        for rows, cols in ((depth, n), (5, 3)):
+            want = serial.random((rows, cols), dtype=np.float32).view(np.uint32)
+            whole = np.empty((rows, cols), np.float32)
+            blockmm.draw_block(stream, first, cols, whole)
+            assert np.array_equal(whole.view(np.uint32), want)
+            panels = np.empty((rows, cols), np.float32)
+            for c0 in range(0, cols, 5):
+                for r0 in range(0, rows, 3):
+                    blockmm.draw_block(stream, first + r0 * cols + c0, cols,
+                                       panels[r0: r0 + 3, c0: c0 + 5])
+            assert np.array_equal(panels.view(np.uint32), want)
+            first += rows * cols
 
     def test_small_matrices_start_no_thread(self, monkeypatch, started_threads):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
-        _, b_slices = blockmm.build_matrices(model.ProblemShape(128, 255, 256), 5)
-        for _ in b_slices:
-            pass
-        assert started_threads == []
         stream = blockmm.Stream(*blockmm.pcg64_seed(5))
+        blockmm.draw_matrix(stream, 128, 255)
+        blockmm.draw_matrix(stream, 255, 256)
+        assert started_threads == []
         blockmm.draw_matrix(stream, 2, blockmm.KERNEL_BAND_MIN_ELEMS)
         assert len(started_threads) == 1
 
-    def test_b_slices_hold_16_mb(self):
-        # fc-6 and fc-7's B in 1024-deep slices, fc-8's in one
-        for n, depth, starts in ((4096, 2049, [0, 1024, 2048]), (1000, 4096, [0])):
-            _, b_slices = blockmm.build_matrices(model.ProblemShape(1, depth, n), 5)
-            assert [ks.start for ks, _ in b_slices] == starts
+    def test_b_is_drawn_in_strip_panels(self, monkeypatch):
+        # fc-6's width: 16 strips of 256 columns, each walked down B in
+        # 512-deep panels, the last one ragged; never a full-width row block
+        draw = blockmm.draw_block
+        panels = []
+
+        def recording(stream, first, width, out):
+            panels.append((first, out.shape))
+            return draw(stream, first, width, out)
+
+        monkeypatch.setattr(blockmm, "draw_block", recording)
+        m, depth, n = 1, 1025, 4096
+        blockmm.verified_output(model.ProblemShape(m, depth, n), 5)
+        assert panels[0] == (0, (1, depth))         # A, whole
+        assert panels[1:] == [(m * depth + k0 * n + c0, (min(512, depth - k0), 256))
+                              for c0 in range(0, n, 256) for k0 in range(0, depth, 512)]
 
     def test_out_must_be_a_contiguous_float32_matrix(self):
         stream = blockmm.Stream(*blockmm.pcg64_seed(5))
-        for out in (np.empty((4, 6), np.float32)[:, :3], np.empty((4, 3)),
-                    np.empty((3, 4), np.float32)):
-            with pytest.raises(ValueError, match="C-contiguous float32 4x3"):
-                blockmm.draw_matrix(stream, 4, 3, out=out)
+        for out in (np.empty((4, 6), np.float32)[:, ::2], np.empty((4, 3)),
+                    np.empty(3, np.float32)):
+            with pytest.raises(ValueError, match="float32 matrix with contiguous rows"):
+                blockmm.draw_block(stream, 0, 3, out)
 
 
 class TestStreamedCheck:
-    """The verify loop's output and error, B streamed in k-slices, are the
-    whole-matrix reference_gemm and max_rel_error."""
+    """The verify loop's output and error, B drawn panel by panel into
+    256-column output strips, are the whole-matrix reference_gemm and
+    max_rel_error."""
 
     # the ids name the one numerics path, "exact", as the report's
     # config.numerics does
     @pytest.mark.parametrize("m,depth,n", [
         pytest.param(3, 1, 5, id="3-1-5-exact"),            # depth 1
-        # one slice short of 512; two row panels, ragged strip
+        # one panel short of 512; two row panels, ragged strip
         pytest.param(130, 511, 300, id="130-511-300-exact"),
-        pytest.param(129, 512, 257, id="129-512-257-exact"),    # exactly one slice
+        pytest.param(129, 512, 257, id="129-512-257-exact"),    # exactly one panel
         pytest.param(7, 513, 260, id="7-513-260-exact"),    # one row past it; odd m*depth
-        # three slices, the last ragged; odd m*depth
+        # three panels, the last ragged; odd m*depth
         pytest.param(131, 1101, 70, id="131-1101-70-exact"),
     ])
     def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas, m, depth, n):
-        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)   # 512-deep slices
         monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
         out, rel = blockmm.verified_output(shape, 9)
+        a, b = seeded_matrices(shape, 9)
+        assert np.array_equal(out.view(np.uint32),
+                              masim.reference_gemm(a, b).view(np.uint32))
+        assert rel == masim.max_rel_error(a, b, out)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_any_part_count_gives_the_whole_matrix_check(self, monkeypatch, pinned_blas,
+                                                          started_threads, parts):
+        # three strips, the last ragged, over three panels of an odd m*depth;
+        # each part of the strips keeps its one thread for the whole loop,
+        # as each part of A's draw does
+        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
+        shape = model.ProblemShape(131, 1101, 701)
+        out, rel = blockmm.verified_output(shape, 9)
+        assert len(started_threads) == 2 * (parts - 1)
         a, b = seeded_matrices(shape, 9)
         assert np.array_equal(out.view(np.uint32),
                               masim.reference_gemm(a, b).view(np.uint32))
@@ -674,8 +694,9 @@ class TestStreamedCheck:
         assert rel == masim.max_rel_error(a, b, out)
 
     def test_nan_in_an_early_slice_is_reported(self, monkeypatch):
-        monkeypatch.setattr(blockmm, "B_SLICE_BYTES", 1)
-        kernel = blockmm.reference_gemm
+        # one strip of 20 columns, its panels 512, 512 and 76 deep; a NaN
+        # planted after the first stays in every later sum
+        kernel = blockmm._k_loop
         calls = []
 
         def first_nan(a, b, out):
@@ -683,24 +704,30 @@ class TestStreamedCheck:
             if not calls:
                 out[5, 7] = np.nan
             calls.append(b.shape[0])
-            return out
 
-        monkeypatch.setattr(blockmm, "reference_gemm", first_nan)
+        monkeypatch.setattr(blockmm, "_k_loop", first_nan)
         out, rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3)
         assert calls == [512, 512, 76]
         assert np.isnan(out[5, 7]) and np.isnan(rel)
 
-    def test_never_holds_b(self):
-        # B is 64 MB; the loop holds one 16 MB slice of it at a time
-        shape = model.ProblemShape(64, 4096, 4096)
-        tracemalloc.start()
-        try:
-            _, rel = blockmm.verified_output(shape, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rel <= cli.ORACLE_RTOL
-        assert peak < 4 * shape.depth * shape.n / 2
+    def test_never_holds_b(self, monkeypatch, pinned_blas):
+        # B is 16 MB, a full-width panel of it 8 MB and an m x n float64
+        # 8 MB; the loop holds A, the output and, per part, a 512 x 256
+        # panel of B in float32 and float64, a 128 x 512 panel of A, a
+        # scratch panel and an m x 256 strip of the reference in float64
+        # and the error's temporaries, 3.6 MB
+        shape = model.ProblemShape(256, 1024, 4096)
+        a_and_out = 4 * shape.m * (shape.depth + shape.n)
+        for parts in (1, 2):
+            monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
+            tracemalloc.start()
+            try:
+                _, rel = blockmm.verified_output(shape, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rel <= cli.ORACLE_RTOL
+            assert peak < a_and_out + parts * (5 << 20)
 
 
 class TestModuleEntryPoint:

@@ -216,6 +216,17 @@ class TestMachine:
         with pytest.raises(ValueError):
             masim.Machine(pes_per_base=64.0)
 
+    @pytest.mark.parametrize("field,least", [("pes_per_base", 1), ("max_arrays", 1),
+                                             ("fmac_stages", 0)])
+    def test_integer_fields_take_integrals_but_not_bools(self, field, least):
+        # the rule of model's ProblemShape and DesignPoint: a bool or a float
+        # of integral value is refused, a numpy integer taken
+        for value in (True, 2.0):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer >= "
+                                                 f"{least}, got {value!r}$"):
+                masim.Machine(**{field: value})
+        assert getattr(masim.Machine(**{field: np.int64(4)}), field) == 4
+
     def test_derived_values(self):
         m = masim.Machine(pes_per_base=32, max_arrays=3, f_acc=1e8)
         assert m.mc_depth == 96
