@@ -1,4 +1,4 @@
-"""Event-driven simulation of the full accelerator.
+"""Walks that schedule the full accelerator.
 
 The simulator is a pure timing engine: run_mpe takes the same problem
 shape, design point and machine as model.bounds, and the schedule depends
@@ -18,9 +18,9 @@ transfers: each array holds at most two resident blocks (one computing
 from the active buffer, one prefetching into the shadow buffer), its
 transfer engine serialises fetches and write-backs, and compute starts
 only once a block's data is fully resident. Work stealing
-(wqm.arbitrate) is evaluated at block boundaries, i.e. whenever the event
-loop finishes a batch of same-time events, once some queue has run dry
-(only an array with no queued work asks for more).
+(wqm.arbitrate) is evaluated at block boundaries, i.e. after the last
+compute end of each instant, once some queue has run dry (only an array
+with no queued work asks for more).
 
 Two transfer regimes are available. In the default per-array regime every
 active array sees the effective bandwidth the bandwidth model assigns to
@@ -40,60 +40,46 @@ cycle contract excludes, because every earlier drain overlaps the next
 block's compute) is reported separately in the per-array stats and in
 time_with_drain_seconds.
 
-The event loop's heap holds fetch ends and compute ends only. A
-write-back holds its port, but its end changes no state: an array asks
-for work only while its queue is dry and it holds fewer than two tiles,
-and a refused steal stays refused, as queues only shrink. A traced run
-writes wb_done rows as it schedules write-backs.
+Two schedulers apply one set of float operations in one order, so their
+times agree bit for bit: each array's first two fetches at t = 0, in
+array order; each compute from the later of its fetch end and the
+previous compute end; at each compute end its write-back and then the
+array's next fetch on the port.
 
-The walks schedule a run up to its first steal (all of it, if it never
-steals) by a recurrence that applies the loop's own float operations in
-the loop's order, so its times are the loop's bit for bit: the first two
-fetches of each array at t = 0; each compute starts at the later of its
-fetch end and the previous compute end; each compute end puts its
-write-back and then the next fetch onto the port. An array dealt count
-tiles takes its last queued tile at its compute end count - 3 and asks
-for work from its compute end count - 2. The deal's counts differ by at
-most one, so if it deals an array fewer than two tiles, every queue is
-dry after the first fetches and the run never steals.
+_walk schedules every traced run, every shared_port run of two or more
+arrays and every per_array run that steals. It takes all arrays' compute
+ends in (time, array) order, on one port per array or on the one shared
+port, so at a tie the lower array id's transfer goes first, as behind a
+fixed-priority arbiter. After the last compute end of an instant, the
+arrays it left with a dry queue and fewer than two tiles ask for work
+while some tile is still queued; each thief fetches its tile at once, in
+grant order. Fetch and write-back ends are no steps of the walk, as they
+change nothing a round reads: a thief that gets a tile holds two, and a
+refused request means no tile is queued anywhere. Each array's tiles are
+its queue's prefix followed by its stolen ids in grant order, so the walk
+names a tile only to write a trace row or to grant a steal; each granted
+tile is checked against the tiles already taken, so a tile computed twice
+is named.
 
-In the per-array regime each array walks its whole run alone (_alone),
-and the run steals exactly when the least compute end count - 2 is
-earlier than the greatest compute end count - 3; only unequal clocks
-(slowdowns) bring that about, and such a run takes the loop from t = 0.
-Arrays dealt one count at one clock walk alike, so the run walks once
-per distinct (count, slowdown): at equal clocks at most twice, as the
-deal's counts differ by at most one.
-Under shared_port one walk takes every array's compute ends in (time,
-array) order on the one port (_shared) and stops at the first compute end
-count - 2 that finds a tile still queued: the first steal. The fetches
-and the compute running there become the loop's pending events, in the
-loop's push order within each array, and the loop runs unchanged from
-there. On one port the order of same-instant events decides whose
-transfer the port serves first; the loop serves them in array order, as
-a fixed-priority arbiter does, and so does the walk, so the walk never
-falls back on the loop. The loop runs the whole schedule from t = 0 only
-when the trace is recorded or when a per-array run steals.
-
-A walked array's tiles are a prefix of its queue, a range, so an
-untraced run lists them in C and touches no tile in Python. The tile
-check counts: walked ranges hold disjoint residues, and each tile the
-loop computes is checked against its residue's walked range and the
-loop's earlier tiles, so a tile computed twice or left undone is still
-named. The loop keeps a count of the tiles still queued and holds no
-arbitration round once it is 0, as such a round cannot grant.
+_alone walks one array's whole run on its own port. It schedules the
+untraced per_array runs it proves steal-free, which is every run of the
+explorer's per_array points: an array dealt count tiles takes its last
+queued tile at its compute end count - 3 and asks for work from its
+compute end count - 2, so the run steals exactly when the least compute
+end count - 2 is earlier than the greatest compute end count - 3; only
+unequal clocks (slowdowns) bring that about. Arrays dealt one count at
+one clock walk alike, so the run walks once per distinct (count,
+slowdown): at equal clocks at most twice, as the deal's counts differ by
+at most one. Its arrays' tiles are their queues' ranges, listed in C, so
+such a run does no Python work per tile.
 
 The event trace (one row per fetch, compute, write-back and steal) is
 recorded only when the run is asked to write it; otherwise the run keeps
-nothing but the per-array statistics and the steal log. A traced run
-thus takes the event loop from t = 0 throughout, the reference its
-untraced twin is tested against: every report field agrees.
+nothing but the per-array statistics and the steal log.
 
 A run is strictly deterministic: identical inputs produce an identical
-report, event order is fixed by (time, array, insertion sequence), so
-same-instant events go in array order and each array's in the order they
-were queued, and same-instant steal requests are resolved in round-robin
-order.
+report, same-instant compute ends go in array order, and same-instant
+steal requests are resolved in round-robin order.
 """
 
 from __future__ import annotations
@@ -102,7 +88,6 @@ import csv
 import math
 import numbers
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 
@@ -112,10 +97,8 @@ from .mpe import Machine, block_charges
 
 
 class SimulationError(RuntimeError):
-    """Internal inconsistency: the event loop wedged or lost work."""
-
-
-FETCH_DONE, COMPUTE_DONE = 0, 1    # the event loop's kinds of event
+    """Internal inconsistency: a walk lost or repeated a tile, or starved an
+    array while another queue held work."""
 
 
 @dataclass
@@ -156,13 +139,14 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
     ids to factors that scale those arrays' clock periods (testing aid for
     load-imbalance scenarios; charged cycle stats stay nominal); an id
     that is not an int in range(point.n_arrays) (a bool is not) or a
-    factor that is not positive and finite raises ValueError. After every arbitration round the no-starvation
-    rule is checked; a violation raises SimulationError. A makespan too
-    long to count in cycles at the machine's clock raises OverflowError.
+    factor that is not positive and finite raises ValueError. After every
+    arbitration round the no-starvation rule is checked; a violation
+    raises SimulationError. A makespan too long to count in cycles at the
+    machine's clock raises OverflowError.
 
     With trace_path the event trace is written there as CSV, with header
     cycle,array,event,block and rows sorted by cycle. The file is opened
-    before the first event, so a path that cannot be written raises
+    before the schedule, so a path that cannot be written raises
     OSError before anything is scheduled; a run that then fails removes
     the file again.
     """
@@ -199,12 +183,10 @@ def run_mpe(shape: ProblemShape, point: DesignPoint, machine: Machine, *,
 
 def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
               slow: list[float], steal: bool, trace) -> SimReport:
-    """The schedule of run_mpe over one array per slow entry: a recurrence
-    up to the run's first steal (_alone once per distinct array, or _shared
-    for two or more arrays on one port), then the event loop from the
-    events pending there. The loop runs from t = 0 with a trace or when a
-    per-array run steals. Appends (seconds, array, event, tile id) rows to
-    trace unless it is None."""
+    """The schedule of run_mpe over one array per slow entry: _alone once
+    per distinct array for an untraced per_array run that it proves
+    steal-free, _walk for every other run. Appends (seconds, array, event,
+    tile id) rows to trace unless it is None."""
     n_active = len(slow)
     f_acc = machine.f_acc
     # one array's port is the shared port: the regime needs two arrays
@@ -218,137 +200,37 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
     compute_s = [charges.cycles / f_acc * factor for factor in slow]  # one block, slowed
 
     tile_count = shape.tile_count(si, sj)
-    # one byte per tile the event loop executes, allocated before the walks
-    # (whose time grows with the tiles), so a tile count too large for
-    # memory raises MemoryError first
-    looped = bytearray(tile_count)
+    # one byte per tile, marked as _walk grants it, allocated before the
+    # deal (the walks' time grows with the tiles), so a tile count too
+    # large for memory raises MemoryError first
+    granted = bytearray(tile_count)
     queues = wqm.partition_workload(tile_count, n_active)
-    # the tiles each array's walk executed, a prefix of its queue: these
-    # ranges hold disjoint residues modulo n_active
-    walked = [range(0)] * n_active
-    # [time the transfer port is free]; all arrays share one under shared_port
-    ports = [[0.0]] * n_active if shared else [[0.0] for _ in range(n_active)]
-    stats = [ArrayRunStats(array_id=i) for i in range(n_active)]
-    last_end = [0.0] * n_active    # each array's last compute completion
-    resident = [0] * n_active      # fetched (or fetching) but compute unfinished
-    fetched = [deque() for _ in range(n_active)]  # not yet computed; the head computes
-    pointer = 0                    # round-robin pointer of the steal arbitration
-    steal_log: list[wqm.StealEvent] = []
-    tracing = trace is not None
-    heap: list = []                # (time, array, insertion sequence, kind, tile id)
-    seq = 0                        # same-time events pop in array, then insertion order
-    done_events = ("fetch_done", "compute_done")   # indexed by kind
-
-    def fetch(i: int, t: float, tile: int):
-        nonlocal seq
-        resident[i] += 1
-        start = ports[i][0] if ports[i][0] > t else t
-        ports[i][0] = end = start + in_s
-        if tracing:
-            trace.append((start, i, "fetch_start", tile))
-        seq += 1
-        heappush(heap, (end, i, seq, FETCH_DONE, tile))
-
-    # the walks up to the run's first steal, the loop from there
-    h, walks = math.inf, None
-    if shared and not tracing:
-        h, walks = _shared([len(q) for q in queues], in_s, out_s, compute_s, steal)
-    elif not tracing:
+    run = None
+    if not shared and trace is None:
         # arrays dealt one count at one clock walk alike: one walk for each
         alone = {key: _alone(key[0], in_s, out_s, key[1])
                  for key in dict.fromkeys(zip(map(len, queues), compute_s))}
         # a run steals if an array asks for work (from its compute end
         # count - 2) before another's queue is dry (at its compute end
-        # count - 3); it then runs the loop from t = 0
+        # count - 3)
         if not steal or min(a[3] for a in alone.values()) >= \
                 max(a[2] for a in alone.values()):
-            walks = [(len(q), *alone[len(q), c][:2], (), ())
-                     for q, c in zip(queues, compute_s)]
-    if walks is None:
-        # a kept trace or a per-array steal: the loop from t = 0
-        for i, q in enumerate(queues):
-            queues[i] = q[2:]
-            for tile in q[:2]:
-                fetch(i, 0.0, tile)
-    else:
-        for i, (k, port, last, ends, events) in enumerate(walks):
-            ports[i][0], last_end[i] = port, last
-            q = queues[i]
-            walked[i], held, queues[i] = q[:k], q[k:k + len(ends)], q[k + len(ends):]
-            stats[i].tiles = list(walked[i])
-            resident[i] = len(held)
-            fetched[i].extend(tile for tile, end in zip(held, ends) if end < h)
-            for end, kind, j in events:
-                seq += 1
-                heappush(heap, (end, i, seq, kind, held[j]))
-    queued = sum(map(len, queues))                 # the tiles still queued
-    arbitrating = steal and not all(queues)        # stealing on and some queue dry
+            walks = [alone[len(q), c] for q, c in zip(queues, compute_s)]
+            run = ([w[0] for w in walks], [w[1] for w in walks],
+                   [list(q) for q in queues], [])
+    ports, last_end, tiles, steal_log = run or _walk(
+        queues, in_s, out_s, compute_s, shared, steal, trace, granted)
 
-    while heap:
-        t, i, _, kind, tile = heappop(heap)
-        if tracing:
-            trace.append((t, i, done_events[kind], tile))
-        if kind == COMPUTE_DONE:
-            if tile in walked[tile % n_active] or looped[tile]:
-                raise SimulationError(f"tile {tile} executed twice")
-            looped[tile] = 1
-            stats[i].tiles.append(tile)
-            last_end[i] = t
-            p = ports[i]
-            start = p[0] if p[0] > t else t
-            p[0] = end = start + out_s     # no event: its end changes no state
-            if tracing:
-                trace.append((start, i, "wb_start", tile))
-                trace.append((end, i, "wb_done", tile))
-            resident[i] -= 1
-            q = queues[i]
-            while resident[i] < 2 and q:
-                nxt, q = q[0], q[1:]
-                queued -= 1
-                fetch(i, t, nxt)
-                if not q:
-                    arbitrating = steal
-            queues[i] = q
-            fetched[i].popleft()
-            tile = fetched[i][0] if fetched[i] else -1
-        else:
-            fetched[i].append(tile)
-            if len(fetched[i]) > 1:
-                tile = -1
-        if tile >= 0:              # array i starts computing tile now
-            if tracing:
-                trace.append((t, i, "compute_start", tile))
-            seq += 1
-            heappush(heap, (t + compute_s[i], i, seq, COMPUTE_DONE, tile))
-        # no round while another event is due now, or once no queue holds
-        # a tile: such a round cannot grant
-        if not arbitrating or not queued or heap and heap[0][0] <= t:
-            continue
-        needy = [j for j in range(n_active) if not queues[j] and resident[j] < 2]
-        if not needy:
-            continue
-        before = len(steal_log)
-        pointer = wqm.arbitrate(queues, needy, pointer, t, steal_log)
-        queued = sum(map(len, queues))
-        # each thief fetches its tile at once, in grant order, so the
-        # shared port serves the stolen tiles in that order
-        for ev in steal_log[before:]:
-            stats[ev.thief].steals_taken += 1
-            fetch(ev.thief, t, ev.item_id)
-            if tracing:
-                trace.append((t, ev.thief, "steal", ev.item_id))
-        if queued and any(r == 0 and not q for r, q in zip(resident, queues)):
-            raise SimulationError("array starved while another queue holds work")
-
-    # loop tiles are checked against every earlier one, and walks hold
-    # disjoint residues: the tiles listed are distinct
-    executed = sum(len(s.tiles) for s in stats)
-    if executed != tile_count or queued:
+    stats = [ArrayRunStats(array_id=i, tiles=t) for i, t in enumerate(tiles)]
+    for ev in steal_log:
+        stats[ev.thief].steals_taken += 1
+    executed = sum(map(len, tiles))
+    if executed != tile_count:
         raise SimulationError(f"run ended with {executed}/{tile_count} tiles executed")
 
-    time_seconds = max(p[0] for p in ports)    # the latest write-back end
-    # Every event, and so every trace row, lies within the makespan: one
-    # check covers every seconds-to-cycles conversion of the run.
+    time_seconds = max(ports)      # the latest write-back end
+    # Every time the run sets, and so every trace row, lies within the
+    # makespan: one check covers every seconds-to-cycles conversion of the run.
     if not math.isfinite(time_seconds * f_acc):
         raise OverflowError(f"simulated time of {time_seconds:g} s is too long to "
                             f"count in cycles at {f_acc:g} Hz")
@@ -386,11 +268,11 @@ def _schedule(shape: ProblemShape, point: DesignPoint, machine: Machine,
 
 def _alone(count: int, in_s: float, out_s: float, compute_s: float):
     """The schedule of one array over count tiles while no other array
-    touches it, with the event loop's own float operations: the first two
-    fetches at t = 0; each compute starts at the later of its fetch end and
-    the previous compute end; each compute end puts its write-back and then
-    the next fetch onto the array's port (which the write-back leaves free
-    no earlier than the compute end).
+    touches its port, with _walk's float operations: the first two fetches
+    at t = 0; each compute starts at the later of its fetch end and the
+    previous compute end; each compute end puts its write-back and then
+    the next fetch onto the port (which the write-back leaves free no
+    earlier than the compute end).
 
     Returns (port, last, dry, needy): the time the port is free, the last
     compute end, the compute end count - 3, whose refill takes the last
@@ -415,62 +297,123 @@ def _alone(count: int, in_s: float, out_s: float, compute_s: float):
     return p, last, dry, needy
 
 
-def _shared(counts: list[int], in_s: float, out_s: float, compute_s: list[float],
-            steal: bool):
-    """_alone for arrays of counts tiles on one shared port, up to the
-    run's first steal: every array's compute ends in time order, with the
-    loop's own float operations. The first two fetches of each array in
-    array order at t = 0; each compute starts at the later of its fetch
-    end and the previous compute end; each compute end puts its write-back
-    and then its refill fetch onto the port.
+def _walk(queues: list[range], in_s: float, out_s: float, compute_s: list[float],
+          shared: bool, steal: bool, trace, granted: bytearray):
+    """The schedule of the arrays of queues over all their compute ends in
+    (time, array) order, on one port under shared and one port per array
+    otherwise: each array's first two fetches at t = 0, in array order;
+    each compute from the later of its fetch end and the previous compute
+    end; each compute end puts its write-back and then the array's next
+    fetch onto its port. With steal, after the last compute end of an
+    instant, the arrays it left with a dry queue and fewer than two tiles
+    ask wqm.arbitrate for work while some tile is still queued; each thief
+    fetches its tile at once, in grant order, and granted marks the tile.
+    No array asks for work before its first compute end while a tile is
+    queued: the deal's counts differ by at most one, so if it deals an
+    array fewer than two tiles, every array fetches all of its own at once.
 
-    Compute ends at one instant go in array order, as the loop serves
-    them. The walk stops at the first compute end count - 2 of an array
-    (from which it asks for work) while some tile is still queued, and
-    otherwise walks to the end. Returns that instant h (inf if the run
-    never steals) and one (compute ends taken, port free, last compute
-    end, held fetch ends, pending events) tuple per array.
+    Returns the time each port is free, each array's last compute end,
+    each array's tiles in compute order and the steal log.
     """
-    n = len(counts)
-    p = 0.0
-    f0, f1, last, taken = [0.0] * n, [0.0] * n, [0.0] * n, [0] * n
-    for i, count in enumerate(counts):     # the first fetches, in array order
-        if count:
-            p = f0[i] = p + in_s
-        if count > 1:
-            p = f1[i] = p + in_s
-    # the tiles still queued; counted from zero with stealing off, so never positive
-    queued = sum(max(count - 2, 0) for count in counts) if steal else 0
-    h = math.inf
-    heap = [(f0[i] + compute_s[i], i) for i in range(n) if counts[i]]
+    n = len(queues)
+    tracing = trace is not None
+    ports = [0.0] * (1 if shared else n)
+    own = [min(len(q), 2) for q in queues]    # tiles taken, a prefix of the queue
+    left = [len(q) - k for q, k in zip(queues, own)]   # tiles still queued
+    queued = sum(left)
+    held = own[:]              # tiles fetched or fetching, their compute not ended
+    nxt = [0.0] * n            # fetch end of the held tile that computes next
+    last = [0.0] * n           # each array's last compute end
+    stolen = [[] for _ in range(n)]
+    done = [0] * n             # compute ends, counted when tracing
+    steal_log: list[wqm.StealEvent] = []
+    needy, pointer, heap = [], 0, []    # heap: (compute end, array)
+
+    def tile(i: int, k: int) -> int:    # array i's k-th tile
+        return queues[i][k] if k < own[i] else stolen[i][k - own[i]]
+
+    def computes(i: int, start: float, k: int):
+        trace.append((start, i, "compute_start", k))
+        trace.append((start + compute_s[i], i, "compute_done", k))
+
+    for i, q in enumerate(queues):
+        j = 0 if shared else i
+        for k in range(own[i]):
+            start = ports[j]
+            ports[j] = nxt[i] = f = start + in_s
+            if tracing:
+                trace += [(start, i, "fetch_start", q[k]), (f, i, "fetch_done", q[k])]
+            if not k:              # the first compute, from the first fetch end
+                heap.append((f + compute_s[i], i))
+                if tracing:
+                    computes(i, f, q[0])
     heapify(heap)
+
     while heap:
-        end, i = heap[0]
-        k = taken[i]
-        if queued > 0 and k == counts[i] - 2:
-            h = end
-            break
-        last[i] = end
-        p = (p if p > end else end) + out_s
-        if k + 2 < counts[i]:      # the refill, once the write-back is on
-            p = p + in_s
-            f0[i], f1[i] = f1[i], p
+        t, i = heap[0]
+        last[i] = t
+        j = 0 if shared else i
+        p = ports[j]
+        start = p if p > t else t
+        p = start + out_s
+        if tracing:
+            k = tile(i, done[i])
+            done[i] += 1
+            trace += [(start, i, "wb_start", k), (p, i, "wb_done", k)]
+        if left[i]:                # the next fetch, once the write-back is on
+            start, p = p, p + in_s
+            if tracing:
+                k = queues[i][own[i]]
+                trace += [(start, i, "fetch_start", k), (p, i, "fetch_done", k)]
+            own[i] += 1
+            left[i] -= 1
             queued -= 1
+            f, nxt[i] = nxt[i], p
         else:
-            f0[i] = f1[i]
-        taken[i] = k = k + 1
-        if k < counts[i]:
-            heapreplace(heap, ((f0[i] if f0[i] > end else end) + compute_s[i], i))
-        else:
+            held[i] -= 1
+            f = nxt[i] if held[i] else None
+            if steal and queued:
+                needy.append(i)
+        ports[j] = p
+        if f is None:
             heappop(heap)
-    walks = []
-    for i, count in enumerate(counts):
-        # the events pending at h in the loop's push order: the fetches that
-        # end at or after h, then the compute running at h
-        ends = (f0[i], f1[i])[:count - taken[i]]
-        events = [(end, FETCH_DONE, j) for j, end in enumerate(ends) if end >= h]
-        if ends and ends[0] < h:
-            events.append(((ends[0] if ends[0] > last[i] else last[i]) + compute_s[i],
-                           COMPUTE_DONE, 0))
-        walks.append((taken[i], p, last[i], ends, events))
-    return h, walks
+        else:
+            start = f if f > t else t
+            heapreplace(heap, (start + compute_s[i], i))
+            if tracing:
+                computes(i, start, tile(i, done[i]))
+        if not needy or heap and heap[0][0] <= t:
+            continue
+        if queued:                 # the instant's last compute end: one round
+            qs = [q[k:k + m] for q, k, m in zip(queues, own, left)]
+            before = len(steal_log)
+            pointer = wqm.arbitrate(qs, needy, pointer, t, steal_log)
+            left = list(map(len, qs))
+            queued = sum(left)
+            for ev in steal_log[before:]:
+                i, k = ev.thief, ev.item_id
+                r = k % n
+                if granted[k] or k in queues[r][:own[r]]:
+                    raise SimulationError(f"tile {k} executed twice")
+                granted[k] = 1
+                stolen[i].append(k)
+                j = 0 if shared else i
+                p = ports[j]
+                start = p if p > t else t
+                ports[j] = f = start + in_s
+                if tracing:
+                    trace += [(start, i, "fetch_start", k), (f, i, "fetch_done", k),
+                              (t, i, "steal", k)]
+                held[i] += 1
+                if held[i] > 1:
+                    nxt[i] = f
+                else:              # an idle thief computes from the fetch end
+                    heappush(heap, (f + compute_s[i], i))
+                    if tracing:
+                        computes(i, f, k)
+            if queued and any(held[i] == 0 for i in needy):
+                raise SimulationError("array starved while another queue holds work")
+        needy = []
+
+    tiles = [[*q[:k], *s] for q, k, s in zip(queues, own, stolen)]
+    return ports, last, tiles, steal_log

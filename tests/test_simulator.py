@@ -1,18 +1,18 @@
 import csv
 import dataclasses
 import hashlib
-import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_loop
 from conftest import assemble_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masim
-from masim import cli, simulator, wqm
+from masim import cli, wqm
 
 
 def rand(rng, r, c):
@@ -137,15 +137,13 @@ def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **field
         return rep, list(csv.reader(fh))
 
 
-def logged_calls(monkeypatch, name):
-    """Wrap simulator.<name>; return the list its results are appended to."""
-    results, walk = [], getattr(simulator, name)
-
-    def logged(*args):
-        results.append(walk(*args))
-        return results[-1]
-    monkeypatch.setattr(simulator, name, logged)
-    return results
+def refuse_arbitration(monkeypatch):
+    """Fail on any arbitration round: a run that must not steal holds none,
+    as a round is held only for an array asking for work while a tile is
+    still queued."""
+    def refuse(*args):
+        raise AssertionError("arbitration round in a run that cannot steal")
+    monkeypatch.setattr(wqm, "arbitrate", refuse)
 
 
 class TestDeterminism:
@@ -162,27 +160,19 @@ class TestDeterminism:
         point = masim.DesignPoint(3, 4)
         assert np.array_equal(assemble_run(r0, point, a, b), assemble_run(r1, point, a, b))
 
-    def test_trace_path_changes_no_report_field(self, tmp_path, monkeypatch):
-        # A traced run keeps the event loop from t = 0; an untraced one walks
-        # the recurrence up to the run's first steal, then the loop. Every
+    def test_trace_path_changes_no_report_field(self, tmp_path):
+        # A traced run takes _walk; an untraced one takes _alone when it
+        # is a per_array run that cannot steal, and _walk otherwise. Every
         # report field agrees, in both transfer regimes, with ideal and
         # finite bandwidth, a bandwidth at which a fetch adds less than half
         # an ulp, a 1 Hz clock and 4 B/s port on which every time is a whole
         # number of seconds (so compute ends tie while transfers take time,
         # and the port's order matters), pipelines of 0 and 8 stages, ragged
         # grids on 1-4 arrays, arrays of 1-2 tiles, no, equal and unequal
-        # slowdowns, and stealing on and off. Every untraced per_array run
-        # walks _alone, and so does every one-array run (its port is the
-        # shared port); every other untraced shared_port run walks _shared,
-        # which serves same-instant events in array order, as the loop
-        # does, and so never falls back on the loop. A walked run pushes a
-        # loop event exactly when it steals, and _shared stops at the first
-        # steal. No traced run walks: each runs the loop from t = 0.
-        walks = {name: logged_calls(monkeypatch, name) for name in ("_alone", "_shared")}
-        pushes = logged_calls(monkeypatch, "heappush")
+        # slowdowns, and stealing on and off.
         rng = np.random.default_rng(29)
         path = tmp_path / "t.csv"
-        runs = few = walked = ties = 0
+        runs = few = shared = 0
         for contention in ("per_array", "shared_port"):
             for bw, f_acc in ((masim.IdealBandwidth(), 2e8),
                               (masim.ParametricBandwidth(4e8, 8, 0.3), 2e8),
@@ -203,34 +193,18 @@ class TestDeterminism:
                                 {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
                                  for i in range(n_arrays)}][int(rng.integers(3))]
                         for steal_on in (False, True):
-                            before = [len(log) for log in walks.values()]
-                            del pushes[:]
-                            plain = masim.run_mpe(shape, point, machine, steal=steal_on,
-                                                  slowdowns=slow)
-                            alone, shared = (log[n:] for log, n in
-                                             zip(walks.values(), before))
-                            steals = plain.steal_events
-                            if contention == "per_array" or n_arrays == 1:
-                                assert alone and not shared
-                            else:
-                                assert not alone and len(shared) == 1
-                                walked += shared[0] is not None
-                                ties += shared[0] is None
-                            assert bool(pushes) == bool(steals)
-                            if shared:
-                                assert shared[0][0] == (steals[0].time_s if steals else math.inf)
-                            before = [len(log) for log in walks.values()]
-                            traced = masim.run_mpe(shape, point, machine, steal=steal_on,
-                                                   slowdowns=slow, trace_path=path)
-                            assert [len(log) for log in walks.values()] == before
+                            plain, traced = (
+                                masim.run_mpe(shape, point, machine, steal=steal_on,
+                                              slowdowns=slow, trace_path=trace)
+                                for trace in (None, path))
                             for f in dataclasses.fields(masim.SimReport):
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
-        # runs, runs with an array of 1-2 tiles, and the untraced
-        # multi-array shared_port runs that walked _shared and that fell
-        # back on the loop (none)
-        assert (runs, few, walked, ties) == (384, 92, 146, 0)
+                            shared += contention == "shared_port" and n_arrays > 1
+        # runs, runs with an array of 1-2 tiles, and the multi-array
+        # shared_port runs
+        assert (runs, few, shared) == (384, 92, 146)
 
     # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
     # and a 4 B/s port) on which compute ends and transfers tie; ragged
@@ -245,27 +219,36 @@ class TestDeterminism:
            mkn=st.tuples(st.integers(1, 48), st.integers(1, 16), st.integers(1, 48)),
            factors=st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=4, max_size=4),
            steal_on=st.booleans())
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_untraced_report_equals_traced(self, contention, machine, stages, n_arrays,
                                            block, mkn, factors, steal_on):
+        # Untraced and traced, the run equals reference_loop's, which
+        # schedules it by a discrete-event loop from t = 0: every report
+        # field, and the trace byte for byte.
         bw, f_acc = machine
         machine = masim.Machine(bw_model=bw, contention=contention, fmac_stages=stages,
                                 f_acc=f_acc)
         m, k, n = mkn
         shape, point = masim.ProblemShape(m, k, n), masim.DesignPoint(n_arrays, *block)
         slow = dict(enumerate(factors[:n_arrays]))
-        plain = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow)
         with tempfile.TemporaryDirectory() as tmp:
-            traced = masim.run_mpe(shape, point, machine, steal=steal_on, slowdowns=slow,
-                                   trace_path=Path(tmp) / "t.csv")
-        assert plain == traced
+            sim, ref = Path(tmp) / "sim.csv", Path(tmp) / "ref.csv"
+            reports = [run(shape, point, machine, steal=steal_on, slowdowns=slow,
+                           trace_path=path)
+                       for run, path in ((masim.run_mpe, None), (masim.run_mpe, sim),
+                                         (reference_loop.run_mpe, None),
+                                         (reference_loop.run_mpe, ref))]
+            for f in dataclasses.fields(masim.SimReport):
+                values = [getattr(rep, f.name) for rep in reports]
+                assert values == values[:1] * 4, f.name
+            assert sim.read_bytes() == ref.read_bytes()
 
     def test_reports_and_traces_pinned(self, tmp_path):
         # A seeded sweep over both transfer regimes, ideal and finite
         # bandwidth, pipelines of 0 and 8 stages, ragged grids on 1-4
         # arrays, with and without slowdowns and stealing. The digest
         # covers every report field and the bytes of every trace, so any
-        # change to the event loop's output shows here.
+        # change to the schedulers' output shows here.
         rng = np.random.default_rng(23)
         digest = hashlib.sha256()
         path = tmp_path / "trace.csv"
@@ -309,37 +292,30 @@ class TestDeterminism:
         assert digest.hexdigest() == \
             "f2b7872b307385d0b2b15acf411b06e15d1f286fcba10bf54d04b6b0c0d85613"
 
-    def test_explorer_points_pinned(self, monkeypatch):
+    def test_explorer_points_pinned(self):
         # The traffic explore --simulate serves: every explored point of
         # the 8 presets, in both transfer regimes, with stealing on (the
         # CLI default). The digest covers every report field. At equal
-        # clocks no per_array run steals, so none enters the event loop,
-        # and a run that records no steal equals its steal=False twin.
-        # Arrays dealt one count walk alike, so a run walks _alone once per
-        # distinct dealt count (at most twice), or not at all when several
-        # arrays share the port.
-        pushes = logged_calls(monkeypatch, "heappush")
-        walks = logged_calls(monkeypatch, "_alone")
+        # clocks no per_array run steals, so none holds an arbitration
+        # round, and a run that records no steal equals its steal=False
+        # twin.
         digest = hashlib.sha256()
         runs = steals = 0
         for contention in ("per_array", "shared_port"):
             machine = masim.Machine(contention=contention)
-            for m, depth, n in masim.LAYER_PRESETS.values():
-                shape = masim.ProblemShape(m, depth, n)
-                for entry in masim.explore(shape, machine):
-                    point = entry.point
-                    del walks[:]
-                    rep = masim.run_mpe(shape, point, machine)
-                    assert contention == "shared_port" or not pushes
-                    tiles = shape.tile_count(point.block_rows, point.block_cols)
-                    dealt = {len(q) for q in masim.partition_workload(tiles, point.n_arrays)}
-                    alone = contention == "per_array" or point.n_arrays == 1
-                    assert len(walks) == (len(dealt) if alone else 0) <= 2
-                    if not rep.steal_events:
-                        assert rep == masim.run_mpe(shape, entry.point, machine, steal=False)
-                    runs += 1
-                    steals += len(rep.steal_events)
-                    digest.update(repr(dataclasses.asdict(rep)).encode())
+            with pytest.MonkeyPatch.context() as mp:
+                if contention == "per_array":
+                    refuse_arbitration(mp)
+                for m, depth, n in masim.LAYER_PRESETS.values():
+                    shape = masim.ProblemShape(m, depth, n)
+                    for entry in masim.explore(shape, machine):
+                        rep = masim.run_mpe(shape, entry.point, machine)
+                        if not rep.steal_events:
+                            assert rep == masim.run_mpe(shape, entry.point, machine,
+                                                        steal=False)
+                        runs += 1
+                        steals += len(rep.steal_events)
+                        digest.update(repr(dataclasses.asdict(rep)).encode())
         assert (runs, steals) == (352, 45)
         assert digest.hexdigest() == \
             "067e9193c5bd1d801829ad5bef93a56870d6b5b0fea590acd0bb125539a9459d"
@@ -361,24 +337,22 @@ class TestSharedPort:
         ((10, 2, 2), (2, 4, 1), None, 8, 96.0),
         ((5, 2, 5), (3, 4, 1), {2: 3.0}, 0, 164.0),   # the tie is not the heap's first child
     ])
-    def test_tie_goes_in_array_order(self, tmp_path, monkeypatch, shape, point,
+    def test_tie_goes_in_array_order(self, tmp_path, shape, point,
                                      slowdowns, stages, seconds):
         # On a 1 Hz clock and a 4 B/s port every time is a whole number of
         # seconds, and here two arrays' compute ends meet at one instant.
-        # Both the walk and the loop serve them in array order, so the run
-        # walks whole and pushes no loop event; the port serves the lower
-        # array id's write-back first and the other's once it ends.
-        results = logged_calls(monkeypatch, "_shared")
-        pushes = logged_calls(monkeypatch, "heappush")
+        # Both the walk and the reference loop serve them in array order:
+        # the port serves the lower array id's write-back first and the
+        # other's once it ends.
         shape, point = masim.ProblemShape(*shape), masim.DesignPoint(*point)
         machine = masim.Machine(bw_model=masim.ParametricBandwidth(4, 0, 0), f_acc=1.0,
                                 fmac_stages=stages, contention="shared_port")
-        plain = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns)
-        assert not pushes and len(results) == 1 and results[0][0] == math.inf
+        plain, ref = (run(shape, point, machine, steal=False, slowdowns=slowdowns)
+                      for run in (masim.run_mpe, reference_loop.run_mpe))
         path = tmp_path / "t.csv"
         traced = masim.run_mpe(shape, point, machine, steal=False, slowdowns=slowdowns,
                                trace_path=path)
-        assert plain == traced and plain.time_seconds == seconds
+        assert plain == traced == ref and plain.time_seconds == seconds
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         done, starts, ends = ({(int(array), tile): int(cycle)
@@ -398,8 +372,7 @@ class TestSharedPort:
                                                   factors, steal_on):
         # Under IdealBandwidth a transfer takes no time, so sharing the
         # port delays no array: both regimes give one report, slowdowns
-        # (all 1.0 among them) and steals included. The untraced
-        # shared_port run walks and pushes a loop event only to steal.
+        # (all 1.0 among them) and steals included.
         m, k, n = mkn
         shape, point = masim.ProblemShape(m, k, n), masim.DesignPoint(n_arrays, *block)
         slow = dict(enumerate(factors[:n_arrays]))
@@ -407,22 +380,17 @@ class TestSharedPort:
         for contention in masim.mpe.CONTENTION_MODES:
             machine = masim.Machine(bw_model=masim.IdealBandwidth(), contention=contention,
                                     fmac_stages=stages)
-            with pytest.MonkeyPatch.context() as mp:
-                pushes = logged_calls(mp, "heappush")
-                reports.append(masim.run_mpe(shape, point, machine, steal=steal_on,
-                                             slowdowns=slow))
+            reports.append(masim.run_mpe(shape, point, machine, steal=steal_on,
+                                         slowdowns=slow))
         per, shared = reports
         assert per == shared
-        assert bool(pushes) == bool(shared.steal_events)
 
     def test_few_tile_runs_walk_whole(self, tmp_path, monkeypatch):
         # An explorer point can deal an array fewer than two tiles. The deal's
         # counts differ by at most one, so every queue is dry after the first
-        # fetches and the run never steals: the untraced run walks all of it
-        # and enters no event loop, and every report field agrees with the
-        # traced twin's.
-        results = logged_calls(monkeypatch, "_shared")
-        pushes = logged_calls(monkeypatch, "heappush")
+        # fetches and the run never steals, so it holds no arbitration
+        # round, and every report field agrees with the traced twin's.
+        refuse_arbitration(monkeypatch)
         runs = 0
         for contention in masim.mpe.CONTENTION_MODES:
             machine = masim.Machine(contention=contention)
@@ -433,13 +401,8 @@ class TestSharedPort:
                     tiles = shape.tile_count(point.block_rows, point.block_cols)
                     if tiles >= 2 * point.n_arrays:
                         continue
-                    del pushes[:]
                     plain = masim.run_mpe(shape, point, machine)
-                    assert not pushes and not plain.steal_events, (shape, point)
-                    if contention == "shared_port" and point.n_arrays > 1:
-                        h, walks = results[-1]
-                        assert h == math.inf
-                        assert sum(walk[0] for walk in walks) == tiles
+                    assert not plain.steal_events, (shape, point)
                     traced = masim.run_mpe(shape, point, machine, trace_path=tmp_path / "t.csv")
                     assert plain == traced, (shape, point)
                     runs += 1
@@ -449,9 +412,7 @@ class TestSharedPort:
         # 5,000 tiles on 3,000 arrays: every queue is dry after the first
         # fetches, so the run completes without one arbitration round (each
         # would cost time quadratic in the array count, and none can grant)
-        def refuse(*args):
-            raise AssertionError("arbitration round in a run that cannot steal")
-        monkeypatch.setattr(wqm, "arbitrate", refuse)
+        refuse_arbitration(monkeypatch)
         shape, point = masim.ProblemShape(5000, 1, 1), masim.DesignPoint(3000, 1)
         for contention in masim.mpe.CONTENTION_MODES:
             machine = masim.Machine(pes_per_base=1, max_arrays=3000, contention=contention)
@@ -459,8 +420,8 @@ class TestSharedPort:
             assert sorted(s.blocks_executed for s in rep.arrays) == [1] * 1000 + [2] * 2000
 
     def test_no_arbitration_once_every_queue_is_empty(self, tmp_path, monkeypatch):
-        # A traced run takes the loop from t = 0. Once the last queue is
-        # empty no round can grant, so none is held: one tile on 1,000
+        # A traced run takes _walk. Once the last queue is empty no round
+        # can grant, so none is held: one tile on 1,000
         # arrays holds none at all, and 300 arrays with slowed clocks steal
         # while every round finds some tile still queued.
         queued, arbitrate = [], wqm.arbitrate
@@ -538,9 +499,8 @@ class TestErrorPaths:
             with pytest.raises(ValueError, match="slowdown"):
                 masim.run_mpe(shape, point, masim.Machine(), slowdowns=slow)
 
-    # The loop's consistency guards, each tripped by a queue manager that
-    # breaks its contract, in both transfer regimes (each hands the loop a
-    # walk's state at h).
+    # The walks' consistency guards, each tripped by a queue manager that
+    # breaks its contract, in both transfer regimes.
     def test_tile_executed_twice(self, monkeypatch):
         # two arrays of three tiles: array 0 asks for work while the slowed
         # array 1 still queues a tile, a real steal, and the arbiter grants
