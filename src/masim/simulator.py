@@ -57,9 +57,10 @@ grant order. Fetch and write-back ends are no steps of the walk, as they
 change nothing a round reads: a thief that gets a tile holds two, and a
 refused request means no tile is queued anywhere. Each array's tiles are
 its queue's prefix followed by its stolen ids in grant order, so the walk
-names a tile only to write a trace row or to grant a steal; each granted
-tile is checked against the tiles already taken, so a tile computed twice
-is named.
+names a tile only to write a trace row or to grant a steal. So after
+each round every queue must be a prefix of what it held before (a thief
+takes only tails), each granted tile one of the tails its queue lost, and
+every asking array must hold two tiles while some tile is still queued.
 
 _alone walks one array's whole run on its own port. It schedules the
 untraced per_array runs it proves steal-free, which is every run of the
@@ -89,7 +90,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heapreplace
 
 from . import mac, wqm
 from .model import DesignPoint, ProblemShape
@@ -97,8 +98,9 @@ from .mpe import Machine, block_charges
 
 
 class SimulationError(RuntimeError):
-    """Internal inconsistency: a walk lost or repeated a tile, or starved an
-    array while another queue held work."""
+    """Internal inconsistency: a walk lost or repeated a tile, an
+    arbitration round changed a queue other than by taking its tail, or an
+    array asked for work in vain while another queue held some."""
 
 
 @dataclass
@@ -306,11 +308,13 @@ def _walk(queues: list[range], in_s: float, out_s: float, compute_s: list[float]
     end; each compute end puts its write-back and then the array's next
     fetch onto its port. With steal, after the last compute end of an
     instant, the arrays it left with a dry queue and fewer than two tiles
-    ask wqm.arbitrate for work while some tile is still queued; each thief
-    fetches its tile at once, in grant order, and granted marks the tile.
-    No array asks for work before its first compute end while a tile is
-    queued: the deal's counts differ by at most one, so if it deals an
-    array fewer than two tiles, every array fetches all of its own at once.
+    ask wqm.arbitrate for work while some tile is still queued; each thief,
+    which holds one tile, fetches its tile at once, in grant order, and
+    granted marks the tile. No array asks for work before its first
+    compute end while a tile is queued: the deal's counts differ by at
+    most one, so if it deals an array fewer than two tiles, every array
+    fetches all of its own at once. A round that breaks wqm.arbitrate's
+    contract raises SimulationError.
 
     Returns the time each port is free, each array's last compute end,
     each array's tiles in compute order and the steal log.
@@ -385,33 +389,31 @@ def _walk(queues: list[range], in_s: float, out_s: float, compute_s: list[float]
         if not needy or heap and heap[0][0] <= t:
             continue
         if queued:                 # the instant's last compute end: one round
-            qs = [q[k:k + m] for q, k, m in zip(queues, own, left)]
+            rest = [q[k:k + m] for q, k, m in zip(queues, own, left)]
+            qs = rest[:]
             before = len(steal_log)
             pointer = wqm.arbitrate(qs, needy, pointer, t, steal_log)
+            for r, (q, was) in enumerate(zip(qs, rest)):
+                if q != was[:len(q)]:   # a thief takes only a queue's tail
+                    raise SimulationError(f"queue {r} changed other than by losing its tail")
             left = list(map(len, qs))
             queued = sum(left)
             for ev in steal_log[before:]:
                 i, k = ev.thief, ev.item_id
                 r = k % n
-                if granted[k] or k in queues[r][:own[r]]:
+                if granted[k] or k not in rest[r][left[r]:]:
                     raise SimulationError(f"tile {k} executed twice")
                 granted[k] = 1
                 stolen[i].append(k)
                 j = 0 if shared else i
                 p = ports[j]
                 start = p if p > t else t
-                ports[j] = f = start + in_s
+                ports[j] = nxt[i] = start + in_s
+                held[i] += 1       # a thief held one tile, so it holds two
                 if tracing:
-                    trace += [(start, i, "fetch_start", k), (f, i, "fetch_done", k),
+                    trace += [(start, i, "fetch_start", k), (nxt[i], i, "fetch_done", k),
                               (t, i, "steal", k)]
-                held[i] += 1
-                if held[i] > 1:
-                    nxt[i] = f
-                else:              # an idle thief computes from the fetch end
-                    heappush(heap, (f + compute_s[i], i))
-                    if tracing:
-                        computes(i, f, k)
-            if queued and any(held[i] == 0 for i in needy):
+            if queued and any(held[i] < 2 for i in needy):
                 raise SimulationError("array starved while another queue holds work")
         needy = []
 

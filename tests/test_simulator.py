@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import masim
-from masim import cli, wqm
+from masim import cli, simulator, wqm
 
 
 def rand(rng, r, c):
@@ -137,6 +137,17 @@ def traced_run(path, m=24, n=24, k=12, si=4, n_arrays=3, slowdowns=None, **field
         return rep, list(csv.reader(fh))
 
 
+def logged_calls(monkeypatch, name):
+    """Wrap simulator.<name>; return the list its results are appended to."""
+    results, walk = [], getattr(simulator, name)
+
+    def logged(*args):
+        results.append(walk(*args))
+        return results[-1]
+    monkeypatch.setattr(simulator, name, logged)
+    return results
+
+
 def refuse_arbitration(monkeypatch):
     """Fail on any arbitration round: a run that must not steal holds none,
     as a round is held only for an array asking for work while a tile is
@@ -160,7 +171,7 @@ class TestDeterminism:
         point = masim.DesignPoint(3, 4)
         assert np.array_equal(assemble_run(r0, point, a, b), assemble_run(r1, point, a, b))
 
-    def test_trace_path_changes_no_report_field(self, tmp_path):
+    def test_trace_path_changes_no_report_field(self, tmp_path, monkeypatch):
         # A traced run takes _walk; an untraced one takes _alone when it
         # is a per_array run that cannot steal, and _walk otherwise. Every
         # report field agrees, in both transfer regimes, with ideal and
@@ -169,10 +180,14 @@ class TestDeterminism:
         # number of seconds (so compute ends tie while transfers take time,
         # and the port's order matters), pipelines of 0 and 8 stages, ragged
         # grids on 1-4 arrays, arrays of 1-2 tiles, no, equal and unequal
-        # slowdowns, and stealing on and off.
+        # slowdowns, and stealing on and off. Every untraced per_array run
+        # walks _alone once per distinct (dealt count, slowdown), and so
+        # does every one-array run (its port is the shared port); it takes
+        # _walk exactly when it steals. Every other run takes _walk alone.
+        alone, walked = (logged_calls(monkeypatch, name) for name in ("_alone", "_walk"))
         rng = np.random.default_rng(29)
         path = tmp_path / "t.csv"
-        runs = few = shared = 0
+        runs = few = shared = stole = 0
         for contention in ("per_array", "shared_port"):
             for bw, f_acc in ((masim.IdealBandwidth(), 2e8),
                               (masim.ParametricBandwidth(4e8, 8, 0.3), 2e8),
@@ -192,19 +207,34 @@ class TestDeterminism:
                         slow = [None, {i: 2.0 for i in range(n_arrays)},
                                 {i: float(rng.choice([1.0, 1.5, 2.0, 3.0]))
                                  for i in range(n_arrays)}][int(rng.integers(3))]
+                        queues = masim.partition_workload(shape.tile_count(si, sj), n_arrays)
+                        dealt = {(len(q), (slow or {}).get(i, 1.0))
+                                 for i, q in enumerate(queues)}
                         for steal_on in (False, True):
-                            plain, traced = (
-                                masim.run_mpe(shape, point, machine, steal=steal_on,
-                                              slowdowns=slow, trace_path=trace)
-                                for trace in (None, path))
+                            reports = []
+                            for trace in (None, path):
+                                del alone[:], walked[:]
+                                reports.append(masim.run_mpe(shape, point, machine,
+                                                             steal=steal_on, slowdowns=slow,
+                                                             trace_path=trace))
+                                steals = reports[-1].steal_events
+                                if trace is None and (contention == "per_array"
+                                                      or n_arrays == 1):
+                                    assert len(alone) == len(dealt)
+                                    assert len(walked) == bool(steals)
+                                    stole += bool(steals)
+                                else:
+                                    assert not alone and len(walked) == 1
+                            plain, traced = reports
                             for f in dataclasses.fields(masim.SimReport):
                                 assert getattr(plain, f.name) == getattr(traced, f.name), \
                                     (f.name, shape, point, contention, bw, slow, steal_on)
                             runs += 1
                             shared += contention == "shared_port" and n_arrays > 1
-        # runs, runs with an array of 1-2 tiles, and the multi-array
-        # shared_port runs
-        assert (runs, few, shared) == (384, 92, 146)
+        # runs, runs with an array of 1-2 tiles, the multi-array
+        # shared_port runs, and the untraced runs _alone handed to _walk
+        # to steal
+        assert (runs, few, shared, stole) == (384, 92, 146, 11)
 
     # ideal and finite bandwidth, and an integer-time machine (a 1 Hz clock
     # and a 4 B/s port) on which compute ends and transfers tie; ragged
@@ -292,13 +322,16 @@ class TestDeterminism:
         assert digest.hexdigest() == \
             "f2b7872b307385d0b2b15acf411b06e15d1f286fcba10bf54d04b6b0c0d85613"
 
-    def test_explorer_points_pinned(self):
+    def test_explorer_points_pinned(self, monkeypatch):
         # The traffic explore --simulate serves: every explored point of
         # the 8 presets, in both transfer regimes, with stealing on (the
         # CLI default). The digest covers every report field. At equal
         # clocks no per_array run steals, so none holds an arbitration
-        # round, and a run that records no steal equals its steal=False
-        # twin.
+        # round or takes _walk, and a run that records no steal equals its
+        # steal=False twin. Arrays dealt one count walk alike, so a run
+        # walks _alone once per distinct dealt count (at most twice), or
+        # not at all when several arrays share the port.
+        alone, walked = (logged_calls(monkeypatch, name) for name in ("_alone", "_walk"))
         digest = hashlib.sha256()
         runs = steals = 0
         for contention in ("per_array", "shared_port"):
@@ -309,7 +342,15 @@ class TestDeterminism:
                 for m, depth, n in masim.LAYER_PRESETS.values():
                     shape = masim.ProblemShape(m, depth, n)
                     for entry in masim.explore(shape, machine):
-                        rep = masim.run_mpe(shape, entry.point, machine)
+                        point = entry.point
+                        del alone[:], walked[:]
+                        rep = masim.run_mpe(shape, point, machine)
+                        tiles = shape.tile_count(point.block_rows, point.block_cols)
+                        dealt = {len(q) for q in
+                                 masim.partition_workload(tiles, point.n_arrays)}
+                        one = contention == "per_array" or point.n_arrays == 1
+                        assert len(alone) == (len(dealt) if one else 0) <= 2
+                        assert len(walked) == (not one)
                         if not rep.steal_events:
                             assert rep == masim.run_mpe(shape, entry.point, machine,
                                                         steal=False)
@@ -533,6 +574,29 @@ class TestErrorPaths:
                                match="run ended with 5/6 tiles executed"):
                 masim.run_mpe(masim.ProblemShape(24, 4, 4), masim.DesignPoint(1, 4),
                               masim.Machine(contention=contention))
+
+    def test_steal_from_the_head(self, monkeypatch):
+        # two arrays of six tiles: array 0 asks for work while the slowed
+        # array 1 still queues tiles 7, 9 and 11, and the arbiter grants it
+        # the head, 7, which array 1 would fetch next, in place of the tail
+        shape, point = masim.ProblemShape(48, 4, 4), masim.DesignPoint(2, 4)
+        machines = [masim.Machine(bw_model=masim.IdealBandwidth(), contention=c)
+                    for c in masim.mpe.CONTENTION_MODES]
+        for machine in machines:
+            assert masim.run_mpe(shape, point, machine, slowdowns={1: 3.0}).steal_events
+
+        def take_head(queues, needy, pointer, time_s, log):
+            for thief in needy:
+                victim = 1 - thief
+                if queues[victim]:
+                    log.append(wqm.StealEvent(time_s, thief, victim, queues[victim][0]))
+                    queues[victim] = queues[victim][1:]
+            return pointer
+        monkeypatch.setattr(wqm, "arbitrate", take_head)
+        for machine in machines:
+            with pytest.raises(masim.SimulationError,
+                               match="queue 1 changed other than by losing its tail"):
+                masim.run_mpe(shape, point, machine, slowdowns={1: 3.0})
 
     def test_starved_array(self, monkeypatch):
         monkeypatch.setattr(wqm, "arbitrate",
