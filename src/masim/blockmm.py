@@ -10,36 +10,29 @@ all round identically and agree bit for bit. Its inner loop is a small C
 kernel in the library shipped beside this module (_kernel.c), compiled
 on first use into a per-user cache and called through ctypes; it packs a
 panel of B and keeps a block of C in registers across k, in the manner of
-Goto and van de Geijn's GEMM, without changing any element's order of
-summation. Where it cannot be built or loaded, the same loop runs in
-numpy, one row panel of the output at a time, and gives the same bits.
-A large output is split into row bands, one per core the process may run
-on, each band on its own thread. Neither the panels nor the bands change
-any element's order of summation, so the bits do not depend on the core
-count, nor on whether B comes in k-slices added into one output.
+Goto and van de Geijn's GEMM. Where it cannot be built or loaded, the
+same loop runs in numpy, one row panel of the output at a time. Neither
+changes any element's order of summation, so the bits depend neither on
+the path nor on whether B comes in k-slices added into one output.
 
 max_rel_error is the float64 oracle (_oracle), which walks the output in
 256-column strips and B in 512-deep panels per strip; verified_output,
 the verify loop of `masim run`, walks the same strips with the seeded B,
 drawing each panel of B only when its strip needs it and adding it into
 the output with the kernel, so it holds neither B nor a whole float64
-reference and gives the same bits. When BLAS is pinned to one thread per
-call, the strips are split over the usable cores, one thread per part for
-the whole walk, and the result does not depend on the core count either.
-Every threaded stage (the kernel's row bands, the oracle's runs of strips
-and the seeded matrix draw, draw_matrix) cuts its work with the one rule,
-split, and hands the parts to the one runner, run_parts, which returns
-their results in part order; a process limited to one core (taskset -c 0)
-runs all of them on the calling thread.
+reference and gives the same bits. The oracle's strips are the one
+threaded stage: when BLAS is pinned to one thread per call, split cuts
+them into runs over the usable cores and run_parts walks each run on a
+thread of its own for the whole loop; the result does not depend on the
+part count. On one core (taskset -c 0) every strip is the caller's.
 
 The seeded draw reproduces np.random.default_rng(seed)'s float32 draws
 bit for bit without numpy's generator: pcg64_seed is numpy's SeedSequence
-hash and PCG64 seeding, _jump is PCG64's jump-ahead, and a Stream is the
-start of the seed's stream. draw_block fills any block of the draws read
-as a row-major matrix, each row from a state one jump from the last's, by
-the library's masim_draw_block or, where the library cannot be had, by
-numpy's PCG64 set to each row's state; only that path imports
-numpy.random.
+hash and PCG64 seeding, and a Stream is the start of the seed's stream.
+draw_block fills any block of the draws read as a row-major matrix by the
+library's masim_draw_block, whose PCG64 jump-ahead is the package's one,
+or, where the library cannot be had, by numpy's PCG64 advanced from the
+stream's start to each row; only that path imports numpy.random.
 
 trace_block ties the timing to the numerics: it walks one block cycle by
 cycle on one array of an mpe.Machine, checks the walk against
@@ -92,17 +85,15 @@ ORACLE_PANEL = (128, 256, 512)
 # whole, while column panels made every per-k operation strided and slower.
 KERNEL_PANEL_ELEMS = 1 << 17
 
-# Elements each part of a threaded stage must have (split): the kernel's
-# row bands, the oracle's runs of column strips and the seeded matrix draw
-# all cut work over E elements into contiguous parts, at most
-# min(usable_cores(), E // KERNEL_BAND_MIN_ELEMS), at least one, and with
-# one part the caller runs it all on its own thread. The floor was set on
-# the kernel: on two cores, two bands of 32k-47k elements ran 13-42% faster
-# than one on nine of eleven shapes tried (256x363x256 broke even,
-# 256x1200x256 ran 11-28% slower); bands of 8k-11k elements ran 24-72%
-# slower, because handing the GIL round the per-k ufunc calls cost more
-# than the second core saved. Outputs under 2**16 elements stay serial, conv-3..5 among them.
-KERNEL_BAND_MIN_ELEMS = 1 << 15
+# Output elements each part of the oracle's strips must have (split): an
+# output of E elements is cut into at most min(usable_cores(), E //
+# PART_MIN_ELEMS) runs of strips, at least one. The floor was measured on
+# the exact kernel's row bands, since removed: on two cores, bands of
+# 32k-47k elements ran 13-42% faster than one on nine of eleven shapes,
+# and bands of 8k-11k ran 24-72% slower, as handing the GIL round the
+# per-k ufunc calls cost more than the second core saved. It is kept for
+# the strip parts: outputs under 2**16 elements (conv-3..5) stay serial.
+PART_MIN_ELEMS = 1 << 15
 
 # The variables that set how many threads OpenBLAS, OpenMP and MKL run per
 # call. The oracle is BLAS-bound, so it splits its strips over threads only
@@ -232,7 +223,9 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
     contiguous copy, and reads A's panel transposed: `masim run --preset
     fc-6 --auto` without the library took 4.8-5.4 s on the strided panel
     and columns and 3.9-4.1 s on these (2 vCPUs). Both paths give every
-    element c = fl(c + fl(a * b)) per k, so they agree bit for bit."""
+    element c = fl(c + fl(a * b)) per k, so they agree bit for bit, and
+    since c is float32 between any two k, k-slices of a product added in
+    ascending order into one out give the whole product's bits."""
     lib = _library()
     if lib is not None:
         if (any(x.dtype != DTYPE or x.strides[1] != x.itemsize for x in (aa, bb, out))
@@ -260,11 +253,11 @@ def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
 def split(length: int, elements: int, align: int = 1) -> list[int]:
     """Cut points 0, ..., length, strictly increasing, that split work over
     `length` rows, columns or elements touching `elements` elements into
-    parts: one per usable core, each of at least KERNEL_BAND_MIN_ELEMS
-    elements, at most ceil(length / align), and at least one. Every inner
-    cut is a multiple of align."""
+    parts: one per usable core, each of at least PART_MIN_ELEMS elements,
+    at most ceil(length / align), and at least one. Every inner cut is a
+    multiple of align."""
     units = -(-length // align)
-    parts = max(1, min(units, usable_cores(), elements // KERNEL_BAND_MIN_ELEMS))
+    parts = max(1, min(units, usable_cores(), elements // PART_MIN_ELEMS))
     return [align * (units * i // parts) for i in range(parts)] + [length]
 
 
@@ -304,7 +297,7 @@ def blas_pinned() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
-def reference_gemm(a, b, out=None) -> np.ndarray:
+def reference_gemm(a, b) -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
     This is the accelerator's numerics: each PE accumulates its output
@@ -314,29 +307,16 @@ def reference_gemm(a, b, out=None) -> np.ndarray:
     rounding sequence per output element is fully determined: every element
     gets c = fl(c + fl(a[i, k] * b[k, j])) for k = 0, 1, 2, ..., in float32.
 
-    Given out (float32, m x n, contiguous rows), the updates continue its
-    sums and it is returned: c is float32 between any two k, so k-slices
-    of a product added in ascending order give the whole product's bits.
-
-    The updates run in _k_loop: the compiled kernel, which keeps each 4x64
-    block of C in registers across k, or its numpy fallback, which applies
-    them one row panel of C at a time (see KERNEL_PANEL_ELEMS). An output
-    of at least 2 * KERNEL_BAND_MIN_ELEMS elements is first cut into the
-    contiguous row bands of split(m, m * n), each on its own thread
-    (ctypes and the numpy ufuncs release the GIL). The library is resolved
-    here, on the calling thread, so bands never race to build it. Each
-    element belongs to one block (or panel) of one band and sees the same
-    updates in the same order, on one thread, as in a whole-matrix pass, so
-    the bits depend on neither the path, the panel size nor the band count.
+    The updates run in one _k_loop call on the calling thread: the compiled
+    kernel, which keeps each 4x64 block of C in registers across k, or its
+    numpy fallback, which applies them one row panel of C at a time (see
+    KERNEL_PANEL_ELEMS). Each element sees the same updates in the same
+    order in either, so the bits depend on neither the path nor the panel
+    size.
     """
     a, b = _operands(a, b)
-    m, n = a.shape[0], b.shape[1]
-    if out is None:
-        out = np.zeros((m, n), DTYPE)
-    elif out.dtype != DTYPE or out.shape != (m, n) or out.strides[1] != out.itemsize:
-        raise ValueError(f"out must be a float32 {m}x{n} array with contiguous rows")
-    _library()
-    run_parts(lambda lo, hi: _k_loop(a[lo:hi], b, out[lo:hi]), split(m, m * n))
+    out = np.zeros((a.shape[0], b.shape[1]), DTYPE)
+    _k_loop(a, b, out)
     return out
 
 
@@ -455,29 +435,8 @@ def pcg64_seed(seed: int) -> tuple[int, int]:
     u64 = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
     initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
     inc = (initseq << 1 | 1) & M128
-    state = (_advance(0, inc, 1) + initstate) & M128
-    return _advance(state, inc, 1), inc
-
-
-def _jump(inc: int, delta: int) -> tuple[int, int]:
-    """(mult, plus) of PCG64's jump of delta steps, state -> mult * state +
-    plus: the LCG's delta-th power by square and multiply (Brown, "Random
-    number generation with arbitrary strides", 1994)."""
-    mult, plus, acc_mult, acc_plus = PCG64_MULT, inc, 1, 0
-    while delta:
-        if delta & 1:
-            acc_mult = acc_mult * mult & M128
-            acc_plus = (acc_plus * mult + plus) & M128
-        plus = (mult + 1) * plus & M128
-        mult = mult * mult & M128
-        delta >>= 1
-    return acc_mult, acc_plus
-
-
-def _advance(state: int, inc: int, delta: int) -> int:
-    """The PCG64 state delta steps on, as PCG64.advance(delta) leaves it."""
-    mult, plus = _jump(inc, delta)
-    return (mult * state + plus) & M128
+    state = (inc + initstate) & M128        # one LCG step from 0, plus initstate
+    return (state * PCG64_MULT + inc) & M128, inc
 
 
 @dataclass(frozen=True)
@@ -497,12 +456,12 @@ def draw_block(stream: Stream, first: int, width: int, out: np.ndarray) -> np.nd
     dtype=np.float32), which makes each 64-bit PCG64 output two draws, its
     low 32-bit half and then its high one.
 
-    By the compiled masim_draw_block when _library() has one. Else each row
-    is drawn by numpy's PCG64 set to the row's state, from the row's first
-    output on (a row that starts at an odd draw draws one more and drops
-    the first), the one place a run imports numpy.random. Either way each
-    row's state is one affine jump from the last row's, so a block costs
-    no step outside it."""
+    By the compiled masim_draw_block when _library() has one, which jumps
+    to the block's first row and then from each row's state to the next.
+    Else each row is drawn by numpy's PCG64 set to the stream's start and
+    advanced to the row's first output (a row that starts at an odd draw
+    draws one more and drops the first), the one place a run imports
+    numpy.random. Either way a block costs no draw outside it."""
     if out.ndim != 2 or out.dtype != np.float32 or out.strides[1] != out.itemsize:
         raise ValueError("out must be a float32 matrix with contiguous rows")
     rows, cols = out.shape
@@ -516,30 +475,23 @@ def draw_block(stream: Stream, first: int, width: int, out: np.ndarray) -> np.nd
     from numpy.random import PCG64, Generator
     gen = PCG64(0)
     random = Generator(gen).random
-    row_jumps = [_jump(stream.inc, width // 2 + odd) for odd in (0, 1)]
-    state = _advance(stream.state, stream.inc, first // 2)
+    start = {"bit_generator": "PCG64",
+             "state": {"state": stream.state, "inc": stream.inc},
+             "has_uint32": 0, "uinteger": 0}
     scratch = np.empty(cols + 1, np.float32)
     for r, e in enumerate(range(first, first + rows * width, width)):
-        gen.state = {"bit_generator": "PCG64",
-                     "state": {"state": state, "inc": stream.inc},
-                     "has_uint32": 0, "uinteger": 0}
+        gen.state = start
+        gen.advance(e // 2)
         odd = e & 1
         out[r] = random(out=scratch[: cols + odd], dtype=np.float32)[odd:]
-        mult, plus = row_jumps[e & width & 1]
-        state = (mult * state + plus) & M128
     return out
 
 
 def draw_matrix(stream: Stream, rows: int, cols: int) -> np.ndarray:
     """The stream's first rows x cols float32 draws as a matrix (the seeded
     A), bit for bit np.random.default_rng(seed).random((rows, cols),
-    dtype=np.float32). Its rows are cut by split(rows, rows * cols) and
-    the parts are drawn (draw_block) at once."""
-    out = np.empty((rows, cols), np.float32)
-    _library()      # resolved here, so parts never race to build it
-    run_parts(lambda lo, hi: draw_block(stream, lo * cols, cols, out[lo:hi]),
-              split(rows, rows * cols))
-    return out
+    dtype=np.float32), drawn by draw_block on the calling thread."""
+    return draw_block(stream, 0, cols, np.empty((rows, cols), np.float32))
 
 
 def verified_output(shape: ProblemShape, seed: int):
@@ -547,8 +499,10 @@ def verified_output(shape: ProblemShape, seed: int):
     error, the whole-matrix reference_gemm's and max_rel_error's bit for
     bit, without ever holding B or a whole float64 reference.
 
-    A, the seed's first m * depth draws, is drawn whole (draw_matrix); B
-    follows it in the stream. The oracle's walk (_oracle) fetches each
+    A, the seed's first m * depth draws, is drawn whole (draw_matrix) on
+    the calling thread before the oracle starts its parts, so the compiled
+    library is resolved (and if need be built) by one thread only; B
+    follows A in the stream. The oracle's walk (_oracle) fetches each
     512 x 256 panel of B in turn, strip by strip and k ascending within a
     strip: the part walking the strip draws the panel into its own buffer
     (draw_block) and adds it into the output's strip with the kernel

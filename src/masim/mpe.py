@@ -26,7 +26,7 @@ Per-block charged cycles are therefore
     block_rows + max(block_rows, block_cols) * depth + fmac_stages
 
 exactly. block_charges is the one place this is written: it gives the
-total and its breakdown, the run loop in the simulator charges it without
+total and its breakdown, simulator._schedule charges it without
 touching matrix data, and model.bounds takes its compute time from it.
 blockmm.trace_block walks one block's dataflow cycle by cycle and checks
 the walk against block_charges.
@@ -75,7 +75,8 @@ class Machine:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
                     or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0 < self.f_acc < math.inf:
+        if not isinstance(self.f_acc, numbers.Real) or isinstance(self.f_acc, bool) \
+                or not 0 < self.f_acc < math.inf:
             raise ValueError(f"f_acc must be a positive finite number, got {self.f_acc!r}")
         if not callable(getattr(self.bw_model, "rate", None)):
             raise ValueError(f"bw_model must have a rate method, got {self.bw_model!r}")

@@ -7,8 +7,8 @@ regime), never on the matrix values, so it takes no matrix data. The
 machine's feasibility rule is checked for the point before anything
 runs. The output the modelled arrays produce is the k-ordered kernel
 blockmm.reference_gemm applied to the whole problem (blockmm.trace_block
-ties each block's numerics to that kernel); callers compute it once,
-after the schedule.
+ties each block's numerics to that kernel); `masim run` computes it after
+the schedule, strip by strip, in blockmm.verified_output's walk.
 
 One run deals the problem's tiles (model.ProblemShape.tile_count, with
 row-major ids) round-robin onto one work queue per active array

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import needs_cc, tile_slices
+from conftest import needs_cc, seeded_matrices, tile_slices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +78,18 @@ class TestReferenceGemm:
         assert c32.dtype == np.float32
         np.testing.assert_allclose(c32, f64_product(a, b), rtol=1e-5)
 
+    def test_large_outputs_start_no_thread(self, monkeypatch, started_threads):
+        # one tile of the 128x128 and 192x192 blocks --auto picks, and an
+        # output of two oracle parts' worth: the kernel runs on the caller
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
+        rng = np.random.default_rng(13)
+        a, b = signed(rng, 192, 40), signed(rng, 40, 192)
+        for tile in (128, 192):
+            masim.reference_gemm(a[:tile], b[:, :tile])
+        a, b = signed(rng, 2, 3), signed(rng, 3, blockmm.PART_MIN_ELEMS)
+        assert same_bits(masim.reference_gemm(a, b), k_loop(a, b))
+        assert started_threads == []
+
 
 def f64_product(a, b):
     """The float64 yardstick: a matmul of the operands widened to float64."""
@@ -147,71 +159,15 @@ class KernelFault(Exception):
     pass
 
 
-class TestKernelBands:
-    """Row bands on threads round exactly like one whole-matrix k loop."""
-
-    @KERNEL_DTYPE
-    @pytest.mark.parametrize("panel_elems", [33, 1 << 17])
-    @pytest.mark.parametrize("cores", [1, 2, 3, 5, 40])
-    def test_any_band_count_matches_whole_matrix_loop(self, monkeypatch, fine_switching,
-                                                      cores, panel_elems, dtype_name, dt):
-        # 23 rows: 40 cores give one row per band; 33-element panels put
-        # several panels, the last one ragged, in each band of 3+ rows.
-        monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
-        monkeypatch.setattr(blockmm, "KERNEL_PANEL_ELEMS", panel_elems)
-        rng = np.random.default_rng(11)
-        a, b = signed(rng, 23, 37), signed(rng, 37, 11)
-        got = masim.reference_gemm(a, b)
-        assert got.dtype == dt
-        assert np.array_equal(got.view(np.uint32), k_loop(a, b, dt).view(np.uint32))
-
-    @pytest.mark.parametrize("on_caller", [False, True])
-    def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
-                                                             on_caller):
-        # _k_loop raises on the calling thread or on the workers; the threads
-        # that do not raise are slow, so they still run when the fault is raised
-        kernel = blockmm._k_loop
-        caller = threading.current_thread()
-
-        def faulty(aa, bb, out):
-            if (threading.current_thread() is caller) == on_caller:
-                raise KernelFault
-            time.sleep(0.1)
-            kernel(aa, bb, out)
-
-        monkeypatch.setattr(blockmm, "_k_loop", faulty)
-        monkeypatch.setattr(blockmm, "usable_cores", lambda: 4)
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
-        rng = np.random.default_rng(12)
-        a, b = signed(rng, 16, 300), signed(rng, 300, 64)
-        before = threading.active_count()
-        with pytest.raises(KernelFault):
-            masim.reference_gemm(a, b)
-        assert threading.active_count() == before
-
-    def test_tile_sized_calls_start_no_thread(self, monkeypatch, started_threads):
-        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
-        rng = np.random.default_rng(13)
-        a, b = signed(rng, 192, 40), signed(rng, 40, 192)
-        # one tile of the 128x128 and 192x192 blocks --auto picks
-        for tile in (128, 192):
-            masim.reference_gemm(a[:tile], b[:, :tile])
-        assert started_threads == []
-        # two bands' worth of output does start one
-        masim.reference_gemm(signed(rng, 2, 3),
-                             signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS))
-        assert len(started_threads) == 1
-
-
 class TestSplitAndRunParts:
-    """The one cut rule of every threaded stage, and the one runner."""
+    """The cut rule and the runner of the one threaded stage, the oracle's
+    runs of strips."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 8])
     @pytest.mark.parametrize("align", [1, 2, 256])
     def test_split(self, monkeypatch, cores, align):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
-        floor = blockmm.KERNEL_BAND_MIN_ELEMS
+        floor = blockmm.PART_MIN_ELEMS
         for length in range(1, 601):
             units = -(-length // align)
             for elements in (length, length * 100, length * floor):
@@ -239,7 +195,7 @@ class TestSplitAndRunParts:
 
 
 class TestPcg64Stream:
-    """The seeded draw's PCG64 seeding and jump-ahead are numpy's."""
+    """The seeded draw's PCG64 seeding is numpy's."""
 
     # 2**200 + 1 has seven 32-bit words, three past SeedSequence's pool
     SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**200 + 1)
@@ -249,14 +205,6 @@ class TestPcg64Stream:
     def test_seed_is_default_rngs(self, seed):
         state = np.random.default_rng(seed).bit_generator.state["state"]
         assert blockmm.pcg64_seed(seed) == (state["state"], state["inc"])
-
-    @pytest.mark.parametrize("delta", [0, 1, 3, 2**64 + 3])
-    def test_advance_is_pcg64_advance(self, delta):
-        for seed in self.SEEDS:
-            gen = np.random.PCG64(seed)
-            gen.advance(delta)
-            assert blockmm._advance(*blockmm.pcg64_seed(seed), delta) \
-                == gen.state["state"]["state"]
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -447,18 +395,19 @@ class TestKernelCache:
         return calls
 
     @needs_cc
-    def test_cold_cache_under_two_bands_builds_once(self, monkeypatch, cold_kernel_cache,
-                                                    started_threads, builds):
+    def test_cold_cache_under_two_oracle_parts_builds_once(
+            self, monkeypatch, pinned_blas, cold_kernel_cache, started_threads, builds):
+        # two strips of two parts' worth: A's draw on the caller resolves the
+        # library before the worker draws and adds its first panel of B
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
-        rng = np.random.default_rng(22)
-        a, b = signed(rng, 2, 3), signed(rng, 3, blockmm.KERNEL_BAND_MIN_ELEMS)
-        got = masim.reference_gemm(a, b)
+        shape = masim.ProblemShape(128, 3, 2 * blockmm.PART_MIN_ELEMS // 128)
+        got, _ = blockmm.verified_output(shape, 22)
         assert len(started_threads) == 1
         assert len(builds) == 1
         assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]
         assert (cold_kernel_cache.stat().st_mode & 0o777) == 0o700
         assert blockmm._library() is not None
-        assert same_bits(got, k_loop(a, b))
+        assert same_bits(got, k_loop(*seeded_matrices(shape, 22)))
 
     @needs_cc
     def test_warm_cache_starts_no_process(self, monkeypatch, cold_kernel_cache, builds):
@@ -531,8 +480,8 @@ class TestKernelCache:
 
 
 class TestSlicesOfK:
-    """Products added k-slice by k-slice into one output (reference_gemm)
-    give the whole product's bits."""
+    """Products added k-slice by k-slice into one output (_k_loop, as the
+    verify loop adds each panel of B) give the whole product's bits."""
 
     # cut inside and across the compiled kernel's 1024-deep slices
     CUTS = (0, 3, 700, 1030, 2048, 2100)
@@ -547,15 +496,19 @@ class TestSlicesOfK:
         a, b = signed(rng, 9, 2100), signed(rng, 2100, 129)
         out = np.zeros((9, 129), np.float32)
         for k0, k1 in zip(self.CUTS, self.CUTS[1:]):
-            assert masim.reference_gemm(a[:, k0:k1], b[k0:k1], out) is out
+            blockmm._k_loop(a[:, k0:k1], b[k0:k1], out)
         assert same_bits(out, k_loop(a, b))
 
+    @needs_cc
     def test_outputs_of_the_wrong_kind_are_rejected(self):
+        # the compiled kernel's check before the ctypes call: a float64, a
+        # wrong-shaped or a column-strided output never reaches the C loop
+        assert blockmm._library() is not None
         a, b = np.ones((4, 3), np.float32), np.ones((3, 5), np.float32)
         for out in (np.zeros((4, 5)), np.zeros((5, 4), np.float32),
                     np.zeros((4, 10), np.float32)[:, ::2]):
-            with pytest.raises(ValueError, match="float32 4x5"):
-                masim.reference_gemm(a, b, out)
+            with pytest.raises(ValueError, match="conforming float32 matrices"):
+                blockmm._k_loop(a, b, out)
 
 
 def tile_of(a, b, block_rows, block_cols, tile_id):
@@ -668,7 +621,7 @@ class TestMaxRelError:
         # 4-column strips: 83 columns give 21 strips, the last one ragged,
         # each of four row panels and three depth slices
         monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 4, 32))
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1)
         rng = np.random.default_rng(14)
         a, b = signed(rng, 50, 70), signed(rng, 70, 83)
         out = k_loop(a, b)
@@ -684,7 +637,7 @@ class TestMaxRelError:
         # and the caller's strip holds a larger finite error that the builtin
         # max would keep in place of the worker's NaN
         monkeypatch.setattr(blockmm, "ORACLE_PANEL", (2, 2, 512))
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1)
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
         a = np.ones((3, 2), np.float32)
         b = np.ones((2, 4), np.float32)
@@ -708,7 +661,7 @@ class TestMaxRelError:
                 return super().__getitem__(key)
 
         monkeypatch.setattr(blockmm, "ORACLE_PANEL", (16, 4, 300))
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1)
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 4)
         rng = np.random.default_rng(15)
         a, b = signed(rng, 16, 300), signed(rng, 300, 16)

@@ -546,7 +546,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("problem", [
         ("--preset", "conv-1"),
-        # odd A, B and output element counts, each two parts' worth on 4 cores
+        # odd A, B and output element counts; the output's two strips are two
+        # parts' worth on 4 cores
         ("--shape", "301x257x263"),
     ])
     def test_core_count_changes_no_byte(self, tmp_path, monkeypatch, pinned_blas,
@@ -564,8 +565,8 @@ class TestDeterminism:
 
 
 class TestMatrixDraw:
-    """The seeded matrices, drawn whole in row parts on threads and B again
-    panel by panel, are numpy's serial draw."""
+    """The seeded matrices, drawn whole on the calling thread whatever the
+    core count and B again panel by panel, are numpy's serial draw."""
 
     CORES = pytest.mark.parametrize("cores", [1, 2, 3, 4, 5])
     SHAPES = pytest.mark.parametrize("m,depth,n", [(1, 1, 1), (3, 5, 7), (7, 9, 2),
@@ -586,13 +587,13 @@ class TestMatrixDraw:
 
     @staticmethod
     def check_chunked_draw(monkeypatch, cores, m, depth, n):
-        # A drawn in row parts; then B and a third matrix, each starting
-        # where the serial draw before it ends, drawn whole and in 3 x 5
-        # panels, in the verify loop's strip-major order: odd m*depth makes
-        # B's first element the high half of an output, and odd n every
-        # other row's of B
+        # A drawn whole, with a part floor of one element; then B and a
+        # third matrix, each starting where the serial draw before it ends,
+        # drawn whole and in 3 x 5 panels, in the verify loop's strip-major
+        # order: odd m*depth makes B's first element the high half of an
+        # output, and odd n every other row's of B
         monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1)
         serial, stream = np.random.default_rng(5), blockmm.Stream(*blockmm.pcg64_seed(5))
         want = serial.random((m, depth), dtype=np.float32).view(np.uint32)
         assert np.array_equal(blockmm.draw_matrix(stream, m, depth).view(np.uint32), want)
@@ -610,14 +611,13 @@ class TestMatrixDraw:
             assert np.array_equal(panels.view(np.uint32), want)
             first += rows * cols
 
-    def test_small_matrices_start_no_thread(self, monkeypatch, started_threads):
+    def test_no_matrix_starts_a_thread(self, monkeypatch, started_threads):
+        # tile-sized, and two oracle parts' worth on eight cores
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
         stream = blockmm.Stream(*blockmm.pcg64_seed(5))
         blockmm.draw_matrix(stream, 128, 255)
-        blockmm.draw_matrix(stream, 255, 256)
+        blockmm.draw_matrix(stream, 2, blockmm.PART_MIN_ELEMS)
         assert started_threads == []
-        blockmm.draw_matrix(stream, 2, blockmm.KERNEL_BAND_MIN_ELEMS)
-        assert len(started_threads) == 1
 
     def test_b_is_drawn_in_strip_panels(self, monkeypatch):
         # fc-6's width: 16 strips of 256 columns, each walked down B in
@@ -661,7 +661,7 @@ class TestStreamedCheck:
         pytest.param(131, 1101, 70, id="131-1101-70-exact"),
     ])
     def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas, m, depth, n):
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
         out, rel = blockmm.verified_output(shape, 9)
         a, b = seeded_matrices(shape, 9)
@@ -674,12 +674,12 @@ class TestStreamedCheck:
                                                           started_threads, parts):
         # three strips, the last ragged, over three panels of an odd m*depth;
         # each part of the strips keeps its one thread for the whole loop,
-        # as each part of A's draw does
-        monkeypatch.setattr(blockmm, "KERNEL_BAND_MIN_ELEMS", 1 << 10)
+        # and A is drawn on the caller
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
         monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
         shape = model.ProblemShape(131, 1101, 701)
         out, rel = blockmm.verified_output(shape, 9)
-        assert len(started_threads) == 2 * (parts - 1)
+        assert len(started_threads) == parts - 1
         a, b = seeded_matrices(shape, 9)
         assert np.array_equal(out.view(np.uint32),
                               masim.reference_gemm(a, b).view(np.uint32))

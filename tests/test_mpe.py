@@ -204,6 +204,8 @@ class TestMachine:
         ("pes_per_base", 0),
         ("max_arrays", 0),
         ("f_acc", float("inf")),
+        ("f_acc", True),                # a bool, though it equals 1 Hz
+        ("f_acc", "2e8"),               # a string, not a number
         ("fmac_stages", -1),
         ("bw_model", "parametric"),     # a spec string, not a model
         ("contention", "both"),
