@@ -51,6 +51,7 @@ import platform
 import shutil
 import tempfile
 import threading
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,15 @@ DTYPE = np.float32
 # the verify loop's unit of work. The panel shapes and the strip starts
 # (multiples of 256 columns) fix the reference's bits: each panel product
 # is one dgemm call, whose rounding depends on its shape, so no split of
-# the work over threads may move them. Each part holds one panel of B in
-# float32 and float64, a panel of A and a scratch panel in float64 and its
-# strip's m x 256 float64 reference: 2.5 MB on fc-6. 128x256x512 measured
-# faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels over the full depth;
-# converting A's slice whole, not per panel, was slower (conv-3's oracle
-# 8 ms -> 13 ms, for its fresh pages).
+# the work over threads may move them. Each part allocates one panel of B
+# in float32 and float64, a panel of A and a scratch panel in float64 and
+# its strip's m x 256 float64 reference, 2.5 MB on fc-6, once: it converts
+# into them with np.copyto and takes the error in place on the scratch and
+# the spent reference, where fresh astype copies and four m x 256 error
+# temporaries per row panel raised fc-6's peak RSS by 2.8 MB. 128x256x512
+# measured faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels over the
+# full depth; converting A's slice whole, not per panel, was slower
+# (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
 ORACLE_PANEL = (128, 256, 512)
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
@@ -183,15 +187,16 @@ def _library():
     cannot be had.
 
     The library is built on first use into the per-user cache,
-    $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name hashed from
-    the source, the flags, the compiler (its resolved path, size and mtime)
-    and the machine type, so a cache hit starts no process. A cached file
-    that will not load (cut short, or not this library: either entry point
-    missing) is built again once. No cc, a failed build, an unwritable
-    cache or a library that will not load after its build gives None, and
-    _k_loop and draw_block run their numpy paths.
+    $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name made of the
+    zlib CRC-32 and Adler-32 (64 bits) of the source, the flags, the
+    compiler (its resolved path, size and mtime) and the machine type, so a
+    cache hit starts no process and loads no hashlib (OpenSSL's libcrypto
+    added 3.3 MB to fc-6's peak RSS). A cached file that will not load (cut
+    short, or not this library: either entry point missing) is built again
+    once. No cc, a failed build, an unwritable cache or a library that will
+    not load after its build gives None, and _k_loop and draw_block run
+    their numpy paths.
     """
-    import hashlib
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -199,12 +204,12 @@ def _library():
         cc = os.path.realpath(cc)
         info = os.stat(cc)
         with open(KERNEL_SOURCE, "rb") as fh:
-            key = (fh.read(), KERNEL_FLAGS, cc, info.st_size, info.st_mtime_ns,
-                   platform.machine())
+            key = repr((fh.read(), KERNEL_FLAGS, cc, info.st_size, info.st_mtime_ns,
+                        platform.machine())).encode()
         cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                              or os.path.expanduser("~/.cache"), "masim")
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-        path = os.path.join(cache, f"kernel-{digest}.so")
+        name = f"kernel-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+        path = os.path.join(cache, name)
         try:
             return _load(path)
         except (OSError, AttributeError):   # no such file, or not this library
@@ -330,9 +335,10 @@ def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
     Each 256-column strip of out is walked by itself. For each 512-deep
     panel of B, k ascending, the strip's m x 256 float64 reference gets the
     panel's ORACLE_PANEL products (B's panel converted to float64 once, A's
-    panel per product) through a scratch panel; once its last panel is in,
-    the strip's error is taken against out, which b_panel may still add
-    into until then.
+    panel per product, each into a float64 buffer of the part's own)
+    through a scratch panel; once its last panel is in, the strip's error
+    is taken against out, which b_panel may still add into until then, in
+    place on the scratch panel and the strip.
 
     When blas_pinned(), the columns are cut by split(n, m * n, 256) into
     contiguous runs of whole strips, and each part walks its own run on
@@ -353,25 +359,40 @@ def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
         ref = np.empty((m, min(panel_cols, n)))
         scratch = np.empty((min(panel_rows, m), min(panel_cols, n)))
         buffer = np.empty((min(panel_depth, depth), min(panel_cols, n)), np.float32)
+        b64_buffer = np.empty(buffer.size)
+        a64_buffer = np.empty(min(panel_rows, m) * min(panel_depth, depth))
         for c0 in range(lo, hi, panel_cols):
             cols = slice(c0, min(c0 + panel_cols, hi))
             strip = ref[:, : cols.stop - c0]
             strip.fill(0.0)
             for k0 in range(0, depth, panel_depth):
                 ks = slice(k0, min(k0 + panel_depth, depth))
-                b64 = b_panel(ks, cols, buffer[: ks.stop - k0, : cols.stop - c0]
-                              ).astype(np.float64)
+                b32 = b_panel(ks, cols, buffer[: ks.stop - k0, : cols.stop - c0])
+                # float64 panels are contiguous prefixes of their buffers, as
+                # astype's copies were, so each dgemm reads the same layout
+                b64 = b64_buffer[: b32.size].reshape(b32.shape)
+                np.copyto(b64, b32)
                 for r0 in range(0, m, panel_rows):
                     rows = slice(r0, r0 + panel_rows)
                     panel = strip[rows]
                     product = scratch[: panel.shape[0], : panel.shape[1]]
-                    np.matmul(a[rows, ks].astype(np.float64), b64, out=product)
+                    a32 = a[rows, ks]
+                    a64 = a64_buffer[: a32.size].reshape(a32.shape)
+                    np.copyto(a64, a32)
+                    np.matmul(a64, b64, out=product)
                     np.add(panel, product, out=panel)
+            # the error in place: |out - ref| / max(|ref|, tiny) per panel,
+            # the strip's reference being spent once its error is taken
             for r0 in range(0, m, panel_rows):
                 rows = slice(r0, r0 + panel_rows)
                 panel = strip[rows]
-                err = np.abs(out[rows, cols] - panel)
-                worst = np.maximum(worst, (err / np.maximum(np.abs(panel), tiny)).max())
+                err = scratch[: panel.shape[0], : panel.shape[1]]
+                np.subtract(out[rows, cols], panel, out=err)
+                np.abs(err, out=err)
+                np.abs(panel, out=panel)
+                np.maximum(panel, tiny, out=panel)
+                np.divide(err, panel, out=err)
+                worst = np.maximum(worst, err.max())
         return worst
 
     # np.maximum, not max(): a NaN from any part must survive
@@ -457,11 +478,14 @@ def draw_block(stream: Stream, first: int, width: int, out: np.ndarray) -> np.nd
     low 32-bit half and then its high one.
 
     By the compiled masim_draw_block when _library() has one, which jumps
-    to the block's first row and then from each row's state to the next.
-    Else each row is drawn by numpy's PCG64 set to the stream's start and
-    advanced to the row's first output (a row that starts at an odd draw
-    draws one more and drops the first), the one place a run imports
-    numpy.random. Either way a block costs no draw outside it."""
+    to the block's first row and then from each row's state to the next,
+    and steps four rows' states at once, so that their 128-bit LCG steps
+    overlap (fc-6's 288 panels of B took 0.034-0.038 s on one thread,
+    0.074-0.079 s one row at a time). Else each row is drawn by numpy's
+    PCG64 set to the stream's start and advanced to the row's first output
+    (a row that starts at an odd draw draws one more and drops the first),
+    the one place a run imports numpy.random. Either way a block costs no
+    draw outside it."""
     if out.ndim != 2 or out.dtype != np.float32 or out.strides[1] != out.itemsize:
         raise ValueError("out must be a float32 matrix with contiguous rows")
     rows, cols = out.shape

@@ -249,6 +249,29 @@ class TestBlockDraw:
             assert same_bits(out, want[r0:r1, c0:c1])
             first += rows * cols
 
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("first, width, cols", [
+        (0, 6, 6),      # every row starts at a low half
+        (7, 11, 5),     # odd first and width: a group's rows alternate
+        (7, 13, 8),     # halves, and their row ends differ by one draw
+        (3, 9, 1),      # one column
+    ])
+    def test_interleave_edges(self, rows, first, width, cols):
+        # the compiled fill steps four rows at a time: whole groups, a
+        # ragged last group of 1-3 rows, and rows of mixed start parity
+        if blockmm._library() is None:
+            pytest.skip("no compiled library")
+        stream = blockmm.Stream(*blockmm.pcg64_seed(11))
+        serial = np.random.default_rng(11).random(first + rows * width, dtype=np.float32)
+        want = serial[first:].reshape(rows, width)[:, :cols]
+        compiled = blockmm.draw_block(stream, first, width, np.empty((rows, cols), np.float32))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockmm, "_library", lambda: None)
+            fallback = blockmm.draw_block(stream, first, width,
+                                          np.empty((rows, cols), np.float32))
+        assert same_bits(compiled, fallback)
+        assert same_bits(compiled, want)
+
 
 @pytest.fixture
 def cold_kernel_cache(tmp_path, monkeypatch):
