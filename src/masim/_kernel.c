@@ -1,6 +1,7 @@
-/* masim's compiled library: the k-ordered float32 kernel (masim_k_loop)
- * and the seeded matrix draw (masim_draw_block), loaded by blockmm
- * through ctypes. Each has a numpy path in blockmm that gives the same bits.
+/* masim's compiled library: the k-ordered float32 kernel (masim_k_loop),
+ * the oracle's float64 reference kernel (masim_ref_loop) and the seeded
+ * matrix draw (masim_draw_block), loaded by blockmm through ctypes. Each has
+ * a numpy path in blockmm that gives the same bits.
  *
  * masim_k_loop: out[i][j] += sum_k a[i][k] * b[k][j], with k ascending, for
  * a row-major m x depth matrix a, a depth x n matrix b and an m x n matrix
@@ -18,6 +19,28 @@
  * 2.9-3.0 GHz AVX-512 Xeon) it ran at 78-92 GFLOP/s, about 90% of one
  * vmulps and one vaddps per cycle with the 4 x 64 block in 16 zmm
  * registers; OpenBLAS's dgemm ran at 68-78 on the same panels.
+ *
+ * masim_ref_loop: the same product and loop order with the same float32
+ * a and b, summed into a float64 m x n matrix ref (row stride ldr): each
+ * element gets r = fl(r + a * b) for k ascending. A float32 product has at
+ * most 48 significant bits and an exponent well inside float64's range, so
+ * a * b is exact in float64, and one fused multiply-add rounds exactly as
+ * a multiply and an add do. The function may therefore contract them
+ * (optimize("fp-contract=fast")), and its AVX-512 and FMA clones do, while
+ * the default clone multiplies and adds; every clone, and the numpy loop,
+ * gives the same bits, which depend on a, b and the order of k only. For
+ * each RKC-deep slice of k and each RMC-row chunk of a, the chunk is
+ * packed as float64 k by k in RMR-row blocks; then for each RNR-column
+ * panel of b, the panel is packed as float64 (zero past n) and each RMR x
+ * RNR block of ref is updated in registers over the slice. Rows past m
+ * read the block's first row and columns past n the zero padding; neither
+ * is stored. Returns 0, or -1 if the packs (608 kB) cannot be allocated.
+ * On fc-6's 128 x 512 x 256 panels (one thread of the same Xeon, the
+ * AVX-512 clone holding the 8 x 24 block in 24 zmm registers and issuing
+ * 24 vfmadd231pd per k) it ran at 61-64 GFLOP/s from the float32 panels,
+ * where copying both to float64 and OpenBLAS's dgemm and add, the path it
+ * replaced, ran at 48-51 and masim_k_loop at 74-76 (quartiles of 21
+ * rounds of 50 calls, taken together).
  *
  * masim_draw_block: a rows x cols block of numpy's float32 draws, as
  * Generator.random(dtype=np.float32) makes them, read as a row-major
@@ -85,6 +108,68 @@ int masim_k_loop(const float *a, const float *b, float *out, long m, long depth,
         }
     }
     free(pack);
+    return 0;
+}
+
+#define RMR 8
+#define RNR 24
+#define RMC 128
+#define RKC 512
+
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+__attribute__((target_clones("avx512f", "fma", "default"), optimize("fp-contract=fast")))
+#endif
+int masim_ref_loop(const float *a, const float *b, double *ref, long m, long depth,
+                   long n, long lda, long ldb, long ldr)
+{
+    long kmax = depth < RKC ? depth : RKC;
+    double *bpack = malloc((RNR + RMC) * kmax * sizeof(double));
+    if (bpack == NULL)
+        return -1;
+    double *apack = bpack + RNR * kmax;
+    for (long k0 = 0; k0 < depth; k0 += RKC) {
+        long kc = depth - k0 < RKC ? depth - k0 : RKC;
+        for (long r0 = 0; r0 < m; r0 += RMC) {
+            long rc = m - r0 < RMC ? m - r0 : RMC;
+            for (long i0 = 0; i0 < rc; i0 += RMR) {
+                long mc = rc - i0 < RMR ? rc - i0 : RMR;
+                for (long i = 0; i < RMR; i++) {
+                    const float *ai = a + (r0 + i0 + (i < mc ? i : 0)) * lda + k0;
+                    for (long k = 0; k < kc; k++)
+                        apack[i0 * kc + k * RMR + i] = ai[k];
+                }
+            }
+            for (long j0 = 0; j0 < n; j0 += RNR) {
+                long nc = n - j0 < RNR ? n - j0 : RNR;
+                for (long k = 0; k < kc; k++) {
+                    const float *bk = b + (k0 + k) * ldb + j0;
+                    long j = 0;
+                    for (; j < nc; j++)
+                        bpack[k * RNR + j] = bk[j];
+                    for (; j < RNR; j++)
+                        bpack[k * RNR + j] = 0.0;
+                }
+                for (long i0 = 0; i0 < rc; i0 += RMR) {
+                    long mc = rc - i0 < RMR ? rc - i0 : RMR;
+                    double *r = ref + (r0 + i0) * ldr + j0;
+                    double c[RMR][RNR] = {{0.0}};
+                    for (long i = 0; i < mc; i++)
+                        memcpy(c[i], r + i * ldr, nc * sizeof(double));
+                    for (long k = 0; k < kc; k++) {
+                        const double *ak = apack + i0 * kc + k * RMR, *bk = bpack + k * RNR;
+                        for (long i = 0; i < RMR; i++) {
+                            double av = ak[i];
+                            for (long j = 0; j < RNR; j++)
+                                c[i][j] = c[i][j] + av * bk[j];
+                        }
+                    }
+                    for (long i = 0; i < mc; i++)
+                        memcpy(r + i * ldr, c[i], nc * sizeof(double));
+                }
+            }
+        }
+    }
+    free(bpack);
     return 0;
 }
 

@@ -16,15 +16,18 @@ changes any element's order of summation, so the bits depend neither on
 the path nor on whether B comes in k-slices added into one output.
 
 max_rel_error is the float64 oracle (_oracle), which walks the output in
-256-column strips and B in 512-deep panels per strip; verified_output,
-the verify loop of `masim run`, walks the same strips with the seeded B,
+256-column strips and B in 512-deep panels per strip, and sums its
+reference with the same k-ordered loop in float64 (_ref_loop), in the
+compiled library or its numpy path, never in BLAS; verified_output, the
+verify loop of `masim run`, walks the same strips with the seeded B,
 drawing each panel of B only when its strip needs it and adding it into
 the output with the kernel, so it holds neither B nor a whole float64
 reference and gives the same bits. The oracle's strips are the one
-threaded stage: when BLAS is pinned to one thread per call, split cuts
-them into runs over the usable cores and run_parts walks each run on a
-thread of its own for the whole loop; the result does not depend on the
-part count. On one core (taskset -c 0) every strip is the caller's.
+threaded stage: split cuts them into runs over the usable cores (an
+output of one strip into runs of its 128-row panels) and run_parts walks
+each run on a thread of its own for the whole loop; the result does not
+depend on the part count. On one core (taskset -c 0) every strip is the
+caller's.
 
 The seeded draw reproduces np.random.default_rng(seed)'s float32 draws
 bit for bit without numpy's generator: pcg64_seed is numpy's SeedSequence
@@ -61,25 +64,21 @@ from .mpe import Machine, block_charges
 
 DTYPE = np.float32
 
-# Output rows, output columns and inner-dimension depth of one panel
-# product of the oracle (_oracle), whose 256-column output strips are also
-# the verify loop's unit of work. The panel shapes and the strip starts
-# (multiples of 256 columns) fix the reference's bits: each panel product
-# is one dgemm call, whose rounding depends on its shape, so no split of
-# the work over threads may move them. Each part allocates one panel of B
-# in float32 and float64, a panel of A and a scratch panel in float64 and
-# its strip's m x 256 float64 reference, 2.5 MB on fc-6, once: it converts
-# into them with np.copyto and takes the error in place on the scratch and
-# the spent reference, where fresh astype copies and four m x 256 error
-# temporaries per row panel raised fc-6's peak RSS by 2.8 MB. 128x256x512
-# measured faster (0.26 s vs 0.56 s on fc-6) than 32x64 panels over the
-# full depth; converting A's slice whole, not per panel, was slower
-# (conv-3's oracle 8 ms -> 13 ms, for its fresh pages).
+# Output rows, output columns and inner-dimension depth of the oracle's
+# (_oracle) panels. Its 256-column output strips are also the verify
+# loop's unit of work, and each 512-deep panel of B is one _ref_loop call
+# per strip; the 128-row panels are the error step's, and the parts of an
+# output of one strip. The reference's bits depend on none of these: each
+# element is one float64 sum in ascending k. Each part allocates one
+# float32 panel of B, a float64 error panel and its strip's m x 256
+# float64 reference once (1 MB on fc-6) and takes the error in place on
+# the error panel and the spent reference.
 ORACLE_PANEL = (128, 256, 512)
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
 # where the compiled kernel cannot be had, which is
-# max(1, KERNEL_PANEL_ELEMS // n) full rows of C. A float32 panel and its
+# max(1, KERNEL_PANEL_ELEMS // n) full rows of C (half as many in
+# _ref_loop's float64 loop, for the same bytes). A float32 panel and its
 # scratch take 1 MB together and stay in a 2 MB per-core L2 across all k;
 # the whole fc-6 output and its scratch (4 MB) did not, so every k went to
 # L3 (fc-6 2.8 s -> 1.5 s). On one core of a 2-vCPU Xeon (2 MB L2 per
@@ -91,28 +90,22 @@ KERNEL_PANEL_ELEMS = 1 << 17
 
 # Output elements each part of the oracle's strips must have (split): an
 # output of E elements is cut into at most min(usable_cores(), E //
-# PART_MIN_ELEMS) runs of strips, at least one. The floor was measured on
-# the exact kernel's row bands, since removed: on two cores, bands of
+# PART_MIN_ELEMS) runs of strips (or of row panels), at least one. The
+# floor was measured on the exact kernel's row bands, since removed: on two cores, bands of
 # 32k-47k elements ran 13-42% faster than one on nine of eleven shapes,
 # and bands of 8k-11k ran 24-72% slower, as handing the GIL round the
 # per-k ufunc calls cost more than the second core saved. It is kept for
 # the strip parts: outputs under 2**16 elements (conv-3..5) stay serial.
 PART_MIN_ELEMS = 1 << 15
 
-# The variables that set how many threads OpenBLAS, OpenMP and MKL run per
-# call. The oracle is BLAS-bound, so it splits its strips over threads only
-# when these pin BLAS to one thread (blas_pinned). On two cores, fc-6's
-# oracle took 0.34 s serial and 0.17 s on two strip threads with BLAS
-# pinned; with BLAS's own threads it took 0.25 s serial and 0.34 s on two
-# strip threads, which oversubscribed the cores.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# The compiled kernel's source and build flags. -ffp-contract=off keeps
-# every multiply and add rounded on its own, never fused into an FMA, and
+# The compiled library's source and build flags. -ffp-contract=off keeps
+# every multiply and add of the float32 kernel rounded on its own, never
+# fused into an FMA (the float64 reference kernel, whose products are
+# exact, opts back in to contraction for itself), and
 # there is no -ffast-math (or -Ofast): it reassociates sums, and its start-up
 # code turns on flush-to-zero for the whole process. On x86-64 the source
-# asks GCC for AVX-512, AVX2 and baseline clones of the kernel, picked at
-# load time, so one build runs on any x86-64 CPU.
+# asks GCC for AVX-512, AVX2 (for the reference, FMA) and baseline clones
+# of each kernel, picked at load time, so one build runs on any x86-64 CPU.
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -169,11 +162,12 @@ def _build(cc: str, path: str) -> ctypes.CDLL:
 
 
 def _load(path: str) -> ctypes.CDLL:
-    """The library at path with both entry points typed; OSError if it will
-    not load, AttributeError if it lacks either."""
+    """The library at path with its three entry points typed; OSError if it
+    will not load, AttributeError if it lacks any."""
     lib = ctypes.CDLL(path)
-    lib.masim_k_loop.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
-    lib.masim_k_loop.restype = ctypes.c_int
+    for kernel in (lib.masim_k_loop, lib.masim_ref_loop):
+        kernel.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 6
+        kernel.restype = ctypes.c_int
     lib.masim_draw_block.argtypes = ((ctypes.c_void_p,) + (ctypes.c_long,) * 5
                                      + (ctypes.c_void_p,))
     lib.masim_draw_block.restype = None
@@ -183,8 +177,8 @@ def _load(path: str) -> ctypes.CDLL:
 @functools.cache
 def _library():
     """The compiled library, whose entry points are masim_k_loop (the
-    kernel) and masim_draw_block (the seeded draw), or None where it
-    cannot be had.
+    kernel), masim_ref_loop (the oracle's float64 reference) and
+    masim_draw_block (the seeded draw), or None where it cannot be had.
 
     The library is built on first use into the per-user cache,
     $XDG_CACHE_HOME/masim or else ~/.cache/masim, under a name made of the
@@ -192,10 +186,10 @@ def _library():
     compiler (its resolved path, size and mtime) and the machine type, so a
     cache hit starts no process and loads no hashlib (OpenSSL's libcrypto
     added 3.3 MB to fc-6's peak RSS). A cached file that will not load (cut
-    short, or not this library: either entry point missing) is built again
+    short, or not this library: an entry point missing) is built again
     once. No cc, a failed build, an unwritable cache or a library that will
-    not load after its build gives None, and _k_loop and draw_block run
-    their numpy paths.
+    not load after its build gives None, and _k_loop, _ref_loop and
+    draw_block run their numpy paths.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -219,40 +213,95 @@ def _library():
         return None
 
 
-def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray) -> None:
-    """out += aa @ bb, k ascending, for float32 matrices whose rows are
-    contiguous: by the compiled kernel when _library() has one, else as one
-    rank-1 update per ascending k, one row panel of KERNEL_PANEL_ELEMS
-    elements at a time, with a scratch of its own. The numpy loop sums a
-    panel of out whose rows are apart (a strip of a wider output) in a
-    contiguous copy, and reads A's panel transposed: `masim run --preset
-    fc-6 --auto` without the library took 4.8-5.4 s on the strided panel
-    and columns and 3.9-4.1 s on these (2 vCPUs). Both paths give every
-    element c = fl(c + fl(a * b)) per k, so they agree bit for bit, and
-    since c is float32 between any two k, k-slices of a product added in
-    ascending order into one out give the whole product's bits."""
+class Buffers:
+    """Arrays that one part of a loop reuses from call to call: take(name,
+    shape, dtype) gives a C-order view of the first elements of the one
+    array of that name and dtype, grown to the largest size asked of it."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        size = shape[0] * shape[1]
+        key = name, np.dtype(dtype)
+        array = self._arrays.get(key)
+        if array is None or array.size < size:
+            array = self._arrays[key] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+def _add_product(aa: np.ndarray, bb: np.ndarray, out: np.ndarray, entry: str,
+                 buffers: Buffers | None) -> None:
+    """out += aa @ bb, k ascending, for float32 aa and bb and an out of
+    float32 (entry "masim_k_loop") or float64 ("masim_ref_loop"), all
+    three conforming with contiguous rows: by that entry point of
+    _library() when it has one, else by _rank1_loop in buffers (a part's
+    own, reused from call to call) or fresh ones."""
+    dtype = DTYPE if entry == "masim_k_loop" else np.float64
+    if (aa.dtype != DTYPE or bb.dtype != DTYPE or out.dtype != dtype
+            or any(x.strides[1] != x.itemsize for x in (aa, bb, out))
+            or out.shape != (aa.shape[0], bb.shape[1]) or aa.shape[1] != bb.shape[0]):
+        raise ValueError("the kernel needs conforming float32 matrices with "
+                         f"contiguous rows, summed into {np.dtype(dtype).name}")
     lib = _library()
-    if lib is not None:
-        if (any(x.dtype != DTYPE or x.strides[1] != x.itemsize for x in (aa, bb, out))
-                or out.shape != (aa.shape[0], bb.shape[1]) or aa.shape[1] != bb.shape[0]):
-            raise ValueError("the kernel needs conforming float32 matrices "
-                             "with contiguous rows")
-        strides = (x.strides[0] // x.itemsize for x in (aa, bb, out))
-        if lib.masim_k_loop(aa.ctypes.data, bb.ctypes.data, out.ctypes.data,
-                            *aa.shape, bb.shape[1], *strides):
-            raise MemoryError("no memory for the kernel's packed panel of B")
+    if lib is None:
+        _rank1_loop(aa, bb, out, buffers or Buffers())
         return
-    n = out.shape[1]
-    rows = max(1, KERNEL_PANEL_ELEMS // n)
-    scratch = np.empty((min(rows, out.shape[0]), n), out.dtype)
+    strides = (x.strides[0] // x.itemsize for x in (aa, bb, out))
+    if getattr(lib, entry)(aa.ctypes.data, bb.ctypes.data, out.ctypes.data,
+                           *aa.shape, bb.shape[1], *strides):
+        raise MemoryError("no memory for the kernel's packed panels")
+
+
+def _rank1_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray, buffers: Buffers) -> None:
+    """out += aa @ bb in out's dtype as one rank-1 update per ascending k,
+    one row panel of KERNEL_PANEL_ELEMS float32 elements' bytes at a time.
+    A's rows transposed in out's dtype, the product and (for a panel whose
+    rows are apart, as a strip of a wider output's are) the panel's sum
+    are arrays of buffers, so every per-k operation runs on contiguous
+    memory: `masim run --preset fc-6 --auto` without the library took
+    4.8-5.4 s on the strided panel and columns and 3.9-4.1 s on these (2
+    vCPUs). np.multiply.outer of a float64 column of A and a float32 row of
+    B runs in float64, as fast as on a float64 copy of B (30 ms on a
+    128 x 512 x 256 panel either way), and its products are exact."""
+    n, depth = out.shape[1], aa.shape[1]
+    rows = max(1, KERNEL_PANEL_ELEMS * DTYPE().itemsize // (out.itemsize * n))
     for r0 in range(0, out.shape[0], rows):
-        panel = np.ascontiguousarray(out[r0: r0 + rows])
-        t = scratch[: panel.shape[0]]
-        a_cols = aa[r0: r0 + rows].T.copy()
-        for k in range(aa.shape[1]):
+        dest = out[r0: r0 + rows]
+        panel = dest
+        if not dest.flags.c_contiguous:
+            panel = buffers.take("panel", dest.shape, out.dtype)
+            np.copyto(panel, dest)
+        t = buffers.take("product", dest.shape, out.dtype)
+        a_cols = buffers.take("a", (depth, dest.shape[0]), out.dtype)
+        np.copyto(a_cols, aa[r0: r0 + rows].T)
+        for k in range(depth):
             np.multiply.outer(a_cols[k], bb[k], out=t)
             np.add(panel, t, out=panel)
-        out[r0: r0 + rows] = panel
+        if panel is not dest:
+            np.copyto(dest, panel)
+
+
+def _k_loop(aa: np.ndarray, bb: np.ndarray, out: np.ndarray,
+            buffers: Buffers | None = None) -> None:
+    """out += aa @ bb, k ascending, for float32 matrices whose rows are
+    contiguous (_add_product): by the compiled kernel, or by the numpy
+    loop. Both give every element c = fl(c + fl(a * b)) per k, so they
+    agree bit for bit, and since c is float32 between any two k, k-slices
+    of a product added in ascending order into one out give the whole
+    product's bits."""
+    _add_product(aa, bb, out, "masim_k_loop", buffers)
+
+
+def _ref_loop(aa: np.ndarray, bb: np.ndarray, ref: np.ndarray, buffers: Buffers) -> None:
+    """ref += aa @ bb in float64, k ascending, for float32 aa and bb and a
+    float64 ref (_add_product): by the library's masim_ref_loop, or by the
+    numpy loop in float64. A float32 product is exact in float64, so every
+    element gets r = fl(r + a * b) per k in either path, fused or not, and
+    the bits depend on the operands and the order of k only: not on BLAS,
+    which neither path calls, nor on how the 256-column strips, the k
+    panels or the rows are cut."""
+    _add_product(aa, bb, ref, "masim_ref_loop", buffers)
 
 
 def split(length: int, elements: int, align: int = 1) -> list[int]:
@@ -295,13 +344,6 @@ def run_parts(work, edges: list[int]) -> list:
     return results
 
 
-def blas_pinned() -> bool:
-    """Whether the standard thread variables pin BLAS to one thread: at
-    least one of BLAS_THREAD_VARS is set, and every one set reads 1."""
-    values = [os.environ[v].strip() for v in BLAS_THREAD_VARS if v in os.environ]
-    return bool(values) and all(v == "1" for v in values)
-
-
 def reference_gemm(a, b) -> np.ndarray:
     """Reference product C[i, j] = sum_k A[i, k] * B[k, j], k ascending.
 
@@ -327,76 +369,71 @@ def reference_gemm(a, b) -> np.ndarray:
 
 def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
     """The largest element-wise relative error of out (m x n) against the
-    float64 product of a (m x depth) and B, whose panels b_panel(ks, cols,
-    buffer) gives: B[ks, cols] as float32 with contiguous rows, for which
-    it may fill buffer, a float32 array of that shape of the calling part's
-    own. A NaN anywhere in out makes the error NaN.
+    float64 product of a (m x depth) and B, whose panels b_panel(rows, ks,
+    cols, buffer, buffers) gives: B[ks, cols] as float32 with contiguous
+    rows, for which it may fill buffer, a float32 array of that shape of
+    the calling part's own, and use the part's buffers (a Buffers), while
+    the part walks out's rows. A NaN anywhere in out makes the error NaN.
 
     Each 256-column strip of out is walked by itself. For each 512-deep
-    panel of B, k ascending, the strip's m x 256 float64 reference gets the
-    panel's ORACLE_PANEL products (B's panel converted to float64 once, A's
-    panel per product, each into a float64 buffer of the part's own)
-    through a scratch panel; once its last panel is in, the strip's error
-    is taken against out, which b_panel may still add into until then, in
-    place on the scratch panel and the strip.
+    panel of B, k ascending, _ref_loop adds the panel's product into the
+    strip's float64 reference (m x 256, or the part's rows of it); once its
+    last panel is in, the strip's error is taken against out, which b_panel
+    may still add into until then, one 128-row panel at a time, in place on
+    an error panel and the spent reference.
 
-    When blas_pinned(), the columns are cut by split(n, m * n, 256) into
-    contiguous runs of whole strips, and each part walks its own run on
-    its own thread; otherwise BLAS runs its own threads inside each matmul
-    and one part walks all the strips. The panels and their sums do not
-    change and the per-part maxima are combined exactly, so the result
-    does not depend on the part count. It can depend on BLAS's own thread
-    count, which may change a panel product's last bits.
+    The columns are cut by split(n, m * n, 256) into contiguous runs of
+    whole strips, and each part walks its own run on its own thread. An
+    output of one strip (n <= 256) is cut by split(m, m * n, 128) into runs
+    of 128-row panels instead, each part walking the strip on its rows.
+    Every reference element is one float64 sum in ascending k whatever the
+    cut, and the per-part maxima are combined exactly, so the result
+    depends on neither the part count nor the cut, nor on BLAS, which no
+    part calls.
     """
     m, depth = a.shape
     n = out.shape[1]
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
-    edges = split(n, m * n, panel_cols) if blas_pinned() else [0, n]
 
-    def strips(lo: int, hi: int) -> np.float64:
+    def strips(rows: slice, lo: int, hi: int) -> np.float64:
         worst = np.float64(0.0)
-        ref = np.empty((m, min(panel_cols, n)))
-        scratch = np.empty((min(panel_rows, m), min(panel_cols, n)))
+        mine = out[rows]
+        height = mine.shape[0]
+        ref = np.empty((height, min(panel_cols, n)))
+        err = np.empty((min(panel_rows, height), min(panel_cols, n)))
         buffer = np.empty((min(panel_depth, depth), min(panel_cols, n)), np.float32)
-        b64_buffer = np.empty(buffer.size)
-        a64_buffer = np.empty(min(panel_rows, m) * min(panel_depth, depth))
+        buffers = Buffers()
         for c0 in range(lo, hi, panel_cols):
             cols = slice(c0, min(c0 + panel_cols, hi))
             strip = ref[:, : cols.stop - c0]
             strip.fill(0.0)
             for k0 in range(0, depth, panel_depth):
                 ks = slice(k0, min(k0 + panel_depth, depth))
-                b32 = b_panel(ks, cols, buffer[: ks.stop - k0, : cols.stop - c0])
-                # float64 panels are contiguous prefixes of their buffers, as
-                # astype's copies were, so each dgemm reads the same layout
-                b64 = b64_buffer[: b32.size].reshape(b32.shape)
-                np.copyto(b64, b32)
-                for r0 in range(0, m, panel_rows):
-                    rows = slice(r0, r0 + panel_rows)
-                    panel = strip[rows]
-                    product = scratch[: panel.shape[0], : panel.shape[1]]
-                    a32 = a[rows, ks]
-                    a64 = a64_buffer[: a32.size].reshape(a32.shape)
-                    np.copyto(a64, a32)
-                    np.matmul(a64, b64, out=product)
-                    np.add(panel, product, out=panel)
+                b32 = b_panel(rows, ks, cols, buffer[: ks.stop - k0, : cols.stop - c0],
+                              buffers)
+                _ref_loop(a[rows, ks], b32, strip, buffers)
             # the error in place: |out - ref| / max(|ref|, tiny) per panel,
             # the strip's reference being spent once its error is taken
-            for r0 in range(0, m, panel_rows):
-                rows = slice(r0, r0 + panel_rows)
-                panel = strip[rows]
-                err = scratch[: panel.shape[0], : panel.shape[1]]
-                np.subtract(out[rows, cols], panel, out=err)
-                np.abs(err, out=err)
+            for r0 in range(0, height, panel_rows):
+                panel = strip[r0: r0 + panel_rows]
+                e = err[: panel.shape[0], : panel.shape[1]]
+                np.subtract(mine[r0: r0 + panel_rows, cols], panel, out=e)
+                np.abs(e, out=e)
                 np.abs(panel, out=panel)
                 np.maximum(panel, tiny, out=panel)
-                np.divide(err, panel, out=err)
-                worst = np.maximum(worst, err.max())
+                np.divide(e, panel, out=e)
+                worst = np.maximum(worst, e.max())
         return worst
 
+    if n <= panel_cols:     # one strip: its row panels are the parts
+        edges = split(m, m * n, panel_rows)
+        results = run_parts(lambda lo, hi: strips(slice(lo, hi), 0, n), edges)
+    else:
+        edges = split(n, m * n, panel_cols)
+        results = run_parts(lambda lo, hi: strips(slice(0, m), lo, hi), edges)
     # np.maximum, not max(): a NaN from any part must survive
-    return float(np.maximum.reduce(run_parts(strips, edges)))
+    return float(np.maximum.reduce(results))
 
 
 def max_rel_error(a, b, out) -> float:
@@ -406,7 +443,7 @@ def max_rel_error(a, b, out) -> float:
     a, b = _operands(a, b)
     if out.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
-    return _oracle(a, out, lambda ks, cols, _: b[ks, cols])
+    return _oracle(a, out, lambda rows, ks, cols, buffer, buffers: b[ks, cols])
 
 
 # PCG64, the generator behind np.random.default_rng: a 128-bit LCG,
@@ -529,20 +566,23 @@ def verified_output(shape: ProblemShape, seed: int):
     follows A in the stream. The oracle's walk (_oracle) fetches each
     512 x 256 panel of B in turn, strip by strip and k ascending within a
     strip: the part walking the strip draws the panel into its own buffer
-    (draw_block) and adds it into the output's strip with the kernel
-    (_k_loop), which continues each element's k-ordered sum as float32,
-    before the oracle adds the same panel into the strip's reference. It
-    holds A, the output and, per part, one panel of B and a 256-column
-    strip of the reference; with BLAS pinned the parts are the oracle's,
-    one thread each for the whole loop."""
+    (draw_block) and adds it into its rows of the output's strip with the
+    kernel (_k_loop, in the part's buffers when it has no library), which
+    continues each element's k-ordered sum as float32, before the oracle
+    adds the same panel into the strip's float64 reference (_ref_loop). It
+    holds A, the output and, per part, one float32 panel of B, an error
+    panel and a 256-column strip of the reference; the parts are the
+    oracle's, one thread each for the whole loop. Parts that split the
+    rows of a one-strip output each draw the strip's panels of B."""
     stream = Stream(*pcg64_seed(seed))
     m, depth, n = shape.m, shape.depth, shape.n
     a = draw_matrix(stream, m, depth)
     out = np.zeros((m, n), np.float32)
 
-    def b_panel(ks: slice, cols: slice, buffer: np.ndarray) -> np.ndarray:
+    def b_panel(rows: slice, ks: slice, cols: slice, buffer: np.ndarray,
+                buffers: Buffers) -> np.ndarray:
         draw_block(stream, m * depth + ks.start * n + cols.start, n, buffer)
-        _k_loop(a[:, ks], buffer, out[:, cols])
+        _k_loop(a[rows, ks], buffer, out[rows, cols], buffers)
         return buffer
 
     return out, _oracle(a, out, b_panel)

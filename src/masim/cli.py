@@ -20,13 +20,12 @@ nothing.
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
 
-Reports are deterministic for a fixed configuration, seed and BLAS
-thread setting (only the created_at field varies): every run computes its
-output with the one k-ordered kernel, whose bits depend on neither the
-core count nor BLAS, and --fast-numerics is accepted but changes nothing.
-The oracle's max_rel_error can move in its last bits with BLAS's own
-thread count; with BLAS pinned to one thread it does not depend on the
-core count. Exit status is 0 on
+Reports are deterministic for a fixed configuration and seed (only the
+created_at field varies): every run computes its output with the one
+k-ordered kernel and its max_rel_error against a float64 reference summed
+in ascending k, and no bit of either depends on the core count, on
+whether the compiled library can be had, or on BLAS, which a run never
+calls; --fast-numerics is accepted but changes nothing. Exit status is 0 on
 success, 1 when any check fails, 2 for infeasible or invalid
 configurations (a simulated time too long to count in cycles included),
 for input or output files that cannot be opened and for a problem too

@@ -1,6 +1,7 @@
 import shutil
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,12 @@ from masim import blockmm
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The variables that set how many threads OpenBLAS, OpenMP and MKL run per
+# call, which the tests set and unset to show that no result depends on them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def tile_slices(m, n, block_rows, block_cols):
@@ -83,14 +90,6 @@ def started_threads(monkeypatch):
 
     monkeypatch.setattr(blockmm.threading, "Thread", Counted)
     return started
-
-
-@pytest.fixture
-def pinned_blas(monkeypatch):
-    """The standard thread variables pin BLAS to one thread, as far as
-    blockmm.blas_pinned can tell (the loaded BLAS keeps its own setting)."""
-    for var in blockmm.BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 import hashlib
+import os
 import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from conftest import needs_cc, seeded_matrices, tile_slices
+from conftest import BLAS_THREAD_VARS, SRC, needs_cc, seeded_matrices, tile_slices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -401,6 +403,75 @@ class TestCompiledKernel:
         assert same_bits(compiled, fallback)
 
 
+def both_references(monkeypatch, a, b, start, width=None):
+    """start + a @ b summed in float64 by _ref_loop, by the compiled
+    masim_ref_loop and then by the numpy loop; with width, into the first
+    columns of a ref whose rows are width apart, whose rest must stay."""
+    outs = []
+    for lib in (blockmm._library(), None):
+        monkeypatch.setattr(blockmm, "_library", lambda: lib)
+        ref = np.full((start.shape[0], width or start.shape[1]), 7.0)
+        ref[:, : start.shape[1]] = start
+        with np.errstate(invalid="ignore"):
+            blockmm._ref_loop(a, b, ref[:, : start.shape[1]], blockmm.Buffers())
+        assert (ref[:, start.shape[1]:] == 7.0).all()
+        outs.append(ref[:, : start.shape[1]])
+    return outs
+
+
+def f64_sum(start, a, b):
+    """start plus one exact float64 rank-1 update per ascending k."""
+    out = start.copy()
+    for k in range(a.shape[1]):
+        out += np.multiply.outer(a[:, k].astype(np.float64), b[k].astype(np.float64))
+    return out
+
+
+@needs_cc
+class TestCompiledReference:
+    """The compiled float64 reference sums exactly as the numpy float64
+    loop and a float64 k loop do, from any start."""
+
+    @pytest.mark.parametrize("m, depth, n, width", [
+        (1, 1, 1, None),
+        (7, 3, 23, None),       # m short of a multiple of 8, n of one of 24
+        (9, 513, 25, 40),       # one past each; a second, 1-deep slice of k
+        (130, 1100, 50, None),  # a second 128-row chunk; three slices of k
+        (128, 512, 256, 300),   # fc-6's panel, in a strip of a wider ref
+    ])
+    def test_ragged_shapes(self, monkeypatch, m, depth, n, width):
+        rng = np.random.default_rng(m + depth + n)
+        a, b = signed(rng, m, depth), signed(rng, depth, n)
+        start = rng.standard_normal((m, n))
+        want = f64_sum(start, a, b)
+        for got in both_references(monkeypatch, a, b, start, width):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_products_are_exact(self, monkeypatch):
+        # -1 + (1 + 2**-12)**2 is 2**-11 + 2**-24 in float64, fused or not;
+        # the float32 kernel rounds the product and gives 2**-11
+        x = 1 + 2.0 ** -12
+        a = np.tile(f32([-1, x]), (9, 1))
+        b = np.tile(f32([1], [x]), (1, 30))
+        for got in both_references(monkeypatch, a, b, np.zeros((9, 30))):
+            assert (got == 2.0 ** -11 + 2.0 ** -24).all()
+
+    def test_special_values(self, monkeypatch):
+        # signed zeros (+0 + -0 is +0), a float32 subnormal squared (normal
+        # in float64), infinities and NaN (inf * 0 is NaN)
+        sub = np.float32(2.0 ** -149)
+        a = f32([0, -0.0], [-1, 1], [sub, 1], [np.inf, 1], [np.nan, 1])
+        b = f32([-1, 0, sub], [1, -0.0, 0])
+        compiled, fallback = both_references(monkeypatch, a, b, np.zeros((5, 3)))
+        assert np.array_equal(np.isnan(compiled), np.isnan(fallback))
+        assert np.array_equal(compiled[~np.isnan(compiled)].view(np.uint64),
+                              fallback[~np.isnan(fallback)].view(np.uint64))
+        assert not compiled[0].view(np.uint64).any()
+        assert compiled[2, 2] == 2.0 ** -298
+        assert compiled[3].tolist()[::2] == [-np.inf, np.inf]
+        assert np.isnan(compiled[3, 1]) and np.isnan(compiled[4]).all()
+
+
 class TestKernelCache:
     """Building, caching and loading the compiled kernel, and falling back."""
 
@@ -419,7 +490,7 @@ class TestKernelCache:
 
     @needs_cc
     def test_cold_cache_under_two_oracle_parts_builds_once(
-            self, monkeypatch, pinned_blas, cold_kernel_cache, started_threads, builds):
+            self, monkeypatch, cold_kernel_cache, started_threads, builds):
         # two strips of two parts' worth: A's draw on the caller resolves the
         # library before the worker draws and adds its first panel of B
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
@@ -603,18 +674,69 @@ class TestBlockedMultiply:
 
 
 class TestMaxRelError:
-    """The float64 oracle: a matmul over bounded output panels."""
+    """The float64 oracle: a k-ordered float64 sum over bounded output panels."""
 
     def test_agrees_with_float64_k_loop(self, monkeypatch):
+        # bit for bit: each reference element is the k loop's float64 sum
         rng = np.random.default_rng(8)
         a, b = rand(rng, 45, 70), rand(rng, 70, 83)
         out = masim.reference_gemm(a, b)
         ref = k_loop(a, b, np.float64)
         want = (np.abs(out - ref) / np.abs(ref)).max()
-        assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6)
+        assert masim.max_rel_error(a, b, out) == want
         for panel in ((32, 64, 16), (7, 5, 3), (45, 83, 70), (100, 100, 1)):
             monkeypatch.setattr(blockmm, "ORACLE_PANEL", panel)
-            assert masim.max_rel_error(a, b, out) == pytest.approx(want, rel=1e-6), panel
+            assert masim.max_rel_error(a, b, out) == want, panel
+
+    # a wide output, cut into runs of strips, and a tall one of one strip,
+    # cut into runs of row panels
+    SETTINGS_SHAPES = ((200, 700, 600), (600, 300, 100))
+    SETTINGS_CODE = """if True:
+        import sys
+        import numpy as np
+        import masim
+        for m, depth, n in {shapes}:
+            rng = np.random.default_rng(17)
+            a = rng.random((m, depth), dtype=np.float32)
+            b = rng.random((depth, n), dtype=np.float32)
+            print(repr(masim.max_rel_error(a, b, masim.reference_gemm(a, b))))
+        """
+
+    def test_same_bits_in_every_setting(self, monkeypatch, started_threads):
+        # BLAS pinned and on its own threads (each in a fresh process:
+        # BLAS reads its thread count once, at load), on one and three
+        # usable cores, and with np.matmul raising: the oracle calls no
+        # BLAS, so every setting gives the float64 k loop's bits
+        code = self.SETTINGS_CODE.format(shapes=self.SETTINGS_SHAPES)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        printed = []
+        for pinned in (True, False):
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, timeout=120,
+                                  env={**env, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+                                  if pinned else env)
+            assert done.returncode == 0, done.stderr
+            printed.append(done.stdout.split())
+        assert printed[0] == printed[1]
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("the oracle called np.matmul")
+
+        monkeypatch.setattr(np, "matmul", no_blas)
+        monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
+        for (m, depth, n), text in zip(self.SETTINGS_SHAPES, printed[0]):
+            rng = np.random.default_rng(17)
+            a, b = rand(rng, m, depth), rand(rng, depth, n)
+            out = k_loop(a, b)
+            ref = k_loop(a, b, np.float64)
+            want = (np.abs(out - ref) / np.abs(ref)).max()
+            assert float(text) == want
+            for cores in (1, 3):
+                monkeypatch.setattr(blockmm, "usable_cores", lambda: cores)
+                del started_threads[:]
+                assert masim.max_rel_error(a, b, out) == want, (m, depth, n, cores)
+                assert len(started_threads) == cores - 1
 
     def test_every_panel_is_checked(self, monkeypatch):
         monkeypatch.setattr(blockmm, "ORACLE_PANEL", (4, 4, 3))
@@ -639,7 +761,7 @@ class TestMaxRelError:
             masim.max_rel_error(a, a.T, np.ones((3, 2), np.float32))
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 5])
-    def test_any_part_count_matches_one_part(self, monkeypatch, pinned_blas,
+    def test_any_part_count_matches_one_part(self, monkeypatch,
                                              started_threads, fine_switching, parts):
         # 4-column strips: 83 columns give 21 strips, the last one ragged,
         # each of four row panels and three depth slices
@@ -655,7 +777,7 @@ class TestMaxRelError:
         assert masim.max_rel_error(a, b, out) == want
         assert len(started_threads) == parts - 1
 
-    def test_nan_on_a_worker_strip_is_reported(self, monkeypatch, pinned_blas):
+    def test_nan_on_a_worker_strip_is_reported(self, monkeypatch):
         # two parts over two 2-column strips: the worker covers columns 2-3,
         # and the caller's strip holds a larger finite error that the builtin
         # max would keep in place of the worker's NaN
@@ -670,8 +792,7 @@ class TestMaxRelError:
         assert np.isnan(masim.max_rel_error(a, b, out))
 
     @pytest.mark.parametrize("on_caller", [False, True])
-    def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch,
-                                                             pinned_blas, on_caller):
+    def test_fault_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, on_caller):
         # reading the output raises on the calling thread or on the workers;
         # the parts that do not raise are slow, so they still run when it does
         caller = threading.current_thread()
@@ -694,7 +815,7 @@ class TestMaxRelError:
             masim.max_rel_error(a, b, out)
         assert threading.active_count() == before
 
-    def test_tile_sized_outputs_start_no_thread(self, monkeypatch, pinned_blas,
+    def test_tile_sized_outputs_start_no_thread(self, monkeypatch,
                                                 started_threads):
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
         rng = np.random.default_rng(16)
@@ -703,37 +824,14 @@ class TestMaxRelError:
         for tile in (128, 192):
             masim.max_rel_error(a[:tile], b[:, :tile], k_loop(a[:tile], b[:, :tile]))
         assert started_threads == []
-        # a tall output of four parts' worth has one strip, and starts none
+        # a tall output of four parts' worth has one strip, whose four
+        # 128-row panels are the parts: it starts three threads
         masim.max_rel_error(a, b[:, :256], k_loop(a, b[:, :256]))
-        assert started_threads == []
+        assert len(started_threads) == 3
         # two strips of 128x256 make two parts' worth, and start one thread
+        del started_threads[:]
         masim.max_rel_error(a[:128], b, k_loop(a[:128], b))
         assert len(started_threads) == 1
-
-    def test_blas_threads_keep_the_strips_on_the_caller(self, monkeypatch,
-                                                        started_threads):
-        # the same two-part output with BLAS free to run its own threads
-        for var in blockmm.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setattr(blockmm, "usable_cores", lambda: 8)
-        rng = np.random.default_rng(16)
-        a, b = rand(rng, 128, 40), rand(rng, 40, 512)
-        masim.max_rel_error(a, b, k_loop(a, b))
-        assert started_threads == []
-
-    @pytest.mark.parametrize("env,pinned", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, True),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
-        ({"OPENBLAS_NUM_THREADS": ""}, False),
-    ])
-    def test_blas_pinned(self, monkeypatch, env, pinned):
-        for var in blockmm.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert blockmm.blas_pinned() is pinned
 
 
 class TestMatrixValidation:

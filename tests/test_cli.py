@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assemble_run, needs_cc, seeded_matrices
+from conftest import BLAS_THREAD_VARS, SRC, assemble_run, needs_cc, seeded_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ import masim
 from masim import blockmm, cli, model, wqm
 
 DATA = Path(__file__).resolve().parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
 ORACLE_FIELDS = ("oracle_ok", "max_rel_error", "oracle_skipped")
 
 
@@ -463,8 +462,8 @@ class TestOutputAndOracle:
         kernel = blockmm._k_loop
         depths = []
 
-        def planted(a, b, out):
-            kernel(a, b, out)
+        def planted(a, b, out, buffers):
+            kernel(a, b, out, buffers)
             if b.shape[1] == 6:
                 depths.append(b.shape[0])
                 if sum(depths) == 520:
@@ -554,7 +553,7 @@ class TestDeterminism:
         # parts' worth on 4 cores
         ("--shape", "301x257x263"),
     ])
-    def test_core_count_changes_no_byte(self, tmp_path, monkeypatch, pinned_blas,
+    def test_core_count_changes_no_byte(self, tmp_path, monkeypatch,
                                         started_threads, problem):
         texts = {}
         for cores in (1, 4):
@@ -664,7 +663,7 @@ class TestStreamedCheck:
         # three panels, the last ragged; odd m*depth
         pytest.param(131, 1101, 70, id="131-1101-70-exact"),
     ])
-    def test_equals_the_whole_matrix_check(self, monkeypatch, pinned_blas, m, depth, n):
+    def test_equals_the_whole_matrix_check(self, monkeypatch, m, depth, n):
         monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
         out, rel = blockmm.verified_output(shape, 9)
@@ -674,7 +673,7 @@ class TestStreamedCheck:
         assert rel == masim.max_rel_error(a, b, out)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_any_part_count_gives_the_whole_matrix_check(self, monkeypatch, pinned_blas,
+    def test_any_part_count_gives_the_whole_matrix_check(self, monkeypatch,
                                                           started_threads, parts):
         # three strips, the last ragged, over three panels of an odd m*depth;
         # each part of the strips keeps its one thread for the whole loop,
@@ -703,8 +702,8 @@ class TestStreamedCheck:
         kernel = blockmm._k_loop
         calls = []
 
-        def first_nan(a, b, out):
-            kernel(a, b, out)
+        def first_nan(a, b, out, buffers):
+            kernel(a, b, out, buffers)
             if not calls:
                 out[5, 7] = np.nan
             calls.append(b.shape[0])
@@ -714,15 +713,17 @@ class TestStreamedCheck:
         assert calls == [512, 512, 76]
         assert np.isnan(out[5, 7]) and np.isnan(rel)
 
-    def test_never_holds_b(self, monkeypatch, pinned_blas):
+    def test_never_holds_b(self, monkeypatch):
         # B is 16 MB, a full-width panel of it 8 MB and an m x n float64
         # 8 MB; the loop holds A, the output and, per part, a 512 x 256
-        # panel of B in float32 and float64, a 128 x 512 panel of A, a
-        # 128 x 256 scratch panel and an m x 256 strip of the reference in
-        # float64, 2.75 MB, and takes the error in place on the last two.
-        # Without the library _k_loop's numpy loop adds its own row panel,
-        # scratch and columns of A, 1 MB. A first tiny run builds the
-        # library or imports the numpy fill, neither of them the loop's
+        # float32 panel of B, a 128 x 256 error panel and an m x 256 strip
+        # of the reference in float64, 1.25 MB, and takes the error in
+        # place on the last two (the compiled reference's packs are C
+        # allocations, which tracemalloc does not see). Without the
+        # library the part's buffers add the kernel's row panel, product
+        # and columns of A, 1 MB, and the float64 reference loop's product
+        # and columns of A, 1.5 MB. A first tiny run builds the library or
+        # imports the numpy fill, neither of them the loop's
         shape = model.ProblemShape(256, 1024, 4096)
         a_and_out = 4 * shape.m * (shape.depth + shape.n)
         blockmm.verified_output(model.ProblemShape(1, 1, 1), 1)
@@ -765,7 +766,7 @@ class TestModuleEntryPoint:
         argv = ("run", "--preset", "conv-2", "--auto", "--seed", "7", "--fast-numerics")
         reports = []
         for pinned in (True, False):
-            for var in blockmm.BLAS_THREAD_VARS:
+            for var in BLAS_THREAD_VARS:
                 if pinned:
                     monkeypatch.setenv(var, "1")
                 else:
