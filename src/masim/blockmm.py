@@ -20,14 +20,16 @@ max_rel_error is the float64 oracle (_oracle), which walks the output in
 reference with the same k-ordered loop in float64 (_ref_loop), in the
 compiled library or its numpy path, never in BLAS; verified_output, the
 verify loop of `masim run`, walks the same strips with the seeded B,
-drawing each panel of B only when its strip needs it and adding it into
-the output with the kernel, so it holds neither B nor a whole float64
-reference and gives the same bits. The oracle's strips are the one
-threaded stage: split cuts them into runs over the usable cores (an
-output of one strip into runs of its 128-row panels) and run_parts walks
-each run on a thread of its own for the whole loop; the result does not
-depend on the part count. On one core (taskset -c 0) every strip is the
-caller's.
+drawing each panel of B only when its strip needs it and adding it with
+the kernel into an output strip of the part's own, which is checked and
+then reused for the next strip, so it holds neither B, nor the output,
+nor a whole float64 reference, and gives the same bits. The oracle's
+strips are the one threaded stage: split sets the part count over the
+usable cores, run_parts runs each part on a thread of its own for the
+whole loop, and each part takes the next strip from one shared iterator
+(an output of one strip is cut into runs of its 128-row panels instead);
+the result does not depend on the part count. On one core (taskset -c 0)
+every strip is the caller's.
 
 The seeded draw reproduces np.random.default_rng(seed)'s float32 draws
 bit for bit without numpy's generator: pcg64_seed is numpy's SeedSequence
@@ -66,13 +68,14 @@ DTYPE = np.float32
 
 # Output rows, output columns and inner-dimension depth of the oracle's
 # (_oracle) panels. Its 256-column output strips are also the verify
-# loop's unit of work, and each 512-deep panel of B is one _ref_loop call
-# per strip; the 128-row panels are the error step's, and the parts of an
-# output of one strip. The reference's bits depend on none of these: each
-# element is one float64 sum in ascending k. Each part allocates one
-# float32 panel of B, a float64 error panel and its strip's m x 256
-# float64 reference once (1 MB on fc-6) and takes the error in place on
-# the error panel and the spent reference.
+# loop's unit of work, handed to the parts one at a time, and each 512-deep
+# panel of B is one _ref_loop call per strip; the 128-row panels are the
+# error step's, and the parts of an output of one strip. The reference's
+# bits depend on none of these: each element is one float64 sum in
+# ascending k. Each part allocates one float32 panel of B, a float64 error
+# panel and its strip's m x 256 float64 reference once, and in the verify
+# loop its m x 256 float32 output strip (1.1 MB in all on fc-6), and takes
+# the error in place on the error panel and the spent reference.
 ORACLE_PANEL = (128, 256, 512)
 
 # Output elements in one row panel of _k_loop's numpy loop, the fallback
@@ -367,58 +370,68 @@ def reference_gemm(a, b) -> np.ndarray:
     return out
 
 
-def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
-    """The largest element-wise relative error of out (m x n) against the
-    float64 product of a (m x depth) and B, whose panels b_panel(rows, ks,
-    cols, buffer, buffers) gives: B[ks, cols] as float32 with contiguous
-    rows, for which it may fill buffer, a float32 array of that shape of
-    the calling part's own, and use the part's buffers (a Buffers), while
-    the part walks out's rows. A NaN anywhere in out makes the error NaN.
+def _oracle(a: np.ndarray, n: int, b_panel, out: np.ndarray | None = None) -> float:
+    """The largest element-wise relative error of an m x n float32 output
+    against the float64 product of a (m x depth) and B, whose panels
+    b_panel(rows, ks, cols, buffer, strip, buffers) gives: B[ks, cols] as
+    float32 with contiguous rows, for which it may fill buffer, a float32
+    array of that shape of the calling part's own, and use the part's
+    buffers (a Buffers). The output is out, a caller's whole output, or,
+    when out is None, one that b_panel adds up strip by strip: each part
+    then holds one float32 output strip of its own (m x 256, or its rows of
+    a one-strip output), zeroes it for each strip and hands it to b_panel
+    as strip, into which b_panel adds the panel's product. With out given,
+    strip is out[rows, cols]. A NaN anywhere in the output makes the error
+    NaN.
 
-    Each 256-column strip of out is walked by itself. For each 512-deep
-    panel of B, k ascending, _ref_loop adds the panel's product into the
-    strip's float64 reference (m x 256, or the part's rows of it); once its
-    last panel is in, the strip's error is taken against out, which b_panel
-    may still add into until then, one 128-row panel at a time, in place on
-    an error panel and the spent reference.
+    Each 256-column strip of the output is walked by itself. For each
+    512-deep panel of B, k ascending, _ref_loop adds the panel's product
+    into the strip's float64 reference (m x 256, or the part's rows of it);
+    once its last panel is in, the strip's error is taken against the
+    output strip, one 128-row panel at a time, in place on an error panel
+    and the spent reference.
 
-    The columns are cut by split(n, m * n, 256) into contiguous runs of
-    whole strips, and each part walks its own run on its own thread. An
-    output of one strip (n <= 256) is cut by split(m, m * n, 128) into runs
-    of 128-row panels instead, each part walking the strip on its rows.
-    Every reference element is one float64 sum in ascending k whatever the
-    cut, and the per-part maxima are combined exactly, so the result
-    depends on neither the part count nor the cut, nor on BLAS, which no
+    split(n, m * n, 256) sets the part count, and each part takes the next
+    strip from one shared iterator whenever it is done with its last, so a
+    part on a slower core takes fewer strips. An output of one strip (n <=
+    256) is cut by split(m, m * n, 128) into runs of 128-row panels
+    instead, each part walking the strip on its rows. Every reference
+    element is one float64 sum in ascending k whatever the cut, and the
+    per-part maxima are combined exactly, so the result depends on neither
+    the part count nor which part takes which strip, nor on BLAS, which no
     part calls.
     """
     m, depth = a.shape
-    n = out.shape[1]
     panel_rows, panel_cols, panel_depth = ORACLE_PANEL
     tiny = np.finfo(np.float64).tiny
 
-    def strips(rows: slice, lo: int, hi: int) -> np.float64:
+    def strips(rows: slice, starts) -> np.float64:
         worst = np.float64(0.0)
-        mine = out[rows]
-        height = mine.shape[0]
+        height = rows.stop - rows.start
         ref = np.empty((height, min(panel_cols, n)))
         err = np.empty((min(panel_rows, height), min(panel_cols, n)))
         buffer = np.empty((min(panel_depth, depth), min(panel_cols, n)), np.float32)
         buffers = Buffers()
-        for c0 in range(lo, hi, panel_cols):
-            cols = slice(c0, min(c0 + panel_cols, hi))
+        for c0 in starts:
+            cols = slice(c0, min(c0 + panel_cols, n))
             strip = ref[:, : cols.stop - c0]
             strip.fill(0.0)
+            if out is None:
+                got = buffers.take("output", strip.shape, DTYPE)
+                got.fill(0.0)
+            else:
+                got = out[rows, cols]
             for k0 in range(0, depth, panel_depth):
                 ks = slice(k0, min(k0 + panel_depth, depth))
                 b32 = b_panel(rows, ks, cols, buffer[: ks.stop - k0, : cols.stop - c0],
-                              buffers)
+                              got, buffers)
                 _ref_loop(a[rows, ks], b32, strip, buffers)
-            # the error in place: |out - ref| / max(|ref|, tiny) per panel,
+            # the error in place: |got - ref| / max(|ref|, tiny) per panel,
             # the strip's reference being spent once its error is taken
             for r0 in range(0, height, panel_rows):
                 panel = strip[r0: r0 + panel_rows]
                 e = err[: panel.shape[0], : panel.shape[1]]
-                np.subtract(mine[r0: r0 + panel_rows, cols], panel, out=e)
+                np.subtract(got[r0: r0 + panel_rows], panel, out=e)
                 np.abs(e, out=e)
                 np.abs(panel, out=panel)
                 np.maximum(panel, tiny, out=panel)
@@ -428,10 +441,22 @@ def _oracle(a: np.ndarray, out: np.ndarray, b_panel) -> float:
 
     if n <= panel_cols:     # one strip: its row panels are the parts
         edges = split(m, m * n, panel_rows)
-        results = run_parts(lambda lo, hi: strips(slice(lo, hi), 0, n), edges)
+        results = run_parts(lambda lo, hi: strips(slice(lo, hi), [0]), edges)
     else:
+        lock = threading.Lock()
+        starts = iter(range(0, n, panel_cols))
+
+        def claimed():
+            """The shared strips, each to the first part that asks."""
+            while True:
+                with lock:
+                    c0 = next(starts, None)
+                if c0 is None:
+                    return
+                yield c0
+
         edges = split(n, m * n, panel_cols)
-        results = run_parts(lambda lo, hi: strips(slice(0, m), lo, hi), edges)
+        results = run_parts(lambda lo, hi: strips(slice(0, m), claimed()), edges)
     # np.maximum, not max(): a NaN from any part must survive
     return float(np.maximum.reduce(results))
 
@@ -443,7 +468,8 @@ def max_rel_error(a, b, out) -> float:
     a, b = _operands(a, b)
     if out.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"out has shape {out.shape}, expected {(a.shape[0], b.shape[1])}")
-    return _oracle(a, out, lambda rows, ks, cols, buffer, buffers: b[ks, cols])
+    return _oracle(a, out.shape[1],
+                   lambda rows, ks, cols, buffer, strip, buffers: b[ks, cols], out)
 
 
 # PCG64, the generator behind np.random.default_rng: a 128-bit LCG,
@@ -555,10 +581,10 @@ def draw_matrix(stream: Stream, rows: int, cols: int) -> np.ndarray:
     return draw_block(stream, 0, cols, np.empty((rows, cols), np.float32))
 
 
-def verified_output(shape: ProblemShape, seed: int):
-    """The run's output on the seeded matrices and its largest relative
-    error, the whole-matrix reference_gemm's and max_rel_error's bit for
-    bit, without ever holding B or a whole float64 reference.
+def verified_output(shape: ProblemShape, seed: int) -> float:
+    """The largest relative error of the run's output on the seeded
+    matrices, max_rel_error's of the whole-matrix reference_gemm bit for
+    bit, without ever holding B, the output or a whole float64 reference.
 
     A, the seed's first m * depth draws, is drawn whole (draw_matrix) on
     the calling thread before the oracle starts its parts, so the compiled
@@ -566,26 +592,27 @@ def verified_output(shape: ProblemShape, seed: int):
     follows A in the stream. The oracle's walk (_oracle) fetches each
     512 x 256 panel of B in turn, strip by strip and k ascending within a
     strip: the part walking the strip draws the panel into its own buffer
-    (draw_block) and adds it into its rows of the output's strip with the
-    kernel (_k_loop, in the part's buffers when it has no library), which
+    (draw_block) and adds it into its float32 output strip with the kernel
+    (_k_loop, in the part's buffers when it has no library), which
     continues each element's k-ordered sum as float32, before the oracle
-    adds the same panel into the strip's float64 reference (_ref_loop). It
-    holds A, the output and, per part, one float32 panel of B, an error
-    panel and a 256-column strip of the reference; the parts are the
-    oracle's, one thread each for the whole loop. Parts that split the
-    rows of a one-strip output each draw the strip's panels of B."""
+    adds the same panel into the strip's float64 reference (_ref_loop).
+    The part zeroes its output strip for each strip it takes and reuses it
+    once the strip's error is taken. It holds A and, per part, one float32
+    panel of B, an error panel, a 256-column strip of the reference and one
+    of the output; the parts are the oracle's, one thread each for the
+    whole loop. Parts that split the rows of a one-strip output each draw
+    the strip's panels of B."""
     stream = Stream(*pcg64_seed(seed))
     m, depth, n = shape.m, shape.depth, shape.n
     a = draw_matrix(stream, m, depth)
-    out = np.zeros((m, n), np.float32)
 
     def b_panel(rows: slice, ks: slice, cols: slice, buffer: np.ndarray,
-                buffers: Buffers) -> np.ndarray:
+                strip: np.ndarray, buffers: Buffers) -> np.ndarray:
         draw_block(stream, m * depth + ks.start * n + cols.start, n, buffer)
-        _k_loop(a[rows, ks], buffer, out[rows, cols], buffers)
+        _k_loop(a[rows, ks], buffer, strip, buffers)
         return buffer
 
-    return out, _oracle(a, out, b_panel)
+    return _oracle(a, n, b_panel)
 
 
 @dataclass

@@ -13,9 +13,10 @@ The simulator only schedules: given the problem shape, the design point
 and the machine, as the model is, it rejects an infeasible point, deals
 the tiles and arbitrates steals itself, and it never reads matrix data.
 After the schedule, run checks the output on the seeded matrices against
-a float64 reference (blockmm.verified_output). When the oracle is
-skipped nothing reads the output, so nothing is drawn; explore draws
-nothing.
+a float64 reference (blockmm.verified_output), strip by strip, and keeps
+only the error: no strip of the output outlives its check. When the
+oracle is skipped the output is not computed, so nothing is drawn;
+explore draws nothing.
 
 One mpe.Machine, built from --p/--pm/--freq/--stage/--bw-model/--contention,
 is handed to every model and simulator call of a command.
@@ -215,7 +216,7 @@ def cmd_run(args) -> int:
         checks["max_rel_error"] = None
         checks["oracle_skipped"] = skipped
     else:
-        _, rel = blockmm.verified_output(shape, args.seed)
+        rel = blockmm.verified_output(shape, args.seed)
         checks["max_rel_error"] = rel
         checks["oracle_ok"] = bool(rel <= ORACLE_RTOL)
     checks["tiles_ok"] = bool(
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
         # CalibrationError: a bandwidth model whose rate is not positive;
         # OSError: e.g. an --out or --trace path in a missing directory;
         # OverflowError: a makespan too long to count in cycles;
-        # MemoryError: e.g. no room for the output or its reference
+        # MemoryError: e.g. no room for A or a part's strips
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,8 @@ machine's feasibility rule is checked for the point before anything
 runs. The output the modelled arrays produce is the k-ordered kernel
 blockmm.reference_gemm applied to the whole problem (blockmm.trace_block
 ties each block's numerics to that kernel); `masim run` computes it after
-the schedule, strip by strip, in blockmm.verified_output's walk.
+the schedule, one strip at a time in a buffer of each part's own, and
+checks each strip as it goes, in blockmm.verified_output's walk.
 
 One run deals the problem's tiles (model.ProblemShape.tile_count, with
 row-major ids) round-robin onto one work queue per active array

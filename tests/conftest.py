@@ -8,15 +8,13 @@ import pytest
 
 import masim
 from masim import blockmm
-
+# the variables that set how many threads OpenBLAS, OpenMP and MKL run per
+# call, which the tests set and unset to show that no result depends on them
+from masim.__main__ import BLAS_THREAD_VARS  # noqa: F401
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-# The variables that set how many threads OpenBLAS, OpenMP and MKL run per
-# call, which the tests set and unset to show that no result depends on them.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def tile_slices(m, n, block_rows, block_cols):
@@ -63,16 +61,65 @@ def seeded_matrices(shape, seed):
 
 
 @pytest.fixture
-def cli_output(monkeypatch):
-    """Record (a, b, out) each time the CLI's verify loop returns an output,
-    with a and b drawn whole from the run's seed."""
+def checked_strips(monkeypatch):
+    """Record each output strip the verify loop finishes as (rows, cols,
+    strip), strip a copy of the part's float32 output strip once the panel
+    of B that ends its depth is added. blockmm._k_loop is wrapped: its A is
+    a slice of the drawn A, whose offset gives the rows, and its B the
+    buffer that draw_block (wrapped too) has just filled on the same thread
+    from draw m * depth + k0 * n + c0, which gives the columns and the
+    depth. A _k_loop call on any other B (reference_gemm's) is not
+    recorded."""
+    strips = []
+    drawn = {}
+    draw, kernel = blockmm.draw_block, blockmm._k_loop
+
+    def recording_draw(stream, first, width, out):
+        drawn[threading.get_ident()] = first, width, out
+        return draw(stream, first, width, out)
+
+    def recording_kernel(aa, bb, out, buffers=None):
+        kernel(aa, bb, out, buffers)
+        first, n, panel = drawn.get(threading.get_ident(), (0, 1, None))
+        if panel is not bb:
+            return
+        a = aa.base
+        m, depth = a.shape
+        k0, c0 = divmod(first - m * depth, n)
+        if k0 + bb.shape[0] == depth:
+            r0 = (aa.ctypes.data - a.ctypes.data) // a.strides[0]
+            strips.append((slice(r0, r0 + out.shape[0]), slice(c0, c0 + out.shape[1]),
+                           out.copy()))
+
+    monkeypatch.setattr(blockmm, "draw_block", recording_draw)
+    monkeypatch.setattr(blockmm, "_k_loop", recording_kernel)
+    return strips
+
+
+def assemble_strips(strips, m, n):
+    """The m x n output the strips make up, NaN where none lies; raises
+    AssertionError if two strips overlap."""
+    out = np.full((m, n), np.nan, np.float32)
+    for rows, cols, strip in strips:
+        assert np.isnan(out[rows, cols]).all(), "strips overlap"
+        out[rows, cols] = strip
+    return out
+
+
+@pytest.fixture
+def cli_output(monkeypatch, checked_strips):
+    """Record (a, b, out) each time the CLI's verify loop returns, with a
+    and b drawn whole from the run's seed and out made up of the strips
+    the loop checked."""
     seen = []
     verify = blockmm.verified_output
 
     def recording(shape, seed):
-        out, rel = verify(shape, seed)
-        seen.append((*seeded_matrices(shape, seed), out))
-        return out, rel
+        checked_strips.clear()
+        rel = verify(shape, seed)
+        seen.append((*seeded_matrices(shape, seed),
+                     assemble_strips(checked_strips, shape.m, shape.n)))
+        return rel
 
     monkeypatch.setattr(blockmm, "verified_output", recording)
     return seen

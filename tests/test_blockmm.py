@@ -7,7 +7,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import BLAS_THREAD_VARS, SRC, needs_cc, seeded_matrices, tile_slices
+from conftest import (BLAS_THREAD_VARS, SRC, assemble_strips, needs_cc, seeded_matrices,
+                      tile_slices)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -490,18 +491,20 @@ class TestKernelCache:
 
     @needs_cc
     def test_cold_cache_under_two_oracle_parts_builds_once(
-            self, monkeypatch, cold_kernel_cache, started_threads, builds):
+            self, monkeypatch, cold_kernel_cache, started_threads, builds,
+            checked_strips):
         # two strips of two parts' worth: A's draw on the caller resolves the
         # library before the worker draws and adds its first panel of B
         monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
         shape = masim.ProblemShape(128, 3, 2 * blockmm.PART_MIN_ELEMS // 128)
-        got, _ = blockmm.verified_output(shape, 22)
+        blockmm.verified_output(shape, 22)
         assert len(started_threads) == 1
         assert len(builds) == 1
         assert [p.suffix for p in cold_kernel_cache.iterdir()] == [".so"]
         assert (cold_kernel_cache.stat().st_mode & 0o777) == 0o700
         assert blockmm._library() is not None
-        assert same_bits(got, k_loop(*seeded_matrices(shape, 22)))
+        want = k_loop(*seeded_matrices(shape, 22))
+        assert same_bits(assemble_strips(checked_strips, shape.m, shape.n), want)
 
     @needs_cc
     def test_warm_cache_starts_no_process(self, monkeypatch, cold_kernel_cache, builds):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -7,12 +8,15 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BLAS_THREAD_VARS, SRC, assemble_run, needs_cc, seeded_matrices
+from conftest import (BLAS_THREAD_VARS, SRC, assemble_run, assemble_strips, needs_cc,
+                      seeded_matrices)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,13 +181,13 @@ class TestInvalidFlags:
 
     def test_problem_too_large_for_memory(self):
         # a child whose own address space is capped at 3 GiB cannot hold the
-        # 30000 x 30000 float32 output (3.4 GiB)
+        # 30000 x 30000 float32 A (3.4 GiB), which the verify loop draws whole
         code = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.RLIM_INFINITY)); "
                 "sys.path.insert(0, sys.argv[1]); from masim.cli import main; "
                 "sys.exit(main(sys.argv[2:]))")
         done = subprocess.run([sys.executable, "-c", code, str(SRC), "run", "--shape",
-                               "30000x1x30000", "--np", "1", "--si", "256"],
+                               "30000x30000x1", "--np", "1", "--si", "256"],
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stderr
@@ -647,10 +651,22 @@ class TestMatrixDraw:
                 blockmm.draw_block(stream, 0, 3, out)
 
 
+def assert_whole_matrix_check(shape, seed, rel, strips):
+    """Every strip the verify loop checked is reference_gemm's on its rows
+    and columns, bit for bit, the strips cover the output once, and rel is
+    max_rel_error's of the whole output."""
+    a, b = seeded_matrices(shape, seed)
+    whole = masim.reference_gemm(a, b)
+    for rows, cols, strip in strips:
+        assert np.array_equal(strip.view(np.uint32), whole[rows, cols].view(np.uint32))
+    assert not np.isnan(assemble_strips(strips, shape.m, shape.n)).any()
+    assert rel == masim.max_rel_error(a, b, whole)
+
+
 class TestStreamedCheck:
-    """The verify loop's output and error, B drawn panel by panel into
-    256-column output strips, are the whole-matrix reference_gemm and
-    max_rel_error."""
+    """The verify loop's error, B drawn panel by panel into 256-column
+    output strips that each part adds up in a buffer of its own, is the
+    whole-matrix reference_gemm's and max_rel_error's."""
 
     # the ids name the one numerics path, "exact", as the report's
     # config.numerics does
@@ -663,38 +679,56 @@ class TestStreamedCheck:
         # three panels, the last ragged; odd m*depth
         pytest.param(131, 1101, 70, id="131-1101-70-exact"),
     ])
-    def test_equals_the_whole_matrix_check(self, monkeypatch, m, depth, n):
+    def test_equals_the_whole_matrix_check(self, monkeypatch, checked_strips, m, depth, n):
         monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
         shape = model.ProblemShape(m, depth, n)
-        out, rel = blockmm.verified_output(shape, 9)
-        a, b = seeded_matrices(shape, 9)
-        assert np.array_equal(out.view(np.uint32),
-                              masim.reference_gemm(a, b).view(np.uint32))
-        assert rel == masim.max_rel_error(a, b, out)
+        rel = blockmm.verified_output(shape, 9)
+        assert_whole_matrix_check(shape, 9, rel, checked_strips)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_any_part_count_gives_the_whole_matrix_check(self, monkeypatch,
-                                                          started_threads, parts):
-        # three strips, the last ragged, over three panels of an odd m*depth;
-        # each part of the strips keeps its one thread for the whole loop,
-        # and A is drawn on the caller
+    def test_any_part_count_gives_the_whole_matrix_check(
+            self, monkeypatch, started_threads, checked_strips, parts):
+        # three strips, the last ragged, and one strip cut by rows, each over
+        # three panels of an odd m*depth; each part keeps its one thread for
+        # the whole loop, and A is drawn on the caller
         monkeypatch.setattr(blockmm, "PART_MIN_ELEMS", 1 << 10)
         monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
-        shape = model.ProblemShape(131, 1101, 701)
-        out, rel = blockmm.verified_output(shape, 9)
-        assert len(started_threads) == parts - 1
-        a, b = seeded_matrices(shape, 9)
-        assert np.array_equal(out.view(np.uint32),
-                              masim.reference_gemm(a, b).view(np.uint32))
-        assert rel == masim.max_rel_error(a, b, out)
+        for n in (701, 200):
+            started_threads.clear()
+            checked_strips.clear()
+            shape = model.ProblemShape(331, 1101, n)
+            rel = blockmm.verified_output(shape, 9)
+            assert len(started_threads) == parts - 1
+            assert_whole_matrix_check(shape, 9, rel, checked_strips)
 
-    def test_one_slice_equals_the_whole_matrix_check(self):
+    def test_a_slow_part_takes_fewer_strips(self, monkeypatch):
+        # 16 strips, one panel of B each, over two parts: the worker sleeps
+        # in every kernel call, and the caller takes the strips the worker
+        # would have walked; the error is the one part's
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
+        kernel = blockmm._k_loop
+        caller = threading.get_ident()
+        taken = collections.Counter()
+
+        def slowed(a, b, out, buffers):
+            kernel(a, b, out, buffers)
+            me = threading.get_ident()
+            taken[me == caller] += 1
+            if me != caller:
+                time.sleep(0.05)
+
+        monkeypatch.setattr(blockmm, "_k_loop", slowed)
+        shape = model.ProblemShape(128, 64, 16 * 256)
+        rel = blockmm.verified_output(shape, 4)
+        assert taken[True] + taken[False] == 16
+        assert taken[False] < taken[True]
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 1)
+        assert rel == blockmm.verified_output(shape, 4)
+
+    def test_one_slice_equals_the_whole_matrix_check(self, checked_strips):
         shape = model.ProblemShape(96, 363, 3025)          # conv-1
-        out, rel = blockmm.verified_output(shape, 7)
-        a, b = seeded_matrices(shape, 7)
-        assert np.array_equal(out.view(np.uint32),
-                              masim.reference_gemm(a, b).view(np.uint32))
-        assert rel == masim.max_rel_error(a, b, out)
+        rel = blockmm.verified_output(shape, 7)
+        assert_whole_matrix_check(shape, 7, rel, checked_strips)
 
     def test_nan_in_an_early_slice_is_reported(self, monkeypatch):
         # one strip of 20 columns, its panels 512, 512 and 76 deep; a NaN
@@ -709,35 +743,52 @@ class TestStreamedCheck:
             calls.append(b.shape[0])
 
         monkeypatch.setattr(blockmm, "_k_loop", first_nan)
-        out, rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3)
+        rel = blockmm.verified_output(model.ProblemShape(9, 1100, 20), 3)
         assert calls == [512, 512, 76]
-        assert np.isnan(out[5, 7]) and np.isnan(rel)
+        assert np.isnan(rel)
 
     def test_never_holds_b(self, monkeypatch):
-        # B is 16 MB, a full-width panel of it 8 MB and an m x n float64
-        # 8 MB; the loop holds A, the output and, per part, a 512 x 256
-        # float32 panel of B, a 128 x 256 error panel and an m x 256 strip
-        # of the reference in float64, 1.25 MB, and takes the error in
-        # place on the last two (the compiled reference's packs are C
-        # allocations, which tracemalloc does not see). Without the
-        # library the part's buffers add the kernel's row panel, product
-        # and columns of A, 1 MB, and the float64 reference loop's product
-        # and columns of A, 1.5 MB. A first tiny run builds the library or
-        # imports the numpy fill, neither of them the loop's
+        # B is 16 MB, a full-width panel of it 8 MB, the output 4 MB and an
+        # m x n float64 8 MB; the loop holds A and, per part, a 512 x 256
+        # float32 panel of B, a 128 x 256 error panel, an m x 256 strip of
+        # the reference in float64 and one of the output in float32, 1.5
+        # MB, and takes the error in place on the error panel and the
+        # reference (the compiled reference's packs are C allocations,
+        # which tracemalloc does not see). Without the library the part's
+        # buffers add the kernel's product and columns of A, 0.75 MB, and
+        # the float64 reference loop's product and columns of A, 1.5 MB. A
+        # first tiny run builds the library or imports the numpy fill,
+        # neither of them the loop's
         shape = model.ProblemShape(256, 1024, 4096)
-        a_and_out = 4 * shape.m * (shape.depth + shape.n)
+        a_only = 4 * shape.m * shape.depth
         blockmm.verified_output(model.ProblemShape(1, 1, 1), 1)
         per_part = (3 << 20) if blockmm._library() else (4 << 20)
         for parts in (1, 2):
             monkeypatch.setattr(blockmm, "usable_cores", lambda: parts)
             tracemalloc.start()
             try:
-                _, rel = blockmm.verified_output(shape, 1)
+                rel = blockmm.verified_output(shape, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert rel <= cli.ORACLE_RTOL
-            assert peak < a_and_out + parts * per_part
+            assert peak < a_only + parts * per_part
+
+    def test_memory_does_not_grow_with_n(self, monkeypatch):
+        # outputs of 4,096 and 65,536 columns (1 and 16 MB in float32):
+        # the two loops' peaks differ by less than one part's buffers,
+        # under 1 MB here with or without the library
+        monkeypatch.setattr(blockmm, "usable_cores", lambda: 2)
+        blockmm.verified_output(model.ProblemShape(1, 1, 1), 1)
+        peaks = []
+        for n in (4096, 65536):
+            tracemalloc.start()
+            try:
+                blockmm.verified_output(model.ProblemShape(64, 64, n), 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 class TestModuleEntryPoint:
@@ -755,6 +806,26 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["checks"]["oracle_ok"] is True
 
+    def test_pins_blas_unless_the_user_set_it(self, monkeypatch):
+        # one variable unset, one set to 1 and one set to 3 by the user: the
+        # entry point sets only the missing one, before the CLI (and numpy)
+        # is imported
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        code = ("import json, os, sys; from masim import __main__ as entry; "
+                "before = sorted({'masim.cli', 'numpy'} & set(sys.modules)); "
+                "sys.argv[1:] = ['run', '--shape', '8x8x8', '--np', '1', '--si', '8', "
+                "'--no-verify', '--out', os.devnull]; code = entry.main(); "
+                "print(json.dumps([code, before, "
+                "[os.environ.get(v) for v in entry.BLAS_THREAD_VARS]]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, [], ["1", "1", "3"]]
+
     def test_bad_flag_exits_2(self):
         done = self.run_module("run", "--shape", "8x8x8", "--no-such-flag")
         assert done.returncode == 2
@@ -762,15 +833,13 @@ class TestModuleEntryPoint:
 
     def test_report_does_not_depend_on_the_blas_threads(self, monkeypatch):
         # BLAS reads its thread count once, at load, so each setting gets a
-        # fresh process; --fast-numerics, too, takes the one exact path
+        # fresh process, and the entry point keeps a count the user set;
+        # --fast-numerics, too, takes the one exact path
         argv = ("run", "--preset", "conv-2", "--auto", "--seed", "7", "--fast-numerics")
         reports = []
-        for pinned in (True, False):
+        for threads in ("1", "2"):
             for var in BLAS_THREAD_VARS:
-                if pinned:
-                    monkeypatch.setenv(var, "1")
-                else:
-                    monkeypatch.delenv(var, raising=False)
+                monkeypatch.setenv(var, threads)
             done = self.run_module(*argv)
             assert done.returncode == 0, done.stderr
             reports.append([line for line in done.stdout.splitlines()
